@@ -3,9 +3,8 @@
 The tentpole claim: dispatching independent batch points to worker
 processes raises points/sec without changing a single byte of persisted
 output, and the precompute cache removes the redundant coarse-WLD work
-every point used to repeat.  These benchmarks measure both halves —
-run ``tools/bench_to_json.py`` for the machine-readable version CI
-gates on.
+every point used to repeat.  These benchmarks measure both halves;
+``bench/run.py`` is the machine-readable benchmark.
 
 Speedup scales with physical cores; on a single-core runner the
 parallel path is expected to tie or lose slightly (the identity check

@@ -199,7 +199,6 @@ def rank_across_corners(
     checkpoint: Optional[Union[str, "Path"]] = None,
     resume: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
     checkpoint_interval_s: Optional[float] = None,
@@ -259,7 +258,6 @@ def rank_across_corners(
         serialize=rank_result_to_dict,
         deserialize=rank_result_from_dict,
         jobs=jobs,
-        chunk_size=chunk_size,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
         checkpoint_interval_s=checkpoint_interval_s,

@@ -201,7 +201,6 @@ def run_sweep(
     checkpoint: Optional[Union[str, "Path"]] = None,
     resume: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
     checkpoint_interval_s: Optional[float] = None,
@@ -247,11 +246,10 @@ def run_sweep(
     jobs:
         Worker processes (1 = sequential, 0 = one per CPU).  Results
         and the persisted sweep are identical to a sequential run.
-    chunk_size / pool_mode:
-        Warm-pool scheduling knobs (see :func:`repro.runner.run_batch`):
-        points per work-queue chunk (``None`` = auto) and the pool
-        decision — ``"auto"`` falls back to sequential when a pool
-        cannot win, ``"warm"`` forces it, ``"sequential"`` disables it.
+    pool_mode:
+        The pool decision (see :func:`repro.runner.run_batch`):
+        ``"auto"`` falls back to sequential when a pool cannot win,
+        ``"warm"`` forces it, ``"sequential"`` disables it.
     checkpoint_every / checkpoint_interval_s:
         Amortize checkpoint writes (see :func:`repro.runner.run_batch`).
     fault_schedule:
@@ -305,7 +303,6 @@ def run_sweep(
         serialize=rank_result_to_dict,
         deserialize=rank_result_from_dict,
         jobs=jobs,
-        chunk_size=chunk_size,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
         checkpoint_interval_s=checkpoint_interval_s,

@@ -302,8 +302,7 @@ def bench(
     Builds the Table 4 baseline for ``node`` / ``gates``, solves it
     ``repeats`` times per backend (best-of to suppress scheduler
     noise), and returns per-backend timings plus the cross-backend
-    speedup — the number ``tools/bench_to_json.py`` publishes as the
-    ``kernel`` section of ``BENCH_rank.json``.
+    speedup.
 
     Raises :class:`~repro.errors.RankComputationError` if the backends
     disagree on rank — a benchmark of wrong answers is worthless.

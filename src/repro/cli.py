@@ -11,7 +11,7 @@ Installed as ``ia-rank`` (see pyproject) and runnable as
 * ``curve`` — the rank(budget) curve in one DP pass,
 * ``report`` — per-pair assignment usage + timing slack,
 * ``corners`` — sign-off rank across process/operating corners,
-* ``stats`` — render the metrics section of a trace or benchmark file.
+* ``stats`` — render the metrics section of a trace file.
 
 Any design-taking command accepts ``--node-file my_node.json`` to run
 on a custom JSON-described process.
@@ -37,10 +37,9 @@ and ``--timeout-s S`` (per-attempt retry budget and wall-clock
 deadline, with deterministic bunch-size degradation on retries),
 ``--jobs N`` (evaluate points on a warm pool of N worker processes,
 0 = one per CPU; output is identical to a sequential run),
-``--chunk-size K`` and ``--pool-mode auto|warm|sequential`` (warm-pool
-scheduling: points per dispatched chunk, and whether to force or
-disable the pool — 'auto' falls back to sequential whenever a pool
-cannot beat it), ``--checkpoint-every K``
+``--pool-mode auto|warm|sequential`` (whether to force or disable the
+pool — 'auto' falls back to sequential whenever a pool cannot beat
+it), ``--checkpoint-every K``
 (amortize checkpoint rewrites to every K completed points) and
 ``--fault-schedule SPEC`` (deterministic chaos testing: arm a
 :mod:`repro.faultkit` schedule, inline JSON or a file path; also
@@ -253,15 +252,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "results and checkpoints are identical to a sequential run",
     )
     group.add_argument(
-        "--chunk-size",
-        type=int,
-        default=0,
-        metavar="K",
-        help="points per work-queue chunk when pooling (0 = automatic: "
-        "~4 chunks per worker, capped at 32); scheduling only, never "
-        "affects results",
-    )
-    group.add_argument(
         "--pool-mode",
         default="auto",
         choices=("auto", "warm", "sequential"),
@@ -300,7 +290,6 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
         checkpoint=checkpoint,
         resume=bool(args.resume),
         jobs=args.jobs,
-        chunk_size=args.chunk_size or None,
         pool_mode=args.pool_mode,
         checkpoint_every=args.checkpoint_every,
     )
@@ -582,8 +571,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise ReproError(f"{args.file}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "metrics" not in payload:
         raise ReproError(
-            f"{args.file}: no 'metrics' section; expected a --trace file "
-            "or a BENCH_rank.json produced with observability enabled"
+            f"{args.file}: no 'metrics' section; expected a --trace file"
         )
     if "traceEvents" in payload:
         problems = validate_trace(payload)
@@ -758,11 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser(
         "stats",
-        help="render the metrics section of a --trace or BENCH file",
+        help="render the metrics section of a --trace file",
     )
-    p_stats.add_argument(
-        "file", help="trace JSON (from --trace) or BENCH_rank.json"
-    )
+    p_stats.add_argument("file", help="trace JSON (from --trace)")
     p_stats.set_defaults(func=_cmd_stats)
 
     return parser

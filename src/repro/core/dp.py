@@ -143,7 +143,7 @@ class SolverStats:
 
 #: SolverStats counters folded into the metrics registry after a DP
 #: solve (under ``solver.dp.*``) — the single source of truth for both
-#: ``BENCH_rank.json`` and trace-file counter totals.
+#: ``obs.snapshot()`` and trace-file counter totals.
 _DP_PUBLISHED_COUNTERS = (
     "rows",
     "states_explored",

@@ -187,6 +187,9 @@ def solve_pairs_numpy(
                 lin = es * width
                 lin += nr.astype(np.int64)
             np.copyto(lin, size, where=~valid)
+            # Their cost may be nan (inf - inf in cum_ins); the overflow
+            # cell is never read, so give it a quiet inf instead.
+            np.copyto(nz, inf, where=~valid)
 
             # Scatter-min all candidates into F[pair] at once.  The
             # value is order-independent; _recover_parents re-derives

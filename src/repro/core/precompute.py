@@ -18,38 +18,22 @@ identical :class:`~repro.assign.tables.AssignmentTables` from scratch.
 Keys are content fingerprints (SHA-256 over the pickled object), so two
 problems that are equal by value share an entry no matter how they were
 constructed.  The cache is a plain picklable object: the batch runner
-ships a parent-warmed cache to worker processes once per worker (via the
-pool initializer), so parallel sweep workers start with the shared
+pickles a parent-warmed cache into the pool payload that every worker
+loads at startup, so parallel sweep workers start with the shared
 coarse WLD already in hand.
 
 Hit/miss counters per stage make sweep-level reuse observable; the
-benchmark harness (``tools/bench_to_json.py``) records them in
-``BENCH_rank.json``.
-
-The module also owns the **shared-memory array handoff** the warm
-worker pool is built on: :func:`dumps_hoisted` pickles an object graph
-with every dense numpy array *hoisted out* of the byte stream,
-:class:`ShmArrayStore` publishes those arrays into one
-``multiprocessing.shared_memory`` segment (64-byte-aligned, SHA-256
-digested), and :func:`attach_arrays` re-materializes them in a worker
-as zero-copy read-only views after validating the digest — the same
-content-fingerprint discipline the cache keys use.
+benchmark (``bench/``) reports them as
+``precompute.{coarsened,tables}_hit_ratio``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
-import itertools
-import os
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-import numpy as np
-
-from ..errors import RunnerError
 from ..faultkit.inject import fault_point
 from ..obs.metrics import inc as _obs_inc
 
@@ -61,9 +45,8 @@ def fingerprint_bytes(data: bytes) -> str:
     """SHA-256 hex digest of raw bytes.
 
     The one digest primitive every content-addressed key in the
-    library shares: the pickle-based :func:`fingerprint` below, the
-    shared-memory segment digests, and the wire-schema request
-    fingerprints (:mod:`repro.schema`) that key the service's
+    library shares: the pickle-based :func:`fingerprint` below and the
+    wire-schema request fingerprints (:mod:`repro.schema`) that key the service's
     memoization cache.
     """
     return hashlib.sha256(data).hexdigest()
@@ -170,8 +153,8 @@ class PrecomputeCache:
         """Precompute the shared stages for a representative problem.
 
         Called once in the parent before dispatching a parallel batch:
-        the warmed cache then travels to every worker via the pool
-        initializer, so no worker redoes the shared coarsening.
+        the warmed cache then travels to every worker in the pool
+        payload, so no worker redoes the shared coarsening.
         Returns ``self`` for chaining.
         """
         self.coarsened(problem, bunch_size=bunch_size, max_groups=max_groups)
@@ -223,253 +206,3 @@ class PrecomputeCache:
             self._evictions += 1
             _obs_inc("precompute.evictions")
 
-
-# ---------------------------------------------------------------------------
-# Shared-memory array handoff (warm worker pool)
-# ---------------------------------------------------------------------------
-
-#: Name prefix of every segment this module creates; the lifecycle
-#: regression tests scan ``/dev/shm`` for it.
-SHM_PREFIX = "repro-shm"
-
-#: Array starting offsets are rounded up to this many bytes so views
-#: stay cache-line aligned for the vectorized kernels.
-_SHM_ALIGN = 64
-
-#: Tag of the pickler persistent ids used to hoist arrays.
-_PID_TAG = "repro.shm.array"
-
-#: Monotonic per-process sequence for collision-free segment names.
-#: Deliberately not random: names only need uniqueness within
-#: ``(pid, counter)``, and creation is ``O_EXCL`` anyway.
-_SHM_SEQ = itertools.count()
-
-
-class _ArrayPickler(pickle.Pickler):
-    """Pickler that swaps dense ndarrays for persistent-id stubs.
-
-    Hoisted arrays land in ``arrays`` (deduplicated by identity, so
-    aliased references stay aliased after the round trip); the byte
-    stream keeps only a ``(tag, index)`` stub per array.  Object-dtype
-    arrays are left inline — they hold references, not dense data.
-    """
-
-    def __init__(self, file, protocol: int, arrays: List[np.ndarray]) -> None:
-        super().__init__(file, protocol)
-        self._arrays = arrays
-        self._seen: Dict[int, int] = {}
-        self._keepalive: List[np.ndarray] = []
-
-    def persistent_id(self, obj):  # noqa: D102 - pickle protocol hook
-        if type(obj) is not np.ndarray or obj.dtype.hasobject:
-            return None
-        index = self._seen.get(id(obj))
-        if index is None:
-            index = len(self._arrays)
-            self._arrays.append(
-                obj if obj.flags.c_contiguous else np.ascontiguousarray(obj)
-            )
-            # Keep the original alive so its id() cannot be recycled
-            # onto a different array mid-dump.
-            self._keepalive.append(obj)
-            self._seen[id(obj)] = index
-        return (_PID_TAG, index)
-
-
-class _ArrayUnpickler(pickle.Unpickler):
-    def __init__(self, file, arrays: Sequence[np.ndarray]) -> None:
-        super().__init__(file)
-        self._arrays = arrays
-
-    def persistent_load(self, pid):  # noqa: D102 - pickle protocol hook
-        tag, index = pid
-        if tag != _PID_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-        return self._arrays[index]
-
-
-def dumps_hoisted(obj: object) -> Tuple[bytes, Tuple[np.ndarray, ...]]:
-    """Pickle ``obj`` with every dense ndarray hoisted out.
-
-    Returns ``(skeleton, arrays)``: the skeleton bytes reference the
-    arrays by position, and :func:`loads_hoisted` splices any
-    equal-content array sequence back in — typically zero-copy views
-    onto a shared-memory segment rather than the originals.
-    """
-    buffer = io.BytesIO()
-    arrays: List[np.ndarray] = []
-    _ArrayPickler(buffer, pickle.HIGHEST_PROTOCOL, arrays).dump(obj)
-    return buffer.getvalue(), tuple(arrays)
-
-
-def loads_hoisted(skeleton: bytes, arrays: Sequence[np.ndarray]) -> object:
-    """Rebuild an object graph from :func:`dumps_hoisted` output."""
-    return _ArrayUnpickler(io.BytesIO(skeleton), arrays).load()
-
-
-@dataclass(frozen=True)
-class ShmArraySpec:
-    """Placement of one hoisted array inside the segment."""
-
-    dtype: "np.dtype"
-    shape: Tuple[int, ...]
-    offset: int
-
-
-@dataclass(frozen=True)
-class ShmManifest:
-    """Everything a worker needs to attach a published segment.
-
-    ``digest`` is a SHA-256 over the segment's array region, computed
-    after the parent finished writing; :func:`attach_arrays` refuses a
-    segment whose content does not match — the cross-process analogue
-    of the cache's content fingerprints.
-    """
-
-    name: str
-    digest: str
-    nbytes: int
-    specs: Tuple[ShmArraySpec, ...]
-
-    @property
-    def path(self) -> str:
-        """Filesystem path of the segment (Linux tmpfs mount)."""
-        return f"/dev/shm/{self.name}"
-
-
-def _segment_digest(shm, nbytes: int) -> str:
-    view = shm.buf[:nbytes]
-    try:
-        return hashlib.sha256(view).hexdigest()
-    finally:
-        view.release()
-
-
-class ShmArrayStore:
-    """Parent-side owner of one published shared-memory segment.
-
-    Created once per parallel batch; workers attach by manifest.  The
-    parent must call :meth:`release` when the batch ends (the pool does
-    so in a ``finally``), which both closes its mapping and unlinks the
-    name — attached workers keep their mappings until they exit, and a
-    parent killed with ``SIGKILL`` is covered by multiprocessing's
-    resource tracker, so no ``/dev/shm`` entry outlives the run.
-    """
-
-    def __init__(self, shm, manifest: ShmManifest) -> None:
-        self._shm = shm
-        self.manifest = manifest
-
-    @classmethod
-    def create(
-        cls, arrays: Sequence[np.ndarray], prefix: str = SHM_PREFIX
-    ) -> "ShmArrayStore":
-        """Copy ``arrays`` into a fresh segment and digest the result.
-
-        Raises ``OSError`` when shared memory is unavailable (no
-        ``/dev/shm``, exhausted tmpfs); the pool falls back to inline
-        pickling in that case.
-        """
-        from multiprocessing import shared_memory
-
-        specs: List[ShmArraySpec] = []
-        end = 0
-        for array in arrays:
-            offset = -(-end // _SHM_ALIGN) * _SHM_ALIGN
-            specs.append(
-                ShmArraySpec(dtype=array.dtype, shape=array.shape, offset=offset)
-            )
-            end = offset + array.nbytes
-        shm = None
-        while shm is None:
-            name = f"{prefix}-{os.getpid()}-{next(_SHM_SEQ)}"
-            try:
-                shm = shared_memory.SharedMemory(
-                    name=name, create=True, size=max(1, end)
-                )
-            except FileExistsError:
-                continue  # stale name from a recycled pid; draw again
-        try:
-            for array, spec in zip(arrays, specs):
-                view = np.ndarray(
-                    spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=spec.offset
-                )
-                view[...] = array
-                del view
-            manifest = ShmManifest(
-                name=shm.name,
-                digest=_segment_digest(shm, end),
-                nbytes=end,
-                specs=tuple(specs),
-            )
-            fault_point("pool.shm.export", path=f"/dev/shm/{shm.name}")
-        except BaseException:
-            _release_segment(shm)
-            raise
-        return cls(shm, manifest)
-
-    def release(self) -> None:
-        """Close the parent mapping and unlink the segment name."""
-        _release_segment(self._shm)
-
-
-def _release_segment(shm) -> None:
-    try:
-        shm.close()
-    except (OSError, BufferError):
-        pass  # still-exported views; unlink below is what matters
-    try:
-        shm.unlink()
-    except (OSError, FileNotFoundError):
-        pass  # already unlinked (double release is fine)
-
-
-def attach_arrays(
-    manifest: ShmManifest, validate: bool = True
-) -> Tuple[Tuple[np.ndarray, ...], object]:
-    """Attach a published segment and rebuild its arrays as views.
-
-    Returns ``(arrays, shm)``; the views are read-only (the segment is
-    shared by every worker) and borrow the segment's buffer, so the
-    caller must keep ``shm`` alive as long as any view is.  Raises
-    :class:`~repro.errors.RunnerError` when the segment is missing,
-    truncated, or fails digest validation.
-    """
-    from multiprocessing import shared_memory
-
-    fault_point("pool.shm.attach", path=manifest.path)
-    try:
-        shm = shared_memory.SharedMemory(name=manifest.name)
-    except (OSError, ValueError) as exc:
-        raise RunnerError(
-            f"shared-memory segment {manifest.name!r} cannot be attached "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
-    if shm.size < manifest.nbytes:
-        _release_segment_quietly(shm)
-        raise RunnerError(
-            f"shared-memory segment {manifest.name!r} is truncated "
-            f"({shm.size} bytes on disk, {manifest.nbytes} expected)"
-        )
-    if validate and _segment_digest(shm, manifest.nbytes) != manifest.digest:
-        _release_segment_quietly(shm)
-        raise RunnerError(
-            f"shared-memory segment {manifest.name!r} failed SHA-256 "
-            f"validation: content does not match the exporter's fingerprint"
-        )
-    arrays = []
-    for spec in manifest.specs:
-        view = np.ndarray(
-            spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=spec.offset
-        )
-        view.flags.writeable = False
-        arrays.append(view)
-    return tuple(arrays), shm
-
-
-def _release_segment_quietly(shm) -> None:
-    # Attach-side cleanup only closes; the *parent* owns the unlink.
-    try:
-        shm.close()
-    except (OSError, BufferError):
-        pass  # nothing useful to do on a failed detach

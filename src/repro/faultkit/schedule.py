@@ -43,8 +43,7 @@ SITES: Tuple[str, ...] = (
     "executor.attempt.end",
     "parallel.worker.start",
     "parallel.result",
-    "pool.shm.export",
-    "pool.shm.attach",
+    "pool.payload.load",
     "pool.chunk.dispatch",
     "pool.chunk.start",
     "checkpoint.write.pre",
@@ -60,27 +59,17 @@ SITES: Tuple[str, ...] = (
 #: faults are restricted to these by :meth:`FaultSchedule.seeded` so a
 #: generated schedule never kills the parent (sequential) process.
 #: ``pool.chunk.start`` fires once per received chunk (with the chunk's
-#: first point as context), ``pool.shm.attach`` once at worker startup.
+#: first point as context), ``pool.payload.load`` once at worker startup.
 WORKER_SITES: Tuple[str, ...] = (
     "parallel.worker.start",
     "parallel.result",
     "pool.chunk.start",
-    "pool.shm.attach",
+    "pool.payload.load",
 )
 
 #: Sites that receive a ``path`` context value and therefore support
-#: the file-mangling ``torn``/``corrupt`` kinds.  The shared-memory
-#: sites expose the ``/dev/shm`` segment path: ``corrupt`` at
-#: ``pool.shm.export`` flips a byte *after* the parent computed the
-#: segment digest, so every worker detects the mismatch on attach —
-#: the canonical test of the fingerprint validation.  (``seeded`` only
-#: draws checkpoint files: truncating a mapped segment can SIGBUS
-#: readers, which is a crash shape the kill fault already covers.)
-FILE_SITES: Tuple[str, ...] = (
-    "checkpoint.write.post",
-    "pool.shm.export",
-    "pool.shm.attach",
-)
+#: the file-mangling ``torn``/``corrupt`` kinds.
+FILE_SITES: Tuple[str, ...] = ("checkpoint.write.post",)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ RPL007    blocking calls in event-loop-reachable code (route heavy
           work through the solve executor)
 RPL008    fork-hostile state crossing the ``fork()`` boundary
           (module-level handles, non-plain-data worker args)
-RPL009    SharedMemory lifecycle: parent owns ``unlink``, workers only
-          ``close``, creation guarantees release on error
 RPL010    fault-site registry: literal ``fault_point`` sites, chaos
           globs must match a registered site (``--emit-fault-sites``)
 RPL011    cooperative deadline coverage in ``repro.core`` /

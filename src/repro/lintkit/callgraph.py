@@ -1,6 +1,6 @@
 """Module-level call graph and concurrency reachability (shared pre-pass).
 
-The concurrency rules (RPL007-RPL009) all need the same whole-repo
+The concurrency rules (RPL007-RPL008) all need the same whole-repo
 view: *which functions can run on the asyncio event loop* and *which
 functions can run inside a forked worker process*.  Neither property is
 local to a file — a ``time.sleep`` three calls below an ``async def``

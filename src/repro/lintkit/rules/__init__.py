@@ -11,7 +11,6 @@ from . import (  # noqa: F401
     rpl006_swallow,
     rpl007_async_blocking,
     rpl008_fork_safety,
-    rpl009_shm_lifecycle,
     rpl010_fault_sites,
     rpl011_deadline,
 )

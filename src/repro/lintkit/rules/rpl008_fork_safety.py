@@ -80,7 +80,7 @@ class ForkSafetyRule(Rule):
     example_avoid = (
         "def _worker_main(init_blob: bytes, parent_pid: int):\n"
         "    lock = threading.Lock()       # child-local, created post-fork\n"
-        "    payload = loads_hoisted(init_blob)"
+        "    payload = pickle.loads(init_blob)"
     )
 
     def __init__(self) -> None:

@@ -17,7 +17,7 @@ trace::
 
 The CLI exposes the same switch as ``--trace FILE`` on solve commands,
 and ``ia-rank stats FILE`` renders the embedded metrics section of a
-trace file or ``BENCH_rank.json``.
+trace file.
 
 Three guarantees the rest of the library relies on:
 

@@ -1,7 +1,7 @@
 """Human-readable rendering of metrics snapshots (``ia-rank stats``).
 
-Takes the JSON ``metrics`` section embedded in ``BENCH_rank.json`` or
-in a ``--trace`` file and renders counters, timing histograms, and
+Takes the JSON ``metrics`` section embedded in a ``--trace`` file and
+renders counters, timing histograms, and
 gauges as fixed-width tables.  Lives apart from the rest of
 :mod:`repro.obs` so the zero-dependency publishing path never imports
 the reporting layer.

@@ -167,7 +167,6 @@ def evaluate_candidates_batch(
     checkpoint: Optional[Union[str, "Path"]] = None,
     resume: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
     checkpoint_interval_s: Optional[float] = None,
@@ -226,7 +225,6 @@ def evaluate_candidates_batch(
         serialize=rank_result_to_dict,
         deserialize=rank_result_from_dict,
         jobs=jobs,
-        chunk_size=chunk_size,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
         checkpoint_interval_s=checkpoint_interval_s,
@@ -420,7 +418,6 @@ def optimize_architecture(
     checkpoint: Optional[Union[str, "Path"]] = None,
     resume: bool = False,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
     checkpoint_interval_s: Optional[float] = None,
@@ -462,7 +459,6 @@ def optimize_architecture(
             checkpoint=checkpoint,
             resume=resume,
             jobs=jobs,
-            chunk_size=chunk_size,
             pool_mode=pool_mode,
             checkpoint_every=checkpoint_every,
             checkpoint_interval_s=checkpoint_interval_s,

@@ -6,12 +6,12 @@ Every batched evaluation in the library — Table 4 sweeps
 search (:mod:`repro.optimize.search`) — routes through
 :func:`run_batch`, which adds per-point fault isolation,
 checkpoint/resume, deterministic retry/degradation policies, and
-optional warm-pool parallelism (``jobs=N`` with a shared-memory table
-handoff and chunked dispatch; results come back in batch point order
+optional warm-pool parallelism (``jobs=N`` with a payload pickled once
+per batch and chunked dispatch; results come back in batch point order
 regardless of completion order) on top of any ``(point) -> result``
-evaluation.  ``pool_mode`` ("auto"/"warm"/"sequential") and
-``chunk_size`` tune the pool; the "auto" default falls back to
-in-process execution whenever a pool cannot beat sequential.
+evaluation.  ``pool_mode`` ("auto"/"warm"/"sequential") decides whether
+to pool; the "auto" default falls back to in-process execution
+whenever a pool cannot beat sequential.
 
 The execution layer is hardened against real process failures — and
 chaos-tested against :mod:`repro.faultkit` schedules: dead pool

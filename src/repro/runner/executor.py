@@ -59,7 +59,6 @@ from .journal import (
 from .parallel import (
     POOL_MODE_AUTO,
     POOL_MODES,
-    WorkerPayload,
     dumps_worker_payload,
     execute_points_parallel,
     resolve_jobs,
@@ -358,7 +357,6 @@ def run_batch(
     serialize: Optional[Callable[[object], object]] = None,
     deserialize: Optional[Callable[[object], object]] = None,
     jobs: int = 1,
-    chunk_size: Optional[int] = None,
     pool_mode: str = POOL_MODE_AUTO,
     checkpoint_every: int = 1,
     checkpoint_interval_s: Optional[float] = None,
@@ -403,11 +401,6 @@ def run_batch(
         warm worker pool, 0 means one worker per CPU.  Results,
         journal, and checkpoint come back in batch point order
         regardless.
-    chunk_size:
-        Points per work-queue chunk when pooling.  ``None``/``0``
-        (default) sizes chunks automatically (about four waves per
-        worker, capped at 32 points); the value only affects
-        scheduling, never results.
     pool_mode:
         ``"auto"`` (default) uses the pool only when it can beat
         sequential — at least two pending points and two usable CPUs;
@@ -445,11 +438,6 @@ def run_batch(
             f"run {name!r}: pool_mode must be one of {POOL_MODES}, "
             f"got {pool_mode!r}"
         )
-    if chunk_size is not None and chunk_size < 0:
-        raise RunnerError(
-            f"run {name!r}: chunk_size must be >= 1 (or 0/None for auto), "
-            f"got {chunk_size!r}"
-        )
     if checkpoint_every < 1:
         raise RunnerError(
             f"run {name!r}: checkpoint_every must be >= 1, got {checkpoint_every!r}"
@@ -474,10 +462,10 @@ def run_batch(
         fault_schedule = schedule_from_env()
     payload = None
     if jobs > 1:
-        # Fail fast (and pickle exactly once, arrays hoisted) before
-        # any worker forks — in *every* pool mode, so an evaluator that
-        # falls back to sequential here still fails loudly on the
-        # many-core machine where the pool would actually run.
+        # Fail fast (and pickle exactly once) before any worker forks —
+        # in *every* pool mode, so an evaluator that falls back to
+        # sequential here still fails loudly on the many-core machine
+        # where the pool would actually run.
         payload = dumps_worker_payload(name, evaluate, policy, points)
 
     with _faults_activated(fault_schedule):
@@ -542,7 +530,6 @@ def run_batch(
                         results,
                         committer,
                         fault_schedule,
-                        chunk_size,
                     )
         finally:
             # Final write on every exit path: normal return, strict-mode
@@ -595,7 +582,7 @@ def _run_parallel(
     name: str,
     points: Sequence[PointSpec],
     evaluate: Callable[[PointSpec, Attempt], object],
-    payload: WorkerPayload,
+    payload: bytes,
     jobs: int,
     policy: RetryPolicy,
     keep_going: bool,
@@ -608,7 +595,6 @@ def _run_parallel(
     results: Dict[str, object],
     committer: _Committer,
     fault_schedule: Optional[FaultSchedule] = None,
-    chunk_size: Optional[int] = None,
 ) -> None:
     outcomes: Dict[str, PointOutcome] = {}
 
@@ -640,7 +626,6 @@ def _run_parallel(
             if fault_schedule
             else None
         ),
-        chunk_size=chunk_size,
     )
 
     # Graceful degradation: the pool died repeatedly and handed back

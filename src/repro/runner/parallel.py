@@ -6,23 +6,18 @@ directly on :mod:`multiprocessing` pipes rather than
 ``concurrent.futures`` so the parent owns every recovery decision the
 chaos suite (:mod:`repro.faultkit`) exercises, and it is *warm*:
 
-* **spawn once, shared-memory handoff** — workers are started once per
-  batch and receive the evaluator, policy, and point list through one
-  :mod:`multiprocessing.shared_memory` segment: every dense numpy
-  array (``AssignmentTables`` columns, ``RCArrays``, warmed coarse
-  WLDs) is hoisted out of the pickle by
-  :func:`repro.core.precompute.dumps_hoisted`, published once, and
-  attached zero-copy by each worker after SHA-256 digest validation
-  (``pool.shm.export`` / ``pool.shm.attach`` fault sites).  When
-  shared memory is unavailable the payload falls back to inline
-  pickling (``parallel.shm_fallbacks``);
+* **spawn once, one payload** — workers are started once per batch.
+  The evaluator, policy, and point list are pickled once by
+  :func:`dumps_worker_payload`; each worker receives those bytes as a
+  process argument (free under fork) and unpickles them at startup
+  (``pool.payload.load`` fault site);
 * **chunked work queue** — instead of one pickled submission per
   point, workers pull *chunks* of point indices
-  (``resolve_chunk_size``: explicit ``chunk_size`` or an automatic
-  ``~4 waves per worker`` split) and stream one pre-pickled result
-  message per point, so per-task IPC is a few bytes each way
-  (``pool.chunk.dispatch`` / ``pool.chunk.start`` fault sites,
-  ``parallel.chunks_dispatched`` / ``parallel.chunk_size`` metrics);
+  (:func:`resolve_chunk_size`: about four waves per worker, capped)
+  and stream one pre-pickled result message per point, so per-task IPC
+  is a few bytes each way (``pool.chunk.dispatch`` /
+  ``pool.chunk.start`` fault sites, ``parallel.chunks_dispatched`` /
+  ``parallel.chunk_size`` metrics);
 * **sequential auto-fallback** — :func:`should_use_pool` routes the
   batch back to in-process execution when a pool cannot win: explicit
   ``pool_mode="sequential"``, one effective job, a sub-2-point batch,
@@ -45,13 +40,11 @@ chaos suite (:mod:`repro.faultkit`) exercises, and it is *warm*:
   ``max(4, 2 × workers)`` deaths), the backend stops spawning
   replacements and hands the still-pending points back to the caller
   for sequential in-process execution (``runner.pool_degradations``);
-* **no orphans, no leaked segments** — ``SIGTERM``/``SIGINT`` to the
-  parent kill every worker before the signal's normal effect proceeds
-  (so the final checkpoint commit in ``run_batch``'s ``finally`` still
-  runs), the shared-memory segment is closed and unlinked on every
-  exit path, each worker independently exits when it notices it has
-  been reparented, and multiprocessing's resource tracker covers even
-  a ``SIGKILL``-ed parent.
+* **no orphans** — ``SIGTERM``/``SIGINT`` to the parent kill every
+  worker before the signal's normal effect proceeds (so the final
+  checkpoint commit in ``run_batch``'s ``finally`` still runs), and
+  each worker independently exits when it notices it has been
+  reparented, which covers even a ``SIGKILL``-ed parent.
 
 The sequential contract is unchanged: each worker runs the same
 :func:`~repro.runner.executor.execute_point` driver (retry budget,
@@ -91,12 +84,6 @@ from typing import (
     Tuple,
 )
 
-from ..core.precompute import (
-    ShmArrayStore,
-    attach_arrays,
-    dumps_hoisted,
-    loads_hoisted,
-)
 from ..errors import RunnerError
 from ..faultkit.inject import fault_point, install as _install_faults
 from ..obs import aggregate as _aggregate
@@ -201,39 +188,15 @@ def should_use_pool(pool_mode: str, jobs: int, n_points: int) -> bool:
     return usable_cpus() >= 2
 
 
-def resolve_chunk_size(
-    chunk_size: Optional[int], n_points: int, workers: int
-) -> int:
+def resolve_chunk_size(n_points: int, workers: int) -> int:
     """Points per work-queue chunk.
 
-    ``None``/``0`` picks automatically: the batch split into about
-    :data:`_CHUNK_WAVES` chunks per worker (load balance against slow
-    points), capped at :data:`_CHUNK_CAP` (cheap crash resubmission).
+    The batch is split into about :data:`_CHUNK_WAVES` chunks per
+    worker (load balance against slow points), capped at
+    :data:`_CHUNK_CAP` (cheap crash resubmission).
     """
-    if chunk_size:
-        if chunk_size < 1:
-            raise RunnerError(
-                f"chunk_size must be >= 1 (or 0/None for auto), "
-                f"got {chunk_size!r}"
-            )
-        return chunk_size
     waves = max(1, workers) * _CHUNK_WAVES
     return max(1, min(-(-n_points // waves), _CHUNK_CAP))
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkerPayload:
-    """The batch payload, pickled once with its arrays hoisted out.
-
-    ``skeleton`` is the array-free pickle of
-    ``(evaluate, policy, points)``; ``arrays`` are the hoisted dense
-    arrays, published to shared memory (or shipped inline) by
-    :func:`execute_points_parallel`.
-    """
-
-    name: str
-    skeleton: bytes
-    arrays: Tuple
 
 
 def dumps_worker_payload(
@@ -241,16 +204,17 @@ def dumps_worker_payload(
     evaluate: EvaluateFn,
     policy: "RetryPolicy",
     points: Sequence["PointSpec"] = (),
-) -> WorkerPayload:
+) -> bytes:
     """Pickle ``(evaluate, policy, points)`` for shipment to workers.
 
     Raising here — before any process is forked — turns the classic
     late ``PicklingError`` inside the pool into an immediate, explained
-    failure.  Dense arrays are hoisted rather than serialized, so this
-    is cheap even for evaluators dragging a warmed precompute cache.
+    failure.  The returned bytes are exactly what every worker loads.
     """
     try:
-        skeleton, arrays = dumps_hoisted((evaluate, policy, tuple(points)))
+        return pickle.dumps(
+            (evaluate, policy, tuple(points)), protocol=pickle.HIGHEST_PROTOCOL
+        )
     except Exception as exc:
         raise RunnerError(
             f"run {name!r}: evaluate/policy cannot be pickled for parallel "
@@ -258,7 +222,6 @@ def dumps_worker_payload(
             f"module-level function or a dataclass instance, not a closure "
             f"or lambda — or run with jobs=1"
         ) from exc
-    return WorkerPayload(name=name, skeleton=skeleton, arrays=arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +289,8 @@ def _evaluate_task(
         return _encode_error("unserializable", index, submit, exc)
 
 
-def _load_worker_payload(
-    init_blob: bytes,
-) -> Tuple[EvaluateFn, "RetryPolicy", Sequence["PointSpec"], Optional[object]]:
-    """Decode the one-time worker payload; attaches shared memory.
-
-    Returns ``(evaluate, policy, points, shm)`` where ``shm`` keeps the
-    attached segment (and therefore every zero-copy view into it)
-    alive for the worker's lifetime, or is ``None`` in inline mode.
-    """
-    transport, skeleton, extra = pickle.loads(init_blob)
-    if transport == "shm":
-        arrays, shm = attach_arrays(extra)
-    else:
-        arrays, shm = extra, None
-    evaluate, policy, points = loads_hoisted(skeleton, arrays)
-    return evaluate, policy, points, shm
-
-
 def _worker_main(
-    init_blob: bytes,
+    payload: bytes,
     obs_flags: Tuple[bool, bool],
     fault_blob: Optional[bytes],
     task_r: connection.Connection,
@@ -354,15 +299,11 @@ def _worker_main(
 ) -> None:
     """Process entry point: run the loop, then exit without teardown.
 
-    ``os._exit`` skips interpreter shutdown on purpose: the payload
-    holds zero-copy views into the attached segment, and letting GC
-    close the mapping while views still exist would raise
-    ``BufferError`` noise from ``__del__`` during teardown.  The
-    process exit unmaps everything regardless; the parent owns the
-    segment's unlink.
+    ``os._exit`` skips interpreter shutdown on purpose, so a worker
+    never runs cleanup it inherited from the parent by fork.
     """
     try:
-        _worker_loop(init_blob, obs_flags, fault_blob, task_r, res_w, parent_pid)
+        _worker_loop(payload, obs_flags, fault_blob, task_r, res_w, parent_pid)
     except BaseException:  # pragma: no cover - defensive trace, then death
         _obs_inc("runner.worker_crashes")
         traceback.print_exc()
@@ -371,7 +312,7 @@ def _worker_main(
 
 
 def _worker_loop(
-    init_blob: bytes,
+    payload: bytes,
     obs_flags: Tuple[bool, bool],
     fault_blob: Optional[bytes],
     task_r: connection.Connection,
@@ -383,9 +324,9 @@ def _worker_loop(
     Exits on the ``None`` shutdown sentinel, on a closed pipe, or when
     the parent vanishes (``getppid`` no longer matches — the orphan
     self-cleanup that survives even a SIGKILL-ed parent).  A payload
-    that cannot be decoded (failed shared-memory attach, digest
-    mismatch) poisons the worker: every received entry is answered
-    with the stored error so the parent surfaces it instead of hanging.
+    that cannot be loaded poisons the worker: every received entry is
+    answered with the stored error so the parent surfaces it instead
+    of hanging.
     """
     if fault_blob is not None:
         _install_faults(pickle.loads(fault_blob))
@@ -394,7 +335,8 @@ def _worker_loop(
     evaluate = policy = None
     init_error: Optional[BaseException] = None
     try:
-        evaluate, policy, points, _shm = _load_worker_payload(init_blob)
+        fault_point("pool.payload.load")
+        evaluate, policy, points = pickle.loads(payload)
     except Exception as exc:
         # Poisoned, not dead: the error is recorded and replayed as the
         # answer to every received entry, so the parent surfaces it.
@@ -516,42 +458,15 @@ def _reap_on_signals(kill_all: Callable[[], None]) -> Iterator[None]:
             signal.signal(sig, old)
 
 
-def _publish_payload(payload: WorkerPayload) -> Tuple[bytes, Optional[ShmArrayStore]]:
-    """Publish the payload's arrays; inline pickling as the fallback.
-
-    Returns ``(init_blob, store)``: the per-worker bootstrap blob and
-    the parent-owned segment handle (``None`` when shared memory was
-    unavailable and the arrays travel inline instead).
-    """
-    try:
-        store = ShmArrayStore.create(payload.arrays)
-    except (OSError, ValueError, ImportError):
-        _obs_inc("parallel.shm_fallbacks")
-        blob = pickle.dumps(
-            ("inline", payload.skeleton, payload.arrays),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return blob, None
-    _obs_inc("parallel.shm_exports")
-    if _metrics_enabled():
-        _obs_gauge("parallel.shm_bytes", float(store.manifest.nbytes))
-    blob = pickle.dumps(
-        ("shm", payload.skeleton, store.manifest),
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    return blob, store
-
-
 def execute_points_parallel(
     name: str,
     todo: Sequence[Tuple[int, object]],
-    payload: WorkerPayload,
+    payload: bytes,
     jobs: int,
     policy: "RetryPolicy",
     on_outcome: Callable,
     stop_on_failure: bool,
     fault_blob: Optional[bytes] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[object]:
     """Run the pending points through the pool, reporting as completed.
 
@@ -580,7 +495,7 @@ def execute_points_parallel(
     ctx = fork_context()
     budget_s = _task_budget(policy)
     death_budget = max(4, 2 * workers_n)
-    chunk_n = resolve_chunk_size(chunk_size, len(todo), workers_n)
+    chunk_n = resolve_chunk_size(len(todo), workers_n)
     indices = [index for index, _ in todo]
     pending: Deque[Tuple[Tuple[int, int], ...]] = deque(
         tuple((index, 0) for index in indices[lo:lo + chunk_n])
@@ -595,14 +510,13 @@ def execute_points_parallel(
     busy = 0.0
     pool_started = time.monotonic()
     obs_flags = _aggregate.obs_flags()
-    init_blob, store = _publish_payload(payload)
 
     def _spawn() -> _Worker:
         task_r, task_w = ctx.Pipe(duplex=False)
         res_r, res_w = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
-            args=(init_blob, obs_flags, fault_blob, task_r, res_w, os.getpid()),
+            args=(payload, obs_flags, fault_blob, task_r, res_w, os.getpid()),
             daemon=True,
         )
         process.start()
@@ -830,10 +744,6 @@ def execute_points_parallel(
                 worker.process.kill()
                 worker.process.join(timeout=1.0)
             worker.close()
-        if store is not None:
-            # Unlink on every exit path (normal, strict abort, SIGTERM
-            # unwind): no /dev/shm entry outlives the batch.
-            store.release()
     if degraded and pending and not stop_feeding:
         leftover = {index for entries in pending for index, _ in entries}
         return [point for index, point in todo if index in leftover]

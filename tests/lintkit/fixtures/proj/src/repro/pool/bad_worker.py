@@ -1,23 +1,14 @@
-"""Fixture: fork-hostile worker state and shm misuse (RPL008/RPL009)."""
+"""Fixture: fork-hostile worker state (RPL008)."""
 
 import threading
 from multiprocessing import Process
-from multiprocessing.shared_memory import SharedMemory
 
 _LOCK = threading.Lock()
 
 
 def _worker_main(init_blob: bytes, stop: threading.Event) -> None:
     with _LOCK:
-        scratch = SharedMemory(name="scratch", create=True, size=64)
-        scratch.close()
-        scratch.unlink()
-
-
-def publish_tables(blob):
-    segment = SharedMemory(name="tables", create=True, size=len(blob))
-    segment.buf[: len(blob)] = blob
-    return segment.name
+        pass
 
 
 def start_pool(blob):

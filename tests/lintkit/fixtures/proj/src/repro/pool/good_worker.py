@@ -1,8 +1,7 @@
-"""Fixture: plain-data handoff and parent-owned unlink (clean)."""
+"""Fixture: plain-data worker args and a child-local lock (clean)."""
 
 import threading
 from multiprocessing import Process
-from multiprocessing.shared_memory import SharedMemory
 
 _LOCK = threading.Lock()
 
@@ -10,24 +9,12 @@ _LOCK = threading.Lock()
 def _worker_main(init_blob: bytes, parent_pid: int) -> None:
     lock = threading.Lock()
     with lock:
-        segment = SharedMemory(name="tables")
-        segment.close()
+        pass
 
 
 def start_pool(blob):
     worker = Process(target=_worker_main, args=(blob, 1))
     worker.start()
-    _publish(blob)
-
-
-def _publish(blob):
-    segment = SharedMemory(name="tables", create=True, size=len(blob))
-    try:
-        segment.buf[: len(blob)] = blob
-    except BaseException:
-        segment.close()
-        segment.unlink()
-        raise
 
 
 def _audit_locked(path):

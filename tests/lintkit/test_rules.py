@@ -171,7 +171,6 @@ class TestWholeProject:
             "RPL006": 5,
             "RPL007": 3,
             "RPL008": 2,
-            "RPL009": 3,
             "RPL010": 3,
             "RPL011": 2,
         }

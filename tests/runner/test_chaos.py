@@ -22,7 +22,6 @@ import textwrap
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -327,82 +326,26 @@ class TestPickleFault:
         assert dict(resumed.results) == _baseline_results()
 
 
-@dataclass(frozen=True, eq=False)
-class ShmTableEvaluate:
-    """Evaluator whose dense lookup table rides the shared-memory
-    handoff — the hoisting pickler extracts ``table`` so the shm fault
-    sites actually fire (a payload with no arrays ships inline)."""
-
-    table: np.ndarray
-
-    def __call__(self, point, attempt):
-        return {"value": float(self.table[int(point.value)]) + point.value}
-
-
-def _shm_evaluate():
-    # Large enough that a byte flipped at the middle of the segment
-    # (the corrupt fault) lands inside the digested array region.
-    return ShmTableEvaluate(table=np.arange(4096, dtype=np.float64) * 2.0)
-
-
 class TestShmAndChunkFaults:
-    """Targeted schedules for the warm pool's shm and chunk sites.
+    """Targeted schedules for the warm pool's payload and chunk sites.
 
     Same contract as the seeded sweep: identical to the fault-free
     sequential run, or a documented error with a resumable checkpoint.
     """
 
-    def _shm_baseline(self):
-        outcome = run_batch(
-            "chaos", specs(), _shm_evaluate(), policy=_policy(), jobs=1
-        )
-        return dict(outcome.results)
-
-    def test_corrupt_shm_segment_fails_sha256_validation(self, tmp_path):
-        # The byte flips AFTER the parent computed the digest, so every
-        # worker must refuse the table rather than compute on silently
-        # corrupt data.
-        schedule = FaultSchedule(
-            specs=(FaultSpec(site="pool.shm.export", kind="corrupt"),)
-        )
-        path = tmp_path / "ck.json"
-        with pytest.raises(RunnerError, match="SHA-256"):
-            run_batch(
-                "chaos",
-                specs(),
-                _shm_evaluate(),
-                policy=_policy(),
-                jobs=2,
-                pool_mode="warm",
-                checkpoint_path=path,
-                fault_schedule=schedule,
-            )
-        assert load_checkpoint(path, expect_run="chaos") is not None
-        resumed = run_batch(
-            "chaos",
-            specs(),
-            _shm_evaluate(),
-            policy=_policy(),
-            jobs=2,
-            pool_mode="warm",
-            checkpoint_path=path,
-            resume=True,
-        )
-        assert dict(resumed.results) == self._shm_baseline()
-
     def test_attach_fault_surfaces_as_documented_error(self, tmp_path):
         # Workers re-arm the schedule from the shipped blob, so a
-        # times=1 attach fault poisons every worker's first attach; the
-        # replayed error must reach the parent verbatim.
+        # times=1 payload-load fault poisons every worker at startup;
+        # the replayed error must reach the parent verbatim.
         schedule = FaultSchedule(
-            specs=(FaultSpec(site="pool.shm.attach", kind="raise"),)
+            specs=(FaultSpec(site="pool.payload.load", kind="raise"),)
         )
         path = tmp_path / "ck.json"
-        with pytest.raises(ReproError, match="pool.shm.attach"):
+        with pytest.raises(ReproError, match="pool.payload.load"):
             run_batch(
                 "chaos",
                 specs(),
-                _shm_evaluate(),
+                ChaosEvaluate(),
                 policy=_policy(),
                 jobs=2,
                 pool_mode="warm",
@@ -413,23 +356,52 @@ class TestShmAndChunkFaults:
         resumed = run_batch(
             "chaos",
             specs(),
-            _shm_evaluate(),
+            ChaosEvaluate(),
             policy=_policy(),
             jobs=2,
             pool_mode="warm",
             checkpoint_path=path,
             resume=True,
         )
-        assert dict(resumed.results) == self._shm_baseline()
+        assert dict(resumed.results) == _baseline_results()
 
     def test_kill_at_chunk_start_resubmits_and_completes(self, metrics):
-        # chunk_size=1 pins the chunk's context point to the targeted
-        # key; the resubmission arrives at submit=1 and no longer
-        # matches the submit=0 spec.
+        # 24 points over 2 workers chunk as 3-point runs, so p[3] leads
+        # the second chunk and the kill strands all three of its
+        # entries; they come back at submit=1 and no longer match.
         schedule = FaultSchedule(
             specs=(
                 FaultSpec(
                     site="pool.chunk.start",
+                    kind="kill",
+                    point="p[3]",
+                    submit=0,
+                ),
+            )
+        )
+        outcome = run_batch(
+            "chaos",
+            specs(24),
+            ChaosEvaluate(),
+            policy=_policy(),
+            jobs=2,
+            pool_mode="warm",
+            fault_schedule=schedule,
+        )
+        assert dict(outcome.results) == _baseline_results(24)
+        snapshot = obs.snapshot()
+        assert snapshot["gauges"]["parallel.chunk_size"] == 3
+        counters = snapshot["counters"]
+        assert counters["runner.worker_deaths"] == 1
+        assert counters["runner.resubmissions"] == 3
+
+    def test_kill_mid_chunk_resubmits_only_unanswered_entries(self, metrics):
+        # p[1] is the middle of the first 3-point chunk: p[0] has
+        # already streamed back, so only p[1] and p[2] are resubmitted.
+        schedule = FaultSchedule(
+            specs=(
+                FaultSpec(
+                    site="parallel.worker.start",
                     kind="kill",
                     point="p[1]",
                     submit=0,
@@ -438,18 +410,17 @@ class TestShmAndChunkFaults:
         )
         outcome = run_batch(
             "chaos",
-            specs(),
+            specs(24),
             ChaosEvaluate(),
             policy=_policy(),
             jobs=2,
             pool_mode="warm",
-            chunk_size=1,
             fault_schedule=schedule,
         )
-        assert dict(outcome.results) == _baseline_results()
+        assert dict(outcome.results) == _baseline_results(24)
         counters = obs.snapshot()["counters"]
-        assert counters["runner.worker_deaths"] >= 1
-        assert counters["runner.resubmissions"] >= 1
+        assert counters["runner.worker_deaths"] == 1
+        assert counters["runner.resubmissions"] == 2
 
     def test_dispatch_fault_leaves_resumable_checkpoint(self, tmp_path):
         # Parent-side failure while feeding the work queue: the run
@@ -529,8 +500,8 @@ class TestSigtermReapsWorkers:
         )
         proc = subprocess.Popen(
             [sys.executable, "-c", driver],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         try:
             _wait_for(

@@ -208,24 +208,11 @@ class TestPoolKnobs:
                 pool_mode="tepid",
             )
 
-    def test_negative_chunk_size_rejected(self):
-        with pytest.raises(RunnerError, match="chunk_size"):
-            run_batch(
-                "demo",
-                specs(2),
-                PicklableEvaluate(),
-                jobs=2,
-                chunk_size=-1,
-            )
-
-    def test_explicit_chunk_size_honoured(self):
-        assert resolve_chunk_size(5, n_points=100, workers=2) == 5
-
     def test_auto_chunk_size_scales_with_batch(self):
         # ~4 waves per worker, never 0, capped for cheap resubmission.
-        assert resolve_chunk_size(None, n_points=2, workers=4) == 1
-        assert resolve_chunk_size(None, n_points=80, workers=2) == 10
-        assert resolve_chunk_size(None, n_points=100_000, workers=2) == 32
+        assert resolve_chunk_size(n_points=2, workers=4) == 1
+        assert resolve_chunk_size(n_points=80, workers=2) == 10
+        assert resolve_chunk_size(n_points=100_000, workers=2) == 32
 
     def test_auto_fallback_runs_sequential_with_identical_results(self):
         # pool_mode="sequential" with jobs>1 exercises the fallback
@@ -254,26 +241,34 @@ class TestPoolKnobs:
             )
 
 
+def batch_for_chunk(chunk, jobs):
+    """The longest batch that the auto rule splits into ``chunk``-point
+    chunks over ``jobs`` workers (``None``: the default batch)."""
+    if chunk is None:
+        return len(specs())
+    n = chunk * jobs * 4
+    assert resolve_chunk_size(n, jobs) == chunk
+    return n
+
+
 class TestWarmPoolIdentity:
-    """The warm shared-memory pool against the sequential oracle.
+    """The warm pool against the sequential oracle.
 
     ``pool_mode="warm"`` forces the real pool even on a single-CPU
-    runner, so these tests exercise shm publish/attach, chunked
-    dispatch and result streaming rather than the auto fallback.
+    runner, so these tests exercise payload loading, chunked dispatch
+    and result streaming rather than the auto fallback.  Chunk sizes
+    follow from batch length and ``jobs`` under the auto rule.
     """
 
     @settings(max_examples=20, deadline=None)
     @given(
-        n=st.integers(min_value=2, max_value=9),
-        fail_mask=st.integers(min_value=0, max_value=511),
+        n=st.integers(min_value=2, max_value=24),
+        fail_mask=st.integers(min_value=0, max_value=2**24 - 1),
         jobs=st.sampled_from([2, 4]),
-        chunk_size=st.sampled_from([1, 3, None]),
     )
-    def test_property_warm_pool_equals_sequential(
-        self, n, fail_mask, jobs, chunk_size
-    ):
-        """For any failure pattern × jobs × chunking, the warm pool is
-        indistinguishable from jobs=1."""
+    def test_property_warm_pool_equals_sequential(self, n, fail_mask, jobs):
+        """For any failure pattern × jobs × batch length (chunks of 1
+        to 3 points), the warm pool is indistinguishable from jobs=1."""
         fail_keys = frozenset(
             f"p[{i}]" for i in range(n) if fail_mask & (1 << i)
         )
@@ -286,47 +281,45 @@ class TestWarmPoolIdentity:
             keep_going=True,
             jobs=jobs,
             pool_mode="warm",
-            chunk_size=chunk_size,
         )
         assert outcome_fingerprint(seq) == outcome_fingerprint(warm)
 
-    @pytest.mark.parametrize("chunk_size", [1, 3, None])
+    @pytest.mark.parametrize("chunk", [1, 3, None])
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_checkpoints_byte_identical_to_sequential(
-        self, tmp_path, jobs, chunk_size
+        self, tmp_path, jobs, chunk
     ):
+        points = specs(batch_for_chunk(chunk, jobs))
         seq_path = tmp_path / "seq.json"
         run_batch(
-            "demo", specs(), PicklableEvaluate(), checkpoint_path=seq_path
+            "demo", points, PicklableEvaluate(), checkpoint_path=seq_path
         )
-        warm_path = tmp_path / f"warm-{jobs}-{chunk_size}.json"
+        warm_path = tmp_path / f"warm-{jobs}-{chunk}.json"
         run_batch(
             "demo",
-            specs(),
+            points,
             PicklableEvaluate(),
             checkpoint_path=warm_path,
             jobs=jobs,
             pool_mode="warm",
-            chunk_size=chunk_size,
         )
         assert checkpoint_fingerprint(seq_path) == checkpoint_fingerprint(
             warm_path
         )
         # Committed in batch order regardless of chunk completion order.
         assert checkpoint_fingerprint(warm_path)[1] == [
-            s.key for s in specs()
+            s.key for s in points
         ]
 
     def test_retries_flaky_points_inside_warm_pool(self):
         evaluate = PicklableEvaluate(flaky_keys=frozenset({"p[1]", "p[3]"}))
         outcome = run_batch(
             "demo",
-            specs(),
+            specs(batch_for_chunk(3, jobs=2)),
             evaluate,
             policy=RetryPolicy(max_attempts=2),
             jobs=2,
             pool_mode="warm",
-            chunk_size=3,
         )
         by_key = {r.key: r for r in outcome.journal.records}
         assert len(by_key["p[1]"].attempts) == 2
@@ -382,6 +375,16 @@ class TestPicklability:
         with pytest.raises(RunnerError, match="pickle"):
             run_batch(
                 "demo", specs(), lambda point, attempt: None, jobs=2
+            )
+
+    def test_unpicklable_evaluate_fails_fast_in_warm_mode(self):
+        with pytest.raises(RunnerError, match="pickle"):
+            run_batch(
+                "demo",
+                specs(),
+                lambda point, attempt: None,
+                jobs=2,
+                pool_mode="warm",
             )
 
     def test_unpicklable_evaluate_fine_sequentially(self):
