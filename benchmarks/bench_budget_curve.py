@@ -17,7 +17,7 @@ from repro.units import to_mm2
 
 from .conftest import BENCH_GATES, run_once
 
-from repro.api import baseline_problem
+from repro.api import baseline_problem, compute_rank
 
 
 def test_budget_rank_curve(benchmark):
@@ -46,6 +46,10 @@ def test_budget_rank_curve(benchmark):
             title="Budget elasticity at fixed die (rank per repeater area)",
         )
     )
+    print(
+        f"pack checks: {curve.stats.pack_checks} "
+        f"(pruned by threshold: {curve.stats.pack_pruned})"
+    )
     slopes = curve.marginal_wires_per_cell()
     mid = slopes[len(slopes) // 4: 3 * len(slopes) // 4]
     print(
@@ -54,5 +58,8 @@ def test_budget_rank_curve(benchmark):
     )
     assert curve.fits
     assert list(curve.ranks) == sorted(curve.ranks)
+    # the full-budget end of the curve is the single-rank solve
+    full = compute_rank(problem, bunch_size=10_000, repeater_units=128)
+    assert curve.ranks[-1] == full.rank
     # the interior of the curve keeps climbing (budget stays binding)
     assert np.mean(mid) > 0

@@ -1,10 +1,12 @@
 """Budget-rank curves: rank as a function of repeater area, in one run.
 
 The DP table already contains every budget level: a state ``(pair, b,
-r)`` certifies the top-``b`` groups within ``r`` cells.  This module
-re-runs the DP transitions but, instead of tracking one global best
-rank, records the best rank *per budget level* — producing the entire
-rank(budget) curve of a fixed die in a single solve.
+r)`` certifies the top-``b`` groups within ``r`` cells.  The curve runs
+the same whole-pair transitions as :func:`repro.core.dp.solve_rank_dp`
+(:func:`repro.core.dp_numpy.solve_pairs_curve_numpy`) but, instead of
+tracking one global best rank, reduces the rank candidates to the best
+rank *per budget cell* — producing the entire rank(budget) curve of a
+fixed die in a single solve.
 
 This is the clean "budget elasticity" view of the paper's Table 4 R
 column: the R sweep couples the budget to die inflation through
@@ -27,6 +29,7 @@ from ..assign.greedy_assign import pack_suffix
 from ..assign.tables import AssignmentTables
 from .discretize import DEFAULT_REPEATER_UNITS, discretize_repeaters
 from .dp import SolverStats
+from .dp_numpy import solve_pairs_curve_numpy
 
 
 @dataclass(frozen=True)
@@ -77,114 +80,24 @@ def solve_budget_rank_curve(
 ) -> BudgetRankCurve:
     """Compute rank for *every* budget level in one DP pass.
 
-    Same state space as :func:`repro.core.dp.solve_rank_dp`; candidate
-    closure updates ``best[r]`` for the candidate's exact budget usage,
-    with a final running maximum making the curve monotone.  Pack
-    checks are pruned against the current per-budget best, so the pass
-    costs only modestly more than the single-rank solve.
+    Same state space and transitions as
+    :func:`repro.core.dp.solve_rank_dp` (its ``rows``,
+    ``states_explored`` and ``transitions`` counters agree); each
+    candidate that packs raises the curve from its own budget usage up.
     """
     start_time = time.perf_counter()
     stats = SolverStats(solver="dp-curve")
-
     disc = discretize_repeaters(tables, repeater_units)
-    num_units = disc.num_units
-    num_groups = tables.num_groups
-    num_pairs = tables.num_pairs
-    cum_wires = tables.cum_wires
 
     fits = pack_suffix(tables, 0, 0, 0, 0.0)
-    if not fits:
-        stats.runtime_seconds = time.perf_counter() - start_time
-        return BudgetRankCurve(
-            cell_area=disc.unit_area,
-            ranks=tuple([0] * (num_units + 1)),
-            fits=False,
-            stats=stats,
-        )
-
-    best = np.zeros(num_units + 1, dtype=np.int64)
-
-    inf = math.inf
-    shape = (num_groups + 1, num_units + 1)
-    f_prev = np.full(shape, inf)
-    f_prev[0, 0] = 0.0
-    f_prev = np.minimum.accumulate(f_prev, axis=1)
-
-    for pair in range(num_pairs):
-        f_new = np.full(shape, inf)
-        cum_area = tables.cum_wire_area[pair]
-        cum_ins = tables.cum_inserted[pair]
-        delay_limit = tables.next_infeasible[pair]
-
-        for b in range(num_groups + 1):
-            row = f_prev[b]
-            finite = np.isfinite(row)
-            if not finite.any():
-                continue
-            prev_best = inf
-            for r in range(num_units + 1):
-                if not row[r] < prev_best:
-                    continue
-                prev_best = row[r]
-                z = float(row[r])
-                stats.states_explored += 1
-                capacity = tables.capacity(pair, float(cum_wires[b]), z)
-                e_hi = int(
-                    np.searchsorted(
-                        cum_area, cum_area[b] + capacity * (1 + 1e-12), side="right"
-                    )
-                    - 1
-                )
-                e_hi = min(e_hi, int(delay_limit[b]))
-                if e_hi < b:
-                    continue
-                es = np.arange(b, e_hi + 1)
-                du = disc.slice_units_batch(pair, b, es)
-                valid = np.isfinite(du) & (r + du <= num_units)
-                if not valid.any():
-                    continue
-                es = es[valid]
-                nr = (r + du[valid]).astype(np.int64)
-                nz = z + (cum_ins[es] - cum_ins[b])
-                stats.transitions += len(es)
-
-                target = f_new[es, nr]
-                improve = nz < target
-                if improve.any():
-                    f_new[es[improve], nr[improve]] = nz[improve]
-
-                leftover = capacity - (cum_area[es] - cum_area[b])
-                # Candidates, largest e first; prune per budget level.
-                for idx in range(len(es) - 1, -1, -1):
-                    e = int(es[idx])
-                    wires = int(cum_wires[e])
-                    budget_cells = int(nr[idx])
-                    if wires <= best[budget_cells]:
-                        # everything smaller is also dominated at its
-                        # own (smaller or equal) budget only if ranks
-                        # shrink faster than budgets — cannot conclude,
-                        # so keep scanning but skip the pack check.
-                        continue
-                    stats.pack_checks += 1
-                    if pack_suffix(
-                        tables,
-                        e,
-                        pair,
-                        wires,
-                        float(nz[idx]),
-                        top_pair_leftover=float(leftover[idx]),
-                    ):
-                        stats.pack_successes += 1
-                        if wires > best[budget_cells]:
-                            best[budget_cells] = wires
-
-        f_prev = np.minimum.accumulate(f_new, axis=1)
-
-    ranks = np.maximum.accumulate(best)
+    if fits:
+        ranks = solve_pairs_curve_numpy(tables, disc, stats)
+    else:
+        ranks = np.zeros(disc.num_units + 1, dtype=np.int64)
     stats.runtime_seconds = time.perf_counter() - start_time
     return BudgetRankCurve(
         cell_area=disc.unit_area,
         ranks=tuple(int(x) for x in ranks),
-        fits=True,
+        fits=fits,
         stats=stats,
     )

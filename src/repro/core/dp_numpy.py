@@ -21,17 +21,24 @@ call instead of one ``(b, r)`` state at a time:
   test pruning provably-failing candidates before any scalar
   :func:`~repro.assign.greedy_assign.pack_suffix` call.
 
-Exactness contract (enforced by ``tests/core/test_backends.py`` and
-``tests/core/test_cross_validation.py``): ranks, witnesses, and the
+The transition (:func:`_pair_transition`) is shared by two rank
+reductions: one global best (:func:`solve_pairs_numpy`) and the best
+per budget cell (:func:`solve_pairs_curve_numpy`, the budget curve).
+
+Exactness contract (enforced by ``tests/core/test_backends.py``,
+``tests/core/test_cross_validation.py`` and
+``tests/core/test_curve.py``): ranks, witnesses, and the
 deterministic ``SolverStats`` counters (``rows``, ``states_explored``,
 ``transitions``) are identical to the python backend.  This holds
 bit-for-bit, not just approximately, because every floating-point
 quantity (capacity, cell cost, repeater count, leftover) is computed by
 the same sequence of IEEE operations as the scalar loop; candidate
 *order* is preserved (states row-major in ``(b, r)``, ends ascending),
-so equal-value tie-breaks resolve to the same winner.  The pack
-accounting (``pack_checks`` / ``pack_successes`` / ``pack_pruned``)
-measures this backend's own pruning schedule and legitimately differs.
+so equal-value tie-breaks resolve to the same winner.  The curve
+shares those counters, and its ``ranks[c]`` equals the reference DP's
+rank with ``c`` cells.  The pack accounting (``pack_checks`` /
+``pack_successes`` / ``pack_pruned``) measures this backend's own
+pruning schedule and legitimately differs.
 
 The level-major rank scan is sound for the same reason the scalar
 memo is: for a fixed (end group, pair), suffix feasibility is a
@@ -41,13 +48,14 @@ threshold computed at the *smallest* ``z`` of a level lower-bounds
 every candidate, and candidates below it (with the same conservative
 ``1 - 1e-9`` margin the scalar memo uses) cannot pack.  A success at
 the highest surviving level ends the pair: lower levels can only
-produce smaller ranks.
+produce smaller ranks; in the curve's scan it ends only its level.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -65,6 +73,120 @@ from .dp import check_deadline
 _PRUNE_MARGIN = 1.0 - 1e-9
 
 
+#: One pair's transition, as :func:`_pair_transition` returns it.
+_PairTransition = namedtuple(
+    "_PairTransition", "f_new bs rs zs capacity e_hi offsets es nz lin valid"
+)
+
+
+def _pair_transition(
+    tables: AssignmentTables, disc, stats, f_prev: np.ndarray, pair: int
+) -> _PairTransition:
+    """Expand every useful state of ``F[pair-1]`` into ``F[pair]``.
+
+    ``f_new`` is ``F[pair]`` before the cummin over budgets.  ``bs, rs,
+    zs, capacity, e_hi`` are the source states that extend at all.
+    Candidate ``c`` of state ``s`` (``offsets[s] <= c < offsets[s + 1]``)
+    ends the prefix at group ``es[c]`` with ``nz[c]`` repeaters above
+    and lands in flat cell ``lin[c]`` of ``f_new``; ``valid[c]`` is
+    false when it is over budget or past the delay wall.
+    """
+    num_units = disc.num_units
+    unit_area = disc.unit_area
+    num_groups = tables.num_groups
+    stats.rows += num_groups + 1
+
+    cum_area = tables.cum_wire_area[pair]
+    cum_rep = tables.cum_rep_area[pair]
+    cum_ins = tables.cum_inserted[pair]
+    delay_limit = tables.next_infeasible[pair]
+    via_area = float(tables.via_area[pair])
+
+    # --- Transition sources: strict-improvement states of f_prev.
+    # f_prev is cummin'd over r (non-increasing rows), so "value
+    # strictly better than every smaller budget" is exactly a
+    # strict decrease from the left neighbour.
+    use = np.isfinite(f_prev)
+    use[:, 1:] &= f_prev[:, 1:] < f_prev[:, :-1]
+    bs, rs = np.nonzero(use)  # row-major == the scalar loop's order
+    stats.states_explored += len(bs)
+
+    zs = f_prev[bs, rs]
+    wires_above = tables.cum_wires[bs].astype(float)
+    vias, routing = tables.vias_per_wire, tables.routing_capacity
+    capacity = np.maximum(0.0, routing - (zs + vias * wires_above) * via_area)
+
+    # Largest prefix extension each state can hold by area, capped by
+    # the delay wall.
+    e_hi = np.searchsorted(
+        cum_area, cum_area[bs] + capacity * (1 + 1e-12), side="right"
+    ) - 1
+    e_hi = np.minimum(e_hi, delay_limit[bs])
+    keep = e_hi >= bs
+    bs, rs, zs, capacity, e_hi = (a[keep] for a in (bs, rs, zs, capacity, e_hi))
+
+    # F[pair] lives in a flat buffer with one extra overflow cell;
+    # infeasible candidates scatter there and are never read back.
+    width = num_units + 1
+    size = (num_groups + 1) * width
+    flat = np.full(size + 1, math.inf)
+    f_new = flat[:size].reshape(num_groups + 1, width)
+
+    # Ragged flatten: candidate c of state s extends the prefix to end
+    # group es[c] in [bs[s], e_hi[s]].  Per-state scalars are broadcast
+    # with sequential np.repeat — never a random gather — and nothing
+    # is compressed until the (tiny) rank-scan subset.
+    lens = e_hi - bs + 1
+    offsets = np.concatenate(([0], np.cumsum(lens)))
+    es = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - bs, lens)
+
+    # Cell cost of the slice [b, e): same IEEE ops as
+    # RepeaterDiscretization.slice_units — subtract the *state's*
+    # cumulative (repeated), divide, epsilon-ceil.
+    with np.errstate(invalid="ignore"):
+        areas = cum_rep[es] - np.repeat(cum_rep[bs], lens)
+        if math.isinf(unit_area):
+            du = np.where(areas > 0.0, np.inf, 0.0)
+        else:
+            du = np.ceil(areas / unit_area - CEIL_EPS)
+            du = np.where(areas <= 0.0, 0.0, du)
+        # nan (poisoned slice) and inf both fail the budget test below,
+        # exactly like the scalar inf mapping.
+        nr = np.repeat(rs, lens) + du
+        valid = nr <= num_units
+        stats.transitions += int(np.count_nonzero(valid))
+
+        nz = np.repeat(zs, lens) + (cum_ins[es] - np.repeat(cum_ins[bs], lens))
+        # Scatter targets; infeasible candidates go to the overflow
+        # cell `size` (cast garbage from inf/nan is overwritten before
+        # use).
+        lin = es * width
+        lin += nr.astype(np.int64)
+    np.copyto(lin, size, where=~valid)
+    # Their cost may be nan (inf - inf in cum_ins); the overflow cell is
+    # never read, so give it a quiet inf instead.
+    np.copyto(nz, math.inf, where=~valid)
+
+    # Scatter-min all candidates into F[pair] at once.  The value is
+    # order-independent; _recover_parents re-derives the scalar loop's
+    # strict-improvement winner (the first candidate in processing
+    # order attaining the min) for the cells the witness walk visits.
+    np.minimum.at(flat, lin, nz)
+    return _PairTransition(
+        f_new, bs, rs, zs, capacity, e_hi, offsets, es, nz, lin, valid
+    )
+
+
+def _gather(step: _PairTransition, cum_area: np.ndarray, idx: np.ndarray):
+    """Candidates ``idx`` of ``step`` for a rank scan, as ``(es, nz,
+    leftover, sid)``: end group, repeaters above, the top pair's leftover
+    capacity, and the source state."""
+    sid = np.searchsorted(step.offsets, idx, side="right") - 1
+    es = step.es[idx]
+    leftover = step.capacity[sid] - (cum_area[es] - cum_area[step.bs[sid]])
+    return es, step.nz[idx], leftover, sid
+
+
 def solve_pairs_numpy(
     tables: AssignmentTables,
     disc,
@@ -77,151 +199,42 @@ def solve_pairs_numpy(
     Returns ``(best_rank, best_trace, parent_b, parent_r)`` exactly as
     :func:`repro.core.dp._solve_pairs_python` does.
     """
-    num_units = disc.num_units
-    unit_area = disc.unit_area
-    num_groups = tables.num_groups
-    num_pairs = tables.num_pairs
     cum_wires = tables.cum_wires
-    vias = tables.vias_per_wire
-    routing = tables.routing_capacity
-
-    inf = math.inf
-    shape = (num_groups + 1, num_units + 1)
-    width = num_units + 1
-    size = shape[0] * width
-    f_prev = np.full(shape, inf)
-    f_prev[0, 0] = 0.0
-    f_prev = np.minimum.accumulate(f_prev, axis=1)
+    # Before the first pair only the empty prefix is reachable, for free.
+    f_prev = np.full((tables.num_groups + 1, disc.num_units + 1), math.inf)
+    f_prev[0] = 0.0
 
     best_rank = 0
     best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
     # Per-pair (bs, rs, zs, e_hi, f_new) snapshots for the lazy
     # backward parent recovery; only kept when a witness is requested.
-    snapshots: List[Tuple[np.ndarray, ...]] = []
+    snapshots: List[Optional[Tuple[np.ndarray, ...]]] = []
     transition_s = 0.0
     rank_scan_s = 0.0
 
-    for pair in range(num_pairs):
-        stats.rows += num_groups + 1
+    for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
+        step = _pair_transition(tables, disc, stats, f_prev, pair)
 
-        cum_area = tables.cum_wire_area[pair]
-        cum_rep = tables.cum_rep_area[pair]
-        cum_ins = tables.cum_inserted[pair]
-        delay_limit = tables.next_infeasible[pair]
-        via_area = float(tables.via_area[pair])
-
-        # --- Transition sources: strict-improvement states of f_prev.
-        # f_prev is cummin'd over r (non-increasing rows), so "value
-        # strictly better than every smaller budget" is exactly a
-        # strict decrease from the left neighbour.
-        use = np.isfinite(f_prev)
-        use[:, 1:] &= f_prev[:, 1:] < f_prev[:, :-1]
-        bs, rs = np.nonzero(use)  # row-major == the scalar loop's order
-        stats.states_explored += len(bs)
-
-        # F[pair] lives in a flat buffer with one extra overflow cell;
-        # infeasible candidates scatter there and are never read back.
-        flat = np.full(size + 1, inf)
-        f_new = flat[:size].reshape(shape)
-
-        scan_es = scan_nz = scan_left = scan_b = scan_r = None
-        if len(bs):
-            zs = f_prev[bs, rs]
-            wires_above = cum_wires[bs].astype(float)
-            capacity = np.maximum(
-                0.0, routing - (zs + vias * wires_above) * via_area
-            )
-
-            # Largest prefix extension each state can hold by area,
-            # capped by the delay wall.
-            e_hi = (
-                np.searchsorted(
-                    cum_area, cum_area[bs] + capacity * (1 + 1e-12), side="right"
-                )
-                - 1
-            )
-            e_hi = np.minimum(e_hi, delay_limit[bs])
-            keep = e_hi >= bs
-            bs, rs, zs, capacity, e_hi = (
-                bs[keep], rs[keep], zs[keep], capacity[keep], e_hi[keep]
-            )
-
-        total = 0
-        if len(bs):
-            # Ragged flatten: candidate c of state s extends the prefix
-            # to end group es[c] in [bs[s], e_hi[s]].  Per-state scalars
-            # are broadcast with sequential np.repeat — never a random
-            # gather — and nothing is compressed until the (tiny)
-            # rank-scan subset below.
-            lens = e_hi - bs + 1
-            offsets = np.concatenate(([0], np.cumsum(lens)))
-            total = int(offsets[-1])
-            ar = np.arange(total)
-            es = ar - np.repeat(offsets[:-1] - bs, lens)
-
-            # Cell cost of the slice [b, e): same IEEE ops as
-            # RepeaterDiscretization.slice_units — subtract the
-            # *state's* cumulative (repeated), divide, epsilon-ceil.
-            with np.errstate(invalid="ignore"):
-                areas = cum_rep[es] - np.repeat(cum_rep[bs], lens)
-                if math.isinf(unit_area):
-                    du = np.where(areas > 0.0, np.inf, 0.0)
-                else:
-                    du = np.ceil(areas / unit_area - CEIL_EPS)
-                    du = np.where(areas <= 0.0, 0.0, du)
-                # nan (poisoned slice) and inf both fail the budget
-                # test below, exactly like the scalar inf mapping.
-                rs_rep = np.repeat(rs, lens)
-                nr = rs_rep + du
-                valid = nr <= num_units
-                stats.transitions += int(np.count_nonzero(valid))
-
-                nz = np.repeat(zs, lens) + (
-                    cum_ins[es] - np.repeat(cum_ins[bs], lens)
-                )
-                # Scatter targets; infeasible candidates go to the
-                # overflow cell `size` (cast garbage from inf/nan is
-                # overwritten before use).
-                lin = es * width
-                lin += nr.astype(np.int64)
-            np.copyto(lin, size, where=~valid)
-            # Their cost may be nan (inf - inf in cum_ins); the overflow
-            # cell is never read, so give it a quiet inf instead.
-            np.copyto(nz, inf, where=~valid)
-
-            # Scatter-min all candidates into F[pair] at once.  The
-            # value is order-independent; _recover_parents re-derives
-            # the scalar loop's strict-improvement winner (the first
-            # candidate in processing order attaining the min) for the
-            # cells the witness walk visits.
-            np.minimum.at(flat, lin, nz)
-
-            # --- Rank candidates: only ends whose cumulative wire
-            # count beats the running best can improve the rank, and
-            # cum_wires is increasing — so the filter is a pure index
-            # threshold, applied *before* any compression.
-            thr = int(np.searchsorted(cum_wires, best_rank, side="right"))
-            scan_idx = np.flatnonzero(valid & (es >= thr))
-            if len(scan_idx):
-                sid_s = np.searchsorted(offsets, scan_idx, side="right") - 1
-                scan_es = es[scan_idx]
-                scan_nz = nz[scan_idx]
-                scan_b = bs[sid_s]
-                scan_r = rs[sid_s]
-                scan_left = capacity[sid_s] - (
-                    cum_area[scan_es] - cum_area[scan_b]
-                )
-
+        # --- Rank candidates: only ends whose cumulative wire count
+        # beats the running best can improve the rank, and cum_wires is
+        # increasing — so the filter is a pure index threshold, applied
+        # *before* any compression.
+        thr = int(np.searchsorted(cum_wires, best_rank, side="right"))
+        scan_idx = np.flatnonzero(step.valid & (step.es >= thr))
+        scan = None
+        if len(scan_idx):
+            scan = _gather(step, tables.cum_wire_area[pair], scan_idx)
         transition_s += time.perf_counter() - t0
 
         # --- Rank candidates, level-major: highest end group first.
         t1 = time.perf_counter()
-        if scan_es is not None:
+        if scan is not None:
+            scan_es, scan_nz, scan_left, sid = scan
             hit = _scan_rank_levels(
                 tables, stats, deadline, pair, best_rank,
-                scan_es, scan_nz, scan_left, scan_b, scan_r,
+                scan_es, scan_nz, scan_left, step.bs[sid], step.rs[sid],
             )
             if hit is not None:
                 best_rank, best_trace = hit
@@ -229,8 +242,12 @@ def solve_pairs_numpy(
 
         # --- Close the pair: cummin over the budget axis.
         if collect_witness:
-            snapshots.append((bs, rs, zs, e_hi, f_new) if len(bs) else None)
-        f_prev = np.minimum.accumulate(f_new, axis=1)
+            snap = (step.bs, step.rs, step.zs, step.e_hi, step.f_new)
+            snapshots.append(snap if len(step.bs) else None)
+        f_prev = np.minimum.accumulate(step.f_new, axis=1)
+        # Free the pair's candidate arrays before the next pair builds
+        # its own: they are the kernel's peak memory.
+        del step
 
     if _metrics_enabled():
         _obs_observe("solver.dp.kernel.transition_s", transition_s)
@@ -241,6 +258,38 @@ def solve_pairs_numpy(
     if collect_witness and best_trace is not None:
         parent_b, parent_r = _recover_parents(tables, disc, snapshots, best_trace)
     return best_rank, best_trace, parent_b, parent_r
+
+
+def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray:
+    """Run the DP pair loop, reducing rank candidates per budget cell.
+
+    Same transitions as :func:`solve_pairs_numpy`.  Returns ``ranks``
+    (length ``num_units + 1``, non-decreasing): ``ranks[c]`` is the best
+    rank using at most ``c`` cells.
+    """
+    cum_wires = tables.cum_wires
+    width = disc.num_units + 1
+    ranks = np.zeros(width, dtype=np.int64)
+    # Before the first pair only the empty prefix is reachable, for free.
+    f_prev = np.full((tables.num_groups + 1, width), math.inf)
+    f_prev[0] = 0.0
+
+    for pair in range(tables.num_pairs):
+        step = _pair_transition(tables, disc, stats, f_prev, pair)
+
+        # Only candidates that would raise the curve at their own
+        # budget cell matter.  ranks[0] is the curve's minimum, so the
+        # index threshold on it is a cheap first cut.
+        thr = int(np.searchsorted(cum_wires, ranks[0], side="right"))
+        idx = np.flatnonzero(step.valid & (step.es >= thr))
+        ends = step.es[idx]
+        nr = step.lin[idx] - ends * width
+        raises = cum_wires[ends] > ranks[nr]
+        es, nz, left, _ = _gather(step, tables.cum_wire_area[pair], idx[raises])
+        _scan_budget_levels(tables, stats, pair, ranks, es, nz, left, nr[raises])
+        f_prev = np.minimum.accumulate(step.f_new, axis=1)
+        del step
+    return ranks
 
 
 def _recover_parents(
@@ -352,40 +401,74 @@ def _scan_rank_levels(
             break  # descending levels: every remaining one is smaller
         check_deadline(deadline, where=f"dp pair {pair}, rank level {e}")
         idxs = order[bounds[li]:bounds[li + 1]]
-        cz = nz_v[idxs]
-        cleft = leftover_v[idxs]
-
-        # Vectorized threshold prune: the required leftover at the
-        # level's smallest z lower-bounds every candidate's threshold.
-        req0 = pack_required_leftover(
-            tables, e, pair, wires_e, float(cz.min())
-        )
-        alive = cleft >= req0 * _PRUNE_MARGIN
-        stats.pack_pruned += int(len(idxs) - alive.sum())
-
-        while True:
-            cand = np.flatnonzero(alive)
-            if cand.size == 0:
-                break
-            i = int(cand[0])
-            stats.pack_checks += 1
-            if pack_suffix(
-                tables,
-                e,
-                pair,
-                wires_e,
-                float(cz[i]),
-                top_pair_leftover=float(cleft[i]),
-            ):
-                stats.pack_successes += 1
-                j = idxs[i]
-                return wires_e, (pair, int(b_v[j]), e, int(r_v[j]))
-            alive[i] = False
-            # Tighten: the exact threshold at the failed z prunes every
-            # candidate it dominates (z' >= z needs at least as much
-            # leftover), with the same conservative margin.
-            req = pack_required_leftover(tables, e, pair, wires_e, float(cz[i]))
-            pruned = alive & (cz >= cz[i]) & (cleft < req * _PRUNE_MARGIN)
-            stats.pack_pruned += int(pruned.sum())
-            alive &= ~pruned
+        i = _first_packing(tables, stats, pair, e, nz_v[idxs], leftover_v[idxs])
+        if i is not None:
+            j = idxs[i]
+            return wires_e, (pair, int(b_v[j]), e, int(r_v[j]))
     return None
+
+
+def _scan_budget_levels(tables, stats, pair, ranks, es_v, nz_v, leftover_v, nr_v):
+    """Raise the curve ``ranks`` (best rank within ``c`` cells, non-decreasing)
+    with the pair's candidates (end group ``es_v``, cells ``nr_v``) that pack.
+
+    Levels run from the highest end group down, candidates within one in
+    ascending ``nr``; the first that packs raises ``ranks[nr:]`` and ends
+    its level, since it dominates the level's larger cells.  The order
+    cannot change the curve: ``ranks[c]`` is the max of ``cum_wires[e]``
+    over packable candidates with ``nr <= c``, and a candidate is skipped
+    only when dominated or provably unable to pack.
+    """
+    cum_wires = tables.cum_wires
+    order = np.lexsort((nr_v, es_v))
+    sorted_es = es_v[order]
+    levels, starts = np.unique(sorted_es, return_index=True)
+    bounds = np.append(starts, len(sorted_es))
+
+    for li in range(len(levels) - 1, -1, -1):
+        e = int(levels[li])
+        wires_e = int(cum_wires[e])
+        if wires_e <= ranks[0]:
+            break  # descending levels: dominated at every cell
+        idxs = order[bounds[li]:bounds[li + 1]]
+        # ranks is non-decreasing and nr ascends within the level, so
+        # the candidates that still raise the curve are a prefix.
+        live = int(np.searchsorted(ranks[nr_v[idxs]], wires_e, side="left"))
+        if not live:
+            continue
+        idxs = idxs[:live]
+        i = _first_packing(tables, stats, pair, e, nz_v[idxs], leftover_v[idxs])
+        if i is not None:
+            nr = int(nr_v[idxs[i]])
+            np.maximum(ranks[nr:], wires_e, out=ranks[nr:])
+
+
+def _first_packing(tables, stats, pair: int, e: int, cz, cleft) -> Optional[int]:
+    """Index of the first candidate of level ``e`` whose suffix packs
+    (``None`` if none does), trying them in order; ``cz`` and ``cleft``
+    are their repeaters above and top-pair leftovers."""
+    wires_e = int(tables.cum_wires[e])
+    # Vectorized threshold prune: the required leftover at the level's
+    # smallest z lower-bounds every candidate's threshold.
+    req0 = pack_required_leftover(tables, e, pair, wires_e, float(cz.min()))
+    alive = cleft >= req0 * _PRUNE_MARGIN
+    stats.pack_pruned += int(len(cz) - alive.sum())
+
+    while True:
+        cand = np.flatnonzero(alive)
+        if cand.size == 0:
+            return None
+        i = int(cand[0])
+        stats.pack_checks += 1
+        z, left = float(cz[i]), float(cleft[i])
+        if pack_suffix(tables, e, pair, wires_e, z, top_pair_leftover=left):
+            stats.pack_successes += 1
+            return i
+        alive[i] = False
+        # Tighten: the exact threshold at the failed z prunes every
+        # candidate it dominates (z' >= z needs at least as much
+        # leftover), with the same conservative margin.
+        req = pack_required_leftover(tables, e, pair, wires_e, z)
+        pruned = alive & (cz >= cz[i]) & (cleft < req * _PRUNE_MARGIN)
+        stats.pack_pruned += int(pruned.sum())
+        alive &= ~pruned

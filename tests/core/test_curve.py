@@ -4,8 +4,13 @@ import math
 
 import pytest
 
+import repro.core.reference as reference_mod
+from repro.api import baseline_problem, budget_curve
 from repro.core.curve import solve_budget_rank_curve
+from repro.core.discretize import RepeaterDiscretization, discretize_repeaters
+from repro.core.dp import solve_rank_dp
 from repro.core.rank import compute_rank
+from repro.core.reference import solve_rank_reference
 
 from ..conftest import make_tiny_problem
 
@@ -98,3 +103,127 @@ class TestZeroBudget:
         curve = solve_budget_rank_curve(tables, repeater_units=16)
         single = compute_rank(problem, repeater_units=16)
         assert curve.ranks[-1] == single.rank
+
+
+class TestSolverCounters:
+    def test_deterministic_counters_match_rank_dp(self, curve_and_problem):
+        """Same transitions as the rank solve: rows, states and
+        transitions agree (pack counters legitimately differ)."""
+        curve, problem = curve_and_problem
+        tables, _ = problem.tables()
+        single = solve_rank_dp(tables, repeater_units=64).stats
+        assert curve.stats.rows == single.rows > 0
+        assert curve.stats.states_explored == single.states_explored
+        assert curve.stats.transitions == single.transitions
+
+
+#: (lengths, problem keywords, repeater units) for the per-cell oracle.
+_ORACLE_CASES = {
+    "two-pair": (
+        [1400, 900, 500, 250, 120], dict(repeater_fraction=0.2), 8,
+    ),
+    "budget-bound": (
+        list(range(400, 4400, 400)),
+        dict(repeater_fraction=0.002, clock_frequency=1e9),
+        24,
+    ),
+    "budget-bound-four-pairs": (
+        list(range(400, 4400, 400)),
+        dict(
+            repeater_fraction=0.004,
+            clock_frequency=2e9,
+            local_pairs=2,
+            semi_global_pairs=1,
+        ),
+        12,
+    ),
+    "zero-budget": (
+        [1400, 900, 500, 250, 120],
+        dict(repeater_fraction=0.0, driver_policy="free-bare"),
+        16,
+    ),
+    "unfittable": (
+        list(range(2000, 1992, -1)),
+        dict(gate_count=1000, repeater_fraction=0.05),
+        16,
+    ),
+}
+
+
+class TestPerCellOracle:
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_every_cell_matches_reference(self, node130, monkeypatch, case):
+        """``ranks[c]`` is the faithful reference DP's rank with only
+        ``c`` cells of the same size (a fixed die, a smaller budget)."""
+        lengths, kwargs, units = _ORACLE_CASES[case]
+        tables, _ = make_tiny_problem(node130, lengths, **kwargs).tables()
+        curve = solve_budget_rank_curve(tables, repeater_units=units)
+        full = discretize_repeaters(tables, units)
+        assert curve.num_units == full.num_units
+
+        expected = []
+        for cells in range(full.num_units + 1):
+            disc = RepeaterDiscretization(
+                cells, full.unit_area, tables.cum_rep_area
+            )
+            monkeypatch.setattr(
+                reference_mod, "discretize_repeaters", lambda *_a, d=disc: d
+            )
+            expected.append(solve_rank_reference(tables, units).rank)
+        assert list(curve.ranks) == expected
+
+    def test_cases_cover_the_edges(self, node130):
+        """The oracle cases hold a climbing curve, a zero budget with a
+        positive rank, and a WLD that does not fit."""
+        curves = {}
+        for name, (lengths, kwargs, units) in _ORACLE_CASES.items():
+            problem = make_tiny_problem(node130, lengths, **kwargs)
+            tables, _ = problem.tables()
+            curves[name] = solve_budget_rank_curve(tables, repeater_units=units)
+        assert len(set(curves["budget-bound"].ranks)) >= 3
+        assert curves["zero-budget"].ranks == (5,)
+        assert not curves["unfittable"].fits
+
+
+#: Curves of two 40k-gate 130 nm baselines (bunch 10000, 128 cells),
+#: recorded from the scalar per-state curve loop this kernel replaced.
+_PINNED_RANKS = {
+    0.1: (
+        0, 63, 126, 186, 251, 313, 372, 443, 503, 557, 618, 686, 743, 806,
+        875, 926, 1007, 1066, 1131, 1200, 1237, 1315, 1400, 1445, 1492,
+        1593, 1647, 1704, 1763, 1825, 1890, 1959, 2031, 2107, 2187, 2272,
+        2272, 2362, 2457, 2558, 2558, 2665, 2665, 2779, 2901, 2901, 3031,
+        3031, 3171, 3171, 3171, 3321, 3321, 3482, 3482, 3482, 3656, 3656,
+        3844, 3844, 3844, 4048, 4048, 4048, 4048, 4271, 4271, 4271, 4514,
+        4514, 4514, 4514, 4781, 4781, 4781, 4781, 5076, 5076, 5076, 5076,
+        5076, 5402, 5402, 5402, 5402, 5402, 5766, 5766, 5766, 5766, 5766,
+        5766, 6174, 6174, 6174, 6174, 6174, 6174, 6174, 6635, 6635, 6635,
+        6635, 6635, 6635, 6635, 6635, 7159, 7159, 7159, 7159, 7159, 7159,
+        7159, 7159, 7159, 7761, 7761, 7761, 7761, 7761, 7761, 7761, 7761,
+        7761, 7761, 8460, 8460, 8460,
+    ),
+    0.3: (
+        0, 239, 478, 723, 979, 1237, 1492, 1763, 2031, 2272, 2558, 2779,
+        3031, 3321, 3482, 3844, 4048, 4271, 4514, 4781, 5076, 5402, 5402,
+        5766, 6174, 6174, 6635, 6635, 7159, 7159, 7761, 7761, 7761, 8460,
+        8460, 8460, 9282, 9282, 9282, 9282, 10263, 10263, 10263, 10263,
+        11455, 11455, 11455, 11455, 11455, 11455, 12936, 12936, 12936,
+        12936, 12936, 12936, 12936, 14829, 14829, 14829, 14829, 14829,
+        14829, 14829, 14829, 14829, 14829, 17340, 17340, 17340, 17340,
+        17340, 17340, 17340, 17340, 17340, 17340, 17340, 17340, 17340,
+        20844, 20844, 20844, 20844, 20844, 20844, 20844, 20844, 20844,
+        20844, 20844, 20844, 20844, 20844, 20844, 20844, 20844, 20844,
+        20844, 20844, 26106, 26106, 26106, 26106, 26106, 26106, 26106,
+        26106, 26106, 26106, 26106, 26106, 26106, 26106, 26106, 26106,
+        26106, 26106, 26106, 26106, 26106, 26106, 26106, 26106, 26106,
+        26106, 26106, 26106, 26106,
+    ),
+}
+
+
+class TestPinnedCurves:
+    @pytest.mark.parametrize("fraction", sorted(_PINNED_RANKS))
+    def test_mid_size_curve(self, fraction):
+        problem = baseline_problem("130nm", 40_000, repeater_fraction=fraction)
+        curve, _ = budget_curve(problem, bunch_size=10_000, repeater_units=128)
+        assert curve.ranks == _PINNED_RANKS[fraction]
