@@ -6,11 +6,13 @@ call instead of one ``(b, r)`` state at a time:
 
 * every strict-improvement source state of ``F[pair-1]`` is located
   with one boolean scan,
-* all their prefix extensions are flattened into one ragged candidate
-  array (``repeat``/``cumsum``/``arange``) and scatter-minimized into
+* their prefix extensions are expanded a run of whole states at a
+  time, about ``_BLOCK`` candidates per run, with in-place ufuncs over
+  cache-sized temporaries, and each run is scatter-minimized into
   ``F[pair]`` with ``np.minimum.at``; infeasible candidates are routed
-  to a dummy overflow cell instead of compressed away, so the hot path
-  never boolean-indexes a multi-million-element array,
+  to a dummy overflow cell instead of compressed away, and the pair's
+  multi-million candidates are never materialized at once; only the
+  rank-scan subset of each run is kept,
 * witness parents are *not* tracked during the forward pass — the
   kernel retains each pair's pre-cummin ``F`` table and compact state
   arrays, and :func:`_recover_parents` re-derives the parent of the
@@ -53,6 +55,7 @@ produce smaller ranks; in the curve's scan it ends only its level.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from collections import namedtuple
@@ -73,23 +76,38 @@ from .dp import check_deadline
 _PRUNE_MARGIN = 1.0 - 1e-9
 
 
+#: Candidates per run of source states in :func:`_pair_transition`: each
+#: float64 temporary of a run is 128 KB, so the dozen a run keeps live
+#: stay in a 2 MB L2 cache.
+_BLOCK = 1 << 14
+
 #: One pair's transition, as :func:`_pair_transition` returns it.
 _PairTransition = namedtuple(
-    "_PairTransition", "f_new bs rs zs capacity e_hi offsets es nz lin valid"
+    "_PairTransition", "f_new bs rs zs capacity e_hi scan"
 )
 
 
 def _pair_transition(
-    tables: AssignmentTables, disc, stats, f_prev: np.ndarray, pair: int
+    tables: AssignmentTables,
+    disc,
+    stats,
+    f_prev: np.ndarray,
+    pair: int,
+    thr: int,
+    ranks: Optional[np.ndarray] = None,
 ) -> _PairTransition:
     """Expand every useful state of ``F[pair-1]`` into ``F[pair]``.
 
     ``f_new`` is ``F[pair]`` before the cummin over budgets.  ``bs, rs,
-    zs, capacity, e_hi`` are the source states that extend at all.
-    Candidate ``c`` of state ``s`` (``offsets[s] <= c < offsets[s + 1]``)
-    ends the prefix at group ``es[c]`` with ``nz[c]`` repeaters above
-    and lands in flat cell ``lin[c]`` of ``f_new``; ``valid[c]`` is
-    false when it is over budget or past the delay wall.
+    zs, capacity, e_hi`` are the source states that extend at all; state
+    ``s`` has one candidate per end group in ``[bs[s], e_hi[s]]``.
+    ``scan`` is the rank-scan subset ``(es, nr, nz, leftover, sid)`` of
+    the candidates within budget and delay whose end group is at least
+    ``thr``, in processing order (states row-major in ``(b, r)``, ends
+    ascending): end group, cells, repeaters above, the top pair's
+    leftover capacity and source state.  With ``ranks`` (the budget
+    curve), only candidates that would raise ``ranks`` at their own cell
+    are kept.
     """
     num_units = disc.num_units
     unit_area = disc.unit_area
@@ -132,59 +150,102 @@ def _pair_transition(
     flat = np.full(size + 1, math.inf)
     f_new = flat[:size].reshape(num_groups + 1, width)
 
-    # Ragged flatten: candidate c of state s extends the prefix to end
-    # group es[c] in [bs[s], e_hi[s]].  Per-state scalars are broadcast
-    # with sequential np.repeat — never a random gather — and nothing
-    # is compressed until the (tiny) rank-scan subset.
+    # Candidate c of state s extends the prefix to end group es[c] in
+    # [bs[s], e_hi[s]].  The candidates are processed in runs of whole
+    # states of about _BLOCK candidates each, so every temporary below
+    # stays in cache; a state longer than the block is a run of its own.
     lens = e_hi - bs + 1
     offsets = np.concatenate(([0], np.cumsum(lens)))
-    es = np.arange(offsets[-1]) - np.repeat(offsets[:-1] - bs, lens)
+    n_states = len(bs)
+    ramp = np.arange(min(offsets[-1], max(_BLOCK, lens.max(initial=0))))
+    # Per-state operands (r as float: the same IEEE add as the int, one
+    # cast fewer per candidate), and each state's first end group minus
+    # its first candidate index, so candidate c ends at shift[s] + c.
+    rep_b, ins_b, rs_f = cum_rep[bs], cum_ins[bs], rs.astype(float)
+    shift = bs - offsets[:-1]
+    cum_wires = tables.cum_wires
+    # Run bookkeeping in plain Python: a run costs a few dozen numpy
+    # calls, so its scalar steps should not add more.  reach[s] counts
+    # the states before s that can end at or above thr; a run with none
+    # skips the rank-scan subset.
+    bounds = offsets.tolist()
+    reach = np.concatenate(([0], np.cumsum(e_hi >= thr))).tolist()
+    parts = []
 
-    # Cell cost of the slice [b, e): same IEEE ops as
-    # RepeaterDiscretization.slice_units — subtract the *state's*
-    # cumulative (repeated), divide, epsilon-ceil.
-    with np.errstate(invalid="ignore"):
-        areas = cum_rep[es] - np.repeat(cum_rep[bs], lens)
-        if math.isinf(unit_area):
-            du = np.where(areas > 0.0, np.inf, 0.0)
-        else:
-            du = np.ceil(areas / unit_area - CEIL_EPS)
-            du = np.where(areas <= 0.0, 0.0, du)
-        # nan (poisoned slice) and inf both fail the budget test below,
-        # exactly like the scalar inf mapping.
-        nr = np.repeat(rs, lens) + du
-        valid = nr <= num_units
-        stats.transitions += int(np.count_nonzero(valid))
+    s0 = 0
+    while s0 < n_states:
+        lo = bounds[s0]
+        s1 = max(bisect.bisect_right(bounds, lo + _BLOCK) - 1, s0 + 1)
+        n = bounds[s1] - lo
+        rl = lens[s0:s1]
+        es = np.repeat(shift[s0:s1] + lo, rl)
+        es += ramp[:n]
 
-        nz = np.repeat(zs, lens) + (cum_ins[es] - np.repeat(cum_ins[bs], lens))
-        # Scatter targets; infeasible candidates go to the overflow
-        # cell `size` (cast garbage from inf/nan is overwritten before
-        # use).
-        lin = es * width
-        lin += nr.astype(np.int64)
-    np.copyto(lin, size, where=~valid)
-    # Their cost may be nan (inf - inf in cum_ins); the overflow cell is
-    # never read, so give it a quiet inf instead.
-    np.copyto(nz, math.inf, where=~valid)
+        # Cell cost of the slice [b, e): same IEEE ops as
+        # RepeaterDiscretization.slice_units — subtract the *state's*
+        # cumulative, divide, epsilon-ceil.
+        with np.errstate(invalid="ignore"):
+            areas = cum_rep[es]
+            areas -= np.repeat(rep_b[s0:s1], rl)
+            if math.isinf(unit_area):
+                nr = np.where(areas > 0.0, np.inf, 0.0)
+            else:
+                nr = areas / unit_area
+                nr -= CEIL_EPS
+                np.ceil(nr, out=nr)
+                np.copyto(nr, 0.0, where=areas <= 0.0)
+            # nan (poisoned slice) and inf both fail the budget test
+            # below, exactly like the scalar inf mapping.
+            nr += np.repeat(rs_f[s0:s1], rl)
+            valid = nr <= num_units
+            stats.transitions += int(np.count_nonzero(valid))
 
-    # Scatter-min all candidates into F[pair] at once.  The value is
-    # order-independent; _recover_parents re-derives the scalar loop's
-    # strict-improvement winner (the first candidate in processing
-    # order attaining the min) for the cells the witness walk visits.
-    np.minimum.at(flat, lin, nz)
+            nz = cum_ins[es]
+            nz -= np.repeat(ins_b[s0:s1], rl)
+            nz += np.repeat(zs[s0:s1], rl)
+
+            # Rank-scan subset: only ends whose cumulative wire count
+            # beats the running best (an index threshold, as cum_wires
+            # is increasing) can improve the rank.
+            if reach[s1] > reach[s0]:
+                idx = np.flatnonzero(valid & (es >= thr))
+                sub_es = es[idx]
+                sub_nr = nr[idx].astype(np.int64)
+                if ranks is not None:
+                    raises = cum_wires[sub_es] > ranks[sub_nr]
+                    idx, sub_es, sub_nr = idx[raises], sub_es[raises], sub_nr[raises]
+                sid = np.searchsorted(offsets[s0 + 1 : s1 + 1], idx + lo, side="right")
+                parts.append((sub_es, sub_nr, nz[idx], sid + s0))
+
+            # Scatter targets; infeasible candidates go to the overflow
+            # cell `size` (cast garbage from inf/nan is overwritten
+            # before use).
+            lin = nr.astype(np.int64)
+            es *= width
+            lin += es
+        invalid = np.logical_not(valid, out=valid)
+        np.copyto(lin, size, where=invalid)
+        # Their cost may be nan (inf - inf in cum_ins); the overflow
+        # cell is never read, so give it a quiet inf instead.
+        np.copyto(nz, math.inf, where=invalid)
+
+        # Scatter-min the run into F[pair].  The value is
+        # order-independent; _recover_parents re-derives the scalar
+        # loop's strict-improvement winner (the first candidate in
+        # processing order attaining the min) for the cells the witness
+        # walk visits.
+        np.minimum.at(flat, lin, nz)
+        s0 = s1
+
+    if parts:
+        es, nr, nz, sid = (np.concatenate(a) for a in zip(*parts))
+    else:
+        es = nr = sid = np.zeros(0, dtype=np.int64)
+        nz = np.zeros(0)
+    leftover = capacity[sid] - (cum_area[es] - cum_area[bs[sid]])
     return _PairTransition(
-        f_new, bs, rs, zs, capacity, e_hi, offsets, es, nz, lin, valid
+        f_new, bs, rs, zs, capacity, e_hi, (es, nr, nz, leftover, sid)
     )
-
-
-def _gather(step: _PairTransition, cum_area: np.ndarray, idx: np.ndarray):
-    """Candidates ``idx`` of ``step`` for a rank scan, as ``(es, nz,
-    leftover, sid)``: end group, repeaters above, the top pair's leftover
-    capacity, and the source state."""
-    sid = np.searchsorted(step.offsets, idx, side="right") - 1
-    es = step.es[idx]
-    leftover = step.capacity[sid] - (cum_area[es] - cum_area[step.bs[sid]])
-    return es, step.nz[idx], leftover, sid
 
 
 def solve_pairs_numpy(
@@ -215,23 +276,16 @@ def solve_pairs_numpy(
     for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
-        step = _pair_transition(tables, disc, stats, f_prev, pair)
-
-        # --- Rank candidates: only ends whose cumulative wire count
-        # beats the running best can improve the rank, and cum_wires is
-        # increasing — so the filter is a pure index threshold, applied
-        # *before* any compression.
+        # Only ends whose cumulative wire count beats the running best
+        # can improve the rank; best_rank is fixed during the transition.
         thr = int(np.searchsorted(cum_wires, best_rank, side="right"))
-        scan_idx = np.flatnonzero(step.valid & (step.es >= thr))
-        scan = None
-        if len(scan_idx):
-            scan = _gather(step, tables.cum_wire_area[pair], scan_idx)
+        step = _pair_transition(tables, disc, stats, f_prev, pair, thr)
         transition_s += time.perf_counter() - t0
 
         # --- Rank candidates, level-major: highest end group first.
         t1 = time.perf_counter()
-        if scan is not None:
-            scan_es, scan_nz, scan_left, sid = scan
+        scan_es, _, scan_nz, scan_left, sid = step.scan
+        if len(sid):
             hit = _scan_rank_levels(
                 tables, stats, deadline, pair, best_rank,
                 scan_es, scan_nz, scan_left, step.bs[sid], step.rs[sid],
@@ -245,8 +299,7 @@ def solve_pairs_numpy(
             snap = (step.bs, step.rs, step.zs, step.e_hi, step.f_new)
             snapshots.append(snap if len(step.bs) else None)
         f_prev = np.minimum.accumulate(step.f_new, axis=1)
-        # Free the pair's candidate arrays before the next pair builds
-        # its own: they are the kernel's peak memory.
+        # Free the pair's F table before the next pair builds its own.
         del step
 
     if _metrics_enabled():
@@ -275,18 +328,14 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     f_prev[0] = 0.0
 
     for pair in range(tables.num_pairs):
-        step = _pair_transition(tables, disc, stats, f_prev, pair)
-
         # Only candidates that would raise the curve at their own
         # budget cell matter.  ranks[0] is the curve's minimum, so the
-        # index threshold on it is a cheap first cut.
+        # index threshold on it is a cheap first cut; ranks is fixed
+        # during the transition.
         thr = int(np.searchsorted(cum_wires, ranks[0], side="right"))
-        idx = np.flatnonzero(step.valid & (step.es >= thr))
-        ends = step.es[idx]
-        nr = step.lin[idx] - ends * width
-        raises = cum_wires[ends] > ranks[nr]
-        es, nz, left, _ = _gather(step, tables.cum_wire_area[pair], idx[raises])
-        _scan_budget_levels(tables, stats, pair, ranks, es, nz, left, nr[raises])
+        step = _pair_transition(tables, disc, stats, f_prev, pair, thr, ranks)
+        es, nr, nz, left, _ = step.scan
+        _scan_budget_levels(tables, stats, pair, ranks, es, nz, left, nr)
         f_prev = np.minimum.accumulate(step.f_new, axis=1)
         del step
     return ranks
