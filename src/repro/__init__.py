@@ -92,7 +92,6 @@ from .api import (
     RankRequest,
     RankResponse,
     SweepRequest,
-    bench,
     budget_curve,
     compute_rank,
     corners,
@@ -132,7 +131,6 @@ __all__ = [
     "optimize_rank",
     "budget_curve",
     "load_node",
-    "bench",
     "PrecomputeCache",
     "FaultSchedule",
     "FaultSpec",

@@ -171,7 +171,6 @@ class _CornerEvaluate:
     bunch_size: Optional[int]
     repeater_units: int
     cache: Optional["PrecomputeCache"] = None
-    backend: Optional[str] = None
 
     def __call__(self, point, attempt) -> RankResult:
         from ..runner.policy import scaled_bunch_size
@@ -185,7 +184,6 @@ class _CornerEvaluate:
             repeater_units=self.repeater_units,
             deadline=attempt.deadline,
             cache=self.cache,
-            backend=self.backend,
         )
 
 
@@ -204,7 +202,6 @@ def rank_across_corners(
     checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
-    backend: Optional[str] = None,
 ) -> CornerReport:
     """Evaluate the rank at every corner through the fault-tolerant harness.
 
@@ -244,7 +241,6 @@ def rank_across_corners(
         bunch_size=bunch_size,
         repeater_units=repeater_units,
         cache=cache,
-        backend=backend,
     )
 
     outcome = run_batch(

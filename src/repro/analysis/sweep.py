@@ -168,7 +168,6 @@ class _SweepEvaluate:
     max_groups: Optional[int]
     repeater_units: int
     cache: Optional["PrecomputeCache"] = None
-    backend: Optional[str] = None
 
     def __call__(self, point, attempt) -> RankResult:
         from ..runner.policy import scaled_bunch_size
@@ -183,7 +182,6 @@ class _SweepEvaluate:
             repeater_units=self.repeater_units,
             deadline=attempt.deadline,
             cache=self.cache,
-            backend=self.backend,
         )
 
 
@@ -206,7 +204,6 @@ def run_sweep(
     checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
-    backend: Optional[str] = None,
 ) -> SweepResult:
     """Generic sweep engine: evaluate rank at each knob value.
 
@@ -226,7 +223,7 @@ def run_sweep(
         a closure) when ``jobs > 1``.
     paper:
         Optional knob-value → paper-normalized-rank lookup.
-    solver, bunch_size, max_groups, repeater_units, backend:
+    solver, bunch_size, max_groups, repeater_units:
         Forwarded to :func:`repro.core.rank.compute_rank`.
     policy:
         Retry/timeout/degradation policy; retries may coarsen
@@ -289,7 +286,6 @@ def run_sweep(
         max_groups=max_groups,
         repeater_units=repeater_units,
         cache=cache,
-        backend=backend,
     )
 
     outcome = run_batch(

@@ -18,9 +18,7 @@ on a custom JSON-described process.
 
 Flag names mirror the :mod:`repro.api` facade keywords:
 ``--bunch-size``, ``--repeater-units``, ``--clock-frequency``,
-``--miller-factor``, ``--backend``.  The pre-facade spellings
-(``--bunch``, ``--units``, ``--clock``, ``--miller``) keep working as
-hidden aliases; see docs/usage.md for the full mapping.
+``--miller-factor``; see docs/usage.md for the full mapping.
 
 Compute commands (``rank``, ``sweep``, ``optimize``, ``corners``)
 accept ``--trace FILE``: observability (:mod:`repro.obs`) is switched
@@ -64,7 +62,6 @@ Exit codes (stable contract, asserted by ``tests/test_cli.py``):
 Examples::
 
     ia-rank rank --node 130nm --gates 1000000 --bunch-size 10000
-    ia-rank rank --backend python   # scalar reference kernels
     ia-rank sweep K --gates 1000000
     ia-rank sweep K --keep-going --checkpoint k.ckpt.json
     ia-rank sweep K --resume k.ckpt.json
@@ -122,22 +119,6 @@ _SWEEPS = {
 }
 
 
-def _hidden_alias(
-    parser: argparse.ArgumentParser, flag: str, dest: str, type_
-) -> None:
-    """Register a legacy flag spelling that feeds the canonical dest.
-
-    The alias is absent from ``--help`` and contributes no default
-    (``argparse.SUPPRESS``), so it only takes effect when the user
-    actually types it; given both spellings, the later one wins,
-    argparse's normal behaviour for a shared dest.
-    """
-    parser.add_argument(
-        flag, dest=dest, type=type_, default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
-
-
 def _add_design_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--node", default="130nm", help="technology node name")
     parser.add_argument(
@@ -178,18 +159,6 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
         choices=("dp", "greedy"),
         help="rank solver (reference/exhaustive are test-only)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=("numpy", "python"),
-        help="DP transition kernels: vectorized numpy (default) or the "
-        "scalar python reference; results are identical",
-    )
-    # Pre-facade spellings, kept as hidden aliases.
-    _hidden_alias(parser, "--clock", "clock_frequency", float)
-    _hidden_alias(parser, "--miller", "miller_factor", float)
-    _hidden_alias(parser, "--bunch", "bunch_size", int)
-    _hidden_alias(parser, "--units", "repeater_units", int)
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -358,7 +327,6 @@ def _rank_request_from_args(args: argparse.Namespace) -> RankRequest:
         solver=args.solver,
         bunch_size=args.bunch_size or None,
         repeater_units=args.repeater_units,
-        backend=args.backend,
     )
 
 
@@ -372,7 +340,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             solver=args.solver,
             bunch_size=args.bunch_size or None,
             repeater_units=args.repeater_units,
-            backend=args.backend,
         )
     else:
         result = solve_rank_request(_rank_request_from_args(args))
@@ -388,7 +355,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         solver=args.solver,
         bunch_size=args.bunch_size or None,
         repeater_units=args.repeater_units,
-        backend=args.backend,
         **_runner_kwargs(args),
     )
     if args.csv:
@@ -435,7 +401,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         exhaustive_limit=args.exhaustive_limit,
         bunch_size=args.bunch_size or None,
         repeater_units=args.repeater_units,
-        backend=args.backend,
         **_runner_kwargs(args),
     )
     rows = [
@@ -465,7 +430,6 @@ def _cmd_corners(args: argparse.Namespace) -> int:
         STANDARD_CORNERS,
         bunch_size=args.bunch_size or None,
         repeater_units=args.repeater_units,
-        backend=args.backend,
         **_runner_kwargs(args),
     )
     rows = [
@@ -507,7 +471,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         bunch_size=args.bunch_size or None,
         repeater_units=args.repeater_units,
         collect_witness=True,
-        backend=args.backend,
     )
     tables, _ = problem.tables(bunch_size=args.bunch_size or None)
     print(result.summary())
@@ -638,8 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_nodes = sub.add_parser("nodes", help="baseline comparison across nodes")
     p_nodes.add_argument("--bunch-size", type=int, default=10_000)
     p_nodes.add_argument("--repeater-units", type=int, default=512)
-    _hidden_alias(p_nodes, "--bunch", "bunch_size", int)
-    _hidden_alias(p_nodes, "--units", "repeater_units", int)
     p_nodes.set_defaults(func=_cmd_nodes)
 
     p_opt = sub.add_parser(

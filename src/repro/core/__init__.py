@@ -17,8 +17,6 @@
   setups (Table 2 baselines).
 """
 
-import warnings
-
 from .curve import BudgetRankCurve, solve_budget_rank_curve
 from .dp import solve_rank_dp
 from .exhaustive import solve_rank_exhaustive
@@ -29,50 +27,16 @@ from .rank import RankResult
 from .reference import solve_rank_reference
 from .scenarios import configure_davis_cache, davis_cache_info
 
-#: Names that moved to the stable facade: importing them from
-#: ``repro.core`` still works (module ``__getattr__`` below) but emits
-#: a DeprecationWarning pointing at the supported spelling.
-_DEPRECATED_REEXPORTS = {
-    "compute_rank": ("repro.core.rank", "repro"),
-    "baseline_problem": ("repro.core.scenarios", "repro"),
-    "paper_baseline_130nm": ("repro.core.scenarios", "repro"),
-}
-
-
-def __getattr__(name: str):
-    """Deprecated re-exports, resolved lazily with a warning.
-
-    ``from repro.core import compute_rank`` predates the
-    :mod:`repro.api` facade; the supported imports are ``from repro
-    import compute_rank`` (the facade) or the defining module directly.
-    """
-    if name in _DEPRECATED_REEXPORTS:
-        source, preferred = _DEPRECATED_REEXPORTS[name]
-        warnings.warn(
-            f"importing {name!r} from repro.core is deprecated; "
-            f"import it from {preferred!r} (or {source!r}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(source), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "PrecomputeCache",
     "RankProblem",
     "RankResult",
-    "compute_rank",
     "solve_rank_dp",
     "BudgetRankCurve",
     "solve_budget_rank_curve",
     "solve_rank_greedy",
     "solve_rank_reference",
     "solve_rank_exhaustive",
-    "baseline_problem",
     "configure_davis_cache",
     "davis_cache_info",
-    "paper_baseline_130nm",
 ]

@@ -84,8 +84,8 @@ class RepeaterDiscretization:
         ``starts`` and ``ends`` broadcast against each other; this is the
         form the whole-pair NumPy transition kernel needs (one start per
         DP state, many ends per start, all flattened into one call).
-        Arithmetic is kept identical to :meth:`slice_units` so the two
-        backends charge bit-identical cell costs.
+        Arithmetic is kept identical to :meth:`slice_units` so the NumPy
+        kernel and the scalar test oracle charge bit-identical cell costs.
         """
         with np.errstate(invalid="ignore"):
             # inf - inf -> nan when both cumulative ends are poisoned;

@@ -28,10 +28,9 @@ faithful wire-at-a-time reference and with exhaustive search).
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,31 +42,6 @@ from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import observe as _obs_observe
 from ..obs.trace import span as _span
 from .discretize import DEFAULT_REPEATER_UNITS, discretize_repeaters
-
-
-#: Registered DP transition-kernel backends.
-BACKENDS = ("python", "numpy")
-
-#: Environment variable selecting the default backend (overridden by an
-#: explicit ``backend=`` argument; unset/empty means ``"numpy"``).
-BACKEND_ENV = "REPRO_RANK_BACKEND"
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve the effective DP backend name.
-
-    ``None`` (the default everywhere) defers to the ``REPRO_RANK_BACKEND``
-    environment variable and finally to ``"numpy"`` — which is how CI
-    runs the whole tier-1 suite against the scalar reference backend
-    without threading a parameter through every call site.
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "") or "numpy"
-    if backend not in BACKENDS:
-        raise RankComputationError(
-            f"unknown DP backend {backend!r}; choose from {BACKENDS}"
-        )
-    return backend
 
 
 def check_deadline(deadline: Optional[float], where: str = "solver") -> None:
@@ -119,15 +93,11 @@ class SolverStats:
     deterministic) even though their timings differ — which is what
     lets a resumed sweep compare equal to an uninterrupted one.
 
-    ``backend`` records which DP transition kernel produced the result
-    (``"python"`` / ``"numpy"``; empty for the non-DP solvers).  It is
-    excluded from equality — like the pack accounting below it describes
-    *how* the answer was computed, and a sweep resumed under a different
-    ``REPRO_RANK_BACKEND`` must still compare equal point-wise.  The
-    ``rows`` / ``states_explored`` / ``transitions`` counters are
-    backend-invariant (asserted by ``tests/core/test_backends.py``);
-    ``pack_checks`` / ``pack_successes`` / ``pack_pruned`` measure each
-    backend's own pruning work and are excluded from equality too.
+    The ``rows`` / ``states_explored`` / ``transitions`` counters are
+    shared with the scalar test oracle (asserted by
+    ``tests/core/test_backends.py``); ``pack_checks`` /
+    ``pack_successes`` / ``pack_pruned`` measure one implementation's
+    own pruning work and are excluded from equality.
     """
 
     solver: str = ""
@@ -138,7 +108,6 @@ class SolverStats:
     pack_pruned: int = field(default=0, compare=False)
     rows: int = 0
     runtime_seconds: float = field(default=0.0, compare=False)
-    backend: str = field(default="", compare=False)
 
 
 #: SolverStats counters folded into the metrics registry after a DP
@@ -163,8 +132,6 @@ def _publish_dp_stats(stats: "SolverStats") -> None:
     if not _metrics_enabled():
         return
     _obs_inc("solver.dp.solves")
-    if stats.backend:
-        _obs_inc(f"solver.dp.backend.{stats.backend}")
     for name in _DP_PUBLISHED_COUNTERS:
         _obs_inc(f"solver.dp.{name}", getattr(stats, name))
     _obs_observe("solver.dp.solve_s", stats.runtime_seconds)
@@ -199,7 +166,6 @@ def solve_rank_dp(
     repeater_units: int = DEFAULT_REPEATER_UNITS,
     collect_witness: bool = False,
     deadline: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> RawSolution:
     """Compute the rank of the architecture exactly (DP solver).
 
@@ -217,32 +183,27 @@ def solve_rank_dp(
         Optional absolute ``time.monotonic()`` instant; the DP raises
         :class:`~repro.errors.DeadlineExceeded` cooperatively (between
         group expansions) once it passes.
-    backend:
-        Transition-kernel implementation: ``"numpy"`` (vectorized,
-        whole-pair kernels) or ``"python"`` (the scalar per-state
-        reference loop).  ``None`` defers to ``REPRO_RANK_BACKEND``,
-        then ``"numpy"``.  Both backends return identical ranks,
-        witnesses, and deterministic counters
-        (``tests/core/test_backends.py``).
 
     Returns
     -------
     RawSolution
     """
-    backend = resolve_backend(backend)
+    # Imported here: repro.core.dp_numpy imports check_deadline from
+    # this module.
+    from .dp_numpy import solve_pairs_numpy
+
     with _span(
         "solve_rank_dp",
         groups=tables.num_groups,
         pairs=tables.num_pairs,
         units=repeater_units,
-        backend=backend,
     ):
         return _solve_rank_dp_impl(
             tables,
             repeater_units=repeater_units,
             collect_witness=collect_witness,
             deadline=deadline,
-            backend=backend,
+            solve_pairs=solve_pairs_numpy,
         )
 
 
@@ -251,10 +212,17 @@ def _solve_rank_dp_impl(
     repeater_units: int,
     collect_witness: bool,
     deadline: Optional[float],
-    backend: str,
+    solve_pairs: Callable,
 ) -> RawSolution:
+    """Discretize, check Definition 3's fit, run ``solve_pairs`` over
+    the layer-pairs, and rebuild the witness.
+
+    ``solve_pairs`` is :func:`repro.core.dp_numpy.solve_pairs_numpy` in
+    the product; tests pass the scalar :func:`_solve_pairs_python` to
+    compare the two field for field.
+    """
     start_time = time.perf_counter()
-    stats = SolverStats(solver="dp", backend=backend)
+    stats = SolverStats(solver="dp")
 
     disc = discretize_repeaters(tables, repeater_units)
 
@@ -265,16 +233,9 @@ def _solve_rank_dp_impl(
         _publish_dp_stats(stats)
         return RawSolution(rank=0, fits=False, stats=stats)
 
-    if backend == "numpy":
-        from .dp_numpy import solve_pairs_numpy
-
-        best_rank, best_trace, parent_b, parent_r = solve_pairs_numpy(
-            tables, disc, stats, collect_witness, deadline
-        )
-    else:
-        best_rank, best_trace, parent_b, parent_r = _solve_pairs_python(
-            tables, disc, stats, collect_witness, deadline
-        )
+    best_rank, best_trace, parent_b, parent_r = solve_pairs(
+        tables, disc, stats, collect_witness, deadline
+    )
 
     witness = None
     if collect_witness and best_trace is not None:
@@ -294,7 +255,12 @@ def _solve_pairs_python(
     collect_witness: bool,
     deadline: Optional[float],
 ):
-    """Scalar reference pair loop (the ``backend="python"`` kernel).
+    """Scalar pair loop: the test oracle for ``solve_pairs_numpy``.
+
+    It visits one ``(b, r)`` state at a time and is kept only so tests
+    can check the NumPy kernel's ranks, witnesses and deterministic
+    counters bit for bit on bunched, multi-wire-group problems (see
+    :func:`_solve_rank_dp_impl`); no product path calls it.
 
     Returns ``(best_rank, best_trace, parent_b, parent_r)`` with
     ``best_trace = (pair, b, e, r_pred)`` of the winning transition, or

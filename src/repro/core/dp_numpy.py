@@ -1,8 +1,9 @@
 """Vectorized (NumPy) transition kernels for the rank DP.
 
-Same recurrence and state space as the scalar loop in
-:mod:`repro.core.dp`, but one *whole layer-pair* of work per kernel
-call instead of one ``(b, r)`` state at a time:
+Same recurrence and state space as the scalar test oracle
+``_solve_pairs_python`` in :mod:`repro.core.dp`, but one *whole
+layer-pair* of work per kernel call instead of one ``(b, r)`` state at
+a time:
 
 * every strict-improvement source state of ``F[pair-1]`` is located
   with one boolean scan,
@@ -31,7 +32,7 @@ Exactness contract (enforced by ``tests/core/test_backends.py``,
 ``tests/core/test_cross_validation.py`` and
 ``tests/core/test_curve.py``): ranks, witnesses, and the
 deterministic ``SolverStats`` counters (``rows``, ``states_explored``,
-``transitions``) are identical to the python backend.  This holds
+``transitions``) are identical to the scalar oracle's.  This holds
 bit-for-bit, not just approximately, because every floating-point
 quantity (capacity, cell cost, repeater count, leftover) is computed by
 the same sequence of IEEE operations as the scalar loop; candidate
@@ -39,7 +40,7 @@ the same sequence of IEEE operations as the scalar loop; candidate
 so equal-value tie-breaks resolve to the same winner.  The curve
 shares those counters, and its ``ranks[c]`` equals the reference DP's
 rank with ``c`` cells.  The pack accounting (``pack_checks`` /
-``pack_successes`` / ``pack_pruned``) measures this backend's own
+``pack_successes`` / ``pack_pruned``) measures this kernel's own
 pruning schedule and legitimately differs.
 
 The level-major rank scan is sound for the same reason the scalar
@@ -71,8 +72,8 @@ from .discretize import CEIL_EPS
 from .dp import check_deadline
 
 #: Conservative relative margin for threshold pruning — identical to the
-#: scalar backend's memo margin, so near-tie leftovers fall through to a
-#: real pack call on both backends.
+#: scalar oracle's memo margin, so near-tie leftovers fall through to a
+#: real pack call in both.
 _PRUNE_MARGIN = 1.0 - 1e-9
 
 

@@ -20,7 +20,6 @@ from .dp import (
     SolverStats,
     WitnessSegment,
     check_deadline,
-    resolve_backend,
     solve_rank_dp,
 )
 from .exhaustive import solve_rank_exhaustive
@@ -93,7 +92,6 @@ def compute_rank(
     collect_witness: bool = False,
     deadline: Optional[float] = None,
     cache: Optional["PrecomputeCache"] = None,
-    backend: Optional[str] = None,
 ) -> RankResult:
     """Compute the rank of the problem's architecture.
 
@@ -124,13 +122,6 @@ def compute_rank(
         Optional :class:`~repro.core.precompute.PrecomputeCache`: reuse
         coarsened WLDs and assignment tables across value-identical
         requests (sweep points, corner retries, search revisits).
-    backend:
-        DP transition-kernel backend: ``"numpy"`` (vectorized) or
-        ``"python"`` (scalar reference).  ``None`` defers to the
-        ``REPRO_RANK_BACKEND`` environment variable, then ``"numpy"``.
-        Both backends produce identical results; only the DP solver
-        consults it (the other solvers ignore it, but the name is
-        still validated so typos fail loudly).
 
     Returns
     -------
@@ -140,8 +131,6 @@ def compute_rank(
         raise RankComputationError(
             f"unknown solver {solver!r}; choose from {SOLVERS}"
         )
-    if backend is not None:
-        resolve_backend(backend)  # validate eagerly, for every solver
     tables, error_bound = problem.tables(
         bunch_size=bunch_size, max_groups=max_groups, cache=cache
     )
@@ -154,7 +143,6 @@ def compute_rank(
             repeater_units=repeater_units,
             collect_witness=collect_witness,
             deadline=deadline,
-            backend=backend,
         )
     elif solver == "greedy":
         raw = solve_rank_greedy(tables)

@@ -59,7 +59,7 @@ def segment_delay(
     return (
         b * r_tr * (c_load + c_par)
         + b * (rc.capacitance * r_tr + rc.resistance * c_load) * segment_length
-        + a * rc.rc_product * segment_length ** 2
+        + a * rc.rc_product * (segment_length * segment_length)
     )
 
 
@@ -87,7 +87,7 @@ def wire_delay(
         )
         * length
     )
-    quadratic = a * rc.rc_product * length ** 2 / stages
+    quadratic = a * rc.rc_product * (length * length) / stages
     return intrinsic + linear + quadratic
 
 

@@ -118,7 +118,7 @@ def min_stages_for_target(
         )
         * length
     )
-    quad = a * rc.rc_product * length ** 2
+    quad = a * rc.rc_product * (length * length)
 
     budget = target - linear
     if budget <= 0:

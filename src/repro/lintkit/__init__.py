@@ -2,8 +2,8 @@
 
 The rank metric's credibility rests on invariants the test suite can
 only sample: all arithmetic is SI-internal with unit conversions
-confined to :mod:`repro.units`, the ``python`` and ``numpy`` DP
-backends must stay bit-identical, and callers go through the
+confined to :mod:`repro.units`, the NumPy DP kernel must stay
+bit-identical to its scalar test oracle, and callers go through the
 :mod:`repro.api` facade rather than ``repro.core`` internals.  This
 package checks those invariants *statically*, at commit time, instead
 of letting them surface as Table 4 divergence.

@@ -1,9 +1,9 @@
 """RPL003 — nondeterminism in the solver paths.
 
-The backend-parity contract (PR 4) promises bit-identical ranks,
-witnesses, and SolverStats across the ``python`` and ``numpy`` DP
-kernels, and checkpoint/resume (PR 1) replays points assuming a pure
-function of the inputs.  Both break the moment solver code consults a
+The parity contract promises bit-identical ranks, witnesses, and
+SolverStats between the NumPy DP kernel and its scalar test oracle,
+and checkpoint/resume replays points assuming a pure function of the
+inputs.  Both break the moment solver code consults a
 wall clock, the process-global RNG, an unseeded RNG, or the hash-seed-
 dependent iteration order of a ``set``.
 
@@ -36,7 +36,7 @@ from typing import Iterator, Optional, Set
 from ..context import FileContext, Finding
 from ..registry import Rule, register
 
-#: Packages under the backend-parity / resume-replay contract.
+#: Packages under the kernel-parity / resume-replay contract.
 SCOPED_PACKAGES = ("repro.core", "repro.assign", "repro.delay", "repro.wld")
 
 #: Module-level attribute calls that read the wall clock.

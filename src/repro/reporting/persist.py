@@ -100,7 +100,6 @@ def rank_result_to_dict(result: RankResult) -> dict:
             "pack_pruned": result.stats.pack_pruned,
             "rows": result.stats.rows,
             "runtime_seconds": result.stats.runtime_seconds,
-            "backend": result.stats.backend,
         },
     }
     if result.witness is not None:
@@ -120,6 +119,8 @@ def rank_result_to_dict(result: RankResult) -> dict:
 def rank_result_from_dict(payload: dict) -> RankResult:
     """Inverse of :func:`rank_result_to_dict`; raises on missing keys."""
     try:
+        # Files from before the single DP kernel also carry
+        # stats["backend"]; it named the kernel then chosen and is ignored.
         stats_data = payload["stats"]
         stats = SolverStats(
             solver=stats_data["solver"],
@@ -132,9 +133,6 @@ def rank_result_from_dict(payload: dict) -> RankResult:
             # absent in pre-observability files
             rows=stats_data.get("rows", 0),
             runtime_seconds=stats_data["runtime_seconds"],
-            # absent in pre-backend files (those ran the scalar loop,
-            # but "" is honest: the field records what was persisted)
-            backend=stats_data.get("backend", ""),
         )
         witness = None
         if "witness" in payload:
@@ -208,7 +206,7 @@ def save_request(request: object, path: PathLike) -> None:
 
     The canonical form is persisted — sorted keys, defaults filled,
     units normalized — so a saved request re-fingerprints identically
-    on load.  Transport-only fields (``deadline_s``, ``backend``,
+    on load.  Transport-only fields (``deadline_s``,
     ``allow_partial``) are not part of the canonical form and are not
     persisted: a stored request records *what* was asked, not how one
     particular serving of it was scheduled.

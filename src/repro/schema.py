@@ -21,10 +21,11 @@ of ad-hoc keyword dicts.  The schema gives three guarantees:
   :func:`repro.core.precompute.fingerprint`), which is the memoization
   key the service's result cache and in-flight request dedup use.
 
-Non-semantic transport fields — ``deadline_s`` (per-request SLO) and
-``backend`` (kernel selection; results are backend-identical) — are
-accepted on the wire but *excluded* from the canonical form, so they
-never fragment the cache.
+The non-semantic transport field ``deadline_s`` (per-request SLO) is
+accepted on the wire but *excluded* from the canonical form, so it
+never fragments the cache.  The retired v1 field ``backend`` (it once
+chose between two DP kernels; there is one now) is still accepted as
+``"numpy"``, ``"python"`` or ``null`` and ignored.
 
 The wire format is versioned: every request and response carries
 ``schema_version`` (currently :data:`SCHEMA_VERSION`).  Requests
@@ -228,8 +229,6 @@ class _Request:
     repeater_units: int = 512
     #: Transport-only: per-request wall-clock budget in seconds.
     deadline_s: Optional[float] = None
-    #: Transport-only: DP kernel hint (results are backend-identical).
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         _finite_positive(self.clock_frequency, "clock_frequency")
@@ -264,10 +263,6 @@ class _Request:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SchemaError(
                 f"deadline_s: must be > 0, got {self.deadline_s!r}"
-            )
-        if self.backend is not None and self.backend not in ("numpy", "python"):
-            raise SchemaError(
-                f"backend: {self.backend!r} is not one of ('numpy', 'python')"
             )
 
     # -- parsing -------------------------------------------------------
@@ -320,14 +315,14 @@ class _Request:
                 payload["deadline_s"], "deadline_s"
             )
         if payload.get("backend") is not None:
-            kwargs["backend"] = _as_choice(
-                payload["backend"], "backend", ("numpy", "python")
-            )
+            # Retired v1 field: validated as before, then ignored.
+            _as_choice(payload["backend"], "backend", ("numpy", "python"))
         return kwargs
 
     @classmethod
     def _known_fields(cls) -> Tuple[str, ...]:
-        return tuple(spec.name for spec in fields(cls))
+        # ``backend`` is a retired v1 field, accepted and ignored.
+        return tuple(spec.name for spec in fields(cls)) + ("backend",)
 
     @classmethod
     def from_wire(cls: Type[T], payload: Mapping[str, object]) -> T:
@@ -349,9 +344,9 @@ class _Request:
     def _canonical_base(self) -> Dict[str, object]:
         """Shared semantic fields with normalized value types.
 
-        Transport-only fields (``deadline_s``, ``backend``) are
-        deliberately absent: they change how a request is *served*,
-        never what it *means*, and must not fragment the memo cache.
+        The transport-only ``deadline_s`` is deliberately absent: it
+        changes how a request is *served*, never what it *means*, and
+        must not fragment the memo cache.
         """
         return {
             "schema_version": SCHEMA_VERSION,
@@ -406,7 +401,6 @@ class _Request:
             "bunch_size": self.bunch_size,
             "max_groups": self.max_groups,
             "repeater_units": self.repeater_units,
-            "backend": self.backend,
         }
 
 

@@ -5,8 +5,8 @@ Request lifecycle (the tentpole contract):
 1. Parse JSON, build the typed request (:mod:`repro.schema`) — a
    :class:`~repro.errors.SchemaError` answers ``400``.
 2. Canonicalize and fingerprint.  The fingerprint keys everything
-   downstream; transport-only fields (deadline, backend) never reach
-   it, so they cannot fragment the caches.
+   downstream; the transport-only deadline never reaches it, so it
+   cannot fragment the caches.
 3. Memo lookup (:class:`~repro.service.memo.ResultCache`): a hit
    replays the stored body byte-identically (``X-Repro-Cache: hit``).
 4. In-flight dedup: a second identical request arriving while the

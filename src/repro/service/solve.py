@@ -175,7 +175,6 @@ def solve_optimize_job(
         repeater_units=request.repeater_units,
         deadline=deadline,
         cache=_CACHE,
-        backend=request.backend,
     )
     def _candidate(entry: Any) -> Dict[str, object]:
         return dict(

@@ -105,6 +105,24 @@ def make_tiny_problem(
     )
 
 
+def solve_rank_oracle(
+    tables, repeater_units, collect_witness=False, deadline=None
+):
+    """The rank DP run on the scalar pair loop instead of the NumPy
+    kernel: same discretization, fits check and witness rebuild, so its
+    :class:`~repro.core.dp.RawSolution` compares field for field with
+    :func:`~repro.core.dp.solve_rank_dp`'s."""
+    from repro.core.dp import _solve_pairs_python, _solve_rank_dp_impl
+
+    return _solve_rank_dp_impl(
+        tables,
+        repeater_units=repeater_units,
+        collect_witness=collect_witness,
+        deadline=deadline,
+        solve_pairs=_solve_pairs_python,
+    )
+
+
 @pytest.fixture
 def tiny_problem(node130):
     """Five distinct wires, two layer-pairs: exhaustive-checkable."""

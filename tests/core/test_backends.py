@@ -1,12 +1,16 @@
-"""Backend parity: the numpy DP kernels match the scalar python loop.
+"""Kernel parity: the NumPy DP kernel matches the scalar test oracle.
 
-The vectorized transition kernels in :mod:`repro.core.dp_numpy` promise
-*bit-identical* results to the scalar reference loop — not merely the
-same rank, but the same witness, the same feasibility verdict, and the
-same deterministic solver counters.  These tests pin that contract on
-randomized instances (Hypothesis) and on the degradation paths
+``solve_rank_dp`` always runs the whole-pair kernels of
+:mod:`repro.core.dp_numpy`.  The scalar per-state loop stays in
+:mod:`repro.core.dp` as a private oracle (``solve_rank_oracle`` in the
+test conftest), run through the same discretize, fits check and witness
+rebuild.  The kernel promises *bit-identical* results to it — not merely
+the same rank, but the same witness, the same feasibility verdict, and
+the same deterministic solver counters.  These tests pin that contract
+on randomized instances (Hypothesis) and on the degradation paths
 (deadlines, bunching, zero budget) where the two implementations could
-plausibly diverge.
+plausibly diverge.  ``TestBackendSelection`` pins the removal of the
+old kernel-selection knob.
 """
 
 import time
@@ -16,49 +20,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.dp as dp
 import repro.core.dp_numpy as dp_numpy
 from repro import compute_rank
 from repro.api import baseline_problem, budget_curve
-from repro.core.dp import BACKENDS, BACKEND_ENV, resolve_backend, solve_rank_dp
-from repro.errors import DeadlineExceeded, RankComputationError
+from repro.core.dp import solve_rank_dp
+from repro.errors import DeadlineExceeded
 
-from ..conftest import make_tiny_problem
-
-
-def _pair(problem, units, **options):
-    """Solve on both backends with witness collection; return (numpy, python)."""
-    np_res = compute_rank(
-        problem,
-        solver="dp",
-        repeater_units=units,
-        collect_witness=True,
-        backend="numpy",
-        **options,
-    )
-    py_res = compute_rank(
-        problem,
-        solver="dp",
-        repeater_units=units,
-        collect_witness=True,
-        backend="python",
-        **options,
-    )
-    return np_res, py_res
+from ..conftest import make_tiny_problem, solve_rank_oracle
 
 
-def _assert_identical(np_res, py_res):
-    assert np_res.rank == py_res.rank
-    assert np_res.fits == py_res.fits
-    assert np_res.normalized == py_res.normalized
-    assert np_res.witness == py_res.witness
-    # Deterministic counters are backend-invariant by design; the
-    # pack_* fields and `backend` are compare=False precisely because
-    # they are allowed to differ.
-    assert np_res.stats.rows == py_res.stats.rows
-    assert np_res.stats.states_explored == py_res.stats.states_explored
-    assert np_res.stats.transitions == py_res.stats.transitions
-    assert np_res.stats.backend == "numpy"
-    assert py_res.stats.backend == "python"
+def _pair(problem, units, bunch_size=None):
+    """Solve on the kernel and the oracle with witness collection;
+    return (kernel, oracle)."""
+    tables, _ = problem.tables(bunch_size=bunch_size)
+    kernel = solve_rank_dp(tables, repeater_units=units, collect_witness=True)
+    oracle = solve_rank_oracle(tables, units, collect_witness=True)
+    return kernel, oracle
+
+
+def _assert_identical(kernel, oracle):
+    assert kernel.rank == oracle.rank
+    assert kernel.fits == oracle.fits
+    assert kernel.witness == oracle.witness
+    # The deterministic counters are shared by design; the pack_*
+    # fields are compare=False precisely because they may differ.
+    assert kernel.stats.rows == oracle.stats.rows
+    assert kernel.stats.states_explored == oracle.stats.states_explored
+    assert kernel.stats.transitions == oracle.stats.transitions
+    assert kernel.stats == oracle.stats
 
 
 class TestParity:
@@ -100,15 +90,16 @@ class TestParity:
         _assert_identical(*_pair(problem, units))
 
     def test_bunched_parity(self, small_baseline):
-        """Full-pipeline problem at group granularity: both backends
-        agree on the coarsened instance too, witness included."""
+        """Full-pipeline problem at group granularity: the kernel and
+        the oracle agree on the coarsened instance too, witness
+        included."""
         _assert_identical(
             *_pair(small_baseline, units=128, bunch_size=5_000)
         )
 
     def test_infinite_unit_area_branch(self, node130):
         """Zero repeater fraction drives the inf-unit-area code path
-        (every positive area is infeasible) on both backends."""
+        (every positive area is infeasible) in both."""
         problem = make_tiny_problem(
             node130, [900, 500, 100], repeater_fraction=0.0
         )
@@ -141,26 +132,28 @@ class TestBlockedTransition:
         return [(tiny, None, 32), (small_baseline, 5_000, 128)]
 
     @staticmethod
-    def _solve(problem, bunch, units, backend="numpy"):
+    def _solve(problem, bunch, units):
         return compute_rank(
             problem,
             solver="dp",
             bunch_size=bunch,
             repeater_units=units,
             collect_witness=True,
-            backend=backend,
         )
 
     @pytest.mark.parametrize("block", BLOCKS)
     def test_rank_solve_independent_of_block(self, problems, block, monkeypatch):
         default = [self._solve(*case) for case in problems]
         monkeypatch.setattr(dp_numpy, "_BLOCK", block)
-        for case, ref in zip(problems, default):
-            res = self._solve(*case)
+        for (problem, bunch, units), ref in zip(problems, default):
+            res = self._solve(problem, bunch, units)
             assert res.rank == ref.rank
             assert res.witness == ref.witness
             assert _counters(res.stats) == _counters(ref.stats)
-            _assert_identical(res, self._solve(*case, backend="python"))
+            tables, _ = problem.tables(bunch_size=bunch)
+            _assert_identical(
+                res, solve_rank_oracle(tables, units, collect_witness=True)
+            )
         # Some state has more candidates than a block of 7 holds, so
         # the single-state run is exercised.
         assert ref.stats.transitions > 7 * ref.stats.states_explored
@@ -184,9 +177,7 @@ class TestMemory:
         problem = baseline_problem("130nm", 1_000_000)
         tracemalloc.start()
         try:
-            compute_rank(
-                problem, bunch_size=10_000, repeater_units=512, backend="numpy"
-            )
+            compute_rank(problem, bunch_size=10_000, repeater_units=512)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,38 +189,60 @@ class TestDeadline:
         problem = make_tiny_problem(node130, [1200, 700, 300])
         tables, _ = problem.tables()
         expired = time.monotonic() - 1.0
-        for backend in BACKENDS:
-            with pytest.raises(DeadlineExceeded):
-                solve_rank_dp(
-                    tables,
-                    repeater_units=16,
-                    deadline=expired,
-                    backend=backend,
-                )
+        with pytest.raises(DeadlineExceeded):
+            solve_rank_dp(tables, repeater_units=16, deadline=expired)
+        with pytest.raises(DeadlineExceeded):
+            solve_rank_oracle(tables, 16, deadline=expired)
+
+
+@pytest.fixture
+def numpy_calls(monkeypatch):
+    """Count ``solve_pairs_numpy`` calls; fail if the oracle runs."""
+    calls = []
+    real = dp_numpy.solve_pairs_numpy
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the scalar oracle ran in a product path")
+
+    monkeypatch.setattr(dp_numpy, "solve_pairs_numpy", spy)
+    monkeypatch.setattr(dp, "_solve_pairs_python", oracle)
+    return calls
 
 
 class TestBackendSelection:
+    """There is one DP kernel: no registry, no ``backend=`` parameter
+    and no environment variable choose another."""
+
     def test_resolve_rejects_unknown(self):
-        with pytest.raises(RankComputationError):
-            resolve_backend("fortran")
+        for name in ("BACKENDS", "BACKEND_ENV", "resolve_backend"):
+            assert not hasattr(dp, name)
 
-    def test_resolve_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None) == "numpy"
-
-    def test_env_var_selects_backend(self, node130, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+    def test_resolve_default_is_numpy(self, node130, numpy_calls):
         problem = make_tiny_problem(node130, [800, 200])
-        result = compute_rank(problem, repeater_units=8)
-        assert result.stats.backend == "python"
+        compute_rank(problem, repeater_units=8)
+        assert numpy_calls == [1]
 
-    def test_explicit_backend_overrides_env(self, node130, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
+    def test_env_var_selects_backend(self, node130, monkeypatch, numpy_calls):
+        """``REPRO_RANK_BACKEND=python`` has no effect."""
         problem = make_tiny_problem(node130, [800, 200])
-        result = compute_rank(problem, repeater_units=8, backend="numpy")
-        assert result.stats.backend == "numpy"
+        plain = compute_rank(problem, repeater_units=8)
+        monkeypatch.setenv("REPRO_RANK_BACKEND", "python")
+        assert compute_rank(problem, repeater_units=8) == plain
+        assert numpy_calls == [1, 1]
+
+    def test_explicit_backend_overrides_env(self, node130):
+        problem = make_tiny_problem(node130, [800, 200])
+        tables, _ = problem.tables()
+        with pytest.raises(TypeError, match="backend"):
+            solve_rank_dp(tables, repeater_units=8, backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            compute_rank(problem, repeater_units=8, backend="numpy")
 
     def test_invalid_backend_rejected_eagerly(self, node130):
         problem = make_tiny_problem(node130, [800, 200])
-        with pytest.raises(RankComputationError):
+        with pytest.raises(TypeError, match="backend"):
             compute_rank(problem, solver="greedy", backend="fortran")

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 
 from repro import compute_rank
 
-from ..conftest import make_tiny_problem
+from ..conftest import make_tiny_problem, solve_rank_oracle
 
 
 def solve_all(problem, units):
-    dp = compute_rank(problem, solver="dp", repeater_units=units, backend="numpy")
-    dp_py = compute_rank(
-        problem, solver="dp", repeater_units=units, backend="python"
-    )
-    assert dp.rank == dp_py.rank and dp.fits == dp_py.fits
+    dp = compute_rank(problem, solver="dp", repeater_units=units)
+    tables, _ = problem.tables()
+    oracle = solve_rank_oracle(tables, units)
+    assert dp.rank == oracle.rank and dp.fits == oracle.fits
     ref = compute_rank(problem, solver="reference", repeater_units=units)
     exh = compute_rank(problem, solver="exhaustive", repeater_units=units)
     return dp, ref, exh

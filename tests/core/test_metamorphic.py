@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro import compute_rank
 from repro.wld.synthetic import wld_from_pairs
 
-from ..conftest import make_tiny_problem
+from ..conftest import make_tiny_problem, solve_rank_oracle
 
 #: Small-but-nontrivial length pools for tiny problems.
 _lengths = st.sets(
@@ -108,21 +108,18 @@ class TestSolverEquivalence:
         fraction=st.sampled_from([0.1, 0.25, 0.4]),
     )
     def test_backends_are_one_solver(self, node130, lengths, fraction):
-        """The numpy and python DP backends are the *same* solver in
-        two implementations: rank, witness, and deterministic counters
-        must all coincide (see tests/core/test_backends.py for the full
-        parity suite; this pins the relation alongside the other
-        metamorphic properties)."""
+        """The NumPy DP kernel and its scalar test oracle are the
+        *same* solver in two implementations: rank, witness, and
+        deterministic counters must all coincide (see
+        tests/core/test_backends.py for the full parity suite; this pins
+        the relation alongside the other metamorphic properties)."""
         problem = _tiny(
             node130, sorted(lengths, reverse=True), repeater_fraction=fraction
         )
-        np_res = compute_rank(
-            problem, repeater_units=32, collect_witness=True, backend="numpy"
-        )
-        py_res = compute_rank(
-            problem, repeater_units=32, collect_witness=True, backend="python"
-        )
-        assert np_res.rank == py_res.rank
-        assert np_res.witness == py_res.witness
-        assert np_res.stats.rows == py_res.stats.rows
-        assert np_res.stats.transitions == py_res.stats.transitions
+        np_res = compute_rank(problem, repeater_units=32, collect_witness=True)
+        tables, _ = problem.tables()
+        oracle = solve_rank_oracle(tables, 32, collect_witness=True)
+        assert np_res.rank == oracle.rank
+        assert np_res.witness == oracle.witness
+        assert np_res.stats.rows == oracle.stats.rows
+        assert np_res.stats.transitions == oracle.stats.transitions

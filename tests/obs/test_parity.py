@@ -20,8 +20,8 @@ from repro.obs.aggregate import (
 _SWEEP = [
     "sweep", "R",
     "--gates", "50000",
-    "--bunch", "2000",
-    "--units", "64",
+    "--bunch-size", "2000",
+    "--repeater-units", "64",
 ]
 
 

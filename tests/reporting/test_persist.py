@@ -9,6 +9,8 @@ from repro.errors import ReproError
 from repro.reporting.persist import (
     load_rank_result,
     load_sweep,
+    rank_result_from_dict,
+    rank_result_to_dict,
     save_rank_result,
     save_sweep,
 )
@@ -46,6 +48,17 @@ class TestRankResultRoundTrip:
         path = tmp_path / "bare.json"
         save_rank_result(bare, path)
         assert load_rank_result(path).witness is None
+
+    def test_stats_backend_from_older_files_loads(self, result):
+        """Files written while a ``backend`` option existed carry
+        ``stats.backend``; they still load, to the same result."""
+        payload = rank_result_to_dict(result)
+        assert "backend" not in payload["stats"]
+        payload["stats"]["backend"] = "python"
+        loaded = rank_result_from_dict(payload)
+        assert loaded == rank_result_from_dict(rank_result_to_dict(result))
+        assert loaded.stats == result.stats
+        assert loaded.witness == result.witness
 
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "other.json"

@@ -68,7 +68,9 @@ class TestRankRequest:
 
     def test_transport_fields_do_not_fragment_the_fingerprint(self):
         plain = RankRequest()
-        with_transport = RankRequest(deadline_s=5.0, backend="python")
+        with_transport = RankRequest.from_wire(
+            {"deadline_s": 5.0, "backend": "python"}
+        )
         assert plain.fingerprint() == with_transport.fingerprint()
         assert "deadline_s" not in plain.canonicalize()
         assert "backend" not in plain.canonicalize()
@@ -113,6 +115,30 @@ class TestRankRequest:
         payload = json.loads(body)
         assert list(payload) == sorted(payload)
         assert b" " not in body
+
+
+class TestRetiredBackendField:
+    """``backend`` once chose the DP kernel.  There is one kernel now,
+    but v1 requests carrying the field stay valid: a known value or
+    ``null`` is ignored, anything else is still a schema error."""
+
+    @pytest.mark.parametrize("value", ["numpy", "python", None])
+    def test_accepted_and_ignored(self, value):
+        with_field = RankRequest.from_wire({"gates": 50_000, "backend": value})
+        without = RankRequest.from_wire({"gates": 50_000})
+        assert with_field == without
+        assert with_field.fingerprint() == without.fingerprint()
+        assert with_field.canonical_json() == without.canonical_json()
+
+    def test_unknown_value_rejected_by_name(self):
+        with pytest.raises(SchemaError, match="backend"):
+            RankRequest.from_wire({"backend": "fortran"})
+
+    def test_request_dataclasses_drop_the_attribute(self):
+        for cls in REQUEST_TYPES.values():
+            assert "backend" not in {f.name for f in dataclasses.fields(cls)}
+        with pytest.raises(TypeError, match="backend"):
+            RankRequest(backend="numpy")
 
 
 class TestSweepRequest:

@@ -104,6 +104,33 @@ class TestErrors:
 
         asyncio.run(scenario())
 
+    def test_retired_backend_field(self):
+        """``backend`` is an ignored v1 field: a known value hits the
+        memo entry of the same request without it, an unknown value is
+        a 400 naming the field."""
+        async def scenario():
+            async with running_service() as (service, client):
+                status, headers, first = await client.request(
+                    "POST", "/v1/rank", rank_body(clock_frequency="460MHz")
+                )
+                assert (status, headers["x-repro-cache"]) == (200, "miss")
+                status, headers, again = await client.request(
+                    "POST",
+                    "/v1/rank",
+                    rank_body(clock_frequency="460MHz", backend="python"),
+                )
+                assert (status, headers["x-repro-cache"]) == (200, "hit")
+                assert again == first
+                status, _, body = await client.request(
+                    "POST", "/v1/rank", rank_body(backend="fortran")
+                )
+                assert status == 400
+                payload = json.loads(body)
+                assert payload["error"] == "SchemaError"
+                assert "backend" in payload["message"]
+
+        asyncio.run(scenario())
+
     def test_invalid_json_is_400(self):
         async def scenario():
             async with running_service() as (service, client):

@@ -1,9 +1,10 @@
-"""The stable ``repro.api`` facade and its deprecation shims.
+"""The stable ``repro.api`` facade.
 
-Covers the API-redesign contract: the facade functions are re-exported
-from :mod:`repro`, old import spellings and old calling conventions
-keep working but emit :class:`DeprecationWarning`, and the facade
-returns results identical to the implementation modules it wraps.
+Covers the API contract: the facade functions are re-exported from
+:mod:`repro`, options are keyword-only, and the facade returns results
+identical to the implementation modules it wraps.  The retired
+spellings (``repro.core`` re-exports, positional options, the
+``backend`` knob, ``bench``) are pinned as removed.
 """
 
 import warnings
@@ -12,7 +13,6 @@ import pytest
 
 import repro
 from repro import api
-from repro.errors import RankComputationError
 
 from .conftest import make_tiny_problem
 
@@ -36,12 +36,26 @@ class TestFacadeSurface:
         assert via_facade == direct
 
     def test_backend_knob(self, node130):
+        """There is one DP kernel, so no facade function takes
+        ``backend=`` any more."""
         problem = make_tiny_problem(node130, [1200, 700, 300])
-        py = api.compute_rank(problem, repeater_units=16, backend="python")
-        np_ = api.compute_rank(problem, repeater_units=16, backend="numpy")
-        assert py.rank == np_.rank
-        assert py.stats.backend == "python"
-        assert np_.stats.backend == "numpy"
+        with pytest.raises(TypeError, match="backend"):
+            api.compute_rank(problem, repeater_units=16, backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            api.sweep("toy", [5e8], lambda _: problem, backend="numpy")
+        with pytest.raises(TypeError, match="backend"):
+            api.corners(problem, repeater_units=8, backend="numpy")
+        space = api.DesignSpace(
+            node=problem.die.node,
+            local_pairs=(1,),
+            semi_global_pairs=(0,),
+            global_pairs=(1,),
+            permittivities=(3.9,),
+            miller_factors=(2.0,),
+            max_metal_layers=8,
+        )
+        with pytest.raises(TypeError, match="backend"):
+            api.optimize(problem, space, repeater_units=8, backend="numpy")
 
     def test_corners_default_set(self, node130):
         from repro.analysis.corners import STANDARD_CORNERS
@@ -63,8 +77,11 @@ class TestFacadeSurface:
         assert len(result.points) == 2
 
     def test_bench_validates_repeats(self):
-        with pytest.raises(RankComputationError):
-            api.bench(repeats=0)
+        """``bench`` (a two-kernel timer) is gone from the facade."""
+        assert not hasattr(api, "bench")
+        assert not hasattr(repro, "bench")
+        assert "bench" not in api.__all__
+        assert "bench" not in repro.__all__
 
     def test_optimize_rank_is_the_nonshadowing_spelling(self):
         """``api.optimize_rank`` is the same callable as ``api.optimize``
@@ -88,13 +105,15 @@ class TestFacadeSurface:
 
 
 class TestDeprecationShims:
+    """The deprecation shims are gone; these pin their removal."""
+
     def test_core_import_warns(self):
         import repro.core as core
 
         for name in ("compute_rank", "baseline_problem", "paper_baseline_130nm"):
-            with pytest.warns(DeprecationWarning, match=name):
-                obj = getattr(core, name)
-            assert callable(obj)
+            with pytest.raises(AttributeError, match=name):
+                getattr(core, name)
+            assert name not in core.__all__
 
     def test_core_unknown_attribute_raises(self):
         import repro.core as core
@@ -104,22 +123,20 @@ class TestDeprecationShims:
 
     def test_positional_options_warn_and_agree(self, node130):
         problem = make_tiny_problem(node130, [1200, 700, 300])
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = api.compute_rank(problem, "dp", None, None, 16)
+        with pytest.raises(TypeError, match="positional"):
+            api.compute_rank(problem, "dp", None, None, 16)
         modern = api.compute_rank(
             problem, solver="dp", bunch_size=None, max_groups=None,
             repeater_units=16,
         )
-        assert legacy == modern
+        assert modern.rank > 0
 
     def test_too_many_positional_options_raise(self, node130):
         problem = make_tiny_problem(node130, [900])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                api.compute_rank(
-                    problem, "dp", None, None, 16, False, None, None, "extra"
-                )
+        with pytest.raises(TypeError):
+            api.compute_rank(
+                problem, "dp", None, None, 16, False, None, None, "extra"
+            )
 
     def test_top_level_import_does_not_warn(self):
         """``from repro import compute_rank`` is the supported spelling

@@ -40,7 +40,8 @@ class TestParser:
 class TestCommands:
     def test_rank_command(self, capsys):
         code = main(
-            ["rank", "--gates", "50000", "--bunch", "2000", "--units", "64"]
+            ["rank", "--gates", "50000", "--bunch-size", "2000",
+             "--repeater-units", "64"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -49,7 +50,8 @@ class TestCommands:
 
     def test_rank_greedy_solver(self, capsys):
         code = main(
-            ["rank", "--gates", "50000", "--bunch", "2000", "--solver", "greedy"]
+            ["rank", "--gates", "50000", "--bunch-size", "2000",
+             "--solver", "greedy"]
         )
         assert code == 0
         assert "greedy" in capsys.readouterr().out
@@ -74,8 +76,8 @@ class TestCommands:
             [
                 "sweep", "R",
                 "--gates", "50000",
-                "--bunch", "2000",
-                "--units", "64",
+                "--bunch-size", "2000",
+                "--repeater-units", "64",
                 "--csv",
             ]
         )
@@ -85,8 +87,8 @@ class TestCommands:
         assert len(out.strip().splitlines()) == 6  # header + 5 R points
 
     def test_sweep_jobs_output_identical(self, capsys):
-        argv = ["sweep", "R", "--gates", "50000", "--bunch", "2000",
-                "--units", "64", "--csv"]
+        argv = ["sweep", "R", "--gates", "50000", "--bunch-size", "2000",
+                "--repeater-units", "64", "--csv"]
         outputs = []
         for jobs in ("1", "2"):
             assert main(argv + ["--jobs", jobs]) == 0
@@ -95,8 +97,8 @@ class TestCommands:
 
     def test_jobs_rejects_negative(self, capsys):
         code = main(
-            ["sweep", "R", "--gates", "50000", "--bunch", "2000",
-             "--units", "64", "--jobs", "-1"]
+            ["sweep", "R", "--gates", "50000", "--bunch-size", "2000",
+             "--repeater-units", "64", "--jobs", "-1"]
         )
         assert code == 1
         assert "jobs" in capsys.readouterr().err
@@ -108,7 +110,8 @@ class TestCommands:
 
     def test_corners_command(self, capsys):
         code = main(
-            ["corners", "--gates", "20000", "--bunch", "2000", "--units", "64"]
+            ["corners", "--gates", "20000", "--bunch-size", "2000",
+             "--repeater-units", "64"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -117,7 +120,8 @@ class TestCommands:
 
     def test_report_command(self, capsys):
         code = main(
-            ["report", "--gates", "20000", "--bunch", "2000", "--units", "64"]
+            ["report", "--gates", "20000", "--bunch-size", "2000",
+             "--repeater-units", "64"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -135,8 +139,8 @@ class TestCommands:
                 "rank",
                 "--node-file", str(path),
                 "--gates", "20000",
-                "--bunch", "2000",
-                "--units", "64",
+                "--bunch-size", "2000",
+                "--repeater-units", "64",
             ]
         )
         assert code == 0
@@ -154,8 +158,8 @@ class TestCommands:
             [
                 "curve",
                 "--gates", "20000",
-                "--bunch", "2000",
-                "--units", "32",
+                "--bunch-size", "2000",
+                "--repeater-units", "32",
                 "--points", "4",
             ]
         )
@@ -168,8 +172,8 @@ class TestCommands:
             [
                 "optimize",
                 "--gates", "50000",
-                "--bunch", "2000",
-                "--units", "64",
+                "--bunch-size", "2000",
+                "--repeater-units", "64",
                 "--k-classes", "3.9,2.8",
                 "--m-classes", "2.0",
                 "--max-layers", "8",
@@ -185,7 +189,9 @@ class TestExitCodes:
     """The documented exit-code contract: 0 clean, 1 total failure or
     library error, 2 usage error, 3 partial failure under --keep-going."""
 
-    FAST = ["--gates", "20000", "--bunch", "2000", "--units", "64"]
+    FAST = [
+        "--gates", "20000", "--bunch-size", "2000", "--repeater-units", "64",
+    ]
 
     def _fail_points(self, monkeypatch, indices):
         """Patch the sweep engine's compute_rank to fail chosen calls."""
@@ -211,6 +217,13 @@ class TestExitCodes:
     def test_usage_error_exits_two(self, capsys):
         assert main(["sweep", "Z"]) == 2
         assert main(["no-such-command"]) == 2
+
+    def test_removed_flags_exit_two(self, capsys):
+        """``--units`` (the old spelling of ``--repeater-units``) and
+        ``--backend`` are gone; argparse rejects them as usage errors."""
+        assert main(["rank", *self.FAST, "--units", "64"]) == 2
+        assert main(["nodes", "--units", "64"]) == 2
+        assert main(["rank", *self.FAST, "--backend", "numpy"]) == 2
 
     def test_library_error_exits_one(self, capsys):
         assert main(["rank", "--node", "65nm"]) == 1
@@ -311,7 +324,9 @@ class TestNodeFileDiagnostics:
 class TestFaultSchedule:
     """--fault-schedule arms deterministic chaos on any runner command."""
 
-    FAST = ["--gates", "20000", "--bunch", "2000", "--units", "64"]
+    FAST = [
+        "--gates", "20000", "--bunch-size", "2000", "--repeater-units", "64",
+    ]
 
     def test_flag_parsed(self):
         args = build_parser().parse_args(
