@@ -193,7 +193,6 @@ async def _run_bench(args: argparse.Namespace) -> Dict[str, object]:
                 "clients": args.clients,
                 "requests": args.requests,
                 "workers": args.workers,
-                "executor_mode": service.app.executor.mode,
             },
             "machine": {
                 "python": platform.python_version(),

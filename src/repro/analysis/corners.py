@@ -199,7 +199,6 @@ def rank_across_corners(
     jobs: int = 1,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
-    checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
 ) -> CornerReport:
@@ -256,7 +255,6 @@ def rank_across_corners(
         jobs=jobs,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
-        checkpoint_interval_s=checkpoint_interval_s,
         fault_schedule=fault_schedule,
     )
     results: List[Tuple[Corner, RankResult]] = [

@@ -201,7 +201,6 @@ def run_sweep(
     jobs: int = 1,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
-    checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
 ) -> SweepResult:
@@ -236,8 +235,7 @@ def run_sweep(
         checkpointing the completed prefix.
     checkpoint:
         Path journaled incrementally (atomic rewrite as points
-        complete; cadence set by ``checkpoint_every`` /
-        ``checkpoint_interval_s``).
+        complete; cadence set by ``checkpoint_every``).
     resume:
         Reload ``checkpoint`` and recompute only missing points.
     jobs:
@@ -247,7 +245,7 @@ def run_sweep(
         The pool decision (see :func:`repro.runner.run_batch`):
         ``"auto"`` falls back to sequential when a pool cannot win,
         ``"warm"`` forces it, ``"sequential"`` disables it.
-    checkpoint_every / checkpoint_interval_s:
+    checkpoint_every:
         Amortize checkpoint writes (see :func:`repro.runner.run_batch`).
     fault_schedule:
         Deterministic chaos testing: arm a
@@ -301,7 +299,6 @@ def run_sweep(
         jobs=jobs,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
-        checkpoint_interval_s=checkpoint_interval_s,
         fault_schedule=fault_schedule,
     )
 

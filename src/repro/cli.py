@@ -558,7 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        executor_mode=args.executor_mode,
         queue_depth=args.queue_depth,
         cache_entries=args.cache_entries,
         precompute_entries=args.precompute_entries,
@@ -658,15 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="solve workers; with >= 2 on a multi-core host an 'auto' "
-        "executor forks a warm worker pool",
-    )
-    p_serve.add_argument(
-        "--executor-mode",
-        default="auto",
-        choices=("auto", "thread", "process"),
-        help="where solves run: in-process threads, forked warm "
-        "workers, or 'auto' (threads unless >= 2 workers and CPUs)",
+        help="solve threads; they share one in-process precompute cache",
     )
     p_serve.add_argument(
         "--queue-depth",
@@ -688,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         metavar="N",
-        help="coarsened-table cache entries per solve process",
+        help="entries of the precompute cache the solve threads share",
     )
     p_serve.add_argument(
         "--default-deadline-s",

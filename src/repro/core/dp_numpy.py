@@ -136,10 +136,15 @@ def _pair_transition(
     capacity = np.maximum(0.0, routing - (zs + vias * wires_above) * via_area)
 
     # Largest prefix extension each state can hold by area, capped by
-    # the delay wall.
+    # the delay wall.  side="right" keeps every end whose area ties the
+    # reach: a zero-capacity state (a pair saturated by vias) still
+    # passes its prefix through with the empty extension e == b.
     e_hi = np.searchsorted(
         cum_area, cum_area[bs] + capacity * (1 + 1e-12), side="right"
     ) - 1
+    # The cap only prunes: an end past the wall crosses the first
+    # infeasible group, whose +inf repeater term poisons cum_rep, so
+    # that candidate would fail the budget test below anyway.
     e_hi = np.minimum(e_hi, delay_limit[bs])
     keep = e_hi >= bs
     bs, rs, zs, capacity, e_hi = (a[keep] for a in (bs, rs, zs, capacity, e_hi))

@@ -1,9 +1,9 @@
 """RPL008 — fork-safety of worker payloads.
 
-The batch runner and the process-mode solve executor both use the
-``fork`` start method on purpose (PR 7: warm caches arrive
-copy-on-write), and that choice has a contract: state that crosses the
-``fork()`` boundary must be *plain data*.  A ``threading.Lock`` held
+The batch runner's worker pool uses the ``fork`` start method on
+purpose (warm caches arrive copy-on-write), and that choice has a
+contract: state that crosses the ``fork()`` boundary must be *plain
+data*.  A ``threading.Lock`` held
 by a parent thread at fork time is permanently stuck in the child; a
 ``Thread`` handle refers to a thread that does not exist after fork;
 an event loop or socket duplicated into a worker is shared OS state

@@ -169,7 +169,6 @@ def evaluate_candidates_batch(
     jobs: int = 1,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
-    checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
     **solve_options,
@@ -227,7 +226,6 @@ def evaluate_candidates_batch(
         jobs=jobs,
         pool_mode=pool_mode,
         checkpoint_every=checkpoint_every,
-        checkpoint_interval_s=checkpoint_interval_s,
         fault_schedule=fault_schedule,
     )
     results = [
@@ -420,7 +418,6 @@ def optimize_architecture(
     jobs: int = 1,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
-    checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
     **solve_options,
@@ -461,7 +458,6 @@ def optimize_architecture(
             jobs=jobs,
             pool_mode=pool_mode,
             checkpoint_every=checkpoint_every,
-            checkpoint_interval_s=checkpoint_interval_s,
             fault_schedule=fault_schedule,
             cache=cache,
             **solve_options,

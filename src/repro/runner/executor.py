@@ -11,7 +11,7 @@ needs:
   checkpointing everything completed so far (strict mode);
 * **checkpoint/resume** — completed points are journaled to an
   atomically-rewritten checkpoint file (every point by default;
-  amortizable with ``checkpoint_every`` / ``checkpoint_interval_s``),
+  amortizable with ``checkpoint_every``),
   and ``resume=True`` recomputes only the points the checkpoint is
   missing;
 * **retry with deterministic degradation** — a
@@ -269,12 +269,11 @@ class _Committer:
     """Amortized, canonically-ordered checkpoint writes.
 
     ``mark()`` once per completed point; the checkpoint is rewritten
-    when ``every`` points accumulated or ``interval_s`` elapsed since
-    the last write (whichever comes first), and always on
-    :meth:`commit`.  Before every write the checkpoint's point dict is
-    reordered into batch point order, so the file on disk does not
-    depend on completion order — a parallel run persists byte-for-byte
-    what the sequential run would.
+    when ``every`` points accumulated, and always on :meth:`commit`.
+    Before every write the checkpoint's point dict is reordered into
+    batch point order, so the file on disk does not depend on completion
+    order — a parallel run persists byte-for-byte what the sequential
+    run would.
     """
 
     def __init__(
@@ -283,25 +282,17 @@ class _Committer:
         path: Optional[PathLike],
         order: Sequence[str],
         every: int,
-        interval_s: Optional[float],
     ) -> None:
         self._checkpoint = checkpoint
         self._path = path
         self._order = tuple(order)
         self._every = every
-        self._interval_s = interval_s
         self._pending = 0
-        self._stamp = time.monotonic()
 
     def mark(self) -> None:
         """Note one completed point; write if the amortization says so."""
         self._pending += 1
         if self._pending >= self._every:
-            self.commit()
-        elif (
-            self._interval_s is not None
-            and time.monotonic() - self._stamp >= self._interval_s
-        ):
             self.commit()
 
     def commit(self) -> None:
@@ -318,7 +309,6 @@ class _Committer:
         with _span("checkpoint_commit", points=len(ordered)):
             save_checkpoint(self._checkpoint, self._path)
         _obs_inc("runner.checkpoint_commits")
-        self._stamp = time.monotonic()
 
 
 def _strict_failure(
@@ -359,7 +349,6 @@ def run_batch(
     jobs: int = 1,
     pool_mode: str = POOL_MODE_AUTO,
     checkpoint_every: int = 1,
-    checkpoint_interval_s: Optional[float] = None,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> BatchOutcome:
     """Evaluate every point with isolation, checkpointing, and retries.
@@ -410,13 +399,10 @@ def run_batch(
         a laptop also works on a many-core runner.
     checkpoint_every:
         Amortize checkpoint writes: rewrite the file every this many
-        completed points (default 1 — every point).
-    checkpoint_interval_s:
-        Also rewrite whenever this many seconds elapsed since the last
-        write, regardless of the point count.  ``None`` disables the
-        time trigger.  A final write always happens on every exit path
-        (success, strict-mode abort, or propagating error), so
-        amortization never loses finished points beyond a hard kill.
+        completed points (default 1 — every point).  A final write
+        always happens on every exit path (success, strict-mode abort,
+        or propagating error), so amortization never loses finished
+        points beyond a hard kill.
     fault_schedule:
         Deterministic chaos testing: a
         :class:`~repro.faultkit.FaultSchedule` armed for the duration
@@ -441,11 +427,6 @@ def run_batch(
     if checkpoint_every < 1:
         raise RunnerError(
             f"run {name!r}: checkpoint_every must be >= 1, got {checkpoint_every!r}"
-        )
-    if checkpoint_interval_s is not None and checkpoint_interval_s <= 0:
-        raise RunnerError(
-            f"run {name!r}: checkpoint_interval_s must be positive, "
-            f"got {checkpoint_interval_s!r}"
         )
 
     seen = set()
@@ -487,7 +468,6 @@ def run_batch(
             checkpoint_path,
             order=[point.key for point in points],
             every=checkpoint_every,
-            interval_s=checkpoint_interval_s,
         )
 
         # Write the identity file up front so even a run killed before

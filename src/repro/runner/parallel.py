@@ -160,9 +160,9 @@ def fork_context() -> "multiprocessing.context.BaseContext":
 
     Fork keeps warm precompute caches shared copy-on-write, so it is
     preferred wherever the platform offers it; elsewhere (no ``fork``
-    start method) the platform default is used.  Shared between the
-    batch pool here and the serving layer's solve pool
-    (:mod:`repro.service.executor`).
+    start method) the platform default is used.  This batch pool is the
+    only process pool in the package; the serving layer solves on
+    threads (:mod:`repro.service.executor`).
     """
     try:
         return get_context("fork")

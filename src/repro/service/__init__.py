@@ -21,7 +21,7 @@ repro.service``; embed it with::
 Identical requests are answered from a bounded response memo keyed by
 the schema's canonical fingerprints — byte-identical replays, with
 cache status in the ``X-Repro-Cache`` header — and heavy solves run on
-warm workers behind a backpressured queue (429 on overload, 504 on
+solve threads behind a backpressured queue (429 on overload, 504 on
 cooperative deadline expiry).
 """
 

@@ -74,7 +74,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8421
     workers: int = 1
-    executor_mode: str = "auto"
     queue_depth: int = 16
     cache_entries: int = 256
     precompute_entries: int = 8
@@ -138,9 +137,6 @@ class RankApp:
         self.executor = SolveExecutor(
             workers=config.workers,
             queue_depth=config.queue_depth,
-            mode=config.executor_mode,
-            precompute_entries=config.precompute_entries,
-            warm=RankRequest().canonicalize() if config.warm_on_start else None,
         )
         self.latencies = _Latencies()
         self._inflight: Dict[str, "asyncio.Task[bytes]"] = {}
@@ -155,8 +151,12 @@ class RankApp:
         }
 
     def start(self) -> None:
-        """Bring up the executor (and obs metrics)."""
+        """Configure (and optionally warm) the solve cache, then start the executor."""
         obs.enable()
+        solve.configure(
+            self.config.precompute_entries,
+            warm=RankRequest().canonicalize() if self.config.warm_on_start else None,
+        )
         self.executor.start()
 
     def close(self) -> None:
@@ -248,7 +248,7 @@ class RankApp:
         args: Tuple[Any, ...],
         deadline: Optional[float],
     ) -> Tuple[bytes, str]:
-        """Memoized, deduplicated execution of one picklable job.
+        """Memoized, deduplicated execution of one solve job.
 
         Returns ``(body, source)`` with source one of ``hit`` /
         ``coalesced`` / ``miss``.  The body bytes are exactly what was

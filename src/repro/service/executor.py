@@ -1,21 +1,14 @@
-"""Bounded solve executor: warm workers behind a backpressured queue.
+"""Bounded solve executor: a thread pool behind a backpressured queue.
 
 Heavy solves must never run on the event loop, so every cache miss is
-dispatched here.  Two modes share one interface:
-
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor` in-process.  The
-    default on single-CPU hosts, where forked workers only add IPC and
-    scheduling overhead (the same reasoning as the batch runner's
-    ``pool_mode="auto"`` gate); all workers share one lock-wrapped
-    :class:`~repro.api.PrecomputeCache`, so repeated near-identical
-    requests stay table-warm.
-
-``process``
-    A warm forked worker pool (PR 7 lineage: long-lived workers, fork
-    start method so the parent's pre-warmed caches arrive
-    copy-on-write).  Chosen automatically with >= 2 workers on >= 2
-    usable CPUs; survives worker death by recycling the pool.
+dispatched here, to a :class:`~concurrent.futures.ThreadPoolExecutor`
+of ``workers`` threads that share one lock-wrapped
+:class:`~repro.api.PrecomputeCache` (see :mod:`repro.service.solve`).
+The service keeps this pool instead of the batch runner's forked pool
+(:mod:`repro.runner.parallel`) because its jobs are long-lived and
+arrive one request at a time, its queue must be bounded so overload
+answers ``429``, and its solves must share one in-process cache (and
+one obs registry that ``/v1/metrics`` can read).
 
 Capacity is ``workers + queue_depth`` jobs in flight; a submit beyond
 that raises :class:`ServiceOverloaded`, which the HTTP layer maps to
@@ -27,19 +20,13 @@ unbounded latency growth.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, Mapping, Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Dict, Optional
 
 from .. import obs
 from ..errors import ReproError
-from ..runner.parallel import fork_context, usable_cpus
-from . import solve
 
-__all__ = ["ServiceOverloaded", "SolveExecutor", "resolve_mode"]
-
-#: Executor modes (``auto`` resolves to one of the other two).
-MODES = ("auto", "thread", "process")
+__all__ = ["ServiceOverloaded", "SolveExecutor"]
 
 
 class ServiceOverloaded(ReproError):
@@ -54,70 +41,27 @@ class ServiceOverloaded(ReproError):
         self.retry_after_s = retry_after_s
 
 
-def resolve_mode(mode: str, workers: int) -> str:
-    """Concrete executor mode for a requested one.
-
-    ``auto`` picks forked workers only when both the worker count and
-    the usable-CPU count justify them — the serving twin of the batch
-    runner's never-slower-than-sequential pool gate.
-    """
-    if mode not in MODES:
-        raise ReproError(f"executor mode must be one of {MODES}, got {mode!r}")
-    if mode != "auto":
-        return mode
-    if workers >= 2 and usable_cpus() >= 2:
-        return "process"
-    return "thread"
-
-
 class SolveExecutor:
-    """Dispatch picklable solve jobs to warm workers, with backpressure."""
+    """Run solve jobs on ``workers`` threads, with backpressure."""
 
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        queue_depth: int = 16,
-        mode: str = "auto",
-        precompute_entries: int = 8,
-        warm: Optional[Mapping[str, object]] = None,
-    ) -> None:
+    def __init__(self, *, workers: int = 1, queue_depth: int = 16) -> None:
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers!r}")
         if queue_depth < 0:
             raise ReproError(f"queue_depth must be >= 0, got {queue_depth!r}")
         self.workers = workers
         self.queue_depth = queue_depth
-        self.mode = resolve_mode(mode, workers)
         self.capacity = workers + queue_depth
-        self._precompute_entries = precompute_entries
-        self._warm = dict(warm) if warm is not None else None
         self._lock = threading.Lock()
         self._inflight = 0
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
 
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Create the pool and warm the solve state.
-
-        In both modes the parent process configures (and optionally
-        pre-solves) the precompute cache first, so thread workers share
-        it directly and forked workers inherit it copy-on-write.
-        """
-        solve.configure(self._precompute_entries, warm=self._warm)
-        self._pool = self._make_pool()
-
-    def _make_pool(self) -> Executor:
-        if self.mode == "process":
-            return ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=fork_context(),
-                initializer=solve.configure,
-                initargs=(self._precompute_entries, None),
-            )
-        return ThreadPoolExecutor(
+        """Create the thread pool."""
+        self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-solve"
         )
 
@@ -147,7 +91,7 @@ class SolveExecutor:
             pool = self._pool
         try:
             future = pool.submit(fn, *args)
-        except (RuntimeError, BrokenProcessPool):
+        except RuntimeError:
             with self._lock:
                 self._inflight -= 1
             raise
@@ -157,31 +101,6 @@ class SolveExecutor:
     def _on_done(self, future: "Future[Any]") -> None:
         with self._lock:
             self._inflight -= 1
-        exc = future.exception()
-        if isinstance(exc, BrokenProcessPool):
-            self.recycle()
-
-    def recycle(self) -> None:
-        """Replace a broken process pool with a fresh one.
-
-        Called when a forked worker died mid-job (OOM kill, injected
-        ``kill`` fault): jobs that were in the dead pool have already
-        failed with :class:`BrokenProcessPool`; new submissions land in
-        the replacement.
-        """
-        with self._lock:
-            if self._closed or self.mode != "process":
-                return
-            old, self._pool = self._pool, None
-        if old is not None:
-            old.shutdown(wait=False, cancel_futures=True)
-        obs.inc("service.pool.recycles")
-        pool = self._make_pool()
-        with self._lock:
-            if self._closed:
-                pool.shutdown(wait=False)
-            else:
-                self._pool = pool
 
     # ------------------------------------------------------------------
 
@@ -189,7 +108,6 @@ class SolveExecutor:
         """Executor state for ``/v1/healthz`` and ``/v1/metrics``."""
         with self._lock:
             return {
-                "mode": self.mode,
                 "workers": self.workers,
                 "queue_depth": self.queue_depth,
                 "capacity": self.capacity,

@@ -127,8 +127,7 @@ async def _run(config: ServiceConfig) -> int:
             loop.add_signal_handler(signum, stop.set)
     print(
         f"ia-rank serve: listening on http://{config.host}:{service.port} "
-        f"(executor={service.app.executor.mode}, "
-        f"workers={config.workers}, queue_depth={config.queue_depth})",
+        f"(workers={config.workers}, queue_depth={config.queue_depth})",
         flush=True,
     )
     try:

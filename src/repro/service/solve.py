@@ -1,17 +1,14 @@
 """Worker-side job execution for the serving layer.
 
-Everything here is importable and picklable at module level so the
-same entry points run unchanged in both executor modes: in-process
-threads (where all jobs share one lock-wrapped
-:class:`~repro.api.PrecomputeCache`) and warm forked workers (where
-each worker inherits the parent's warmed cache copy-on-write and keeps
-its own private copy hot thereafter).
+The entry points run on the solve executor's threads, and every job
+shares one lock-wrapped :class:`~repro.api.PrecomputeCache`, so
+repeated near-identical requests stay table-warm.
 
-Jobs take the *canonical wire dict* of a request — tiny, JSON-safe,
-cheap to pickle — and return the plain-JSON response payload.  All
-validation already happened in the parent when the request was
-canonicalized; reconstruction via ``from_wire`` here is a cheap
-re-check, not a trust boundary.
+Jobs take the *canonical wire dict* of a request — tiny and JSON-safe —
+and return the plain-JSON response payload.  All validation already
+happened on the event loop when the request was canonicalized;
+reconstruction via ``from_wire`` here is a cheap re-check, not a trust
+boundary.
 """
 
 from __future__ import annotations
@@ -43,11 +40,11 @@ class _LockedPrecomputeCache(api.PrecomputeCache):
     """A :class:`~repro.api.PrecomputeCache` safe for thread workers.
 
     The base cache is a plain ``OrderedDict`` LRU with no locking (its
-    documented contract).  Thread-mode executors share one instance
-    across workers, so the mutation points are serialized here; a
-    concurrent miss on the same key computes twice and puts twice,
-    which is wasteful but idempotent — correctness never depends on
-    single-flight at this layer.
+    documented contract).  The executor's threads share one instance,
+    so the mutation points are serialized here; a concurrent miss on
+    the same key computes twice and puts twice, which is wasteful but
+    idempotent — correctness never depends on single-flight at this
+    layer.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
@@ -71,19 +68,17 @@ class _LockedPrecomputeCache(api.PrecomputeCache):
             return super().stats()
 
 
-#: Process-wide precompute cache (coarsened WLDs + assignment tables).
-#: Created by :func:`configure`; in fork-pool mode each worker inherits
-#: the parent's warmed instance copy-on-write.
+#: Process-wide precompute cache (coarsened WLDs + assignment tables),
+#: shared by every solve thread.  Created by :func:`configure`.
 _CACHE: Optional[api.PrecomputeCache] = None
 
 
 def configure(precompute_entries: int, warm: Optional[Mapping[str, object]] = None) -> None:
     """Initialize this process's solve state.
 
-    Runs once in the parent (thread mode) or as the pool initializer /
-    pre-fork warmup (process mode).  ``warm``, when given, is the
-    canonical dict of a representative request whose tables are solved
-    immediately so the very first real request hits a warm cache.
+    Runs once, before the solve threads start.  ``warm``, when given, is
+    the canonical dict of a representative request whose tables are
+    solved immediately so the very first real request hits a warm cache.
     """
     global _CACHE
     _CACHE = _LockedPrecomputeCache(max_entries=precompute_entries)
@@ -200,10 +195,3 @@ def solve_optimize_job(
             }.items()
         )
     )
-
-
-#: Picklable sweep-point job: a sweep point *is* a rank request.
-def solve_sweep_point_job(
-    canonical: Mapping[str, object], deadline: Optional[float]
-) -> Dict[str, object]:
-    return solve_rank_job(canonical, deadline)

@@ -13,9 +13,11 @@ plausibly diverge.  ``TestBackendSelection`` pins the removal of the
 old kernel-selection knob.
 """
 
+import dataclasses
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ import repro.core.dp as dp
 import repro.core.dp_numpy as dp_numpy
 from repro import compute_rank
 from repro.api import baseline_problem, budget_curve
+from repro.core.discretize import discretize_repeaters
 from repro.core.dp import solve_rank_dp
 from repro.errors import DeadlineExceeded
 
@@ -97,6 +100,26 @@ class TestParity:
             *_pair(small_baseline, units=128, bunch_size=5_000)
         )
 
+    @pytest.mark.parametrize("pair", [1, 2])
+    def test_via_saturated_pair(self, node130, pair):
+        """A pair whose via blockage eats all its routing area: every
+        state below the first group has zero capacity, so its area reach
+        ties ``cum_area[b]`` exactly and only the empty extension
+        ``e == b`` carries the prefix through to the next pair."""
+        problem = make_tiny_problem(
+            node130, [1500, 1200, 700, 300, 90, 25], semi_global_pairs=1
+        )
+        tables, _ = problem.tables()
+        via_area = tables.via_area.copy()
+        via_area[pair] = 2 * tables.routing_capacity / (
+            tables.vias_per_wire * float(tables.cum_wires[1])
+        )
+        tables = dataclasses.replace(tables, via_area=via_area)
+        assert tables.capacity(pair, float(tables.cum_wires[1]), 0.0) == 0.0
+        kernel = solve_rank_dp(tables, repeater_units=32, collect_witness=True)
+        oracle = solve_rank_oracle(tables, 32, collect_witness=True)
+        _assert_identical(kernel, oracle)
+
     def test_infinite_unit_area_branch(self, node130):
         """Zero repeater fraction drives the inf-unit-area code path
         (every positive area is infeasible) in both."""
@@ -104,6 +127,35 @@ class TestParity:
             node130, [900, 500, 100], repeater_fraction=0.0
         )
         _assert_identical(*_pair(problem, units=8))
+
+
+class TestTransitionBounds:
+    def test_delay_wall_caps_e_hi(self, node130):
+        """No state's last end group crosses the pair's first infeasible
+        group, even where its routing area would reach past it."""
+        problem = make_tiny_problem(
+            node130,
+            [40000, 20000, 9000, 3000, 1500, 700, 90],
+            gate_count=1_000_000,
+            clock_frequency=1e9,
+            semi_global_pairs=1,
+        )
+        tables, _ = problem.tables()
+        disc = discretize_repeaters(tables, 32)
+        stats = dp.SolverStats(solver="dp")
+        f_prev = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
+        f_prev[0] = 0.0
+        walled = 0
+        for pair in range(tables.num_pairs):
+            step = dp_numpy._pair_transition(tables, disc, stats, f_prev, pair, 0)
+            wall = tables.next_infeasible[pair][step.bs]
+            assert np.all(step.e_hi <= wall)
+            cum_area = tables.cum_wire_area[pair]
+            beyond = np.minimum(wall + 1, tables.num_groups)
+            reach = cum_area[beyond] - cum_area[step.bs]
+            walled += int(np.count_nonzero((wall < beyond) & (reach <= step.capacity)))
+            f_prev = np.minimum.accumulate(step.f_new, axis=1)
+        assert walled > 0
 
 
 def _counters(stats):

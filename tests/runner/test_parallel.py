@@ -479,10 +479,10 @@ class TestAmortizedCheckpoints:
             run_batch(
                 "demo", specs(2), PicklableEvaluate(), checkpoint_every=0
             )
-        with pytest.raises(RunnerError, match="checkpoint_interval_s"):
+        with pytest.raises(TypeError, match="checkpoint_interval_s"):
             run_batch(
                 "demo",
                 specs(2),
                 PicklableEvaluate(),
-                checkpoint_interval_s=0.0,
+                checkpoint_interval_s=1.0,
             )

@@ -85,7 +85,6 @@ class running_service:
 
     def __init__(self, **overrides) -> None:
         overrides.setdefault("port", 0)
-        overrides.setdefault("executor_mode", "thread")
         self._config = ServiceConfig(**overrides)
         self._service: Optional[RankService] = None
         self._client: Optional[Client] = None

@@ -444,7 +444,9 @@ class TestIntrospection:
                 payload = json.loads(raw)
                 assert payload["status"] == "ok"
                 assert payload["schema_version"] == SCHEMA_VERSION
-                assert payload["executor"]["mode"] == "thread"
+                assert set(payload["executor"]) == {
+                    "workers", "queue_depth", "capacity", "inflight",
+                }
 
         asyncio.run(scenario())
 
@@ -463,6 +465,59 @@ class TestIntrospection:
                 assert payload["cache"]["entries"] >= 1
 
         asyncio.run(scenario())
+
+
+class TestMultiWorker:
+    """``--workers N``: N solve threads sharing one precompute cache."""
+
+    BODIES = [rank_body(clock_frequency=f"{400 + 10 * i}MHz") for i in range(8)]
+
+    def test_concurrent_misses_match_single_worker_bytes(self):
+        async def sequential():
+            async with running_service(workers=1, warm_on_start=False) as (
+                service,
+                client,
+            ):
+                replies = []
+                for body in self.BODIES:
+                    status, _, raw = await client.request("POST", "/v1/rank", body)
+                    assert status == 200
+                    replies.append(raw)
+                return replies
+
+        async def concurrent():
+            async with running_service(workers=2, warm_on_start=False) as (
+                service,
+                client,
+            ):
+                clients = [
+                    Client(service.config.host, service.port) for _ in self.BODIES
+                ]
+                for extra in clients:
+                    await extra.connect()
+                try:
+                    replies = await asyncio.gather(
+                        *(
+                            extra.request("POST", "/v1/rank", body)
+                            for extra, body in zip(clients, self.BODIES)
+                        )
+                    )
+                finally:
+                    for extra in clients:
+                        await extra.close()
+                _, _, raw = await client.request("GET", "/v1/metrics")
+                return replies, json.loads(raw)
+
+        expected = asyncio.run(sequential())
+        replies, metrics = asyncio.run(concurrent())
+        assert [status for status, _, _ in replies] == [200] * len(self.BODIES)
+        assert {headers["x-repro-cache"] for _, headers, _ in replies} == {"miss"}
+        assert [raw for _, _, raw in replies] == expected
+        assert metrics["executor"]["workers"] == 2
+        precompute = metrics["precompute"]
+        for stage in ("coarsened", "tables"):
+            lookups = precompute["hits"][stage] + precompute["misses"][stage]
+            assert lookups == len(self.BODIES)
 
 
 class TestConnectionHandling:

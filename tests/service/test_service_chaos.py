@@ -1,7 +1,7 @@
 """Chaos leg: deterministic fault injection through the serving stack.
 
-The service runs thread-mode executors here so the installed schedule
-(a process-global) is visible to the workers; the faults exercise the
+The service solves on threads in this process, so the installed
+schedule (a process-global) is visible to the workers; the faults exercise the
 error containment of :meth:`RankApp.dispatch` — an injected failure
 answers 500 without killing the connection, the server recovers on the
 next request, and failures are never memoized.

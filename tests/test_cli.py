@@ -27,14 +27,13 @@ class TestParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8421
         assert args.workers == 1
-        assert args.executor_mode == "auto"
         assert args.no_warm is False
 
     def test_serve_executor_mode_choices(self):
-        args = build_parser().parse_args(["serve", "--executor-mode", "thread"])
-        assert args.executor_mode == "thread"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--executor-mode", "fibers"])
+        # Solves always run on --workers threads; the mode flag is gone.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--executor-mode", "thread"])
+        assert excinfo.value.code == 2
 
 
 class TestCommands:
