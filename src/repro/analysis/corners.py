@@ -14,21 +14,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
 from ..arch.builder import ArchitectureSpec, build_architecture
-from ..core.problem import RankProblem
-from ..core.rank import RankResult, compute_rank
 from ..errors import RankComputationError
+from .sweep import rank_batch
 
 if TYPE_CHECKING:  # runner imported lazily at call time (cycle via persist)
-    from pathlib import Path
-
-    from ..faultkit.schedule import FaultSchedule
-
-    from ..core.precompute import PrecomputeCache
+    from ..core.problem import RankProblem
+    from ..core.rank import RankResult
     from ..runner.journal import PointFailure, RunJournal
-    from ..runner.policy import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -163,55 +159,22 @@ class CornerReport:
         return self.nominal[1].normalized - self.worst[1].normalized
 
 
-@dataclass
-class _CornerEvaluate:
-    """Picklable corner evaluator (see :class:`.sweep._SweepEvaluate`)."""
-
-    problem: RankProblem
-    bunch_size: Optional[int]
-    repeater_units: int
-    cache: Optional["PrecomputeCache"] = None
-
-    def __call__(self, point, attempt) -> RankResult:
-        from ..runner.policy import scaled_bunch_size
-
-        variant = apply_corner(self.problem, point.value)
-        return compute_rank(
-            variant,
-            bunch_size=scaled_bunch_size(
-                self.bunch_size, dict(attempt.degradation)
-            ),
-            repeater_units=self.repeater_units,
-            deadline=attempt.deadline,
-            cache=self.cache,
-        )
-
-
 def rank_across_corners(
     problem: RankProblem,
     corners: Sequence[Corner] = STANDARD_CORNERS,
     bunch_size: Optional[int] = None,
     repeater_units: int = 512,
-    policy: Optional["RetryPolicy"] = None,
-    keep_going: bool = False,
-    checkpoint: Optional[Union[str, "Path"]] = None,
-    resume: bool = False,
-    jobs: int = 1,
-    pool_mode: str = "auto",
-    checkpoint_every: int = 1,
-    fault_schedule: Optional[FaultSchedule] = None,
-    cache: Optional["PrecomputeCache"] = None,
+    **options: Any,
 ) -> CornerReport:
     """Evaluate the rank at every corner through the fault-tolerant harness.
 
     Returns a :class:`CornerReport`; ``report.worst`` is the sign-off
-    number.  With ``keep_going=True`` a failing corner is recorded in
-    ``report.failures`` instead of aborting the sign-off; ``checkpoint``
-    / ``resume`` journal completed corners across interruptions, and
-    ``jobs > 1`` evaluates corners in parallel with identical persisted
-    output (see :func:`repro.runner.run_batch`).  ``cache`` shares the
-    coarse-WLD/tables precomputation across corners and retries
-    (corners keep the WLD fixed, so it is warmed once in the parent).
+    number.  ``bunch_size`` and ``repeater_units`` go to
+    :func:`repro.core.rank.compute_rank`; ``options`` are the batch
+    keywords of :func:`repro.analysis.sweep.rank_batch` (``cache``,
+    retries, ``keep_going``, checkpoint/resume, ``jobs``; see
+    :func:`repro.runner.run_batch`).  Corners keep the WLD fixed, so the
+    shared cache is warmed once, on ``problem``.
     """
     if not corners:
         raise RankComputationError("need at least one corner")
@@ -220,50 +183,21 @@ def rank_across_corners(
         raise RankComputationError(
             f"corner names must be unique (they key the checkpoint), got {names}"
         )
-
-    # Imported here, not at module top: the runner package reaches this
-    # module through repro.reporting.persist.
-    from ..core.precompute import PrecomputeCache
-    from ..reporting.persist import rank_result_from_dict, rank_result_to_dict
-    from ..runner.executor import PointSpec, run_batch
-
-    specs = [
-        PointSpec(key=corner.name, value=corner, label=corner.name)
-        for corner in corners
-    ]
-
-    if cache is None:
-        cache = PrecomputeCache()
-    cache.warm(problem, bunch_size=bunch_size)
-    evaluate = _CornerEvaluate(
-        problem=problem,
+    outcome = rank_batch(
+        "corners",
+        [(c.name, c, c.name) for c in corners],
+        partial(apply_corner, problem),
+        problem,
         bunch_size=bunch_size,
         repeater_units=repeater_units,
-        cache=cache,
+        **options,
     )
-
-    outcome = run_batch(
-        "corners",
-        specs,
-        evaluate,
-        policy=policy,
-        keep_going=keep_going,
-        checkpoint_path=checkpoint,
-        resume=resume,
-        serialize=rank_result_to_dict,
-        deserialize=rank_result_from_dict,
-        jobs=jobs,
-        pool_mode=pool_mode,
-        checkpoint_every=checkpoint_every,
-        fault_schedule=fault_schedule,
-    )
-    results: List[Tuple[Corner, RankResult]] = [
-        (corner, outcome.results[corner.name])
-        for corner in corners
-        if corner.name in outcome.results
-    ]
     return CornerReport(
-        results=tuple(results),
+        results=tuple(
+            (corner, outcome.results[corner.name])
+            for corner in corners
+            if corner.name in outcome.results
+        ),
         failures=outcome.failures,
         journal=outcome.journal,
     )

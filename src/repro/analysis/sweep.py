@@ -15,8 +15,9 @@ without copying numbers around.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..arch.builder import ArchitectureSpec, build_architecture
 from ..core.problem import RankProblem
@@ -29,6 +30,7 @@ if TYPE_CHECKING:  # runner imported lazily at call time (cycle via persist)
     from ..faultkit.schedule import FaultSchedule
 
     from ..core.precompute import PrecomputeCache
+    from ..runner.executor import BatchOutcome
     from ..runner.journal import PointFailure, RunJournal
     from ..runner.policy import RetryPolicy
 
@@ -69,6 +71,9 @@ PAPER_TABLE4_R: Tuple[Tuple[float, float], ...] = (
 
 #: Default coarsening used by sweeps — the paper's Section 5.2 bunch size.
 DEFAULT_BUNCH_SIZE = 10_000
+
+#: What a rank batch's solve options are checked against.
+_SOLVE_SIGNATURE = inspect.signature(compute_rank)
 
 
 @dataclass(frozen=True)
@@ -154,46 +159,73 @@ class SweepResult:
 
 
 @dataclass
-class _SweepEvaluate:
-    """Picklable point evaluator for :func:`run_sweep`.
+class RankEvaluator:
+    """The picklable ``(point, attempt) -> RankResult`` of every rank batch.
 
-    A plain dataclass instead of a closure so ``jobs > 1`` can ship it
-    (with its :class:`~repro.core.precompute.PrecomputeCache`, warmed in
-    the parent) to worker processes through the pool initializer.
+    ``make_problem`` maps a point's value to the :class:`RankProblem` to
+    solve; it must pickle (a module-level function, a
+    :func:`functools.partial` of one, or a dataclass instance, not a
+    closure) so ``jobs > 1`` can ship the evaluator, warmed ``cache``
+    included, to the pool workers.  ``options`` are
+    :func:`~repro.core.rank.compute_rank` keywords; every attempt
+    coarsens ``bunch_size`` along the retry policy's ladder and runs
+    under the attempt's deadline.  Solves go through this module's
+    ``compute_rank`` name, which ``bench/library.py`` wraps to trace a
+    sweep's solves and the tests patch to fail them.
     """
 
-    make_problem: Callable[[float], RankProblem]
-    solver: str
-    bunch_size: Optional[int]
-    max_groups: Optional[int]
-    repeater_units: int
-    cache: Optional["PrecomputeCache"] = None
+    make_problem: Callable[[Any], RankProblem]
+    options: Dict[str, Any]
+    cache: "PrecomputeCache"
+
+    @classmethod
+    def warmed(
+        cls,
+        make_problem: Callable[[Any], RankProblem],
+        warm: Optional[RankProblem],
+        cache: Optional["PrecomputeCache"],
+        options: Dict[str, Any],
+    ) -> "RankEvaluator":
+        """An evaluator whose cache (a fresh one unless given) already
+        holds ``warm``'s coarse WLD, computed before any worker forks.
+
+        Raises ``TypeError`` for an option ``compute_rank`` does not take.
+        """
+        # Imported here, not at module top: repro.reporting.persist
+        # imports this module, and the runner package imports persist.
+        from ..core.precompute import PrecomputeCache
+
+        _SOLVE_SIGNATURE.bind(warm, **options)
+        if cache is None:
+            cache = PrecomputeCache()
+        if warm is not None:
+            cache.warm(
+                warm,
+                bunch_size=options.get("bunch_size"),
+                max_groups=options.get("max_groups"),
+            )
+        return cls(make_problem, options, cache)
 
     def __call__(self, point, attempt) -> RankResult:
         from ..runner.policy import scaled_bunch_size
 
-        return compute_rank(
-            self.make_problem(point.value),
-            solver=self.solver,
+        options = dict(
+            self.options,
             bunch_size=scaled_bunch_size(
-                self.bunch_size, dict(attempt.degradation)
+                self.options.get("bunch_size"), attempt.degradation
             ),
-            max_groups=self.max_groups,
-            repeater_units=self.repeater_units,
             deadline=attempt.deadline,
             cache=self.cache,
         )
+        return compute_rank(self.make_problem(point.value), **options)
 
 
-def run_sweep(
-    name: str,
-    values: Sequence[float],
-    make_problem: Callable[[float], RankProblem],
-    paper: Optional[Dict[float, float]] = None,
-    solver: str = "dp",
-    bunch_size: Optional[int] = DEFAULT_BUNCH_SIZE,
-    max_groups: Optional[int] = None,
-    repeater_units: int = 512,
+def rank_batch(
+    run: str,
+    points: Sequence[Tuple[str, Any, str]],
+    make_problem: Callable[[Any], RankProblem],
+    warm: Optional[RankProblem],
+    cache: Optional["PrecomputeCache"] = None,
     policy: Optional["RetryPolicy"] = None,
     keep_going: bool = False,
     checkpoint: Optional[Union[str, "Path"]] = None,
@@ -201,95 +233,29 @@ def run_sweep(
     jobs: int = 1,
     pool_mode: str = "auto",
     checkpoint_every: int = 1,
-    fault_schedule: Optional[FaultSchedule] = None,
-    cache: Optional["PrecomputeCache"] = None,
-) -> SweepResult:
-    """Generic sweep engine: evaluate rank at each knob value.
+    fault_schedule: Optional["FaultSchedule"] = None,
+    **solve_options: Any,
+) -> "BatchOutcome":
+    """Rank every point through :func:`repro.runner.run_batch`.
 
-    Every point runs through the fault-tolerant harness
-    (:func:`repro.runner.run_batch`): one raising point no longer
-    discards the rest of the sweep.
-
-    Parameters
-    ----------
-    name:
-        Label for the swept knob.
-    values:
-        Knob values in sweep order.
-    make_problem:
-        Maps a knob value to the :class:`RankProblem` to solve.  Must
-        be picklable (module-level function or dataclass instance, not
-        a closure) when ``jobs > 1``.
-    paper:
-        Optional knob-value → paper-normalized-rank lookup.
-    solver, bunch_size, max_groups, repeater_units:
-        Forwarded to :func:`repro.core.rank.compute_rank`.
-    policy:
-        Retry/timeout/degradation policy; retries may coarsen
-        ``bunch_size`` along the policy's ladder (recorded in the
-        journal).  Default: single attempt, no timeout.
-    keep_going:
-        True: failing points become :class:`SweepResult.failures`
-        entries and the sweep stays partial.  False (strict): the first
-        exhausted point raises :class:`~repro.errors.RunnerError` after
-        checkpointing the completed prefix.
-    checkpoint:
-        Path journaled incrementally (atomic rewrite as points
-        complete; cadence set by ``checkpoint_every``).
-    resume:
-        Reload ``checkpoint`` and recompute only missing points.
-    jobs:
-        Worker processes (1 = sequential, 0 = one per CPU).  Results
-        and the persisted sweep are identical to a sequential run.
-    pool_mode:
-        The pool decision (see :func:`repro.runner.run_batch`):
-        ``"auto"`` falls back to sequential when a pool cannot win,
-        ``"warm"`` forces it, ``"sequential"`` disables it.
-    checkpoint_every:
-        Amortize checkpoint writes (see :func:`repro.runner.run_batch`).
-    fault_schedule:
-        Deterministic chaos testing: arm a
-        :class:`~repro.faultkit.FaultSchedule` for this sweep (see
-        :mod:`repro.faultkit`; ``None`` defers to the
-        ``REPRO_FAULT_SCHEDULE`` environment variable).
-    cache:
-        Optional :class:`~repro.core.precompute.PrecomputeCache`; when
-        given it is warmed on the first point's shared coarse WLD in
-        the parent, so parallel workers start with the shared
-        precomputation in hand.  Default: a fresh private cache.
+    The one batch driver behind sweeps, corner sign-off and exhaustive
+    architecture search.  ``points`` are ``(key, value, label)`` triples
+    (see :class:`~repro.runner.PointSpec`); each is solved by a
+    :class:`RankEvaluator` over ``make_problem`` and the
+    :func:`~repro.core.rank.compute_rank` keywords ``solve_options``;
+    ``warm`` (a representative problem, or ``None``) pre-fills the
+    shared ``cache``.  ``checkpoint`` is ``run_batch``'s
+    ``checkpoint_path``; it and the other batch keywords are documented
+    there.  Checkpoints hold
+    :func:`~repro.reporting.persist.rank_result_to_dict` payloads.
     """
-    # Imported here, not at module top: repro.reporting.persist imports
-    # this module, and the runner package imports persist.
-    from ..core.precompute import PrecomputeCache
     from ..reporting.persist import rank_result_from_dict, rank_result_to_dict
     from ..runner.executor import PointSpec, run_batch
 
-    specs = [
-        PointSpec(key=f"{name}[{i}]={value!r}", value=value, label=f"{name}={value:g}")
-        for i, value in enumerate(values)
-    ]
-
-    if cache is None:
-        cache = PrecomputeCache()
-    if values:
-        # Warm the shared coarse WLD before any worker is forked; the
-        # evaluator (cache included) is pickled once per worker.
-        cache.warm(
-            make_problem(values[0]), bunch_size=bunch_size, max_groups=max_groups
-        )
-    evaluate = _SweepEvaluate(
-        make_problem=make_problem,
-        solver=solver,
-        bunch_size=bunch_size,
-        max_groups=max_groups,
-        repeater_units=repeater_units,
-        cache=cache,
-    )
-
-    outcome = run_batch(
-        f"sweep:{name}",
-        specs,
-        evaluate,
+    return run_batch(
+        run,
+        [PointSpec(key, value, label) for key, value, label in points],
+        RankEvaluator.warmed(make_problem, warm, cache, solve_options),
         policy=policy,
         keep_going=keep_going,
         checkpoint_path=checkpoint,
@@ -302,19 +268,52 @@ def run_sweep(
         fault_schedule=fault_schedule,
     )
 
-    points: List[SweepPoint] = []
-    for spec in specs:
-        if spec.key not in outcome.results:
-            continue  # failed point: the gap is recorded in failures
-        value = spec.value
-        paper_value = paper.get(value) if paper else None
-        points.append(
-            SweepPoint(
-                value=value,
-                result=outcome.results[spec.key],
-                paper_normalized=paper_value,
-            )
+
+def run_sweep(
+    name: str,
+    values: Sequence[float],
+    make_problem: Callable[[float], RankProblem],
+    paper: Optional[Dict[float, float]] = None,
+    solver: str = "dp",
+    bunch_size: Optional[int] = DEFAULT_BUNCH_SIZE,
+    max_groups: Optional[int] = None,
+    repeater_units: int = 512,
+    **options: Any,
+) -> SweepResult:
+    """Generic sweep engine: evaluate rank at each knob value.
+
+    ``make_problem`` maps a knob value to the :class:`RankProblem` to
+    solve (picklable when ``jobs > 1``); ``paper`` optionally maps knob
+    values to the paper's normalized ranks.  ``solver``,
+    ``bunch_size``, ``max_groups`` and ``repeater_units`` go to
+    :func:`repro.core.rank.compute_rank`.  ``options`` are the batch
+    keywords of :func:`rank_batch` (``cache``, ``policy``,
+    ``keep_going``, ``checkpoint``, ``resume``, ``jobs``,
+    ``pool_mode``, ``checkpoint_every``, ``fault_schedule``; see
+    :func:`repro.runner.run_batch`).  The cache is warmed on the first
+    value's coarse WLD.
+    """
+    keys = [f"{name}[{i}]={value!r}" for i, value in enumerate(values)]
+    outcome = rank_batch(
+        f"sweep:{name}",
+        [(key, value, f"{name}={value:g}") for key, value in zip(keys, values)],
+        make_problem,
+        make_problem(values[0]) if values else None,
+        solver=solver,
+        bunch_size=bunch_size,
+        max_groups=max_groups,
+        repeater_units=repeater_units,
+        **options,
+    )
+    points = [
+        SweepPoint(
+            value=value,
+            result=outcome.results[key],
+            paper_normalized=paper.get(value) if paper else None,
         )
+        for key, value in zip(keys, values)
+        if key in outcome.results  # a failed point's gap is in failures
+    ]
     return SweepResult(
         name=name,
         points=tuple(points),

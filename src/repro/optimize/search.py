@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..analysis.sweep import RankEvaluator, rank_batch
 from ..arch.builder import ArchitectureSpec, build_architecture
 from ..core.problem import RankProblem
-from ..core.rank import RankResult, compute_rank
+from ..core.rank import RankResult
 from ..errors import RankComputationError, RunnerError
 from ..rc.noise import SHIELDING_LADDER
 from .space import DesignSpace
@@ -123,115 +125,52 @@ class OptimizationResult:
     journal: Optional["RunJournal"] = field(default=None, compare=False)
 
 
-def _solve(
-    problem: RankProblem,
-    spec: ArchitectureSpec,
-    solve_options,
-    shielding_aware: bool = False,
-) -> RankResult:
+def _candidate_problem(
+    problem: RankProblem, shielding_aware: bool, spec: ArchitectureSpec
+) -> RankProblem:
+    """The problem with ``spec``'s architecture (and, when shielding-aware,
+    its shield-track utilization cost)."""
     variant = problem.with_arch(build_architecture(spec))
     if shielding_aware:
         factor = shielding_capacity_factor(spec.miller_factor)
         variant = dataclasses.replace(
             variant, utilization=problem.utilization * factor
         )
-    return compute_rank(variant, **solve_options)
-
-
-@dataclass
-class _CandidateEvaluate:
-    """Picklable candidate evaluator (see :class:`..analysis.sweep._SweepEvaluate`)."""
-
-    problem: RankProblem
-    shielding_aware: bool
-    solve_options: Dict[str, object]
-
-    def __call__(self, point, attempt) -> RankResult:
-        from ..runner.policy import scaled_bunch_size
-
-        options = dict(self.solve_options)
-        if "bunch_size" in options:
-            options["bunch_size"] = scaled_bunch_size(
-                options["bunch_size"], dict(attempt.degradation)
-            )
-        options["deadline"] = attempt.deadline
-        return _solve(self.problem, point.value, options, self.shielding_aware)
+    return variant
 
 
 def evaluate_candidates_batch(
     problem: RankProblem,
     specs: Sequence[ArchitectureSpec],
     shielding_aware: bool = False,
-    policy: Optional["RetryPolicy"] = None,
-    keep_going: bool = False,
-    checkpoint: Optional[Union[str, "Path"]] = None,
-    resume: bool = False,
-    jobs: int = 1,
-    pool_mode: str = "auto",
-    checkpoint_every: int = 1,
-    fault_schedule: Optional[FaultSchedule] = None,
-    cache: Optional["PrecomputeCache"] = None,
-    **solve_options,
+    **options,
 ) -> Tuple[List[CandidateResult], "BatchOutcome"]:
     """Rank every candidate through the fault-tolerant harness.
 
     Returns the completed candidates (evaluation order) plus the
     :class:`~repro.runner.BatchOutcome` carrying failures and the run
-    journal.  Checkpoints store only the rank results; candidates are
-    re-derived from the (deterministic) spec enumeration on resume.
-    ``jobs > 1`` evaluates candidates in parallel with identical
-    results; ``cache`` shares the coarse WLD (identical across every
-    candidate — only the architecture varies) and repeated tables.
+    journal.  ``options`` are the batch keywords of
+    :func:`~repro.analysis.sweep.rank_batch` (``cache``, retries,
+    ``keep_going``, checkpoint/resume, ``jobs``; see
+    :func:`repro.runner.run_batch`) plus
+    :func:`~repro.core.rank.compute_rank` keywords.  Checkpoints store
+    only the rank results; candidates are re-derived from the
+    (deterministic) spec enumeration on resume.  The shared cache is
+    warmed on ``problem``: only the architecture varies, never the WLD.
     """
-    # Imported here, not at module top: the runner package reaches
-    # analysis.sweep through repro.reporting.persist.
-    from ..core.precompute import PrecomputeCache
-    from ..reporting.persist import rank_result_from_dict, rank_result_to_dict
-    from ..runner.executor import PointSpec, run_batch
-
-    points = [
-        PointSpec(
-            key=f"[{i}] {_spec_label(spec)}",
-            value=spec,
-            label=_spec_label(spec),
-        )
-        for i, spec in enumerate(specs)
-    ]
-
-    if cache is None:
-        cache = PrecomputeCache()
-    cache.warm(
-        problem,
-        bunch_size=solve_options.get("bunch_size"),
-        max_groups=solve_options.get("max_groups"),
-    )
-    options = dict(solve_options)
-    options["cache"] = cache
-    evaluate = _CandidateEvaluate(
-        problem=problem,
-        shielding_aware=shielding_aware,
-        solve_options=options,
-    )
-
-    outcome = run_batch(
+    labels = [_spec_label(spec) for spec in specs]
+    keys = [f"[{i}] {label}" for i, label in enumerate(labels)]
+    outcome = rank_batch(
         "optimize",
-        points,
-        evaluate,
-        policy=policy,
-        keep_going=keep_going,
-        checkpoint_path=checkpoint,
-        resume=resume,
-        serialize=rank_result_to_dict,
-        deserialize=rank_result_from_dict,
-        jobs=jobs,
-        pool_mode=pool_mode,
-        checkpoint_every=checkpoint_every,
-        fault_schedule=fault_schedule,
+        list(zip(keys, specs, labels)),
+        partial(_candidate_problem, problem, shielding_aware),
+        problem,
+        **options,
     )
     results = [
-        CandidateResult(spec=point.value, result=outcome.results[point.key])
-        for point in points
-        if point.key in outcome.results
+        CandidateResult(spec=spec, result=outcome.results[key])
+        for key, spec in zip(keys, specs)
+        if key in outcome.results
     ]
     return results, outcome
 
@@ -331,7 +270,6 @@ def hill_climb(
     aborting the climb; the starting candidate failing always raises
     :class:`~repro.errors.RunnerError` — there is nothing to climb from.
     """
-    from ..core.precompute import PrecomputeCache
     from ..runner.executor import PointSpec, execute_point
     from ..runner.policy import RetryPolicy
 
@@ -340,19 +278,11 @@ def hill_climb(
     policy = policy if policy is not None else RetryPolicy()
     current_spec = initial if initial is not None else space.default_spec()
     solved: Dict[tuple, Optional[RankResult]] = {}
-    if cache is None:
-        cache = PrecomputeCache()
-    cache.warm(
+    evaluate = RankEvaluator.warmed(
+        partial(_candidate_problem, problem, shielding_aware),
         problem,
-        bunch_size=solve_options.get("bunch_size"),
-        max_groups=solve_options.get("max_groups"),
-    )
-    options = dict(solve_options)
-    options["cache"] = cache
-    evaluate = _CandidateEvaluate(
-        problem=problem,
-        shielding_aware=shielding_aware,
-        solve_options=options,
+        cache,
+        solve_options,
     )
 
     def key(spec: ArchitectureSpec) -> tuple:

@@ -18,8 +18,7 @@ chaos-tested against :mod:`repro.faultkit` schedules: dead pool
 workers are detected and their in-flight points resubmitted (bounded
 by the :class:`RetryPolicy`), hung workers are reaped by a watchdog,
 checkpoints carry integrity checksums with a rotated ``.prev``
-generation to fall back on, retries can back off exponentially with
-seeded (deterministic) jitter, and a pool that keeps dying degrades
+generation to fall back on, and a pool that keeps dying degrades
 gracefully to sequential execution.  Every recovery action is counted
 through :mod:`repro.obs` (``runner.worker_deaths``,
 ``runner.resubmissions``, ``runner.hangs_reaped``,

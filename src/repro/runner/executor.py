@@ -206,10 +206,6 @@ def execute_point(
         _obs_inc("runner.attempts")
         if index:
             _obs_inc("runner.retries")
-            delay = policy.backoff_delay(index, key=point.key)
-            if delay > 0.0:
-                _obs_observe("runner.backoff_wait_s", delay)
-                time.sleep(delay)
         started = time.monotonic()
         with _span("point_attempt", point=point.key, attempt=index):
             try:

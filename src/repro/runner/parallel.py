@@ -32,7 +32,7 @@ chaos suite (:mod:`repro.faultkit`) exercises, and it is *warm*:
   (``runner.worker_deaths`` / ``runner.resubmissions``);
 * **hang watchdog** — with ``policy.timeout_s`` set, a worker whose
   chunk makes no progress for ``policy.hang_grace ×`` one point's
-  total cooperative budget (timeout × attempts + backoff) is presumed
+  total cooperative budget (timeout × attempts) is presumed
   stuck and reaped with ``SIGKILL`` (``runner.hangs_reaped``), then
   treated as a death; each streamed result resets the deadline, so the
   budget is per point even inside a large chunk;
@@ -422,8 +422,7 @@ def _task_budget(policy: "RetryPolicy") -> Optional[float]:
     """
     if policy.timeout_s is None:
         return None
-    compute = policy.timeout_s * policy.max_attempts + policy.backoff_budget()
-    return compute * policy.hang_grace
+    return policy.timeout_s * policy.max_attempts * policy.hang_grace
 
 
 @contextmanager

@@ -4,18 +4,14 @@ A :class:`RetryPolicy` is deterministic — retries of a failed point
 re-run the *same* computation, optionally degraded along a fixed
 ladder (coarser bunch size), so a retried batch is exactly
 reproducible and every accuracy trade is recorded in the run journal.
-The optional exponential backoff between attempts is deterministic
-too: its jitter is drawn from a :class:`random.Random` seeded by
-``(seed, point key, attempt)``, never from process-global entropy, so
-the same run waits the same milliseconds every time.
+A retry starts as soon as the previous attempt fails.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Mapping, Optional, Tuple, Type
 
 from ..errors import ReproError, RunnerError
 
@@ -45,38 +41,18 @@ class RetryPolicy:
         Exception classes that count as retryable.  Anything else
         (``TypeError`` and friends) propagates immediately — a
         programming error should never be papered over by a retry.
-    backoff_s:
-        Base wait before retry attempt 1 (0, the default, disables
-        backoff entirely).  Attempt ``i`` waits
-        ``min(backoff_max_s, backoff_s * backoff_factor ** (i - 1))``,
-        optionally stretched by jitter.
-    backoff_factor:
-        Exponential growth of the wait per retry (>= 1).
-    backoff_max_s:
-        Hard ceiling on any single wait.
-    jitter:
-        Fractional jitter: the wait is stretched by up to
-        ``jitter * 100`` percent, drawn deterministically from ``seed``
-        + point key + attempt (0 disables).
-    seed:
-        Seed for the jitter stream.
     hang_grace:
         Grace multiplier for the parallel backend's hang watchdog: a
         worker is presumed hung — and reaped — once it exceeds
         ``hang_grace ×`` its total cooperative budget
-        (``timeout_s * max_attempts`` plus the full backoff budget).
-        Only meaningful with ``timeout_s`` set.
+        (``timeout_s * max_attempts``).  Only meaningful with
+        ``timeout_s`` set.
     """
 
     max_attempts: int = 1
     timeout_s: Optional[float] = None
     bunch_scale: float = 2.0
     retry_on: Tuple[Type[BaseException], ...] = field(default=(ReproError,))
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    jitter: float = 0.0
-    seed: int = 0
     hang_grace: float = 4.0
 
     def __post_init__(self) -> None:
@@ -95,24 +71,6 @@ class RetryPolicy:
             )
         if not self.retry_on:
             raise RunnerError("RetryPolicy.retry_on must name at least one class")
-        if self.backoff_s < 0:
-            raise RunnerError(
-                f"RetryPolicy.backoff_s must be >= 0, got {self.backoff_s!r}"
-            )
-        if self.backoff_factor < 1.0:
-            raise RunnerError(
-                f"RetryPolicy.backoff_factor must be >= 1.0, "
-                f"got {self.backoff_factor!r}"
-            )
-        if self.backoff_max_s <= 0:
-            raise RunnerError(
-                f"RetryPolicy.backoff_max_s must be positive, "
-                f"got {self.backoff_max_s!r}"
-            )
-        if self.jitter < 0:
-            raise RunnerError(
-                f"RetryPolicy.jitter must be >= 0, got {self.jitter!r}"
-            )
         if self.hang_grace < 1.0:
             raise RunnerError(
                 f"RetryPolicy.hang_grace must be >= 1.0, got {self.hang_grace!r}"
@@ -138,43 +96,9 @@ class RetryPolicy:
         """Whether the exception counts against the attempt budget."""
         return isinstance(exc, self.retry_on)
 
-    def _backoff_base(self, attempt: int) -> float:
-        return min(
-            self.backoff_max_s,
-            self.backoff_s * self.backoff_factor ** (attempt - 1),
-        )
-
-    def backoff_delay(self, attempt: int, key: str = "") -> float:
-        """Seconds to wait before retry ``attempt`` (0-based index >= 1).
-
-        Deterministic: the jitter stream is seeded by
-        ``(seed, key, attempt)``, so a replayed run reproduces the
-        exact waits.  Attempt 0 and ``backoff_s == 0`` wait nothing.
-        """
-        if attempt <= 0 or self.backoff_s <= 0:
-            return 0.0
-        base = self._backoff_base(attempt)
-        if not self.jitter:
-            return base
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return base * (1.0 + self.jitter * rng.random())
-
-    def backoff_budget(self) -> float:
-        """Upper bound on total backoff waiting across all retries.
-
-        The hang watchdog adds this to the cooperative compute budget
-        so backoff pauses are never mistaken for hangs.
-        """
-        if self.backoff_s <= 0:
-            return 0.0
-        return sum(
-            self._backoff_base(attempt) * (1.0 + self.jitter)
-            for attempt in range(1, self.max_attempts)
-        )
-
 
 def scaled_bunch_size(
-    bunch_size: Optional[int], degradation: Dict[str, float]
+    bunch_size: Optional[int], degradation: Mapping[str, float]
 ) -> Optional[int]:
     """Apply a policy degradation to an evaluation's bunch size.
 

@@ -51,6 +51,18 @@ SCHEMA_VERSION = 1
 #: Knobs a sweep may vary, mirroring the paper's Table 4 columns.
 SWEEP_KNOBS = ("K", "M", "C", "R")
 
+#: Size caps.  A solve holds float64 DP state tables of (coarse wire
+#: groups + 1) x (repeater_units + 1) cells, and the group count grows
+#: with ``gates``: about 42k groups at 10**8 gates and the default
+#: bunch size, where a 512-unit solve peaks near 2.7 GB.  The caps sit
+#: far above every documented value (1M gates and 512 units by default,
+#: 2M gates in the benchmark) and keep one request's tables within a
+#: few GB, so an oversized request is a 400, never a MemoryError.
+MAX_GATES = 10**8
+MAX_REPEATER_UNITS = 2**14
+#: Cap on ``gates * repeater_units``: the two caps may not combine.
+MAX_GATE_UNITS = MAX_GATES * 512
+
 #: Registered rank solvers a request may ask for (the service refuses
 #: the test-only exhaustive/reference solvers: unbounded runtime).
 REQUEST_SOLVERS = ("dp", "greedy")
@@ -82,7 +94,7 @@ def parse_frequency(value: object, field_name: str = "frequency") -> float:
     if isinstance(value, bool):
         raise SchemaError(f"{field_name}: expected a frequency, got {value!r}")
     if isinstance(value, (int, float)):
-        return _finite_positive(float(value), field_name)
+        return _finite_positive(_as_float(value, field_name), field_name)
     if isinstance(value, str):
         text = value.strip()
         for suffix, scale in _FREQUENCY_SUFFIXES:
@@ -112,7 +124,10 @@ def _finite_positive(value: float, field_name: str) -> float:
 def _as_float(value: object, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field_name}: expected a number, got {value!r}")
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:  # an exact JSON integer beyond float range
+        result = math.inf
     if not math.isfinite(result):
         raise SchemaError(f"{field_name}: must be finite, got {value!r}")
     return result
@@ -232,8 +247,10 @@ class _Request:
 
     def __post_init__(self) -> None:
         _finite_positive(self.clock_frequency, "clock_frequency")
-        if self.gates < 1:
-            raise SchemaError(f"gates: must be >= 1, got {self.gates!r}")
+        if not 1 <= self.gates <= MAX_GATES:
+            raise SchemaError(
+                f"gates: must be in [1, {MAX_GATES}], got {self.gates!r}"
+            )
         if not 0.0 < self.repeater_fraction <= 1.0:
             raise SchemaError(
                 f"repeater_fraction: must be in (0, 1], "
@@ -256,9 +273,15 @@ class _Request:
             raise SchemaError(
                 f"local_pairs: must be >= 1, got {self.local_pairs!r}"
             )
-        if self.repeater_units < 1:
+        if not 1 <= self.repeater_units <= MAX_REPEATER_UNITS:
             raise SchemaError(
-                f"repeater_units: must be >= 1, got {self.repeater_units!r}"
+                f"repeater_units: must be in [1, {MAX_REPEATER_UNITS}], "
+                f"got {self.repeater_units!r}"
+            )
+        if self.gates * self.repeater_units > MAX_GATE_UNITS:
+            raise SchemaError(
+                f"repeater_units: must be <= {MAX_GATE_UNITS // self.gates} "
+                f"at {self.gates} gates, got {self.repeater_units!r}"
             )
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SchemaError(

@@ -5,10 +5,15 @@ exactly the same deterministic counter totals as the same run with
 ``--jobs 1``, and both trace files pass Chrome trace-event validation.
 Cache-warm accounting (``precompute.*`` / ``davis_cache.*``) and the
 ``parallel.*`` family are excluded by definition — per-worker cache
-copies make those splits depend on point placement.
+copies make those splits depend on point placement.  Every batch
+command (sweep, corners, exhaustive optimize) also prints the same
+output and writes the same checkpoint, wall-clock fields aside.
 """
 
 import json
+import re
+
+import pytest
 
 from repro import obs
 from repro.cli import EXIT_OK, main
@@ -17,24 +22,51 @@ from repro.obs.aggregate import (
     deterministic_counters,
 )
 
-_SWEEP = [
-    "sweep", "R",
-    "--gates", "50000",
-    "--bunch-size", "2000",
-    "--repeater-units", "64",
-]
+_SIZE = ["--gates", "50000", "--bunch-size", "2000", "--repeater-units", "64"]
+
+_SWEEP = ["sweep", "R", *_SIZE]
+
+#: One command per rank-batch caller; the optimize space (8 candidates)
+#: stays under --exhaustive-limit, so it takes the checkpointed path.
+_BATCH_COMMANDS = {
+    "sweep": _SWEEP,
+    "corners": ["corners", *_SIZE],
+    "optimize": [
+        "optimize", *_SIZE,
+        "--k-classes", "3.9,2.8", "--m-classes", "2.0", "--max-layers", "8",
+    ],
+}
+
+#: Checkpoint fields that hold wall-clock time (or a digest over it).
+_TIMING_FIELDS = ("wall_time_s", "runtime_seconds", "integrity")
 
 
-def _run_sweep(trace_path, jobs):
+def _run(argv, trace_path, jobs):
     obs.reset()
     # --pool-mode warm: the parity contract is about the *pool* path,
     # which "auto" would route around on a single-CPU CI runner.
-    argv = _SWEEP + ["--jobs", str(jobs), "--trace", str(trace_path)]
+    argv = argv + ["--jobs", str(jobs), "--trace", str(trace_path)]
     if jobs > 1:
         argv += ["--pool-mode", "warm"]
     code = main(argv)
     assert code == EXIT_OK
     return json.loads(trace_path.read_text())
+
+
+def _run_sweep(trace_path, jobs):
+    return _run(_SWEEP, trace_path, jobs)
+
+
+def _without_timing(obj):
+    if isinstance(obj, dict):
+        return {
+            k: _without_timing(v)
+            for k, v in obj.items()
+            if k not in _TIMING_FIELDS
+        }
+    if isinstance(obj, list):
+        return [_without_timing(item) for item in obj]
+    return obj
 
 
 class TestCounterParity:
@@ -48,6 +80,28 @@ class TestCounterParity:
         assert seq_counters["solver.dp.solves"] > 0
         assert seq_counters["runner.points_completed"] > 0
         assert par_counters == seq_counters
+
+    @pytest.mark.parametrize("command", sorted(_BATCH_COMMANDS))
+    def test_pool_matches_sequential_output_and_checkpoint(
+        self, tmp_path, capsys, command
+    ):
+        runs = {}
+        for jobs in (1, 2):
+            checkpoint = tmp_path / f"ck{jobs}.json"
+            argv = _BATCH_COMMANDS[command] + ["--checkpoint", str(checkpoint)]
+            trace = _run(argv, tmp_path / f"t{jobs}.json", jobs)
+            payload = json.loads(checkpoint.read_text())
+            runs[jobs] = (
+                # optimize prints the best solve's runtime ("8.6 ms").
+                re.sub(r"[\d.]+ ms\b", "- ms", capsys.readouterr().out),
+                deterministic_counters(trace["metrics"]),
+                [r["status"] for r in payload["journal"]["records"]],
+                json.dumps(_without_timing(payload)).encode(),
+            )
+        out, counters, statuses, checkpoint_bytes = runs[1]
+        assert statuses and set(statuses) == {"completed"}
+        assert counters["runner.points_completed"] == len(statuses)
+        assert runs[2] == runs[1]
 
     def test_trace_files_validate(self, tmp_path):
         from repro.obs.trace import validate_trace

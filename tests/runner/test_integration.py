@@ -9,9 +9,7 @@ uninterrupted run.
 
 import pytest
 
-import repro.analysis.corners as corners_mod
 import repro.analysis.sweep as sweep_mod
-import repro.optimize.search as search_mod
 from repro.analysis.corners import STANDARD_CORNERS, rank_across_corners
 from repro.analysis.sweep import run_sweep
 from repro.errors import RankComputationError, RunnerError
@@ -24,7 +22,11 @@ VALUES = [0.2, 0.3, 0.4]
 
 def failing_compute_rank(module, monkeypatch, fail_calls=(), fail_forever=()):
     """Patch ``module.compute_rank`` to fail on chosen call indices or
-    whenever the problem's repeater fraction is in ``fail_forever``."""
+    whenever the problem's repeater fraction is in ``fail_forever``.
+
+    Sweeps, corners and architecture search all solve through
+    :class:`repro.analysis.sweep.RankEvaluator`, so ``sweep_mod`` is the
+    one place to inject a failing solve."""
     real = module.compute_rank
     state = {"calls": 0, "evaluated": []}
 
@@ -131,7 +133,7 @@ class TestCorners:
     def test_keep_going_skips_failing_corner(
         self, small_baseline, monkeypatch
     ):
-        real = corners_mod.compute_rank
+        real = sweep_mod.compute_rank
         calls = {"n": 0}
 
         def flaky(problem, **kwargs):
@@ -140,7 +142,7 @@ class TestCorners:
                 raise RankComputationError("injected corner failure")
             return real(problem, **kwargs)
 
-        monkeypatch.setattr(corners_mod, "compute_rank", flaky)
+        monkeypatch.setattr(sweep_mod, "compute_rank", flaky)
         report = rank_across_corners(
             small_baseline, keep_going=True, bunch_size=2000, repeater_units=128
         )
@@ -155,7 +157,7 @@ class TestCorners:
         self, small_baseline, monkeypatch
     ):
         monkeypatch.setattr(
-            corners_mod,
+            sweep_mod,
             "compute_rank",
             lambda problem, **kwargs: (_ for _ in ()).throw(
                 RankComputationError("down")
@@ -169,7 +171,7 @@ class TestCorners:
 
     def test_corner_resume(self, small_baseline, monkeypatch, tmp_path):
         path = tmp_path / "ck.json"
-        real = corners_mod.compute_rank
+        real = sweep_mod.compute_rank
         calls = {"n": 0}
 
         def flaky(problem, **kwargs):
@@ -178,7 +180,7 @@ class TestCorners:
                 raise RankComputationError("injected")
             return real(problem, **kwargs)
 
-        monkeypatch.setattr(corners_mod, "compute_rank", flaky)
+        monkeypatch.setattr(sweep_mod, "compute_rank", flaky)
         partial = rank_across_corners(
             small_baseline,
             keep_going=True,
@@ -186,7 +188,7 @@ class TestCorners:
             bunch_size=2000,
             repeater_units=128,
         )
-        monkeypatch.setattr(corners_mod, "compute_rank", real)
+        monkeypatch.setattr(sweep_mod, "compute_rank", real)
         resumed = rank_across_corners(
             small_baseline,
             checkpoint=path,
@@ -217,7 +219,7 @@ class TestOptimize:
     def test_exhaustive_keep_going_skips_failed_candidate(
         self, small_baseline, monkeypatch
     ):
-        failing_compute_rank(search_mod, monkeypatch, fail_calls={0})
+        failing_compute_rank(sweep_mod, monkeypatch, fail_calls={0})
         result = optimize_architecture(
             small_baseline,
             self.space(small_baseline),
@@ -231,7 +233,7 @@ class TestOptimize:
 
     def test_exhaustive_all_failures_raises(self, small_baseline, monkeypatch):
         monkeypatch.setattr(
-            search_mod,
+            sweep_mod,
             "compute_rank",
             lambda problem, **kwargs: (_ for _ in ()).throw(
                 RankComputationError("down")
@@ -248,14 +250,14 @@ class TestOptimize:
 
     def test_exhaustive_resume(self, small_baseline, monkeypatch, tmp_path):
         path = tmp_path / "ck.json"
-        real = search_mod.compute_rank
+        real = sweep_mod.compute_rank
         uninterrupted = optimize_architecture(
             small_baseline,
             self.space(small_baseline),
             bunch_size=2000,
             repeater_units=128,
         )
-        failing_compute_rank(search_mod, monkeypatch, fail_calls={1})
+        failing_compute_rank(sweep_mod, monkeypatch, fail_calls={1})
         partial = optimize_architecture(
             small_baseline,
             self.space(small_baseline),
@@ -265,8 +267,8 @@ class TestOptimize:
             repeater_units=128,
         )
         assert len(partial.failures) == 1
-        monkeypatch.setattr(search_mod, "compute_rank", real)
-        resumed_state = failing_compute_rank(search_mod, monkeypatch)
+        monkeypatch.setattr(sweep_mod, "compute_rank", real)
+        resumed_state = failing_compute_rank(sweep_mod, monkeypatch)
         resumed = optimize_architecture(
             small_baseline,
             self.space(small_baseline),
@@ -277,3 +279,49 @@ class TestOptimize:
         )
         assert resumed_state["calls"] == 1  # only the missing candidate
         assert resumed == uninterrupted
+
+
+class TestBatchKeywords:
+    """Sweeps, corners and search share one driver's batch keywords."""
+
+    @pytest.fixture
+    def callers(self, small_baseline):
+        space = TestOptimize().space(small_baseline)
+        return {
+            "sweep": lambda **kw: run_sweep(
+                "R", VALUES, small_baseline.with_repeater_fraction, **FAST, **kw
+            ),
+            "corners": lambda **kw: rank_across_corners(
+                small_baseline, **FAST, **kw
+            ),
+            "optimize": lambda **kw: optimize_architecture(
+                small_baseline, space, **FAST, **kw
+            ),
+        }
+
+    @pytest.mark.parametrize("caller", ["sweep", "corners", "optimize"])
+    def test_unknown_keyword_raises_before_any_work(
+        self, callers, caller, tmp_path, monkeypatch
+    ):
+        state = failing_compute_rank(sweep_mod, monkeypatch)
+        for keyword in ("bogus", "checkpoint_path"):
+            with pytest.raises(TypeError, match=keyword):
+                callers[caller](checkpoint=tmp_path / "ck.json", **{keyword: 1})
+        assert state["calls"] == 0
+        assert not (tmp_path / "ck.json").exists()
+
+    @pytest.mark.parametrize("caller", ["sweep", "corners", "optimize"])
+    def test_every_batch_keyword_accepted(self, callers, caller, tmp_path):
+        result = callers[caller](
+            policy=RetryPolicy(max_attempts=2),
+            keep_going=True,
+            checkpoint=tmp_path / "ck.json",
+            resume=False,
+            jobs=1,
+            pool_mode="sequential",
+            checkpoint_every=2,
+            fault_schedule=None,
+            cache=None,
+        )
+        assert not result.failures
+        assert (tmp_path / "ck.json").exists()

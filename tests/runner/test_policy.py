@@ -1,5 +1,8 @@
 """Tests for the retry policy and its deterministic degradation ladder."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.errors import (
@@ -8,8 +11,18 @@ from repro.errors import (
     RankComputationError,
     RunnerError,
 )
-from repro.runner import RetryPolicy
+from repro.runner import PointSpec, RetryPolicy, execute_point
+from repro.runner.parallel import _task_budget
 from repro.runner.policy import scaled_bunch_size
+
+
+class _FailOnce:
+    """Raises a retryable error on the first attempt only."""
+
+    def __call__(self, point, attempt):
+        if attempt.index == 0:
+            raise RankComputationError("transient")
+        return attempt.index
 
 
 class TestValidation:
@@ -89,61 +102,55 @@ class TestRetryability:
 
 
 class TestBackoff:
-    def test_disabled_by_default(self):
-        policy = RetryPolicy(max_attempts=3)
-        assert policy.backoff_delay(1) == 0.0
-        assert policy.backoff_budget() == 0.0
+    """The retry backoff ladder is gone: retries start immediately."""
 
-    def test_attempt_zero_never_waits(self):
-        policy = RetryPolicy(max_attempts=3, backoff_s=1.0)
-        assert policy.backoff_delay(0) == 0.0
+    REMOVED = ("backoff_s", "backoff_factor", "backoff_max_s", "jitter", "seed")
+
+    def test_disabled_by_default(self):
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_attempts", "timeout_s", "bunch_scale", "retry_on", "hang_grace",
+        ]
+        policy = RetryPolicy(max_attempts=3)
+        for method in ("_backoff_base", "backoff_delay", "backoff_budget"):
+            assert not hasattr(policy, method)
+
+    def test_attempt_zero_never_waits(self, monkeypatch):
+        def no_sleep(seconds):
+            raise AssertionError(f"retry slept {seconds!r} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        outcome = execute_point(
+            PointSpec(key="p", value=0.0), _FailOnce(), RetryPolicy(max_attempts=2)
+        )
+        assert outcome.ok
+        assert [a.index for a in outcome.record.attempts] == [0, 1]
 
     def test_exponential_progression_with_ceiling(self):
-        policy = RetryPolicy(
-            max_attempts=6, backoff_s=1.0, backoff_factor=2.0, backoff_max_s=5.0
-        )
-        delays = [policy.backoff_delay(a) for a in range(1, 6)]
-        assert delays == [1.0, 2.0, 4.0, 5.0, 5.0]
+        for name, value in (("backoff_s", 1.0), ("backoff_factor", 2.0)):
+            with pytest.raises(TypeError, match=name):
+                RetryPolicy(max_attempts=6, **{name: value})
+        with pytest.raises(TypeError, match="backoff_max_s"):
+            RetryPolicy(max_attempts=6, backoff_max_s=5.0)
 
     def test_jitter_is_deterministic_per_seed_key_attempt(self):
-        policy = RetryPolicy(
-            max_attempts=3, backoff_s=1.0, jitter=0.5, seed=42
-        )
-        assert policy.backoff_delay(1, key="p[0]") == policy.backoff_delay(
-            1, key="p[0]"
-        )
-        # Base 1.0, stretched by at most 50%.
-        delay = policy.backoff_delay(1, key="p[0]")
-        assert 1.0 <= delay <= 1.5
+        with pytest.raises(TypeError, match="jitter"):
+            RetryPolicy(max_attempts=3, jitter=0.5)
+        with pytest.raises(TypeError, match="seed"):
+            RetryPolicy(max_attempts=3, seed=42)
 
     def test_jitter_varies_across_keys_and_seeds(self):
-        policy = RetryPolicy(max_attempts=3, backoff_s=1.0, jitter=0.5, seed=1)
-        other_seed = RetryPolicy(
-            max_attempts=3, backoff_s=1.0, jitter=0.5, seed=2
-        )
-        draws = {
-            policy.backoff_delay(1, key=f"p[{i}]") for i in range(10)
-        } | {other_seed.backoff_delay(1, key="p[0]")}
-        assert len(draws) > 1
+        for name in self.REMOVED:
+            with pytest.raises(TypeError, match=name):
+                RetryPolicy(**{name: 1})
 
     def test_budget_bounds_every_jittered_wait(self):
-        policy = RetryPolicy(
-            max_attempts=4, backoff_s=0.5, backoff_factor=3.0, jitter=0.25,
-            seed=7,
-        )
-        total = sum(
-            policy.backoff_delay(a, key="worst-case") for a in range(1, 4)
-        )
-        assert total <= policy.backoff_budget() + 1e-9
+        policy = RetryPolicy(max_attempts=4, timeout_s=0.5, hang_grace=3.0)
+        assert _task_budget(policy) == 0.5 * 4 * 3.0
+        assert _task_budget(RetryPolicy(max_attempts=4)) is None
 
     def test_validation(self):
-        with pytest.raises(RunnerError, match="backoff_s"):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(RunnerError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(RunnerError, match="backoff_max_s"):
-            RetryPolicy(backoff_max_s=0.0)
-        with pytest.raises(RunnerError, match="jitter"):
-            RetryPolicy(jitter=-0.1)
+        for name in self.REMOVED:
+            with pytest.raises(TypeError, match=name):
+                RetryPolicy(**{name: -1.0})
         with pytest.raises(RunnerError, match="hang_grace"):
             RetryPolicy(hang_grace=0.5)

@@ -8,6 +8,8 @@ import pytest
 from repro.errors import ReproError, SchemaError
 from repro.reporting import load_request, save_request
 from repro.schema import (
+    MAX_GATES,
+    MAX_REPEATER_UNITS,
     REQUEST_TYPES,
     SCHEMA_VERSION,
     CornersRequest,
@@ -103,6 +105,36 @@ class TestRankRequest:
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(SchemaError, match=field):
             RankRequest.from_wire({field: value})
+
+    @pytest.mark.parametrize(
+        "field,payload",
+        [
+            ("gates", {"gates": 10**30}),
+            ("gates", {"gates": MAX_GATES + 1}),
+            ("repeater_units", {"repeater_units": 10**12}),
+            ("repeater_units", {"repeater_units": MAX_REPEATER_UNITS + 1}),
+            ("repeater_units", {"gates": MAX_GATES, "repeater_units": 1024}),
+        ],
+    )
+    def test_oversized_values_rejected_by_name(self, field, payload):
+        with pytest.raises(SchemaError, match=f"^{field}: must be"):
+            RankRequest.from_wire(payload)
+        with pytest.raises(SchemaError, match=field):
+            RankRequest(**payload)
+
+    def test_caps_admit_every_documented_size(self):
+        """The caps only reject: the benchmark's and the CLI's sizes
+        parse, with the same fingerprint as before the caps existed."""
+        for payload in (
+            {"gates": 2_000_000, "repeater_units": 512},
+            {"gates": MAX_GATES, "repeater_units": 512},
+            {"gates": 1_000_000, "repeater_units": MAX_REPEATER_UNITS},
+        ):
+            request = RankRequest.from_wire(payload)
+            assert RankRequest(**payload).fingerprint() == request.fingerprint()
+        assert RankRequest.from_wire({}).fingerprint() == (
+            RankRequest().fingerprint()
+        )
 
     def test_bunch_size_zero_and_none_canonicalize_alike(self):
         off = RankRequest.from_wire({"bunch_size": 0})

@@ -104,6 +104,29 @@ class TestErrors:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "body,field",
+        [
+            (
+                b'{"gates": 200000, "bunch_size": 5000, '
+                b'"repeater_units": 1000000000000}',
+                "repeater_units",
+            ),
+            (b'{"gates": 1000000000000000000000000000000}', "gates"),
+        ],
+    )
+    def test_oversized_request_is_400_not_500(self, body, field):
+        """Sizes the solve could not allocate are refused up front."""
+        async def scenario():
+            async with running_service() as (service, client):
+                status, _, raw = await client.request("POST", "/v1/rank", body)
+                assert status == 400
+                payload = json.loads(raw)
+                assert payload["error"] == "SchemaError"
+                assert payload["message"].startswith(f"{field}: must be")
+
+        asyncio.run(scenario())
+
     def test_retired_backend_field(self):
         """``backend`` is an ignored v1 field: a known value hits the
         memo entry of the same request without it, an unknown value is

@@ -107,6 +107,18 @@ class TestCommands:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,field",
+        [
+            (["--gates", str(10**30)], "gates"),
+            (["--gates", "200000", "--repeater-units", str(10**12)],
+             "repeater_units"),
+        ],
+    )
+    def test_oversized_rank_names_the_field(self, capsys, flags, field):
+        assert main(["rank", *flags]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: must be")
+
     def test_corners_command(self, capsys):
         code = main(
             ["corners", "--gates", "20000", "--bunch-size", "2000",
