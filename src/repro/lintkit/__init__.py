@@ -18,14 +18,19 @@ Architecture:
   :class:`~repro.lintkit.context.Finding` record rules emit.
 * :mod:`repro.lintkit.engine` — file collection, rule execution,
   ``# noqa`` suppression, deterministic ordering.
-* :mod:`repro.lintkit.baseline` — grandfathered-violation baseline so
-  the CI gate is strict on new code from day one.
 * :mod:`repro.lintkit.callgraph` — shared whole-repo pre-pass: a
-  module-level call graph with *fork-reachable* (worker entrypoints,
-  ``.submit`` payloads) and *event-loop-reachable* (``async def``)
-  closures, consumed by the concurrency rules.
+  module-level call graph with *fork-reachable* (``target=`` /
+  ``initializer=`` worker entrypoints) and *event-loop-reachable*
+  (``async def``) closures, consumed by the concurrency rules.
 * :mod:`repro.lintkit.reporters` — text and JSON output.
-* :mod:`repro.lintkit.rules` — the shipped rules (RPL001–RPL011).
+* :mod:`repro.lintkit.rules` — the shipped rules (RPL001–RPL008,
+  RPL011).
+
+There is no baseline file: a finding is either fixed or carries a
+justified ``# noqa: RPLnnn``.  The fault-site registry is not a lint
+rule either: :data:`repro.faultkit.schedule.SITES` is the only list,
+and ``tests/faultkit/test_fault_sites.py`` checks it against the
+``fault_point(...)`` calls and every chaos-schedule glob.
 
 Shipped rules:
 
@@ -35,7 +40,8 @@ RPL002    unit-suffix dimension mismatch at a call site
 RPL003    nondeterminism in solver paths (wall clock / global RNG /
           unseeded RNG / set iteration order)
 RPL004    facade boundary: ``repro.core`` / ``repro.assign`` internals
-          imported from caller layers instead of ``repro.api``
+          imported from caller layers (``cli.py``, ``service/``,
+          ``tools/``, ``benchmarks/``) instead of ``repro.api``
 RPL005    unguarded metrics publishing in hot paths (use the guarded
           ``repro.obs`` helpers)
 RPL006    swallowed exceptions in recovery paths (``runner/``,
@@ -44,8 +50,6 @@ RPL007    blocking calls in event-loop-reachable code (route heavy
           work through the solve executor)
 RPL008    fork-hostile state crossing the ``fork()`` boundary
           (module-level handles, non-plain-data worker args)
-RPL010    fault-site registry: literal ``fault_point`` sites, chaos
-          globs must match a registered site (``--emit-fault-sites``)
 RPL011    cooperative deadline coverage in ``repro.core`` /
           ``repro.assign`` loops
 ========  ==============================================================
@@ -56,13 +60,11 @@ trigger/avoid examples.
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .context import FileContext, Finding
 from .engine import collect_files, lint_paths
 from .registry import Rule, all_rules, get_rule, register
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "Rule",

@@ -21,13 +21,9 @@ module builds, once per lint run:
 * a **fork-reachable** set — the closure from worker entrypoints.
   Seeds are found syntactically: any function passed as a ``target=``
   or ``initializer=`` keyword (``multiprocessing.Process``, pool
-  initializers), any function passed as the first argument of a
-  ``.submit(...)`` call, and — via a *submit-forwarding* fixpoint —
-  any function passed into a parameter that some callee eventually
-  forwards into ``.submit``/``target=`` (this is how
-  ``RankApp._solve_point(key, solve.solve_rank_job, ...)`` marks the
-  solve jobs as executor payloads two frames away from the actual
-  ``pool.submit``).
+  initializers).  ``.submit(...)`` payloads are not seeds: the only
+  executor in ``src`` is the service's ``ThreadPoolExecutor``, whose
+  jobs run in the parent process and never cross ``fork()``.
 
 Work dispatched *through* an executor is naturally excluded from the
 loop closure: a function reference passed to ``.submit`` is an
@@ -68,10 +64,7 @@ HANDLE_FACTORIES: Dict[str, str] = {
 class FunctionInfo:
     """One ``def``/``async def`` in the linted set."""
 
-    __slots__ = (
-        "qualname", "ctx", "node", "class_name", "is_async", "params",
-        "kwonly", "is_method",
-    )
+    __slots__ = ("qualname", "ctx", "node", "class_name", "is_async")
 
     def __init__(
         self,
@@ -85,12 +78,6 @@ class FunctionInfo:
         self.node = node
         self.class_name = class_name
         self.is_async = isinstance(node, ast.AsyncFunctionDef)
-        args = node.args  # type: ignore[attr-defined]
-        self.params: List[str] = [a.arg for a in args.posonlyargs + args.args]
-        self.kwonly: List[str] = [a.arg for a in args.kwonlyargs]
-        self.is_method = class_name is not None and bool(
-            self.params and self.params[0] in ("self", "cls")
-        )
 
     def walk(self) -> Iterator[ast.AST]:
         """This function's own nodes; nested ``def`` subtrees excluded
@@ -419,22 +406,6 @@ def _finish_var_types(graph: CallGraph) -> None:
 
 def _link(graph: CallGraph) -> None:
     """Pass 2: call edges plus fork/loop seed detection."""
-    # (caller, callee, call node, via-attribute?) for the forwarding fixpoint.
-    call_sites: List[Tuple[FunctionInfo, str, ast.Call, bool]] = []
-    # (function, param) pairs whose value flows into .submit/target=.
-    submitting: Dict[str, Set[str]] = {}
-
-    def note_payload(fi: FunctionInfo, expr: ast.AST, how: str) -> None:
-        target = graph._callable_target(fi, expr)
-        if target is not None:
-            graph.fork_seeds.setdefault(
-                target, f"{how} at {fi.ctx.rel}:{getattr(expr, 'lineno', '?')}"
-            )
-            return
-        dotted = _dotted(expr)
-        if dotted is not None and dotted in fi.params + fi.kwonly:
-            submitting.setdefault(fi.qualname, set()).add(dotted)
-
     for fi in graph.functions.values():
         if fi.is_async:
             graph.loop_seeds.setdefault(
@@ -447,56 +418,16 @@ def _link(graph: CallGraph) -> None:
             callee = graph._callable_target(fi, node.func)
             if callee is not None:
                 graph.edges.setdefault(fi.qualname, set()).add(callee)
-                call_sites.append(
-                    (fi, callee, node, isinstance(node.func, ast.Attribute))
-                )
             for kw in node.keywords:
-                if kw.arg in ("target", "initializer"):
-                    note_payload(fi, kw.value, f"worker entrypoint ({kw.arg}=)")
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-                and node.args
-            ):
-                note_payload(fi, node.args[0], "executor payload (.submit)")
-
-    # Submit-forwarding fixpoint: a function whose parameter is handed
-    # into a known submitter's submitting parameter is itself a submitter,
-    # and function references bound to such parameters are fork seeds.
-    changed = True
-    while changed:
-        changed = False
-        for fi, callee, node, via_attr in call_sites:
-            params = submitting.get(callee)
-            if not params:
-                continue
-            callee_info = graph.functions[callee]
-            positional = callee_info.params
-            if callee_info.is_method and via_attr:
-                positional = positional[1:]
-            bindings: List[Tuple[str, ast.AST]] = []
-            if not any(isinstance(a, ast.Starred) for a in node.args):
-                bindings.extend(zip(positional, node.args))
-            for kw in node.keywords:
-                if kw.arg is not None:
-                    bindings.append((kw.arg, kw.value))
-            for param, expr in bindings:
-                if param not in params:
+                if kw.arg not in ("target", "initializer"):
                     continue
-                target = graph._callable_target(fi, expr)
-                if target is not None and target not in graph.fork_seeds:
-                    graph.fork_seeds[target] = (
-                        "executor payload (forwarded to .submit) at "
-                        f"{fi.ctx.rel}:{getattr(expr, 'lineno', '?')}"
+                target = graph._callable_target(fi, kw.value)
+                if target is not None:
+                    graph.fork_seeds.setdefault(
+                        target,
+                        f"worker entrypoint ({kw.arg}=) at "
+                        f"{fi.ctx.rel}:{kw.value.lineno}",
                     )
-                    changed = True
-                    continue
-                dotted = _dotted(expr)
-                if dotted is not None and dotted in fi.params + fi.kwonly:
-                    have = submitting.setdefault(fi.qualname, set())
-                    if dotted not in have:
-                        have.add(dotted)
-                        changed = True
 
 
 def _closure(

@@ -1,11 +1,15 @@
 """Command-line front end: ``python -m repro.lintkit [paths]``.
 
+With no paths it lints :data:`DEFAULT_PATHS`, the repo's own gate (CI
+and ``tests/lintkit/test_repo_clean.py`` run exactly that).  There is
+no baseline: a finding is either fixed or carries a justified
+``# noqa: RPLnnn`` on its line.
+
 Exit codes (stable contract, asserted by ``tests/lintkit/test_cli.py``):
 
-* ``0`` — no non-baselined findings;
-* ``1`` — at least one new finding (or, with ``--strict-baseline``, a
-  stale baseline entry);
-* ``2`` — usage error (unknown rule code, missing path, bad baseline).
+* ``0`` — no findings;
+* ``1`` — at least one finding;
+* ``2`` — usage error (unknown flag or rule code, missing path).
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .baseline import Baseline, BaselineError
-from .context import FileContext, Finding
 from .engine import lint_paths
 from .registry import all_rules
 from .reporters import render_json, render_text
@@ -25,9 +27,6 @@ from .reporters import render_json, render_text
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-#: Baseline picked up automatically when it exists next to the cwd.
-DEFAULT_BASELINE = "lint_baseline.json"
 
 #: Paths linted when none are given (the repo's own gate).
 DEFAULT_PATHS = ("src", "tests", "tools", "benchmarks", "examples")
@@ -51,29 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline file of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE} when it exists)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline to cover all current findings "
-        "(justifications on unchanged entries are preserved) and exit 0",
-    )
-    parser.add_argument(
-        "--strict-baseline", action="store_true",
-        help="also fail (exit 1) on stale baseline entries",
-    )
-    parser.add_argument(
-        "--prune-stale", action="store_true",
-        help="rewrite the baseline with stale capacity removed "
-        "(counts clamped to live findings, dead entries dropped) and exit 0",
-    )
-    parser.add_argument(
         "--select", metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
     )
@@ -93,16 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain", metavar="CODE",
         help="print one rule's rationale with trigger/avoid examples and exit",
-    )
-    parser.add_argument(
-        "--emit-fault-sites", metavar="FILE",
-        help="write the registry of literal fault_point() sites found in "
-        "the linted paths to FILE as markdown and exit",
-    )
-    parser.add_argument(
-        "--check-fault-sites", metavar="FILE",
-        help="fail (exit 1) when FILE does not match the fault-site "
-        "registry that --emit-fault-sites would write",
     )
     return parser
 
@@ -176,10 +142,9 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK
 
     root = Path(args.root)
-    raw_paths = args.paths or [
-        p for p in DEFAULT_PATHS if (root / p).exists()
+    paths = [Path(p) for p in args.paths] or [
+        root / p for p in DEFAULT_PATHS if (root / p).exists()
     ]
-    paths = [Path(p) for p in raw_paths]
     missing = [p for p in paths if not p.exists()]
     if missing:
         print(
@@ -197,111 +162,10 @@ def _run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.emit_fault_sites or args.check_fault_sites:
-        from .rules.rpl010_fault_sites import collect_fault_sites, render_fault_sites
-
-        registry = collect_fault_sites(contexts)
-        rendered = render_fault_sites(registry)
-        if args.emit_fault_sites:
-            Path(args.emit_fault_sites).write_text(rendered, encoding="utf-8")
-            print(
-                f"wrote {args.emit_fault_sites} "
-                f"({len(registry)} registered site(s))"
-            )
-            return EXIT_OK
-        target = Path(args.check_fault_sites)
-        current = target.read_text(encoding="utf-8") if target.exists() else None
-        if current != rendered:
-            print(
-                f"error: {target} is stale — regenerate it with "
-                "--emit-fault-sites",
-                file=sys.stderr,
-            )
-            return EXIT_FINDINGS
-        print(f"{target} matches the fault-site registry")
-        return EXIT_OK
-
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        elif (root / DEFAULT_BASELINE).exists() or args.write_baseline:
-            baseline_path = root / DEFAULT_BASELINE
-
-    if args.write_baseline:
-        if baseline_path is None:
-            print("error: --write-baseline needs --baseline or a repo root",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        previous = None
-        if baseline_path.exists():
-            try:
-                previous = Baseline.load(baseline_path)
-            except BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        line_texts = _line_texts(findings, contexts)
-        Baseline.from_findings(findings, line_texts, previous).save(baseline_path)
-        print(
-            f"wrote {baseline_path} covering {len(findings)} finding(s); "
-            "add a justification to every entry"
-        )
-        return EXIT_OK
-
-    if args.prune_stale:
-        if baseline_path is None or not baseline_path.exists():
-            print("error: --prune-stale needs an existing baseline file",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        pruned = baseline.pruned(findings)
-        before = sum(max(0, e.count) for e in baseline.entries)
-        after = sum(e.count for e in pruned.entries)
-        pruned.save(baseline_path)
-        print(
-            f"pruned {baseline_path}: {len(baseline.entries)} -> "
-            f"{len(pruned.entries)} entries "
-            f"({before - after} stale occurrence(s) removed)"
-        )
-        return EXIT_OK
-
-    baselined = 0
-    stale: List = []
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        findings, baselined, stale = baseline.apply(findings)
-
     renderer = render_json if args.format == "json" else render_text
-    report = renderer(
-        findings, files=len(contexts), baselined=baselined, stale=stale
-    )
+    report = renderer(findings, files=len(contexts))
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
     else:
         print(report)
-
-    if findings:
-        return EXIT_FINDINGS
-    if stale and args.strict_baseline:
-        return EXIT_FINDINGS
-    return EXIT_OK
-
-
-def _line_texts(
-    findings: Sequence[Finding], contexts: Sequence[FileContext]
-) -> Dict[str, str]:
-    by_rel = {ctx.rel: ctx for ctx in contexts}
-    texts: Dict[str, str] = {}
-    for f in findings:
-        ctx = by_rel.get(f.path)
-        if ctx is not None:
-            texts[f.fingerprint] = ctx.line_text(f.line).strip()
-    return texts
+    return EXIT_FINDINGS if findings else EXIT_OK

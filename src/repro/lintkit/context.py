@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional
 
@@ -20,33 +19,13 @@ ALL_CODES: FrozenSet[str] = frozenset({"*"})
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``fingerprint`` identifies the violation for baseline matching: it
-    hashes the rule code, the repo-relative path, and the *stripped
-    source line text* — not the line number — so baselines survive
-    unrelated edits that shift lines.
-    """
+    """One rule violation at a source location."""
 
     path: str  # repo-relative, POSIX separators
     line: int  # 1-based
     col: int  # 0-based
     code: str
     message: str
-    fingerprint: str = field(default="", compare=False)
-
-    def with_fingerprint(self, line_text: str) -> "Finding":
-        digest = hashlib.sha256(
-            f"{self.code}|{self.path}|{line_text.strip()}".encode("utf-8")
-        ).hexdigest()[:16]
-        return Finding(
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            code=self.code,
-            message=self.message,
-            fingerprint=digest,
-        )
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -71,7 +50,7 @@ class FileContext:
     path:
         Absolute path on disk.
     rel:
-        Repo-relative POSIX path (what findings and baselines record).
+        Repo-relative POSIX path (what findings record).
     module:
         Dotted module name when the file lives under ``src/`` (e.g.
         ``repro.core.dp``), else ``None``.
@@ -123,11 +102,6 @@ class FileContext:
             for p in prefixes
         )
 
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
     def is_suppressed(self, line: int, code: str) -> bool:
         codes = self._noqa.get(line)
         if codes is None:
@@ -146,12 +120,14 @@ class FileContext:
         return self._parents
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
-        """Build a fingerprinted :class:`Finding` anchored at ``node``."""
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
+        """Build a :class:`Finding` anchored at ``node``."""
         return Finding(
-            path=self.rel, line=line, col=col, code=code, message=message
-        ).with_fingerprint(self.line_text(line))
+            path=self.rel,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            code=code,
+            message=message,
+        )
 
 
 def _module_name(rel: str) -> Optional[str]:

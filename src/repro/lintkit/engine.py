@@ -58,8 +58,8 @@ def lint_paths(
 
     Returns ``(findings, contexts)``: findings are ``# noqa``-filtered
     and sorted by (path, line, col, code); contexts are returned so
-    callers (the CLI, the baseline writer) can map fingerprints back to
-    source lines.
+    callers (the CLI's file count, the call-graph tests) can reuse the
+    parsed files.
 
     Unparsable files yield a single ``RPL000`` finding rather than
     aborting the run — a syntax error in one file must not mask
@@ -84,7 +84,7 @@ def lint_paths(
                     col=(err.offset or 1) - 1,
                     code="RPL000",
                     message=f"syntax error: {err.msg}",
-                ).with_fingerprint(ctx.line_text(err.lineno or 1))
+                )
             )
             continue
         for rule in rules:

@@ -1,23 +1,24 @@
 """Text and JSON reporters.
 
-The JSON schema (version 1) is a stable contract asserted by
+The JSON schema (version 2) is a stable contract asserted by
 ``tests/lintkit/test_reporters.py`` — CI uploads the payload as an
 artifact, so downstream tooling may rely on every key below::
 
     {
-      "version": 1,
+      "version": 2,
       "tool": "repro.lintkit",
       "findings": [
         {"code": "...", "path": "...", "line": N, "col": N,
-         "message": "...", "fingerprint": "..."}
+         "message": "..."}
       ],
       "summary": {
-        "files": N, "total": N, "new": N, "baselined": N,
+        "files": N, "total": N, "new": N,
         "by_code": {"RPL001": N, ...}
-      },
-      "stale_baseline": [{"fingerprint": "...", "path": "...",
-                          "code": "..."}]
+      }
     }
+
+Version 2 dropped the baseline fields of version 1 (``fingerprint``,
+``summary.baselined``, ``stale_baseline``): every finding is new.
 """
 
 from __future__ import annotations
@@ -26,52 +27,28 @@ import json
 from collections import Counter
 from typing import Dict, List, Sequence
 
-from .baseline import BaselineEntry
 from .context import Finding
 
-JSON_SCHEMA_VERSION = 1
+JSON_SCHEMA_VERSION = 2
 
 
-def render_text(
-    new_findings: Sequence[Finding],
-    *,
-    files: int,
-    baselined: int,
-    stale: Sequence[BaselineEntry] = (),
-) -> str:
+def render_text(findings: Sequence[Finding], *, files: int) -> str:
     """Human-readable report: one line per finding plus a summary."""
-    lines: List[str] = []
-    for f in new_findings:
-        lines.append(f"{f.location()}: {f.code} {f.message}")
-    by_code = Counter(f.code for f in new_findings)
-    summary = (
-        f"{len(new_findings)} finding(s) in {files} file(s)"
-        + (f", {baselined} baselined" if baselined else "")
-    )
+    lines: List[str] = [f"{f.location()}: {f.code} {f.message}" for f in findings]
+    by_code = Counter(f.code for f in findings)
+    summary = f"{len(findings)} finding(s) in {files} file(s)"
     if by_code:
         summary += " [" + ", ".join(
             f"{code}: {count}" for code, count in sorted(by_code.items())
         ) + "]"
     lines.append(summary)
-    for entry in stale:
-        lines.append(
-            f"stale baseline entry {entry.fingerprint} "
-            f"({entry.code} {entry.path}) — violation no longer exists; "
-            "remove it or regenerate with --write-baseline"
-        )
     return "\n".join(lines)
 
 
-def render_json(
-    new_findings: Sequence[Finding],
-    *,
-    files: int,
-    baselined: int,
-    stale: Sequence[BaselineEntry] = (),
-) -> str:
+def render_json(findings: Sequence[Finding], *, files: int) -> str:
     """The stable machine-readable report (see module docstring)."""
     by_code: Dict[str, int] = dict(
-        sorted(Counter(f.code for f in new_findings).items())
+        sorted(Counter(f.code for f in findings).items())
     )
     payload = {
         "version": JSON_SCHEMA_VERSION,
@@ -83,20 +60,14 @@ def render_json(
                 "line": f.line,
                 "col": f.col,
                 "message": f.message,
-                "fingerprint": f.fingerprint,
             }
-            for f in new_findings
+            for f in findings
         ],
         "summary": {
             "files": files,
-            "total": len(new_findings) + baselined,
-            "new": len(new_findings),
-            "baselined": baselined,
+            "total": len(findings),
+            "new": len(findings),
             "by_code": by_code,
         },
-        "stale_baseline": [
-            {"fingerprint": e.fingerprint, "path": e.path, "code": e.code}
-            for e in stale
-        ],
     }
     return json.dumps(payload, indent=2)

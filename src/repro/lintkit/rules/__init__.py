@@ -11,6 +11,5 @@ from . import (  # noqa: F401
     rpl006_swallow,
     rpl007_async_blocking,
     rpl008_fork_safety,
-    rpl010_fault_sites,
     rpl011_deadline,
 )

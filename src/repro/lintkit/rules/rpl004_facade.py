@@ -3,24 +3,23 @@
 :mod:`repro.api` is the stable, keyword-only public surface (PR 4);
 ``repro.core`` and ``repro.assign`` are implementation internals whose
 signatures may churn freely.  Caller layers — the CLI, the HTTP
-serving layer (``service/``), ``analysis/``, ``tools/``,
-``benchmarks/`` — must import the facade so internal refactors never
-ripple outward.  The facade carries non-shadowing spellings where the
-obvious name collides with a subpackage (``api.optimize_rank`` for
-``api.optimize``, which cannot be re-exported at top level without
-shadowing ``repro.optimize``), so no caller layer has a structural
-excuse to reach inside.
+serving layer (``service/``), ``tools/``, ``benchmarks/`` — must import
+the facade so internal refactors never ripple outward.  The facade
+carries non-shadowing spellings where the obvious name collides with a
+subpackage (``api.optimize_rank`` for ``api.optimize``, which cannot be
+re-exported at top level without shadowing ``repro.optimize``), so no
+caller layer has a structural excuse to reach inside.
 
 Flagged: any ``import``/``from`` of ``repro.core``/``repro.assign`` (or
 their relative spellings ``from .core ...`` / ``from ..assign ...``)
 from a scoped file.  Exempt: imports inside ``if TYPE_CHECKING:``
 blocks, which express a typing dependency without runtime coupling.
 
-The ``analysis/`` package is the facade's own implementation layer and
-cannot import ``repro.api`` back (circular); its existing internal
-imports are carried in the committed baseline with per-entry
-justifications rather than silently exempted, so any *new* coupling
-still trips the gate.
+``analysis/`` is not scoped: it is the layer :mod:`repro.api`
+delegates to (``api.sweep``, ``api.corners`` and friends call into it),
+so it implements the facade and cannot import ``repro.api`` back
+without a cycle.  Its ``repro.core`` imports are the facade's own
+plumbing, not a caller reaching inside.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from ..registry import Rule, register
 #: Repo-relative path prefixes under the facade contract.
 SCOPED_PATHS = (
     "src/repro/cli.py",
-    "src/repro/analysis",
     "src/repro/service",
     "tools",
     "benchmarks",
@@ -49,8 +47,8 @@ class FacadeBoundaryRule(Rule):
     code = "RPL004"
     name = "facade-boundary"
     description = (
-        "Caller layers (cli.py, service/, analysis/, tools/, "
-        "benchmarks/) must import the stable repro.api facade, not "
+        "Caller layers (cli.py, service/, tools/, benchmarks/) must "
+        "import the stable repro.api facade, not "
         "repro.core / repro.assign internals; TYPE_CHECKING-only "
         "imports are exempt."
     )
@@ -140,6 +138,6 @@ class FacadeBoundaryRule(Rule):
             node,
             self.code,
             f"internal import '{target}' from a caller layer; go through "
-            "the stable repro.api facade (or baseline with justification "
-            "if the facade genuinely cannot cover it)",
+            "the stable repro.api facade (or add a justified "
+            "'# noqa: RPL004' if the facade genuinely cannot cover it)",
         )

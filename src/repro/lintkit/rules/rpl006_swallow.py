@@ -21,8 +21,8 @@ Inside ``repro.runner`` and ``repro.faultkit`` this rule flags:
 
 Narrow handlers (``except OSError``, ``except CheckpointError``) are
 not flagged: catching a *specific* failure is a decision, not a
-dragnet.  Survivors with a documented reason belong in the committed
-baseline, justification required, like every other rule.
+dragnet.  Survivors with a documented reason carry a justified
+``# noqa: RPL006``, like every other rule.
 """
 
 from __future__ import annotations

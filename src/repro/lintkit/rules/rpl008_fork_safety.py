@@ -13,7 +13,8 @@ gate should hold instead of a reviewer's memory.
 
 Using the shared call-graph pre-pass, this rule flags, inside
 *fork-reachable* functions (the closure from ``Process(target=...)``
-/ pool-``initializer=`` / ``.submit``-payload seeds):
+/ pool-``initializer=`` seeds; ``.submit`` payloads go to the service's
+thread pool and are not seeds):
 
 * reads of module-level variables bound to lock / thread / event-loop
   / socket handles (``_LOCK = threading.Lock()`` at module scope, used

@@ -62,6 +62,13 @@ MAX_GATES = 10**8
 MAX_REPEATER_UNITS = 2**14
 #: Cap on ``gates * repeater_units``: the two caps may not combine.
 MAX_GATE_UNITS = MAX_GATES * 512
+#: Cap on each tier's pair count (``local_pairs``, ``semi_global_pairs``,
+#: ``global_pairs``).  Solve time grows with the layer count: at 100k
+#: gates one solve took 0.03 s at 4 local pairs, 0.10 s at 16 and 0.25 s
+#: at 64 (2-CPU Xeon), while 10**8 local pairs gave no answer within a
+#: minute at a 10-20 s ``deadline_s``.  The paper's architectures and the
+#: default optimize design space use at most 3 per tier.
+MAX_PAIRS_PER_TIER = 64
 
 #: Registered rank solvers a request may ask for (the service refuses
 #: the test-only exhaustive/reference solvers: unbounded runtime).
@@ -269,10 +276,14 @@ class _Request:
             raise SchemaError(
                 f"solver: {self.solver!r} is not one of {REQUEST_SOLVERS!r}"
             )
-        if self.local_pairs < 1:
-            raise SchemaError(
-                f"local_pairs: must be >= 1, got {self.local_pairs!r}"
-            )
+        for name, minimum in (("local_pairs", 1), ("semi_global_pairs", 0),
+                              ("global_pairs", 0)):
+            count = getattr(self, name)
+            if not minimum <= count <= MAX_PAIRS_PER_TIER:
+                raise SchemaError(
+                    f"{name}: must be in [{minimum}, {MAX_PAIRS_PER_TIER}], "
+                    f"got {count!r}"
+                )
         if not 1 <= self.repeater_units <= MAX_REPEATER_UNITS:
             raise SchemaError(
                 f"repeater_units: must be in [1, {MAX_REPEATER_UNITS}], "

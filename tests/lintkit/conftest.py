@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.lintkit import lint_paths
+from repro.lintkit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PROJ = FIXTURES / "proj"
@@ -32,3 +33,10 @@ def run_lint(*rel_paths, select=None, ignore=None, root=PROJ):
 @pytest.fixture
 def lint():
     return run_lint
+
+
+def usage_exit(argv):
+    """Exit status of a CLI argv that argparse rejects (unknown flag)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code

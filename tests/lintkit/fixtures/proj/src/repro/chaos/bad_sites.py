@@ -1,4 +1,4 @@
-"""Fixture: chaos schedules that silently test nothing (RPL010)."""
+"""Fixture: chaos schedules that silently test nothing (test_fault_sites)."""
 
 from repro.faultkit import FaultSpec, fault_point
 

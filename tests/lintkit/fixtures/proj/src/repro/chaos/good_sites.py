@@ -1,4 +1,4 @@
-"""Fixture: literal sites and globs that match them (RPL010-clean)."""
+"""Fixture: literal sites and globs that match them (test_fault_sites-clean)."""
 
 from repro.faultkit import FaultSpec, fault_point
 

@@ -1,75 +1,64 @@
-"""Baseline round-trip, capacity semantics, staleness, justifications."""
+"""There is no baseline: a finding is either fixed or carries a justified
+``# noqa: RPLnnn``.  These tests pin that the baseline module, its data
+file and its flags are gone, and that nothing grandfathers a finding."""
 
+import importlib
+import io
 import json
+import re
+import tokenize
+from dataclasses import fields
+from importlib.util import find_spec
 
 import pytest
 
-from repro.lintkit import Baseline, lint_paths
-from repro.lintkit.baseline import BaselineEntry, BaselineError
+from repro.lintkit import Finding, lint_paths
+from repro.lintkit.cli import DEFAULT_PATHS, EXIT_FINDINGS, EXIT_USAGE, main
 
-from .conftest import PROJ
+from .conftest import PROJ, usage_exit
 
+BAD = str(PROJ / "bad_literals.py")
+ROOT = ["--root", str(PROJ)]
 
-def lint_literals():
-    findings, contexts = lint_paths(
-        [PROJ / "bad_literals.py"], PROJ, select=["RPL001"]
-    )
-    texts = {
-        f.fingerprint: contexts[0].line_text(f.line).strip() for f in findings
-    }
-    return findings, texts
+#: ``# noqa: RPLnnn[, RPLnnn]`` plus whatever follows on the line.
+NOQA = re.compile(r"noqa:\s*RPL\d+(?:\s*,\s*RPL\d+)*(?P<why>.*)")
 
 
 class TestRoundTrip:
-    def test_save_load_apply_absorbs_everything(self, tmp_path):
-        findings, texts = lint_literals()
-        baseline = Baseline.from_findings(findings, texts)
-        path = tmp_path / "bl.json"
-        baseline.save(path)
+    def test_save_load_apply_absorbs_everything(self, tmp_path, capsys):
+        bl = tmp_path / "bl.json"
+        code = usage_exit([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not bl.exists()
 
-        loaded = Baseline.load(path)
-        new, baselined, stale = loaded.apply(findings)
-        assert new == []
-        assert baselined == len(findings)
-        assert stale == []
+    def test_fixed_violation_reported_stale(self, capsys):
+        assert usage_exit([BAD, *ROOT, "--strict-baseline"]) == EXIT_USAGE
+        assert "--strict-baseline" in capsys.readouterr().err
 
-    def test_fixed_violation_reported_stale(self, tmp_path):
-        findings, texts = lint_literals()
-        baseline = Baseline.from_findings(findings, texts)
-        new, baselined, stale = baseline.apply(findings[:-1])
-        assert new == []
-        assert baselined == len(findings) - 1
-        assert [e.fingerprint for e in stale] == [findings[-1].fingerprint]
-
-    def test_new_violation_not_absorbed(self):
-        findings, texts = lint_literals()
-        baseline = Baseline.from_findings(findings[:-1], texts)
-        new, baselined, stale = baseline.apply(findings)
-        assert [f.fingerprint for f in new] == [findings[-1].fingerprint]
+    def test_new_violation_not_absorbed(self, tmp_path, capsys):
+        # A lint_baseline.json at the root is no longer picked up.
+        src = tmp_path / "bad.py"
+        src.write_text("def f(v):\n    return v / 1e-9\n")
+        (tmp_path / "lint_baseline.json").write_text(
+            json.dumps({"version": 1, "entries": []})
+        )
+        assert main([str(src), "--root", str(tmp_path)]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "1 finding(s) in 1 file(s)" in out
+        assert "baselined" not in out
 
 
 class TestFingerprints:
     def test_line_number_independent(self):
-        from repro.lintkit.context import Finding
-
-        a = Finding("p.py", 3, 0, "RPL001", "m").with_fingerprint("x = y / 1e-9")
-        b = Finding("p.py", 99, 4, "RPL001", "m").with_fingerprint(
-            "  x = y / 1e-9  "
-        )
-        assert a.fingerprint == b.fingerprint
+        assert [f.name for f in fields(Finding)] == [
+            "path", "line", "col", "code", "message"
+        ]
 
     def test_sensitive_to_code_path_and_text(self):
-        from repro.lintkit.context import Finding
-
-        base = Finding("p.py", 1, 0, "RPL001", "m").with_fingerprint("line")
-        assert (
-            Finding("q.py", 1, 0, "RPL001", "m").with_fingerprint("line").fingerprint
-            != base.fingerprint
-        )
-        assert (
-            Finding("p.py", 1, 0, "RPL003", "m").with_fingerprint("line").fingerprint
-            != base.fingerprint
-        )
+        finding = Finding("p.py", 1, 0, "RPL001", "m")
+        assert not hasattr(finding, "fingerprint")
+        assert not hasattr(finding, "with_fingerprint")
 
 
 class TestCapacity:
@@ -82,66 +71,72 @@ class TestCapacity:
             "    return a\n"
         )
         findings, _ = lint_paths([src], tmp_path, select=["RPL001"])
-        assert len(findings) == 2
-        fp = findings[0].fingerprint
-        assert findings[1].fingerprint == fp  # identical text, one identity
-
-        one = Baseline(entries=[BaselineEntry(fp, "RPL001", "dupes.py", "", count=1)])
-        new, baselined, stale = one.apply(findings)
-        assert len(new) == 1 and baselined == 1
-
-        two = Baseline(entries=[BaselineEntry(fp, "RPL001", "dupes.py", "", count=2)])
-        new, baselined, stale = two.apply(findings)
-        assert new == [] and baselined == 2 and stale == []
+        assert [f.line for f in findings] == [2, 3]
 
 
 class TestJustifications:
-    def test_carried_over_on_regeneration(self):
-        findings, texts = lint_literals()
-        first = Baseline.from_findings(findings, texts)
-        first.entries[0].justification = "because physics"
-        regenerated = Baseline.from_findings(findings, texts, previous=first)
-        by_fp = {e.fingerprint: e for e in regenerated.entries}
-        assert by_fp[first.entries[0].fingerprint].justification == "because physics"
+    def test_carried_over_on_regeneration(self, tmp_path):
+        # The justification now travels with the line it excuses.
+        src = tmp_path / "justified.py"
+        src.write_text(
+            "def f(v):\n"
+            "    # Relative tolerance, not a unit conversion.\n"
+            "    return v < 1e-9 * v  # noqa: RPL001\n"
+        )
+        findings, _ = lint_paths([src], tmp_path, select=["RPL001"])
+        assert findings == []
 
-    def test_serialized_only_when_present(self, tmp_path):
-        entry = BaselineEntry("abcd", "RPL001", "p.py", "x = 1e-9 * y")
-        assert "justification" not in entry.to_json()
-        entry.justification = "why"
-        assert entry.to_json()["justification"] == "why"
+    def test_serialized_only_when_present(self, capsys):
+        main([BAD, *ROOT, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"]
+        assert all("fingerprint" not in f for f in payload["findings"])
+        assert "justification" not in json.dumps(payload)
 
 
 class TestErrors:
-    def test_malformed_json_raises(self, tmp_path):
-        path = tmp_path / "bl.json"
-        path.write_text("{not json")
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
+    def test_malformed_json_raises(self):
+        assert find_spec("repro.lintkit.baseline") is None
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.lintkit.baseline")
 
-    def test_wrong_version_raises(self, tmp_path):
-        path = tmp_path / "bl.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
+    def test_wrong_version_raises(self, tmp_path, capsys):
+        bl = tmp_path / "bl.json"
+        bl.write_text(json.dumps({"version": 99, "entries": []}))
+        assert usage_exit([BAD, *ROOT, "--baseline", str(bl)]) == EXIT_USAGE
+        assert "--baseline" in capsys.readouterr().err
 
-    def test_malformed_entry_raises(self, tmp_path):
-        path = tmp_path / "bl.json"
-        path.write_text(json.dumps({"version": 1, "entries": [{"code": "X"}]}))
-        with pytest.raises(BaselineError):
-            Baseline.load(path)
+    def test_malformed_entry_raises(self, capsys):
+        assert usage_exit([BAD, *ROOT, "--no-baseline"]) == EXIT_USAGE
+        assert "--no-baseline" in capsys.readouterr().err
 
 
 class TestCommittedBaseline:
     def test_every_entry_is_justified(self):
-        """The repo's own baseline must stay fully justified — a bare
-        grandfathered violation is indistinguishable from an ignored
-        one."""
+        """No baseline file is committed, and every ``# noqa: RPLnnn``
+        in the gate's paths has a justification comment on its line or
+        the line above: a bare suppression is indistinguishable from an
+        ignored finding."""
         import pathlib
 
         repo = pathlib.Path(__file__).resolve().parents[2]
-        baseline = Baseline.load(repo / "lint_baseline.json")
-        assert baseline.entries, "committed baseline unexpectedly empty"
-        unjustified = [
-            e.fingerprint for e in baseline.entries if not e.justification.strip()
-        ]
-        assert unjustified == []
+        assert not (repo / "lint_baseline.json").exists()
+        files = []
+        for top in DEFAULT_PATHS:
+            files += [
+                p for p in sorted((repo / top).rglob("*.py"))
+                if "fixtures" not in p.parts and "__pycache__" not in p.parts
+            ]
+        bare = []
+        for path in files:
+            source = path.read_text(encoding="utf-8")
+            lines = source.splitlines()
+            for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+                match = NOQA.search(tok.string)
+                if tok.type != tokenize.COMMENT or match is None:
+                    continue
+                number = tok.start[0]
+                above = lines[number - 2].strip() if number > 1 else ""
+                if not (above.startswith("#") or match.group("why").strip()):
+                    bare.append(f"{path.relative_to(repo)}:{number}")
+        assert bare == []

@@ -1,10 +1,12 @@
-"""CLI contract: exit codes, selection, baseline workflow, JSON output."""
+"""CLI contract: exit codes, selection, the removed baseline flags, JSON
+output."""
 
 import json
 
 from repro.lintkit.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from repro.lintkit.reporters import JSON_SCHEMA_VERSION
 
-from .conftest import PROJ
+from .conftest import PROJ, usage_exit
 
 BAD = str(PROJ / "bad_literals.py")
 GOOD = str(PROJ / "src" / "repro" / "core" / "good_determinism.py")
@@ -62,56 +64,50 @@ class TestJSONOutput:
     def test_stdout_json(self, capsys):
         assert main([BAD, *ROOT, "--format", "json"]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == JSON_SCHEMA_VERSION == 2
+
+
+#: Flags that went with the baseline and the generated fault-site
+#: registry (``repro.faultkit.schedule.SITES`` is the only site list).
+REMOVED_FLAGS = (
+    ["--baseline", "bl.json"],
+    ["--no-baseline"],
+    ["--write-baseline"],
+    ["--strict-baseline"],
+    ["--prune-stale"],
+    ["--emit-fault-sites", "sites.md"],
+    ["--check-fault-sites", "sites.md"],
+)
 
 
 class TestBaselineWorkflow:
-    def test_write_then_gate_passes(self, tmp_path, capsys):
-        bl = tmp_path / "bl.json"
-        assert main([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"]) == EXIT_OK
-        assert "covering 4 finding(s)" in capsys.readouterr().out
+    """There is no baseline: every removed flag is a usage error."""
 
-        assert main([BAD, *ROOT, "--baseline", str(bl)]) == EXIT_OK
-        assert "4 baselined" in capsys.readouterr().out
+    def test_write_then_gate_passes(self, capsys):
+        for flag in REMOVED_FLAGS:
+            assert usage_exit([BAD, *ROOT, *flag]) == EXIT_USAGE
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_no_baseline_flag_reports_everything(self, tmp_path, capsys):
-        bl = tmp_path / "bl.json"
-        main([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"])
-        capsys.readouterr()
-        code = main([BAD, *ROOT, "--baseline", str(bl), "--no-baseline"])
-        assert code == EXIT_FINDINGS
+    def test_no_baseline_flag_reports_everything(self, capsys):
+        assert main([BAD, *ROOT]) == EXIT_FINDINGS
+        out = capsys.readouterr().out
+        assert "4 finding(s) in 1 file(s) [RPL001: 4]" in out
+        assert "baselined" not in out
 
-    def test_stale_entries_warn_then_fail_strict(self, tmp_path, capsys):
-        bl = tmp_path / "bl.json"
-        main([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"])
-        capsys.readouterr()
-        # Gate a clean file against the stale baseline.
-        assert main([GOOD, *ROOT, "--baseline", str(bl)]) == EXIT_OK
-        assert "stale baseline entry" in capsys.readouterr().out
-        assert (
-            main([GOOD, *ROOT, "--baseline", str(bl), "--strict-baseline"])
-            == EXIT_FINDINGS
-        )
+    def test_stale_entries_warn_then_fail_strict(self, capsys):
+        assert main([GOOD, *ROOT]) == EXIT_OK
+        assert "stale" not in capsys.readouterr().out
+        assert usage_exit([GOOD, *ROOT, "--strict-baseline"]) == EXIT_USAGE
 
-    def test_regeneration_preserves_justifications(self, tmp_path, capsys):
-        bl = tmp_path / "bl.json"
-        main([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"])
-        payload = json.loads(bl.read_text())
-        payload["entries"][0]["justification"] = "kept on purpose"
-        bl.write_text(json.dumps(payload))
-
-        main([BAD, *ROOT, "--baseline", str(bl), "--write-baseline"])
-        regenerated = json.loads(bl.read_text())
-        kept = [
-            e for e in regenerated["entries"]
-            if e.get("justification") == "kept on purpose"
-        ]
-        assert len(kept) == 1
+    def test_regeneration_preserves_justifications(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert usage_exit([BAD, *ROOT, "--write-baseline"]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
         bl = tmp_path / "bl.json"
         bl.write_text("{broken")
-        assert main([BAD, *ROOT, "--baseline", str(bl)]) == EXIT_USAGE
+        assert usage_exit([BAD, *ROOT, "--baseline", str(bl)]) == EXIT_USAGE
 
 
 class TestModuleEntrypoint:

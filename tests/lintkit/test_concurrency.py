@@ -1,7 +1,8 @@
-"""The concurrency-safety rules (RPL007, RPL008, RPL010, RPL011)
-against the fixture mini-repo, plus the CLI surface that rides on them
-(``--explain``, ``--prune-stale``, ``--emit-fault-sites`` /
-``--check-fault-sites``).
+"""The concurrency-safety rules (RPL007, RPL008, RPL011) against the
+fixture mini-repo, the fault-site checker of
+``tests/faultkit/test_fault_sites.py`` against its chaos fixtures, and
+the CLI surface that rides on them (``--explain``; the removed
+``--prune-stale`` / ``--emit-fault-sites`` / ``--check-fault-sites``).
 
 Each bad/good fixture pair forces one real defect class end to end: a
 blocking call below an async handler, a module-level lock used after
@@ -10,15 +11,16 @@ while the good twins (and the deliberately *unreachable* decoys) stay
 clean — the reachability classification, not a grep, is what fires.
 """
 
-import json
+from importlib.util import find_spec
 
 import pytest
 
-from repro.lintkit import lint_paths
+from repro.lintkit import all_rules, lint_paths
 from repro.lintkit.callgraph import analyze
-from repro.lintkit.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from repro.lintkit.cli import EXIT_OK, EXIT_USAGE, main
 
-from .conftest import PROJ, run_lint
+from ..faultkit.test_fault_sites import python_files, site_defects
+from .conftest import PROJ, run_lint, usage_exit
 
 SRV = "src/repro/srv"
 POOL = "src/repro/pool"
@@ -34,9 +36,11 @@ class TestCallGraph:
         # Loop side: the async handler seeds, its sync helper inherits.
         assert "repro.srv.bad_handler.handle_request" in graph.loop_seeds
         assert "repro.srv.bad_handler._load_config" in graph.loop_reachable
-        # Fork side: Process(target=...) and .submit payloads seed.
+        # Fork side: Process(target=...) seeds; a .submit payload runs
+        # on a thread pool, so it neither seeds nor is fork-reachable.
         assert "repro.pool.bad_worker._worker_main" in graph.fork_seeds
-        assert "repro.srv.bad_handler._solve" in graph.fork_reachable
+        assert "repro.srv.bad_handler._solve" not in graph.fork_seeds
+        assert "repro.srv.bad_handler._solve" not in graph.fork_reachable
         # The decoys are reachable from nothing.
         decoy = "repro.srv.good_handler._offline_maintenance"
         assert decoy not in graph.loop_reachable
@@ -86,22 +90,23 @@ class TestForkSafety:  # RPL008
         assert run_lint(f"{POOL}/good_worker.py", select=["RPL008"]) == []
 
 
-class TestFaultSites:  # RPL010
+class TestFaultSites:  # tests/faultkit/test_fault_sites.py
     def test_unmatched_glob_nonliteral_site_and_json_caught(self):
-        findings = run_lint(CHAOS, select=["RPL010"])
-        assert sorted(f.line for f in findings) == [7, 10, 12]
-        assert all(f.path.endswith("bad_sites.py") for f in findings)
-        messages = " ".join(f.message for f in findings)
+        defects = site_defects(python_files(PROJ / CHAOS), PROJ)
+        assert [line for _, line, _ in defects] == [7, 10, 12]
+        assert all(path.endswith("bad_sites.py") for path, _, _ in defects)
+        messages = " ".join(message for _, _, message in defects)
         assert "string literal" in messages
         assert "fixture.pool.strat" in messages
         assert "fixture.nope.*" in messages
+        # The good twin alone is clean: its globs match its own sites.
+        assert site_defects(python_files(PROJ / CHAOS / "good_sites.py"), PROJ) == []
 
     def test_glob_checks_need_a_registry(self):
-        # Linting only the bad file registers no sites, so glob
-        # validation has nothing to validate against: only the
-        # non-literal site fires.
-        findings = run_lint(f"{CHAOS}/bad_sites.py", select=["RPL010"])
-        assert [f.line for f in findings] == [7]
+        # The bad file alone registers no site, so nothing is skipped:
+        # with an empty registry every glob matches nothing.
+        defects = site_defects(python_files(PROJ / CHAOS / "bad_sites.py"), PROJ)
+        assert [line for _, line, _ in defects] == [7, 10, 12]
 
 
 class TestDeadlineCoverage:  # RPL011
@@ -128,63 +133,28 @@ class TestExplain:
 
 
 class TestPruneStale:
+    """``--prune-stale`` went with the baseline: it is an unknown flag."""
+
     def test_drops_dead_entries_keeps_live(self, tmp_path, capsys):
         bad = str(PROJ / CORE / "bad_deadline.py")
-        baseline = tmp_path / "baseline.json"
-        assert main([bad, *ROOT, "--baseline", str(baseline),
-                     "--write-baseline"]) == EXIT_OK
-        payload = json.loads(baseline.read_text())
-        live = len(payload["entries"])
-        assert live > 0
-        payload["entries"].append({
-            "fingerprint": "deadbeefdeadbeef",
-            "code": "RPL011",
-            "path": "src/repro/core/gone.py",
-            "line_text": "while gone:",
-            "count": 3,
-            "justification": "kept so pruning has something to prune",
-        })
-        baseline.write_text(json.dumps(payload))
-        assert main([bad, *ROOT, "--baseline", str(baseline),
-                     "--prune-stale"]) == EXIT_OK
-        assert "stale occurrence(s) removed" in capsys.readouterr().out
-        pruned = json.loads(baseline.read_text())
-        assert len(pruned["entries"]) == live
-        assert all(
-            e["fingerprint"] != "deadbeefdeadbeef"
-            for e in pruned["entries"]
-        )
-        # Pruning is idempotent and the gate now passes clean.
-        assert main([bad, *ROOT, "--baseline", str(baseline),
-                     "--strict-baseline"]) == EXIT_OK
+        assert usage_exit([bad, *ROOT, "--prune-stale"]) == EXIT_USAGE
+        assert "unrecognized arguments: --prune-stale" in capsys.readouterr().err
 
     def test_needs_an_existing_baseline(self, tmp_path, capsys):
         bad = str(PROJ / CORE / "bad_deadline.py")
-        missing = tmp_path / "nope.json"
-        assert main([bad, *ROOT, "--baseline", str(missing),
-                     "--prune-stale"]) == EXIT_USAGE
-        assert "existing baseline" in capsys.readouterr().err
+        missing = str(tmp_path / "nope.json")
+        assert usage_exit([bad, *ROOT, "--baseline", missing]) == EXIT_USAGE
 
 
 class TestFaultSiteRegistry:
-    def test_emit_then_check_roundtrip(self, tmp_path, capsys):
-        registry = tmp_path / "fault_sites.md"
-        chaos = str(PROJ / CHAOS)
-        assert main([chaos, *ROOT,
-                     "--emit-fault-sites", str(registry)]) == EXIT_OK
-        assert "2 registered site(s)" in capsys.readouterr().out
-        text = registry.read_text()
-        assert "`fixture.pool.start`" in text
-        assert "`fixture.pool.result`" in text
-        assert main([chaos, *ROOT,
-                     "--check-fault-sites", str(registry)]) == EXIT_OK
+    """The generated registry is gone; ``SITES`` is the only list."""
 
-    def test_check_fails_when_stale(self, tmp_path, capsys):
-        registry = tmp_path / "fault_sites.md"
-        chaos = str(PROJ / CHAOS)
-        assert main([chaos, *ROOT,
-                     "--emit-fault-sites", str(registry)]) == EXIT_OK
-        registry.write_text(registry.read_text() + "drift\n")
-        assert main([chaos, *ROOT,
-                     "--check-fault-sites", str(registry)]) == EXIT_FINDINGS
-        assert "stale" in capsys.readouterr().err
+    def test_emit_then_check_roundtrip(self, tmp_path, capsys):
+        for flag in ("--emit-fault-sites", "--check-fault-sites"):
+            argv = [str(PROJ / CHAOS), *ROOT, flag, str(tmp_path / "sites.md")]
+            assert usage_exit(argv) == EXIT_USAGE
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_check_fails_when_stale(self):
+        assert find_spec("repro.lintkit.rules.rpl010_fault_sites") is None
+        assert "RPL010" not in {cls.code for cls in all_rules()}

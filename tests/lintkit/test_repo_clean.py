@@ -1,6 +1,6 @@
-"""The repository gates itself: the tree the CI lint job checks must be
-clean against the committed baseline.  This is the same invocation as
-``python -m repro.lintkit src tests tools`` from the repo root."""
+"""The repository gates itself: ``python -m repro.lintkit`` with no
+paths, run from the repo root, must report no finding.  CI runs the
+same bare command, so both lint the CLI's default path set."""
 
 from pathlib import Path
 
@@ -10,16 +10,15 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def test_repo_is_clean_under_committed_baseline(capsys):
-    paths = [str(REPO / p) for p in ("src", "tests", "tools")]
-    code = main([*paths, "--root", str(REPO), "--strict-baseline"])
+    code = main(["--root", str(REPO)])
     out = capsys.readouterr().out
     assert code == EXIT_OK, f"lint gate failed:\n{out}"
-    assert out.startswith("0 finding(s)")
+    assert out.startswith("0 finding(s) in ")
+    assert "baselined" not in out
 
 
 def test_fixture_violations_are_walk_skipped(capsys):
     """The deliberately-violating fixture files must never leak into the
     repo gate: directory walks skip ``fixtures`` directories."""
-    code = main([str(REPO / "tests" / "lintkit"), "--root", str(REPO),
-                 "--no-baseline"])
+    code = main([str(REPO / "tests" / "lintkit"), "--root", str(REPO)])
     assert code == EXIT_OK

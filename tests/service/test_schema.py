@@ -9,6 +9,7 @@ from repro.errors import ReproError, SchemaError
 from repro.reporting import load_request, save_request
 from repro.schema import (
     MAX_GATES,
+    MAX_PAIRS_PER_TIER,
     MAX_REPEATER_UNITS,
     REQUEST_TYPES,
     SCHEMA_VERSION,
@@ -114,6 +115,12 @@ class TestRankRequest:
             ("repeater_units", {"repeater_units": 10**12}),
             ("repeater_units", {"repeater_units": MAX_REPEATER_UNITS + 1}),
             ("repeater_units", {"gates": MAX_GATES, "repeater_units": 1024}),
+            ("local_pairs", {"local_pairs": 100_000_000}),
+            ("local_pairs", {"local_pairs": MAX_PAIRS_PER_TIER + 1}),
+            ("semi_global_pairs", {"semi_global_pairs": MAX_PAIRS_PER_TIER + 1}),
+            ("global_pairs", {"global_pairs": MAX_PAIRS_PER_TIER + 1}),
+            ("semi_global_pairs", {"semi_global_pairs": -1}),
+            ("global_pairs", {"global_pairs": -1}),
         ],
     )
     def test_oversized_values_rejected_by_name(self, field, payload):
@@ -129,6 +136,10 @@ class TestRankRequest:
             {"gates": 2_000_000, "repeater_units": 512},
             {"gates": MAX_GATES, "repeater_units": 512},
             {"gates": 1_000_000, "repeater_units": MAX_REPEATER_UNITS},
+            {"local_pairs": MAX_PAIRS_PER_TIER,
+             "semi_global_pairs": MAX_PAIRS_PER_TIER,
+             "global_pairs": MAX_PAIRS_PER_TIER},
+            {"local_pairs": 1, "semi_global_pairs": 0, "global_pairs": 0},
         ):
             request = RankRequest.from_wire(payload)
             assert RankRequest(**payload).fingerprint() == request.fingerprint()

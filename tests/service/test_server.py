@@ -113,6 +113,7 @@ class TestErrors:
                 "repeater_units",
             ),
             (b'{"gates": 1000000000000000000000000000000}', "gates"),
+            (b'{"local_pairs": 100000000}', "local_pairs"),
         ],
     )
     def test_oversized_request_is_400_not_500(self, body, field):
