@@ -5,8 +5,12 @@ Same recurrence and state space as the scalar test oracle
 layer-pair* of work per kernel call instead of one ``(b, r)`` state at
 a time:
 
-* every strict-improvement source state of ``F[pair-1]`` is located
-  with one boolean scan,
+* the transition reads its source states as arrays ``(bs, rs, zs)``,
+  not as a table: :func:`_close_pair` lists the few thousand finite
+  cells of the pair's scatter buffer and keeps the strict-improvement
+  records of each row, exactly the states a cummin over budgets would
+  expose, then resets those cells for the next pair, so the solve
+  allocates one dense buffer in all,
 * their prefix extensions are expanded a run of whole states at a
   time, about ``_BLOCK`` candidates per run, with in-place ufuncs over
   cache-sized temporaries, and each run is scatter-minimized into
@@ -15,9 +19,10 @@ a time:
   multi-million candidates are never materialized at once; only the
   rank-scan subset of each run is kept,
 * witness parents are *not* tracked during the forward pass — the
-  kernel retains each pair's pre-cummin ``F`` table and compact state
-  arrays, and :func:`_recover_parents` re-derives the parent of the
-  one cell per pair the backward walk actually visits,
+  kernel retains each pair's finite cells ``(rows, cols, vals)`` and
+  compact state arrays, and :func:`_recover_parents` rebuilds the one
+  row per pair the backward walk reads and re-derives the parent of
+  the one cell it visits,
 * the rank-candidate scan runs level-major — highest end group first
   across *all* states — with a vectorized
   :func:`~repro.assign.greedy_assign.pack_required_leftover` threshold
@@ -83,25 +88,38 @@ _PRUNE_MARGIN = 1.0 - 1e-9
 _BLOCK = 1 << 14
 
 #: One pair's transition, as :func:`_pair_transition` returns it.
-_PairTransition = namedtuple(
-    "_PairTransition", "f_new bs rs zs capacity e_hi scan"
-)
+_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi scan")
+
+
+def _start(tables: AssignmentTables, disc):
+    """The solve's scatter buffer and the first pair's source states.
+
+    The buffer holds ``F[pair]`` row-major, ``(G+1) x (R+1)`` cells plus
+    one overflow cell, all ``inf``; :func:`_close_pair` leaves it so
+    after every pair.  Before the first pair only the empty prefix is
+    reachable, for free: the one source ``(b, r, z) = (0, 0, 0.0)``.
+    """
+    flat = np.full((tables.num_groups + 1) * (disc.num_units + 1) + 1, math.inf)
+    zero = np.zeros(1, dtype=np.int64)
+    return flat, (zero, zero.copy(), np.zeros(1))
 
 
 def _pair_transition(
     tables: AssignmentTables,
     disc,
     stats,
-    f_prev: np.ndarray,
+    flat: np.ndarray,
+    sources: Tuple[np.ndarray, np.ndarray, np.ndarray],
     pair: int,
     thr: int,
     ranks: Optional[np.ndarray] = None,
 ) -> _PairTransition:
-    """Expand every useful state of ``F[pair-1]`` into ``F[pair]``.
+    """Expand the source states ``(bs, rs, zs)`` of ``F[pair-1]`` into
+    ``F[pair]``, scatter-minimized into ``flat`` (see :func:`_start`).
 
-    ``f_new`` is ``F[pair]`` before the cummin over budgets.  ``bs, rs,
-    zs, capacity, e_hi`` are the source states that extend at all; state
-    ``s`` has one candidate per end group in ``[bs[s], e_hi[s]]``.
+    ``bs, rs, zs, capacity, e_hi`` are the source states that extend at
+    all; state ``s`` has one candidate per end group in
+    ``[bs[s], e_hi[s]]``.
     ``scan`` is the rank-scan subset ``(es, nr, nz, leftover, sid)`` of
     the candidates within budget and delay whose end group is at least
     ``thr``, in processing order (states row-major in ``(b, r)``, ends
@@ -121,16 +139,11 @@ def _pair_transition(
     delay_limit = tables.next_infeasible[pair]
     via_area = float(tables.via_area[pair])
 
-    # --- Transition sources: strict-improvement states of f_prev.
-    # f_prev is cummin'd over r (non-increasing rows), so "value
-    # strictly better than every smaller budget" is exactly a
-    # strict decrease from the left neighbour.
-    use = np.isfinite(f_prev)
-    use[:, 1:] &= f_prev[:, 1:] < f_prev[:, :-1]
-    bs, rs = np.nonzero(use)  # row-major == the scalar loop's order
+    # Strict-improvement states of F[pair-1], row-major in (b, r) ==
+    # the scalar loop's order.
+    bs, rs, zs = sources
     stats.states_explored += len(bs)
 
-    zs = f_prev[bs, rs]
     wires_above = tables.cum_wires[bs].astype(float)
     vias, routing = tables.vias_per_wire, tables.routing_capacity
     capacity = np.maximum(0.0, routing - (zs + vias * wires_above) * via_area)
@@ -152,9 +165,7 @@ def _pair_transition(
     # F[pair] lives in a flat buffer with one extra overflow cell;
     # infeasible candidates scatter there and are never read back.
     width = num_units + 1
-    size = (num_groups + 1) * width
-    flat = np.full(size + 1, math.inf)
-    f_new = flat[:size].reshape(num_groups + 1, width)
+    size = len(flat) - 1
 
     # Candidate c of state s extends the prefix to end group es[c] in
     # [bs[s], e_hi[s]].  The candidates are processed in runs of whole
@@ -249,9 +260,50 @@ def _pair_transition(
         es = nr = sid = np.zeros(0, dtype=np.int64)
         nz = np.zeros(0)
     leftover = capacity[sid] - (cum_area[es] - cum_area[bs[sid]])
-    return _PairTransition(
-        f_new, bs, rs, zs, capacity, e_hi, (es, nr, nz, leftover, sid)
-    )
+    return _PairTransition(bs, rs, zs, capacity, e_hi, (es, nr, nz, leftover, sid))
+
+
+def _close_pair(flat: np.ndarray, width: int):
+    """Read the pair's source states for the next pair out of ``flat``
+    (``F[pair]`` of row width ``width`` plus the overflow cell) and reset
+    it to all ``inf``.
+
+    The next pair reads the strict-improvement states of ``F[pair]``
+    cummin'd over budgets: the finite cells whose value is strictly
+    below every earlier finite cell of their row.  Only those cells are
+    touched, in row-major order, with their values copied unchanged, so
+    the states, their order and their ``z`` match the dense cummin's.
+    Returns ``(sources, cells)``: the records ``(bs, rs, zs)`` and every
+    finite cell ``(rows, cols, vals)``, which the witness keeps.
+    """
+    size = len(flat) - 1
+    idx = np.flatnonzero(flat[:size] < math.inf)
+    vals = flat[idx]
+    flat[idx] = math.inf
+    flat[size] = math.inf
+    rows, cols = np.divmod(idx, width)
+
+    # The first finite cell of a row is a record; a later one is when
+    # it beats the running minimum of the row's earlier cells.  Rows
+    # with several cells (a few per pair) get a cummin padded to the
+    # longest of them.
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(keep)
+    counts = np.diff(np.append(starts, len(idx)))
+    several = counts > 1
+    if several.any():
+        starts, counts = starts[several], counts[several]
+        ramp = np.arange(counts.max())
+        inside = ramp < counts[:, None]
+        pos = (starts[:, None] + ramp)[inside]
+        pad = np.full(inside.shape, math.inf)
+        pad[inside] = vals[pos]
+        runmin = np.minimum.accumulate(pad, axis=1)
+        beats = np.ones(inside.shape, dtype=bool)
+        beats[:, 1:] = pad[:, 1:] < runmin[:, :-1]
+        keep[pos] = beats[inside]
+    return (rows[keep], cols[keep], vals[keep]), (rows, cols, vals)
 
 
 def solve_pairs_numpy(
@@ -267,17 +319,17 @@ def solve_pairs_numpy(
     :func:`repro.core.dp._solve_pairs_python` does.
     """
     cum_wires = tables.cum_wires
-    # Before the first pair only the empty prefix is reachable, for free.
-    f_prev = np.full((tables.num_groups + 1, disc.num_units + 1), math.inf)
-    f_prev[0] = 0.0
+    width = disc.num_units + 1
+    flat, sources = _start(tables, disc)
 
     best_rank = 0
     best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
-    # Per-pair (bs, rs, zs, e_hi, f_new) snapshots for the lazy
+    # Per-pair (bs, rs, zs, e_hi, cells) snapshots for the lazy
     # backward parent recovery; only kept when a witness is requested.
-    snapshots: List[Optional[Tuple[np.ndarray, ...]]] = []
+    snapshots: List[Optional[Tuple]] = []
     transition_s = 0.0
     rank_scan_s = 0.0
+    close_s = 0.0
 
     for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
@@ -285,7 +337,7 @@ def solve_pairs_numpy(
         # Only ends whose cumulative wire count beats the running best
         # can improve the rank; best_rank is fixed during the transition.
         thr = int(np.searchsorted(cum_wires, best_rank, side="right"))
-        step = _pair_transition(tables, disc, stats, f_prev, pair, thr)
+        step = _pair_transition(tables, disc, stats, flat, sources, pair, thr)
         transition_s += time.perf_counter() - t0
 
         # --- Rank candidates, level-major: highest end group first.
@@ -300,17 +352,17 @@ def solve_pairs_numpy(
                 best_rank, best_trace = hit
         rank_scan_s += time.perf_counter() - t1
 
-        # --- Close the pair: cummin over the budget axis.
+        t2 = time.perf_counter()
+        sources, cells = _close_pair(flat, width)
+        close_s += time.perf_counter() - t2
         if collect_witness:
-            snap = (step.bs, step.rs, step.zs, step.e_hi, step.f_new)
+            snap = (step.bs, step.rs, step.zs, step.e_hi, cells)
             snapshots.append(snap if len(step.bs) else None)
-        f_prev = np.minimum.accumulate(step.f_new, axis=1)
-        # Free the pair's F table before the next pair builds its own.
-        del step
 
     if _metrics_enabled():
         _obs_observe("solver.dp.kernel.transition_s", transition_s)
         _obs_observe("solver.dp.kernel.rank_scan_s", rank_scan_s)
+        _obs_observe("solver.dp.kernel.close_s", close_s)
 
     parent_b: List = []
     parent_r: List = []
@@ -329,9 +381,7 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     cum_wires = tables.cum_wires
     width = disc.num_units + 1
     ranks = np.zeros(width, dtype=np.int64)
-    # Before the first pair only the empty prefix is reachable, for free.
-    f_prev = np.full((tables.num_groups + 1, width), math.inf)
-    f_prev[0] = 0.0
+    flat, sources = _start(tables, disc)
 
     for pair in range(tables.num_pairs):
         # Only candidates that would raise the curve at their own
@@ -339,11 +389,10 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
         # index threshold on it is a cheap first cut; ranks is fixed
         # during the transition.
         thr = int(np.searchsorted(cum_wires, ranks[0], side="right"))
-        step = _pair_transition(tables, disc, stats, f_prev, pair, thr, ranks)
+        step = _pair_transition(tables, disc, stats, flat, sources, pair, thr, ranks)
         es, nr, nz, left, _ = step.scan
         _scan_budget_levels(tables, stats, pair, ranks, es, nz, left, nr)
-        f_prev = np.minimum.accumulate(step.f_new, axis=1)
-        del step
+        sources, _ = _close_pair(flat, width)
     return ranks
 
 
@@ -358,9 +407,10 @@ def _recover_parents(
     The witness walk in :func:`repro.core.dp._reconstruct_witness`
     reads exactly one ``parent[p][b, r]`` cell per pair, so instead of
     attributing parents to every DP cell during the forward pass the
-    kernel retains per-pair snapshots and this function answers the few
-    queries after the fact, by the same two rules the scalar loop
-    applies eagerly:
+    kernel retains per-pair snapshots (its source states and the finite
+    cells of ``F[pair]`` before the cummin) and this function answers
+    the few queries after the fact, by the same two rules the scalar
+    loop applies eagerly:
 
     * the cummin source of ``(b, r)`` is the *last* column ``c <= r``
       whose pre-cummin value attains the running minimum (a tie keeps
@@ -383,10 +433,14 @@ def _recover_parents(
         pb_val = pr_val = -1
         snap = snapshots[p]
         if snap is not None:
-            bs, rs, zs, e_hi, f_new = snap
-            row = f_new[cur_b]
-            runmin = np.minimum.accumulate(row[: cur_r + 1])
-            att = np.flatnonzero(row[1 : cur_r + 1] <= runmin[:cur_r])
+            bs, rs, zs, e_hi, (rows, cols, vals) = snap
+            # Rebuild the walked row of F[p] before the cummin, up to r.
+            lo, hi = np.searchsorted(rows, (cur_b, cur_b + 1))
+            row = np.full(cur_r + 1, math.inf)
+            upto = cols[lo:hi] <= cur_r
+            row[cols[lo:hi][upto]] = vals[lo:hi][upto]
+            runmin = np.minimum.accumulate(row)
+            att = np.flatnonzero(row[1:] <= runmin[:-1])
             c = int(att[-1]) + 1 if len(att) else 0
             value = row[c]
 

@@ -63,7 +63,8 @@ MAX_REPEATER_UNITS = 2**14
 #: Cap on ``gates * repeater_units``: the two caps may not combine.
 MAX_GATE_UNITS = MAX_GATES * 512
 #: Cap on each tier's pair count (``local_pairs``, ``semi_global_pairs``,
-#: ``global_pairs``).  Solve time grows with the layer count: at 100k
+#: ``global_pairs`` and every element of an optimize request's
+#: ``*_pairs_choices``).  Solve time grows with the layer count: at 100k
 #: gates one solve took 0.03 s at 4 local pairs, 0.10 s at 16 and 0.25 s
 #: at 64 (2-CPU Xeon), while 10**8 local pairs gave no answer within a
 #: minute at a 10-20 s ``deadline_s``.  The paper's architectures and the
@@ -585,11 +586,15 @@ class OptimizeRequest(_Request):
                      "miller_factors"):
             if not getattr(self, name):
                 raise SchemaError(f"{name}: must not be empty")
-        if min(self.local_pairs_choices) < 1:
-            raise SchemaError(
-                f"local_pairs_choices: must all be >= 1, "
-                f"got {self.local_pairs_choices!r}"
-            )
+        for name, minimum in (("local_pairs_choices", 1),
+                              ("semi_global_pairs_choices", 0),
+                              ("global_pairs_choices", 0)):
+            for i, count in enumerate(getattr(self, name)):
+                if not minimum <= count <= MAX_PAIRS_PER_TIER:
+                    raise SchemaError(
+                        f"{name}[{i}]: must be in "
+                        f"[{minimum}, {MAX_PAIRS_PER_TIER}], got {count!r}"
+                    )
         if self.max_metal_layers < 2:
             raise SchemaError(
                 f"max_metal_layers: must be >= 2, got {self.max_metal_layers!r}"

@@ -143,19 +143,89 @@ class TestTransitionBounds:
         tables, _ = problem.tables()
         disc = discretize_repeaters(tables, 32)
         stats = dp.SolverStats(solver="dp")
-        f_prev = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
-        f_prev[0] = 0.0
+        flat, sources = dp_numpy._start(tables, disc)
         walled = 0
         for pair in range(tables.num_pairs):
-            step = dp_numpy._pair_transition(tables, disc, stats, f_prev, pair, 0)
+            step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, pair, 0)
             wall = tables.next_infeasible[pair][step.bs]
             assert np.all(step.e_hi <= wall)
             cum_area = tables.cum_wire_area[pair]
             beyond = np.minimum(wall + 1, tables.num_groups)
             reach = cum_area[beyond] - cum_area[step.bs]
             walled += int(np.count_nonzero((wall < beyond) & (reach <= step.capacity)))
-            f_prev = np.minimum.accumulate(step.f_new, axis=1)
+            sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
         assert walled > 0
+
+
+def _dense_close(table):
+    """The close the sparse one replaced: cummin over budgets, then the
+    strict decreases of each row."""
+    f = np.minimum.accumulate(table, axis=1)
+    use = np.isfinite(f)
+    use[:, 1:] &= f[:, 1:] < f[:, :-1]
+    bs, rs = np.nonzero(use)
+    return bs, rs, f[bs, rs]
+
+
+class TestClosePair:
+    """``_close_pair`` returns the dense close's sources, exactly, and
+    leaves the buffer all ``inf``.  Real workloads have at most one
+    record per row, so the several-records branch is pinned here."""
+
+    @staticmethod
+    def _close(table, overflow=np.inf):
+        width = table.shape[1]
+        flat = np.append(table.ravel(), overflow)
+        sources, cells = dp_numpy._close_pair(flat, width)
+        assert np.all(flat == np.inf)
+        rows, cols, vals = cells
+        finite = np.isfinite(table)
+        assert np.array_equal(rows * width + cols, np.flatnonzero(finite))
+        assert np.array_equal(vals, table[finite])
+        return sources
+
+    def _assert_matches_dense(self, table, overflow=np.inf):
+        got = self._close(table, overflow)
+        for a, b in zip(got, _dense_close(table)):
+            assert a.dtype.kind == b.dtype.kind
+            assert np.array_equal(a, b)
+
+    def test_handmade_rows(self):
+        inf = np.inf
+        table = np.array(
+            [
+                [0.0, inf, inf, inf, inf, inf],  # record in column 0 only
+                [inf, inf, inf, inf, inf, inf],  # all inf
+                [inf, 5.0, 7.0, 3.0, 3.0, 1.0],  # records 5, 3, 1; tie 3
+                [2.0, 2.0, inf, 1.5, 2.0, 1.5],  # ties are not records
+                [inf, inf, inf, inf, inf, 4.0],  # record in the last column
+                [9.0, 8.0, 7.0, 6.0, 5.0, 4.0],  # every cell a record
+            ]
+        )
+        bs, rs, zs = self._close(table, overflow=-1.0)
+        assert list(zip(bs, rs, zs)) == [
+            (0, 0, 0.0),
+            (2, 1, 5.0), (2, 3, 3.0), (2, 5, 1.0),
+            (3, 0, 2.0), (3, 3, 1.5),
+            (4, 5, 4.0),
+            (5, 0, 9.0), (5, 1, 8.0), (5, 2, 7.0),
+            (5, 3, 6.0), (5, 4, 5.0), (5, 5, 4.0),
+        ]
+        self._assert_matches_dense(table, overflow=-1.0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sparse_tables(self, seed):
+        """Small integer values make ties common; the density sweeps
+        from mostly-empty rows to full ones."""
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 30)))
+        table = rng.integers(0, 6, size=shape).astype(float)
+        table[rng.random(shape) >= rng.uniform(0.02, 1.0)] = np.inf
+        self._assert_matches_dense(table, overflow=float(rng.integers(0, 6)))
+
+    def test_empty_buffer(self):
+        bs, rs, zs = self._close(np.full((3, 4), np.inf))
+        assert len(bs) == len(rs) == len(zs) == 0
 
 
 def _counters(stats):
@@ -222,18 +292,32 @@ class TestBlockedTransition:
 
 
 class TestMemory:
-    def test_no_whole_pair_candidate_arrays(self):
-        """The transition never holds a whole layer-pair's candidates:
-        at this size that peaks at ~54 MB, the blocked runs at ~28 MB
-        (tracemalloc counts numpy's buffers)."""
+    """The transition never holds a whole layer-pair's candidates: at
+    this size that peaks at ~54 MB, the blocked runs at ~22 MB, with or
+    without a witness, whose snapshots keep only each pair's finite
+    cells (tracemalloc counts numpy's buffers)."""
+
+    @staticmethod
+    def _peak(collect_witness):
         problem = baseline_problem("130nm", 1_000_000)
         tracemalloc.start()
         try:
-            compute_rank(problem, bunch_size=10_000, repeater_units=512)
+            compute_rank(
+                problem,
+                bunch_size=10_000,
+                repeater_units=512,
+                collect_witness=collect_witness,
+            )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        return peak
+
+    def test_no_whole_pair_candidate_arrays(self):
+        assert self._peak(collect_witness=False) < 40 * 2**20
+
+    def test_no_whole_pair_candidate_arrays_with_witness(self):
+        assert self._peak(collect_witness=True) < 40 * 2**20
 
 
 class TestDeadline:

@@ -169,4 +169,10 @@ class TestGlobalHelpers:
         assert counters["solver.dp.solves"] == 1
         assert counters["solver.dp.rows"] == result.stats.rows > 0
         assert counters["solver.dp.transitions"] == result.stats.transitions
-        assert obs.snapshot()["timers"]["solver.dp.solve_s"]["count"] == 1
+        timers = obs.snapshot()["timers"]
+        assert timers["solver.dp.solve_s"]["count"] == 1
+        # The kernel's three layers, the close of each pair included.
+        for name in ("transition_s", "rank_scan_s", "close_s"):
+            timer = timers[f"solver.dp.kernel.{name}"]
+            assert timer["count"] == 1
+            assert 0.0 <= timer["total_s"] <= timers["solver.dp.solve_s"]["total_s"]

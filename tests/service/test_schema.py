@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -121,13 +122,26 @@ class TestRankRequest:
             ("global_pairs", {"global_pairs": MAX_PAIRS_PER_TIER + 1}),
             ("semi_global_pairs", {"semi_global_pairs": -1}),
             ("global_pairs", {"global_pairs": -1}),
+            ("local_pairs_choices[0]",
+             {"local_pairs_choices": [100_000_000]}),
+            ("local_pairs_choices[1]", {"local_pairs_choices": [1, 0]}),
+            ("semi_global_pairs_choices[2]",
+             {"semi_global_pairs_choices": [1, 2, MAX_PAIRS_PER_TIER + 1]}),
+            ("global_pairs_choices[1]",
+             {"global_pairs_choices": [MAX_PAIRS_PER_TIER, 10**9]}),
         ],
     )
     def test_oversized_values_rejected_by_name(self, field, payload):
-        with pytest.raises(SchemaError, match=f"^{field}: must be"):
-            RankRequest.from_wire(payload)
-        with pytest.raises(SchemaError, match=field):
-            RankRequest(**payload)
+        """Each error names the field, or the element of a choice list
+        (only an optimize request has those), on the wire and when the
+        request is built directly."""
+        cls = OptimizeRequest if "_choices" in field else RankRequest
+        with pytest.raises(SchemaError, match=f"^{re.escape(field)}: must be"):
+            cls.from_wire(payload)
+        direct = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in payload.items()}
+        with pytest.raises(SchemaError, match=f"^{re.escape(field)}: must be"):
+            cls(**direct)
 
     def test_caps_admit_every_documented_size(self):
         """The caps only reject: the benchmark's and the CLI's sizes
@@ -145,6 +159,14 @@ class TestRankRequest:
             assert RankRequest(**payload).fingerprint() == request.fingerprint()
         assert RankRequest.from_wire({}).fingerprint() == (
             RankRequest().fingerprint()
+        )
+        choices = {"local_pairs_choices": (1, MAX_PAIRS_PER_TIER),
+                   "semi_global_pairs_choices": (0, MAX_PAIRS_PER_TIER),
+                   "global_pairs_choices": (0, MAX_PAIRS_PER_TIER)}
+        assert OptimizeRequest(**choices).fingerprint() == (
+            OptimizeRequest.from_wire(
+                {k: list(v) for k, v in choices.items()}
+            ).fingerprint()
         )
 
     def test_bunch_size_zero_and_none_canonicalize_alike(self):

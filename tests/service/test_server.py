@@ -114,13 +114,18 @@ class TestErrors:
             ),
             (b'{"gates": 1000000000000000000000000000000}', "gates"),
             (b'{"local_pairs": 100000000}', "local_pairs"),
+            (b'{"semi_global_pairs_choices": [1, 2, 100000000]}',
+             "semi_global_pairs_choices[2]"),
         ],
     )
     def test_oversized_request_is_400_not_500(self, body, field):
-        """Sizes the solve could not allocate are refused up front."""
+        """Sizes the solve could not allocate are refused up front; the
+        choice lists belong to ``/v1/optimize``."""
+        path = "/v1/optimize" if "_choices" in field else "/v1/rank"
+
         async def scenario():
             async with running_service() as (service, client):
-                status, _, raw = await client.request("POST", "/v1/rank", body)
+                status, _, raw = await client.request("POST", path, body)
                 assert status == 400
                 payload = json.loads(raw)
                 assert payload["error"] == "SchemaError"
