@@ -16,15 +16,18 @@ a time:
   cache-sized temporaries, and each run is scatter-minimized into
   ``F[pair]`` with ``np.minimum.at``; infeasible candidates are routed
   to a dummy overflow cell instead of compressed away, and the pair's
-  multi-million candidates are never materialized at once; only the
-  rank-scan subset of each run is kept,
+  multi-million candidates are never materialized at once; of each
+  state only its last valid end group ``v_hi`` is kept, as its valid
+  ends are a prefix of its range,
 * witness parents are *not* tracked during the forward pass — the
   kernel retains each pair's finite cells ``(rows, cols, vals)`` and
   compact state arrays, and :func:`_recover_parents` rebuilds the one
   row per pair the backward walk reads and re-derives the parent of
   the one cell it visits,
 * the rank-candidate scan runs level-major — highest end group first
-  across *all* states — with a vectorized
+  across *all* states — and :func:`_candidates` rebuilds a level's
+  candidates only when the scan reaches it (bit-identical to the
+  transition's), with a vectorized
   :func:`~repro.assign.greedy_assign.pack_required_leftover` threshold
   test pruning provably-failing candidates before any scalar
   :func:`~repro.assign.greedy_assign.pack_suffix` call.
@@ -88,7 +91,7 @@ _PRUNE_MARGIN = 1.0 - 1e-9
 _BLOCK = 1 << 14
 
 #: One pair's transition, as :func:`_pair_transition` returns it.
-_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi scan")
+_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi v_hi")
 
 
 def _start(tables: AssignmentTables, disc):
@@ -111,22 +114,20 @@ def _pair_transition(
     flat: np.ndarray,
     sources: Tuple[np.ndarray, np.ndarray, np.ndarray],
     pair: int,
-    thr: int,
-    ranks: Optional[np.ndarray] = None,
+    deadline: Optional[float],
 ) -> _PairTransition:
     """Expand the source states ``(bs, rs, zs)`` of ``F[pair-1]`` into
     ``F[pair]``, scatter-minimized into ``flat`` (see :func:`_start`).
 
     ``bs, rs, zs, capacity, e_hi`` are the source states that extend at
     all; state ``s`` has one candidate per end group in
-    ``[bs[s], e_hi[s]]``.
-    ``scan`` is the rank-scan subset ``(es, nr, nz, leftover, sid)`` of
-    the candidates within budget and delay whose end group is at least
-    ``thr``, in processing order (states row-major in ``(b, r)``, ends
-    ascending): end group, cells, repeaters above, the top pair's
-    leftover capacity and source state.  With ``ranks`` (the budget
-    curve), only candidates that would raise ``ranks`` at their own cell
-    are kept.
+    ``[bs[s], e_hi[s]]``.  Its candidates within budget are those up to
+    ``v_hi[s]`` (``bs[s] - 1`` when there are none): up to ``e_hi``,
+    ``cum_rep`` is finite and non-decreasing (or ``inf`` from ``b`` on,
+    when no end is valid), and IEEE subtract, divide and ceil are
+    monotone, so the cell count never falls as the end group grows and
+    the valid ends form a prefix of the range.  :func:`_candidates`
+    rebuilds any of them on demand.
     """
     num_units = disc.num_units
     unit_area = disc.unit_area
@@ -180,17 +181,15 @@ def _pair_transition(
     # its first candidate index, so candidate c ends at shift[s] + c.
     rep_b, ins_b, rs_f = cum_rep[bs], cum_ins[bs], rs.astype(float)
     shift = bs - offsets[:-1]
-    cum_wires = tables.cum_wires
-    # Run bookkeeping in plain Python: a run costs a few dozen numpy
-    # calls, so its scalar steps should not add more.  reach[s] counts
-    # the states before s that can end at or above thr; a run with none
-    # skips the rank-scan subset.
+    # Valid candidates per state; run bookkeeping in plain Python: a run
+    # costs a few dozen numpy calls, so its scalar steps should not add
+    # more.
+    n_valid = np.empty(n_states, dtype=np.int64)
     bounds = offsets.tolist()
-    reach = np.concatenate(([0], np.cumsum(e_hi >= thr))).tolist()
-    parts = []
 
     s0 = 0
     while s0 < n_states:
+        check_deadline(deadline, where=f"dp pair {pair} run")
         lo = bounds[s0]
         s1 = max(bisect.bisect_right(bounds, lo + _BLOCK) - 1, s0 + 1)
         n = bounds[s1] - lo
@@ -215,24 +214,13 @@ def _pair_transition(
             # below, exactly like the scalar inf mapping.
             nr += np.repeat(rs_f[s0:s1], rl)
             valid = nr <= num_units
-            stats.transitions += int(np.count_nonzero(valid))
+            counts = np.add.reduceat(valid, offsets[s0:s1] - lo, dtype=np.int64)
+            n_valid[s0:s1] = counts
+            stats.transitions += int(counts.sum())
 
             nz = cum_ins[es]
             nz -= np.repeat(ins_b[s0:s1], rl)
             nz += np.repeat(zs[s0:s1], rl)
-
-            # Rank-scan subset: only ends whose cumulative wire count
-            # beats the running best (an index threshold, as cum_wires
-            # is increasing) can improve the rank.
-            if reach[s1] > reach[s0]:
-                idx = np.flatnonzero(valid & (es >= thr))
-                sub_es = es[idx]
-                sub_nr = nr[idx].astype(np.int64)
-                if ranks is not None:
-                    raises = cum_wires[sub_es] > ranks[sub_nr]
-                    idx, sub_es, sub_nr = idx[raises], sub_es[raises], sub_nr[raises]
-                sid = np.searchsorted(offsets[s0 + 1 : s1 + 1], idx + lo, side="right")
-                parts.append((sub_es, sub_nr, nz[idx], sid + s0))
 
             # Scatter targets; infeasible candidates go to the overflow
             # cell `size` (cast garbage from inf/nan is overwritten
@@ -254,13 +242,53 @@ def _pair_transition(
         np.minimum.at(flat, lin, nz)
         s0 = s1
 
-    if parts:
-        es, nr, nz, sid = (np.concatenate(a) for a in zip(*parts))
+    return _PairTransition(bs, rs, zs, capacity, e_hi, bs + n_valid - 1)
+
+
+def _candidates(
+    tables: AssignmentTables, disc, step: _PairTransition, pair: int, lo: int, hi: int
+):
+    """The valid candidates of ``step`` (see :func:`_pair_transition`)
+    that end in ``[lo, hi]``, in processing order (states row-major in
+    ``(b, r)``, ends ascending), as ``(sid, es, nr, nz, leftover)``:
+    source state, end group, cells, repeaters above and the top pair's
+    leftover capacity.
+
+    Every quantity is the same IEEE sequence as the transition's, so it
+    is bit-identical to the candidate the transition scattered.
+    """
+    bs, v_hi = step.bs, step.v_hi
+    first = np.maximum(bs, lo)
+    lens = np.minimum(v_hi, hi) - first + 1
+    sid = np.flatnonzero(lens > 0)
+    lens = lens[sid]
+    # Candidate c of the k-th listed state ends at first + c - start[k].
+    start = np.cumsum(lens) - lens
+    es = np.arange(int(lens.sum())) + np.repeat(first[sid] - start, lens)
+    sid = np.repeat(sid, lens)
+    b = bs[sid]
+
+    cum_rep = tables.cum_rep_area[pair]
+    cum_area = tables.cum_wire_area[pair]
+    cum_ins = tables.cum_inserted[pair]
+    areas = cum_rep[es] - cum_rep[b]
+    if math.isinf(disc.unit_area):
+        nr = np.where(areas > 0.0, np.inf, 0.0)
     else:
-        es = nr = sid = np.zeros(0, dtype=np.int64)
-        nz = np.zeros(0)
-    leftover = capacity[sid] - (cum_area[es] - cum_area[bs[sid]])
-    return _PairTransition(bs, rs, zs, capacity, e_hi, (es, nr, nz, leftover, sid))
+        nr = np.ceil(areas / disc.unit_area - CEIL_EPS)
+        np.copyto(nr, 0.0, where=areas <= 0.0)
+    nr += step.rs[sid]
+    nz = (cum_ins[es] - cum_ins[b]) + step.zs[sid]
+    leftover = step.capacity[sid] - (cum_area[es] - cum_area[b])
+    return sid, es, nr.astype(np.int64), nz, leftover
+
+
+def _levels(step: _PairTransition, num_groups: int) -> np.ndarray:
+    """End groups with at least one valid candidate, ascending: those
+    that some state's ``[bs, v_hi]`` covers."""
+    cover = np.bincount(step.bs, minlength=num_groups + 2)
+    cover -= np.bincount(step.v_hi + 1, minlength=num_groups + 2)
+    return np.flatnonzero(np.cumsum(cover[: num_groups + 1]))
 
 
 def _close_pair(flat: np.ndarray, width: int):
@@ -318,7 +346,6 @@ def solve_pairs_numpy(
     Returns ``(best_rank, best_trace, parent_b, parent_r)`` exactly as
     :func:`repro.core.dp._solve_pairs_python` does.
     """
-    cum_wires = tables.cum_wires
     width = disc.num_units + 1
     flat, sources = _start(tables, disc)
 
@@ -334,22 +361,14 @@ def solve_pairs_numpy(
     for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
-        # Only ends whose cumulative wire count beats the running best
-        # can improve the rank; best_rank is fixed during the transition.
-        thr = int(np.searchsorted(cum_wires, best_rank, side="right"))
-        step = _pair_transition(tables, disc, stats, flat, sources, pair, thr)
+        step = _pair_transition(tables, disc, stats, flat, sources, pair, deadline)
         transition_s += time.perf_counter() - t0
 
         # --- Rank candidates, level-major: highest end group first.
         t1 = time.perf_counter()
-        scan_es, _, scan_nz, scan_left, sid = step.scan
-        if len(sid):
-            hit = _scan_rank_levels(
-                tables, stats, deadline, pair, best_rank,
-                scan_es, scan_nz, scan_left, step.bs[sid], step.rs[sid],
-            )
-            if hit is not None:
-                best_rank, best_trace = hit
+        hit = _scan_rank_levels(tables, disc, stats, deadline, step, pair, best_rank)
+        if hit is not None:
+            best_rank, best_trace = hit
         rank_scan_s += time.perf_counter() - t1
 
         t2 = time.perf_counter()
@@ -384,14 +403,16 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     flat, sources = _start(tables, disc)
 
     for pair in range(tables.num_pairs):
+        step = _pair_transition(tables, disc, stats, flat, sources, pair, None)
         # Only candidates that would raise the curve at their own
         # budget cell matter.  ranks[0] is the curve's minimum, so the
-        # index threshold on it is a cheap first cut; ranks is fixed
-        # during the transition.
+        # index threshold on it is a cheap first cut.
         thr = int(np.searchsorted(cum_wires, ranks[0], side="right"))
-        step = _pair_transition(tables, disc, stats, flat, sources, pair, thr, ranks)
-        es, nr, nz, left, _ = step.scan
-        _scan_budget_levels(tables, stats, pair, ranks, es, nz, left, nr)
+        _, es, nr, nz, left = _candidates(tables, disc, step, pair, thr, tables.num_groups)
+        raises = cum_wires[es] > ranks[nr]
+        _scan_budget_levels(
+            tables, stats, pair, ranks, es[raises], nz[raises], left[raises], nr[raises]
+        )
         sources, _ = _close_pair(flat, width)
     return ranks
 
@@ -473,20 +494,18 @@ def _recover_parents(
 
 def _scan_rank_levels(
     tables: AssignmentTables,
+    disc,
     stats,
     deadline: Optional[float],
+    step: _PairTransition,
     pair: int,
     best_rank: int,
-    es_v: np.ndarray,
-    nz_v: np.ndarray,
-    leftover_v: np.ndarray,
-    b_v: np.ndarray,
-    r_v: np.ndarray,
 ):
     """Find the pair's best rank candidate that actually packs.
 
-    Inputs are pre-filtered to levels strictly above ``best_rank``.
-    Scans end-group levels in descending order; within a level,
+    Scans the end-group levels that hold candidates in descending order,
+    building each level's candidates only when it is reached, down to
+    the first level that cannot beat ``best_rank``.  Within a level,
     candidates keep the transition kernel's processing order (states
     row-major in ``(b, r)``), so the first packing candidate is the
     same one the scalar loop's running-best scan would have committed.
@@ -494,26 +513,16 @@ def _scan_rank_levels(
     ``None`` when no candidate on this pair beats ``best_rank``.
     """
     cum_wires = tables.cum_wires
-
-    # Group candidates by level, preserving order within each level.
-    # Levels fit comfortably in int32 and numpy's stable argsort uses
-    # radix sort for integer keys, so this is O(n) in practice.
-    order = np.argsort(es_v.astype(np.int32), kind="stable")
-    sorted_es = es_v[order]
-    levels, starts = np.unique(sorted_es, return_index=True)
-    bounds = np.append(starts, len(sorted_es))
-
-    for li in range(len(levels) - 1, -1, -1):
-        e = int(levels[li])
+    for e in reversed(_levels(step, tables.num_groups).tolist()):
         wires_e = int(cum_wires[e])
         if wires_e <= best_rank:
             break  # descending levels: every remaining one is smaller
         check_deadline(deadline, where=f"dp pair {pair}, rank level {e}")
-        idxs = order[bounds[li]:bounds[li + 1]]
-        i = _first_packing(tables, stats, pair, e, nz_v[idxs], leftover_v[idxs])
+        sid, _, _, nz, left = _candidates(tables, disc, step, pair, e, e)
+        i = _first_packing(tables, stats, pair, e, nz, left)
         if i is not None:
-            j = idxs[i]
-            return wires_e, (pair, int(b_v[j]), e, int(r_v[j]))
+            j = sid[i]
+            return wires_e, (pair, int(step.bs[j]), e, int(step.rs[j]))
     return None
 
 

@@ -146,7 +146,9 @@ class TestTransitionBounds:
         flat, sources = dp_numpy._start(tables, disc)
         walled = 0
         for pair in range(tables.num_pairs):
-            step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, pair, 0)
+            step = dp_numpy._pair_transition(
+                tables, disc, stats, flat, sources, pair, None
+            )
             wall = tables.next_infeasible[pair][step.bs]
             assert np.all(step.e_hi <= wall)
             cum_area = tables.cum_wire_area[pair]
@@ -155,6 +157,119 @@ class TestTransitionBounds:
             walled += int(np.count_nonzero((wall < beyond) & (reach <= step.capacity)))
             sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
         assert walled > 0
+
+
+def _transitions(tables, units):
+    """Every pair's transition of a solve, with its discretization."""
+    disc = discretize_repeaters(tables, units)
+    stats = dp.SolverStats(solver="dp")
+    flat, sources = dp_numpy._start(tables, disc)
+    steps = []
+    for pair in range(tables.num_pairs):
+        steps.append(
+            dp_numpy._pair_transition(tables, disc, stats, flat, sources, pair, None)
+        )
+        sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
+    return disc, steps
+
+
+def _dense_candidates(tables, disc, step, pair):
+    """Every candidate of ``step``, one state at a time with the scalar
+    oracle's arithmetic, in processing order: ``(sid, es, nr, nz,
+    leftover, valid)``."""
+    cum_area = tables.cum_wire_area[pair]
+    cum_ins = tables.cum_inserted[pair]
+    parts = []
+    for s, (b, r, z, e_hi) in enumerate(zip(step.bs, step.rs, step.zs, step.e_hi)):
+        es = np.arange(b, e_hi + 1)
+        du = disc.slice_units_batch(pair, b, es)
+        capacity = tables.capacity(pair, float(tables.cum_wires[b]), float(z))
+        with np.errstate(invalid="ignore"):
+            parts.append((
+                np.full(len(es), s),
+                es,
+                r + du,
+                z + (cum_ins[es] - cum_ins[b]),
+                capacity - (cum_area[es] - cum_area[b]),
+                np.isfinite(du) & (r + du <= disc.num_units),
+            ))
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCandidates:
+    """``_candidates`` rebuilds, for any band of end groups, exactly the
+    transition's valid candidates: same states, same order, bit-identical
+    floats; ``_levels`` lists exactly the levels that hold any."""
+
+    @pytest.fixture(scope="class")
+    def stacks(self, node130, small_baseline):
+        saturated, _ = make_tiny_problem(
+            node130, [1500, 1200, 700, 300, 90, 25], semi_global_pairs=1
+        ).tables()
+        via_area = saturated.via_area.copy()
+        via_area[1] = 2 * saturated.routing_capacity / (
+            saturated.vias_per_wire * float(saturated.cum_wires[1])
+        )
+        return [
+            (make_tiny_problem(
+                node130, [1200, 700, 300, 90, 25], repeater_fraction=0.2
+            ).tables()[0], 32),
+            (dataclasses.replace(saturated, via_area=via_area), 32),
+            (make_tiny_problem(
+                node130, [900, 500, 100], repeater_fraction=0.0
+            ).tables()[0], 8),
+            (small_baseline.tables(bunch_size=5_000)[0], 128),
+        ]
+
+    def test_levels_match_dense_enumeration(self, stacks):
+        empty = short = 0
+        for tables, units in stacks:
+            disc, steps = _transitions(tables, units)
+            for pair, step in enumerate(steps):
+                sid, es, nr, nz, left, valid = _dense_candidates(tables, disc, step, pair)
+                # Each state's valid ends are the prefix [b, v_hi].
+                assert np.array_equal(valid, es <= step.v_hi[sid])
+                short += int(np.count_nonzero(step.v_hi < step.e_hi))
+
+                levels = dp_numpy._levels(step, tables.num_groups)
+                assert np.array_equal(levels, np.unique(es[valid]))
+                empty += tables.num_groups + 1 - len(levels)
+                for e in range(tables.num_groups + 1):
+                    want = valid & (es == e)
+                    got = dp_numpy._candidates(tables, disc, step, pair, e, e)
+                    self._assert_same(got, [a[want] for a in (sid, es, nr, nz, left)])
+                # A band, as the budget curve asks for it.
+                lo = tables.num_groups // 2
+                want = valid & (es >= lo)
+                got = dp_numpy._candidates(tables, disc, step, pair, lo, tables.num_groups)
+                self._assert_same(got, [a[want] for a in (sid, es, nr, nz, left)])
+        # Some level is empty, and some state's budget runs out before
+        # its area reach: neither the coverage skip nor v_hi is vacuous
+        # here.
+        assert empty > 0
+        assert short > 0
+
+    def test_levels_skip_gaps(self):
+        """Real stacks cover one span of levels; the coverage count
+        does not rely on that."""
+        bs = np.array([0, 0, 4, 9])
+        v_hi = np.array([1, -1, 5, 9])
+        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi)
+        assert dp_numpy._levels(step, 12).tolist() == [0, 1, 4, 5, 9]
+
+    @staticmethod
+    def _assert_same(got, want):
+        g_sid, g_es, g_nr, g_nz, g_left = got
+        w_sid, w_es, w_nr, w_nz, w_left = want
+        assert np.array_equal(g_sid, w_sid)
+        assert np.array_equal(g_es, w_es)
+        assert np.array_equal(g_nr, w_nr.astype(np.int64))
+        assert _same_bits(g_nz, w_nz)
+        assert _same_bits(g_left, w_left)
 
 
 def _dense_close(table):
@@ -293,7 +408,7 @@ class TestBlockedTransition:
 
 class TestMemory:
     """The transition never holds a whole layer-pair's candidates: at
-    this size that peaks at ~54 MB, the blocked runs at ~22 MB, with or
+    this size that peaks at ~54 MB, the blocked runs at ~8 MB, with or
     without a witness, whose snapshots keep only each pair's finite
     cells (tracemalloc counts numpy's buffers)."""
 
@@ -321,6 +436,36 @@ class TestMemory:
 
 
 class TestDeadline:
+    def test_transition_checks_deadline_every_run(
+        self, node130, monkeypatch
+    ):
+        """A pair with many runs checks the deadline before each one,
+        so one long pair cannot overrun it."""
+        problem = make_tiny_problem(
+            node130, [2000, 1200, 700, 300, 90, 25], repeater_fraction=0.3
+        )
+        tables, _ = problem.tables()
+        disc = discretize_repeaters(tables, 32)
+        monkeypatch.setattr(dp_numpy, "_BLOCK", 1)
+        stats = dp.SolverStats(solver="dp")
+        flat, sources = dp_numpy._start(tables, disc)
+        step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, 0, None)
+        sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
+        assert len(sources[0]) > 1
+
+        checks = []
+        real = dp_numpy.check_deadline
+        monkeypatch.setattr(
+            dp_numpy, "check_deadline", lambda d, where: checks.append(where) or real(d, where)
+        )
+        step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, 1, None)
+        assert checks == ["dp pair 1 run"] * len(step.bs)
+        dp_numpy._close_pair(flat, disc.num_units + 1)
+
+        expired = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded, match="dp pair 1 run"):
+            dp_numpy._pair_transition(tables, disc, stats, flat, sources, 1, expired)
+
     def test_expired_deadline_raises_on_both(self, node130):
         problem = make_tiny_problem(node130, [1200, 700, 300])
         tables, _ = problem.tables()

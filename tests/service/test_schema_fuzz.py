@@ -14,9 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.schema import CornersRequest, RankRequest, SweepRequest
+from repro.schema import CornersRequest, OptimizeRequest, RankRequest, SweepRequest
 
-REQUEST_TYPES = (RankRequest, SweepRequest, CornersRequest)
+REQUEST_TYPES = (RankRequest, SweepRequest, CornersRequest, OptimizeRequest)
 
 FIELD_NAMES = sorted(
     {f.name for t in REQUEST_TYPES for f in dataclasses.fields(t)}
@@ -54,6 +54,7 @@ plausible_values = st.one_of(
                   st.sampled_from(["nominal", "fast-clock", "600MHz"])),
         max_size=3,
     ),
+    st.lists(st.integers(min_value=-2, max_value=70), max_size=4),
 )
 
 field_objects = st.dictionaries(
