@@ -199,7 +199,7 @@ class RankEvaluator:
         if cache is None:
             cache = PrecomputeCache()
         if warm is not None:
-            cache.warm(
+            cache.coarsened(
                 warm,
                 bunch_size=options.get("bunch_size"),
                 max_groups=options.get("max_groups"),
@@ -232,7 +232,6 @@ def rank_batch(
     resume: bool = False,
     jobs: int = 1,
     pool_mode: str = "auto",
-    checkpoint_every: int = 1,
     fault_schedule: Optional["FaultSchedule"] = None,
     **solve_options: Any,
 ) -> "BatchOutcome":
@@ -264,7 +263,6 @@ def rank_batch(
         deserialize=rank_result_from_dict,
         jobs=jobs,
         pool_mode=pool_mode,
-        checkpoint_every=checkpoint_every,
         fault_schedule=fault_schedule,
     )
 
@@ -289,7 +287,7 @@ def run_sweep(
     :func:`repro.core.rank.compute_rank`.  ``options`` are the batch
     keywords of :func:`rank_batch` (``cache``, ``policy``,
     ``keep_going``, ``checkpoint``, ``resume``, ``jobs``,
-    ``pool_mode``, ``checkpoint_every``, ``fault_schedule``; see
+    ``pool_mode``, ``fault_schedule``; see
     :func:`repro.runner.run_batch`).  The cache is warmed on the first
     value's coarse WLD.
     """

@@ -17,7 +17,6 @@ Conventions (shared with the whole library):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -161,7 +160,6 @@ def build_tables(
     target_model: TargetDelayModel,
     utilization: float = 1.0,
     vias_per_wire: int = DEFAULT_VIAS_PER_WIRE,
-    max_stages_per_wire: Optional[int] = None,
     pair_capacity_factor: float = 2.0,
     driver_policy: str = "budgeted",
 ) -> AssignmentTables:
@@ -179,8 +177,6 @@ def build_tables(
         ``(0, 1]``.  The paper uses the full ``A_d`` (1.0).
     vias_per_wire:
         The paper's ``v``.
-    max_stages_per_wire:
-        Optional cap modelling minimum repeater spacing.
     pair_capacity_factor:
         Routing area of one layer-pair in units of die area.  A pair is
         *two* orthogonal layers of area ``A_d`` each, and an L-shaped
@@ -254,7 +250,6 @@ def build_tables(
             lengths_m,
             targets,
             size=float(repeater_size[p]),
-            max_stages=max_stages_per_wire,
         )
         stages[p] = np.where(bare_pass, 0, group_stages)
         feasible = stages[p] >= 0

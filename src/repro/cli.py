@@ -29,7 +29,7 @@ metrics snapshot — is written to FILE on exit (load it in Perfetto or
 Multi-point commands (``sweep``, ``corners``, ``optimize``) run through
 the fault-tolerant harness (:mod:`repro.runner`) and accept
 ``--keep-going`` (isolate failing points instead of aborting),
-``--checkpoint PATH`` (journal completed points atomically),
+``--checkpoint PATH`` (journal every completed point atomically),
 ``--resume PATH`` (recompute only missing points), ``--max-retries N``
 and ``--timeout-s S`` (per-attempt retry budget and wall-clock
 deadline, with deterministic bunch-size degradation on retries),
@@ -37,9 +37,7 @@ deadline, with deterministic bunch-size degradation on retries),
 0 = one per CPU; output is identical to a sequential run),
 ``--pool-mode auto|warm|sequential`` (whether to force or disable the
 pool — 'auto' falls back to sequential whenever a pool cannot beat
-it), ``--checkpoint-every K``
-(amortize checkpoint rewrites to every K completed points) and
-``--fault-schedule SPEC`` (deterministic chaos testing: arm a
+it) and ``--fault-schedule SPEC`` (deterministic chaos testing: arm a
 :mod:`repro.faultkit` schedule, inline JSON or a file path; also
 settable via the ``REPRO_FAULT_SCHEDULE`` environment variable).
 
@@ -74,7 +72,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .analysis.compare import compare_nodes
 from .analysis.sweep import (
@@ -117,6 +115,31 @@ _SWEEPS = {
     "C": sweep_clock,
     "R": sweep_repeater_fraction,
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _number_list(text: str) -> Tuple[float, ...]:
+    """argparse type: a comma-separated list of numbers, none empty.
+
+    Only the syntax is checked here; the value bounds belong to
+    :class:`~repro.optimize.space.DesignSpace`.
+    """
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}"
+        ) from None
 
 
 def _add_design_args(parser: argparse.ArgumentParser) -> None:
@@ -230,14 +253,6 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         "'sequential' never pools",
     )
     group.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="K",
-        help="rewrite the checkpoint every K completed points instead "
-        "of every point (trades re-computation on crash for less I/O)",
-    )
-    group.add_argument(
         "--fault-schedule",
         default="",
         metavar="SPEC",
@@ -260,7 +275,6 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
         resume=bool(args.resume),
         jobs=args.jobs,
         pool_mode=args.pool_mode,
-        checkpoint_every=args.checkpoint_every,
     )
     if args.fault_schedule:
         kwargs["fault_schedule"] = parse_fault_schedule(args.fault_schedule)
@@ -391,8 +405,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         local_pairs=(1, 2),
         semi_global_pairs=(1, 2, 3),
         global_pairs=(1, 2),
-        permittivities=tuple(float(k) for k in args.k_classes.split(",")),
-        miller_factors=tuple(float(m) for m in args.m_classes.split(",")),
+        permittivities=args.k_classes,
+        miller_factors=args.m_classes,
         max_metal_layers=args.max_layers,
     )
     outcome = optimize_rank(
@@ -608,11 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p_opt)
     p_opt.add_argument(
         "--k-classes",
+        type=_number_list,
         default="3.9,3.6,2.8",
         help="comma-separated candidate ILD permittivities",
     )
     p_opt.add_argument(
         "--m-classes",
+        type=_number_list,
         default="2.0,1.0",
         help="comma-separated candidate Miller factors (shielding levels)",
     )
@@ -627,7 +643,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_design_args(p_curve)
     p_curve.add_argument(
-        "--points", type=int, default=16, help="rows to print along the curve"
+        "--points",
+        type=_positive_int,
+        default=16,
+        help="rows to print along the curve",
     )
     p_curve.set_defaults(func=_cmd_curve)
 

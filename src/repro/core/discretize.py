@@ -74,18 +74,16 @@ class RepeaterDiscretization:
             return math.inf
         return self.area_to_units(area)
 
-    def slice_units_batch(self, pair: int, start: int, ends: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`slice_units` over many slice ends."""
-        return self.slice_units_spans(pair, start, ends)
-
     def slice_units_spans(self, pair: int, starts, ends) -> np.ndarray:
         """Vectorized :meth:`slice_units` over arbitrary (start, end) spans.
 
-        ``starts`` and ``ends`` broadcast against each other; this is the
-        form the whole-pair NumPy transition kernel needs (one start per
-        DP state, many ends per start, all flattened into one call).
-        Arithmetic is kept identical to :meth:`slice_units` so the NumPy
-        kernel and the scalar test oracle charge bit-identical cell costs.
+        ``starts`` and ``ends`` broadcast against each other (one start
+        per DP state, many ends per start, all flattened into one call).
+        The DP kernel's rank-scan candidates and witness-parent recovery
+        (:mod:`repro.core.dp_numpy`) and the scalar test oracle charge
+        their cell costs through it; the whole-pair transition repeats
+        the same IEEE sequence in place.  A slice poisoned at both ends
+        (``inf - inf``) costs ``inf``.
         """
         with np.errstate(invalid="ignore"):
             # inf - inf -> nan when both cumulative ends are poisoned;

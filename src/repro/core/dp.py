@@ -340,7 +340,7 @@ def _solve_pairs_python(
                     continue
 
                 es = np.arange(b, e_hi + 1)
-                du = disc.slice_units_batch(pair, b, es)
+                du = disc.slice_units_spans(pair, b, es)
                 valid = np.isfinite(du) & (r + du <= num_units)
                 if not valid.any():
                     continue

@@ -198,8 +198,9 @@ def _pair_transition(
         es += ramp[:n]
 
         # Cell cost of the slice [b, e): same IEEE ops as
-        # RepeaterDiscretization.slice_units — subtract the *state's*
-        # cumulative, divide, epsilon-ceil.
+        # RepeaterDiscretization.slice_units_spans — subtract the
+        # *state's* cumulative, divide, epsilon-ceil — but done in place
+        # on the run's buffers, which keeps its temporaries in cache.
         with np.errstate(invalid="ignore"):
             areas = cum_rep[es]
             areas -= np.repeat(rep_b[s0:s1], rl)
@@ -268,15 +269,9 @@ def _candidates(
     sid = np.repeat(sid, lens)
     b = bs[sid]
 
-    cum_rep = tables.cum_rep_area[pair]
     cum_area = tables.cum_wire_area[pair]
     cum_ins = tables.cum_inserted[pair]
-    areas = cum_rep[es] - cum_rep[b]
-    if math.isinf(disc.unit_area):
-        nr = np.where(areas > 0.0, np.inf, 0.0)
-    else:
-        nr = np.ceil(areas / disc.unit_area - CEIL_EPS)
-        np.copyto(nr, 0.0, where=areas <= 0.0)
+    nr = disc.slice_units_spans(pair, b, es)
     nr += step.rs[sid]
     nz = (cum_ins[es] - cum_ins[b]) + step.zs[sid]
     leftover = step.capacity[sid] - (cum_area[es] - cum_area[b])
@@ -445,7 +440,6 @@ def _recover_parents(
     the cells the walk visits.
     """
     pair_t, b_t, _e_t, r_t = best_trace
-    unit_area = disc.unit_area
     parent_b: List[dict] = [dict() for _ in range(pair_t)]
     parent_r: List[dict] = [dict() for _ in range(pair_t)]
 
@@ -465,19 +459,12 @@ def _recover_parents(
             c = int(att[-1]) + 1 if len(att) else 0
             value = row[c]
 
-            cum_rep = tables.cum_rep_area[p]
             cum_ins = tables.cum_inserted[p]
             cand = np.flatnonzero((bs <= cur_b) & (e_hi >= cur_b))
             if len(cand) and math.isfinite(value):
                 sb = bs[cand]
+                nr = rs[cand] + disc.slice_units_spans(p, sb, cur_b)
                 with np.errstate(invalid="ignore"):
-                    areas = cum_rep[cur_b] - cum_rep[sb]
-                    if math.isinf(unit_area):
-                        du = np.where(areas > 0.0, np.inf, 0.0)
-                    else:
-                        du = np.ceil(areas / unit_area - CEIL_EPS)
-                        du = np.where(areas <= 0.0, 0.0, du)
-                    nr = rs[cand] + du
                     nz = zs[cand] + (cum_ins[cur_b] - cum_ins[sb])
                     hits = np.flatnonzero((nr == c) & (nz == value))
                 if len(hits):

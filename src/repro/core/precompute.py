@@ -144,22 +144,6 @@ class PrecomputeCache:
             self._put(key, entry)
         return entry
 
-    def warm(
-        self,
-        problem,
-        bunch_size: Optional[int] = None,
-        max_groups: Optional[int] = None,
-    ) -> "PrecomputeCache":
-        """Precompute the shared stages for a representative problem.
-
-        Called once in the parent before dispatching a parallel batch:
-        the warmed cache then travels to every worker in the pool
-        payload, so no worker redoes the shared coarsening.
-        Returns ``self`` for chaining.
-        """
-        self.coarsened(problem, bunch_size=bunch_size, max_groups=max_groups)
-        return self
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -50,8 +50,6 @@ class RankProblem:
         Usable routing fraction of die area per layer-pair.
     vias_per_wire:
         The paper's ``v``.
-    max_stages_per_wire:
-        Optional repeater placement cap (minimum-spacing proxy).
     pair_capacity_factor:
         Routing area of a layer-pair in units of die area (2.0 for the
         physical two-layers-per-pair reading, 1.0 for the paper's
@@ -70,7 +68,6 @@ class RankProblem:
     target_kind: str = "linear"
     utilization: float = 1.0
     vias_per_wire: int = DEFAULT_VIAS_PER_WIRE
-    max_stages_per_wire: Optional[int] = None
     pair_capacity_factor: float = 2.0
     driver_policy: str = "budgeted"
 
@@ -160,7 +157,6 @@ class RankProblem:
             target_model=self.target_model(),
             utilization=self.utilization,
             vias_per_wire=self.vias_per_wire,
-            max_stages_per_wire=self.max_stages_per_wire,
             pair_capacity_factor=self.pair_capacity_factor,
             driver_policy=self.driver_policy,
         )

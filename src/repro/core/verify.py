@@ -28,7 +28,6 @@ from .rank import RankResult
 def verify_witness(
     tables: AssignmentTables,
     result: RankResult,
-    budget_tolerance: float = 1e-9,
 ) -> None:
     """Re-check a witnessed rank result against first principles.
 
@@ -39,8 +38,9 @@ def verify_witness(
         coarsening!).
     result:
         A result carrying a witness.
-    budget_tolerance:
-        Relative slack allowed on the budget check (floating point).
+
+    Area and budget checks allow a relative floating-point slack of
+    1e-9.
     """
     if result.witness is None:
         raise RankComputationError("result carries no witness to verify")
@@ -101,7 +101,7 @@ def verify_witness(
         leftover = capacity - area
 
     budget = tables.repeater_budget_area
-    if rep_area_total > budget * (1 + budget_tolerance):
+    if rep_area_total > budget * (1 + 1e-9):
         raise RankComputationError(
             f"witness exceeds the repeater budget: "
             f"{rep_area_total:.6g} > {budget:.6g}"

@@ -75,7 +75,6 @@ def min_stages_for_target(
     length: float,
     target: float,
     size: Optional[float] = None,
-    max_stages: Optional[int] = None,
     a: float = SWITCHING_A,
     b: float = SWITCHING_B,
 ) -> Optional[int]:
@@ -91,10 +90,6 @@ def min_stages_for_target(
         Target delay ``d_i`` in seconds.
     size:
         Repeater size; defaults to the layer-pair's Eq. (4) optimum.
-    max_stages:
-        Optional cap modelling "repeaters cannot be placed at appropriate
-        intervals" (e.g. a minimum segment length); stage counts above
-        the cap are treated as unplaceable.
 
     Returns
     -------
@@ -135,12 +130,10 @@ def min_stages_for_target(
     eta = max(1, math.ceil(low - 1e-12))
     if eta > high + 1e-12:
         return None  # no integer in the feasible interval at/above 1
-    if max_stages is not None and eta > max_stages:
-        return None
     # Guard against floating-point edge cases: verify, and nudge once.
     if wire_delay(rc, device, size, eta, length, a, b) > target:
         eta += 1
-        if eta > high + 1e-9 or (max_stages is not None and eta > max_stages):
+        if eta > high + 1e-9:
             return None
         if wire_delay(rc, device, size, eta, length, a, b) > target:
             return None
@@ -153,7 +146,6 @@ def min_stages_for_target_batch(
     lengths: "np.ndarray",
     targets: "np.ndarray",
     size: Optional[float] = None,
-    max_stages: Optional[int] = None,
     a: float = SWITCHING_A,
     b: float = SWITCHING_B,
 ) -> "np.ndarray":
@@ -199,8 +191,6 @@ def min_stages_for_target_batch(
         high = (budget + sqrt_disc) / (2.0 * coeff_a)
     eta = np.maximum(1, np.ceil(low - 1e-12)).astype(np.int64)
     feasible &= eta <= high + 1e-12
-    if max_stages is not None:
-        feasible &= eta <= max_stages
     result[feasible] = eta[feasible]
 
     # Floating-point verification pass on the (rare) boundary cases.
@@ -220,7 +210,6 @@ def min_stages_for_target_batch(
                     float(lengths[index]),
                     float(targets[index]),
                     size=size,
-                    max_stages=max_stages,
                     a=a,
                     b=b,
                 )
@@ -261,7 +250,6 @@ def solve_repeaters(
     length: float,
     target: float,
     size: Optional[float] = None,
-    max_stages: Optional[int] = None,
     a: float = SWITCHING_A,
     b: float = SWITCHING_B,
 ) -> Optional[RepeaterSolution]:
@@ -274,7 +262,7 @@ def solve_repeaters(
     if size is None:
         size = optimal_repeater_size(rc, device)
     stages = min_stages_for_target(
-        rc, device, length, target, size=size, max_stages=max_stages, a=a, b=b
+        rc, device, length, target, size=size, a=a, b=b
     )
     if stages is None:
         return None

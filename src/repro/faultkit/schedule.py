@@ -266,7 +266,6 @@ class FaultSchedule:
         *,
         max_faults: int = 3,
         kinds: Iterable[str] = KINDS,
-        max_attempt: int = 1,
         hang_s: float = 5.0,
         seed: Optional[int] = None,
     ) -> "FaultSchedule":
@@ -274,7 +273,8 @@ class FaultSchedule:
 
         Every choice — how many faults, which kind, which point, which
         attempt — comes from ``rng``, so the same generator state
-        always produces the same schedule.  ``kill``/``hang``/``pickle``
+        always produces the same schedule.  ``raise`` fires at
+        ``executor.attempt.start`` on attempt 0 or 1; ``kill``/``hang``/``pickle``
         are pinned to worker-only sites at ``submit=0`` (the
         resubmitted point must be able to succeed) — ``kill``/``hang``
         draw between the per-point ``parallel.worker.start`` site and
@@ -300,7 +300,7 @@ class FaultSchedule:
                         site="executor.attempt.start",
                         kind="raise",
                         point=rng.choice(keys),
-                        attempt=rng.randint(0, max(0, max_attempt)),
+                        attempt=rng.randint(0, 1),
                     )
                 )
             elif kind in ("kill", "hang"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sweep import RankEvaluator, rank_batch
 from ..arch.builder import ArchitectureSpec, build_architecture
@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # runner imported lazily at call time (cycle via persist)
     from ..runner.executor import BatchOutcome
     from ..runner.journal import PointFailure, RunJournal
     from ..runner.policy import RetryPolicy
+
+#: Improving moves a hill climb takes at most before it stops.
+MAX_CLIMB_STEPS = 50
 
 #: Miller factor -> routing-capacity fraction under shielding-aware
 #: evaluation, from the standard shielding ladder (noise module).
@@ -207,14 +210,11 @@ def evaluate_candidates(
     return results
 
 
-def pareto_front(
-    candidates: Sequence[CandidateResult],
-    cost: Callable[[CandidateResult], float] = lambda c: c.metal_layers,
-) -> List[CandidateResult]:
-    """Non-dominated candidates: maximal rank, minimal cost.
+def pareto_front(candidates: Sequence[CandidateResult]) -> List[CandidateResult]:
+    """Non-dominated candidates: maximal rank, fewest metal layers.
 
     A candidate is kept iff no other candidate has both >= rank and
-    <= cost with at least one strict.  Output is sorted by cost.
+    <= layers with at least one strict.  Output is sorted by layers.
     """
     kept: List[CandidateResult] = []
     for candidate in candidates:
@@ -223,21 +223,21 @@ def pareto_front(
             if other is candidate:
                 continue
             better_rank = other.result.rank >= candidate.result.rank
-            better_cost = cost(other) <= cost(candidate)
+            better_cost = other.metal_layers <= candidate.metal_layers
             strictly = (
                 other.result.rank > candidate.result.rank
-                or cost(other) < cost(candidate)
+                or other.metal_layers < candidate.metal_layers
             )
             if better_rank and better_cost and strictly:
                 dominated = True
                 break
         if not dominated:
             kept.append(candidate)
-    # dedupe identical (rank, cost) points, keep first
+    # dedupe identical (rank, layers) points, keep first
     seen = set()
     unique: List[CandidateResult] = []
-    for candidate in sorted(kept, key=lambda c: (cost(c), -c.result.rank)):
-        key = (candidate.result.rank, cost(candidate))
+    for candidate in sorted(kept, key=lambda c: (c.metal_layers, -c.result.rank)):
+        key = (candidate.result.rank, candidate.metal_layers)
         if key not in seen:
             seen.add(key)
             unique.append(candidate)
@@ -248,7 +248,6 @@ def hill_climb(
     problem: RankProblem,
     space: DesignSpace,
     initial: Optional[ArchitectureSpec] = None,
-    max_steps: int = 50,
     shielding_aware: bool = False,
     policy: Optional["RetryPolicy"] = None,
     keep_going: bool = False,
@@ -259,7 +258,8 @@ def hill_climb(
     """Best-improvement hill climb over single-knob moves.
 
     Returns the trajectory (including the start); the last element is a
-    local optimum of the neighbourhood.  Already-evaluated specs are
+    local optimum of the neighbourhood, or the candidate reached after
+    :data:`MAX_CLIMB_STEPS` moves.  Already-evaluated specs are
     memoized so the climb never re-solves a candidate, and a
     :class:`~repro.core.precompute.PrecomputeCache` (a fresh one unless
     passed in) shares the coarse WLD across every candidate.
@@ -273,8 +273,6 @@ def hill_climb(
     from ..runner.executor import PointSpec, execute_point
     from ..runner.policy import RetryPolicy
 
-    if max_steps < 1:
-        raise RankComputationError(f"max_steps must be positive, got {max_steps!r}")
     policy = policy if policy is not None else RetryPolicy()
     current_spec = initial if initial is not None else space.default_spec()
     solved: Dict[tuple, Optional[RankResult]] = {}
@@ -320,7 +318,7 @@ def hill_climb(
             "failed; there is nothing to climb from"
         )
     trajectory = [CandidateResult(spec=current_spec, result=start)]
-    for _ in range(max_steps):
+    for _ in range(MAX_CLIMB_STEPS):
         current = trajectory[-1]
         best_move: Optional[CandidateResult] = None
         for neighbour in space.neighbours(current.spec):
@@ -347,7 +345,6 @@ def optimize_architecture(
     resume: bool = False,
     jobs: int = 1,
     pool_mode: str = "auto",
-    checkpoint_every: int = 1,
     fault_schedule: Optional[FaultSchedule] = None,
     cache: Optional["PrecomputeCache"] = None,
     **solve_options,
@@ -387,7 +384,6 @@ def optimize_architecture(
             resume=resume,
             jobs=jobs,
             pool_mode=pool_mode,
-            checkpoint_every=checkpoint_every,
             fault_schedule=fault_schedule,
             cache=cache,
             **solve_options,

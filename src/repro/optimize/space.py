@@ -9,6 +9,7 @@ metal-layer-count budget.  It enumerates the concrete
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -64,14 +65,21 @@ class DesignSpace:
                 "DesignSpace.local_pairs must be >= 1 (the short-wire bulk "
                 "needs a local tier)"
             )
-        if not self.permittivities or any(k < 1.0 for k in self.permittivities):
-            raise ConfigurationError(
-                f"permittivities must be >= 1.0, got {self.permittivities!r}"
-            )
-        if not self.miller_factors or any(m < 0 for m in self.miller_factors):
-            raise ConfigurationError(
-                f"miller_factors must be non-negative, got {self.miller_factors!r}"
-            )
+        for name in ("permittivities", "miller_factors"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"DesignSpace.{name} must be non-empty")
+        for i, k in enumerate(self.permittivities):
+            if not (math.isfinite(k) and k >= 1.0):
+                raise ConfigurationError(
+                    f"DesignSpace.permittivities[{i}]: must be finite and "
+                    f">= 1.0 (vacuum), got {k!r}"
+                )
+        for i, m in enumerate(self.miller_factors):
+            if not (math.isfinite(m) and m > 0):
+                raise ConfigurationError(
+                    f"DesignSpace.miller_factors[{i}]: must be finite and > 0, "
+                    f"got {m!r}"
+                )
         if self.max_metal_layers < 2:
             raise ConfigurationError(
                 f"max_metal_layers must be >= 2, got {self.max_metal_layers!r}"

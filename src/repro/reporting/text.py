@@ -51,14 +51,12 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_run_journal(journal: "RunJournal", verbose: bool = False) -> str:
+def format_run_journal(journal: "RunJournal") -> str:
     """Render a batch run journal for humans.
 
     The output always leads with the one-line summary; failed points
     get a table with their final error, and any degraded-but-successful
-    points are listed so accuracy trades are never silent.  With
-    ``verbose=True`` every point is tabulated, not just the notable
-    ones.
+    points are listed so accuracy trades are never silent.
     """
     from ..runner.journal import STATUS_FAILED
 
@@ -69,7 +67,7 @@ def format_run_journal(journal: "RunJournal", verbose: bool = False) -> str:
         notable = record.status == STATUS_FAILED or (
             record.attempts and len(record.attempts) > 1
         )
-        if not (verbose or notable):
+        if not notable:
             continue
         last = record.attempts[-1] if record.attempts else None
         error = f"{last.error_type}: {last.error_message}" if last and last.error_type else ""
@@ -93,7 +91,7 @@ def format_run_journal(journal: "RunJournal", verbose: bool = False) -> str:
             format_table(
                 ("point", "status", "attempts", "degradation", "last error"),
                 rows,
-                title="Attempt detail" if verbose else "Failures and retries",
+                title="Failures and retries",
             )
         )
 

@@ -10,9 +10,8 @@ needs:
   other points (``keep_going=True``), or aborts *after* journaling and
   checkpointing everything completed so far (strict mode);
 * **checkpoint/resume** — completed points are journaled to an
-  atomically-rewritten checkpoint file (every point by default;
-  amortizable with ``checkpoint_every``),
-  and ``resume=True`` recomputes only the points the checkpoint is
+  atomically-rewritten checkpoint file after every point, and
+  ``resume=True`` recomputes only the points the checkpoint is
   missing;
 * **retry with deterministic degradation** — a
   :class:`~repro.runner.policy.RetryPolicy` bounds attempts and
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -189,7 +189,7 @@ def execute_point(
 ) -> PointOutcome:
     """Drive one point through the policy's attempt budget.
 
-    Retryable exceptions (``policy.retry_on``) consume attempts;
+    Retryable exceptions (every ``ReproError``) consume attempts;
     anything else — a programming error — propagates immediately.
     Never raises on exhaustion: the failed :class:`PointOutcome` carries
     the full attempt history and the caller chooses strict vs
@@ -261,50 +261,27 @@ def execute_point(
     )
 
 
-class _Committer:
-    """Amortized, canonically-ordered checkpoint writes.
+def _commit(
+    checkpoint: Checkpoint, path: Optional[PathLike], order: Sequence[str]
+) -> None:
+    """Write the checkpoint now (no-op without a checkpoint path).
 
-    ``mark()`` once per completed point; the checkpoint is rewritten
-    when ``every`` points accumulated, and always on :meth:`commit`.
-    Before every write the checkpoint's point dict is reordered into
-    batch point order, so the file on disk does not depend on completion
-    order — a parallel run persists byte-for-byte what the sequential
-    run would.
+    Called once per completed point.  Before every write the
+    checkpoint's point dict is reordered into batch point ``order``, so
+    the file on disk does not depend on completion order — a parallel
+    run persists byte-for-byte what the sequential run would.
     """
-
-    def __init__(
-        self,
-        checkpoint: Checkpoint,
-        path: Optional[PathLike],
-        order: Sequence[str],
-        every: int,
-    ) -> None:
-        self._checkpoint = checkpoint
-        self._path = path
-        self._order = tuple(order)
-        self._every = every
-        self._pending = 0
-
-    def mark(self) -> None:
-        """Note one completed point; write if the amortization says so."""
-        self._pending += 1
-        if self._pending >= self._every:
-            self.commit()
-
-    def commit(self) -> None:
-        """Write the checkpoint now (no-op without a checkpoint path)."""
-        self._pending = 0
-        if self._path is None:
-            return
-        points = self._checkpoint.points
-        ordered = {k: points[k] for k in self._order if k in points}
-        for key, value in points.items():  # stale resume keys, kept last
-            if key not in ordered:
-                ordered[key] = value
-        self._checkpoint.points = ordered
-        with _span("checkpoint_commit", points=len(ordered)):
-            save_checkpoint(self._checkpoint, self._path)
-        _obs_inc("runner.checkpoint_commits")
+    if path is None:
+        return
+    points = checkpoint.points
+    ordered = {k: points[k] for k in order if k in points}
+    for key, value in points.items():  # stale resume keys, kept last
+        if key not in ordered:
+            ordered[key] = value
+    checkpoint.points = ordered
+    with _span("checkpoint_commit", points=len(ordered)):
+        save_checkpoint(checkpoint, path)
+    _obs_inc("runner.checkpoint_commits")
 
 
 def _strict_failure(
@@ -344,7 +321,6 @@ def run_batch(
     deserialize: Optional[Callable[[object], object]] = None,
     jobs: int = 1,
     pool_mode: str = POOL_MODE_AUTO,
-    checkpoint_every: int = 1,
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> BatchOutcome:
     """Evaluate every point with isolation, checkpointing, and retries.
@@ -372,9 +348,9 @@ def run_batch(
         (in batch order; a parallel run cancels not-yet-started points
         but still checkpoints everything that finished).
     checkpoint_path:
-        When given, the checkpoint is (re)written atomically as points
-        complete — an interrupted run at the default cadence loses at
-        most the in-flight point.
+        When given, the checkpoint is (re)written atomically after
+        every completed point — an interrupted run loses at most the
+        in-flight point.
     resume:
         Load ``checkpoint_path`` and skip every point it already has
         (recorded as ``cached`` in the journal).
@@ -393,12 +369,6 @@ def run_batch(
         ``"sequential"`` never pools.  Any mode with ``jobs > 1``
         still requires a picklable evaluator, so a batch that works on
         a laptop also works on a many-core runner.
-    checkpoint_every:
-        Amortize checkpoint writes: rewrite the file every this many
-        completed points (default 1 — every point).  A final write
-        always happens on every exit path (success, strict-mode abort,
-        or propagating error), so amortization never loses finished
-        points beyond a hard kill.
     fault_schedule:
         Deterministic chaos testing: a
         :class:`~repro.faultkit.FaultSchedule` armed for the duration
@@ -419,10 +389,6 @@ def run_batch(
         raise RunnerError(
             f"run {name!r}: pool_mode must be one of {POOL_MODES}, "
             f"got {pool_mode!r}"
-        )
-    if checkpoint_every < 1:
-        raise RunnerError(
-            f"run {name!r}: checkpoint_every must be >= 1, got {checkpoint_every!r}"
         )
 
     seen = set()
@@ -459,16 +425,13 @@ def run_batch(
         journal = RunJournal(name=name)
         checkpoint = Checkpoint(run=name, points=dict(cached), journal=journal)
         results: Dict[str, object] = {}
-        committer = _Committer(
-            checkpoint,
-            checkpoint_path,
-            order=[point.key for point in points],
-            every=checkpoint_every,
+        commit = partial(
+            _commit, checkpoint, checkpoint_path, [point.key for point in points]
         )
 
         # Write the identity file up front so even a run killed before
         # its first completed point leaves a resumable (empty) checkpoint.
-        committer.commit()
+        commit()
 
         try:
             with _span("run_batch", run=name, points=len(points), jobs=jobs):
@@ -486,7 +449,7 @@ def run_batch(
                         journal,
                         checkpoint,
                         results,
-                        committer,
+                        commit,
                     )
                 else:
                     _run_parallel(
@@ -504,13 +467,13 @@ def run_batch(
                         journal,
                         checkpoint,
                         results,
-                        committer,
+                        commit,
                         fault_schedule,
                     )
         finally:
             # Final write on every exit path: normal return, strict-mode
             # abort, or a propagating evaluator/worker error.
-            committer.commit()
+            commit()
     return BatchOutcome(
         results=results, failures=journal.failures(), journal=journal
     )
@@ -536,7 +499,7 @@ def _run_sequential(
     journal: RunJournal,
     checkpoint: Checkpoint,
     results: Dict[str, object],
-    committer: _Committer,
+    commit: Callable[[], None],
 ) -> None:
     for point in points:
         if point.key in cached:
@@ -548,7 +511,7 @@ def _run_sequential(
         if outcome.ok:
             results[point.key] = outcome.result
             checkpoint.points[point.key] = serialize(outcome.result)
-            committer.mark()
+            commit()
             continue
         if not keep_going:
             raise _strict_failure(name, point, outcome.record, checkpoint_path)
@@ -569,7 +532,7 @@ def _run_parallel(
     journal: RunJournal,
     checkpoint: Checkpoint,
     results: Dict[str, object],
-    committer: _Committer,
+    commit: Callable[[], None],
     fault_schedule: Optional[FaultSchedule] = None,
 ) -> None:
     outcomes: Dict[str, PointOutcome] = {}
@@ -581,7 +544,7 @@ def _run_parallel(
         journal.add(outcome.record)
         if outcome.ok:
             checkpoint.points[point.key] = serialize(outcome.result)
-            committer.mark()
+            commit()
 
     import pickle as _pickle
 

@@ -31,7 +31,7 @@ chaos suite (:mod:`repro.faultkit`) exercises, and it is *warm*:
   to a replacement, bounded by ``policy.max_attempts`` submissions
   (``runner.worker_deaths`` / ``runner.resubmissions``);
 * **hang watchdog** — with ``policy.timeout_s`` set, a worker whose
-  chunk makes no progress for ``policy.hang_grace ×`` one point's
+  chunk makes no progress for ``HANG_GRACE ×`` (4x) one point's
   total cooperative budget (timeout × attempts) is presumed
   stuck and reaped with ``SIGKILL`` (``runner.hangs_reaped``), then
   treated as a death; each streamed result resets the deadline, so the
@@ -91,6 +91,7 @@ from ..obs.metrics import gauge as _obs_gauge
 from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from .journal import STATUS_FAILED, AttemptRecord, PointRecord
+from .policy import HANG_GRACE
 
 if TYPE_CHECKING:
     from multiprocessing.process import BaseProcess
@@ -422,7 +423,7 @@ def _task_budget(policy: "RetryPolicy") -> Optional[float]:
     """
     if policy.timeout_s is None:
         return None
-    return policy.timeout_s * policy.max_attempts * policy.hang_grace
+    return policy.timeout_s * policy.max_attempts * HANG_GRACE
 
 
 @contextmanager

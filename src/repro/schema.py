@@ -129,6 +129,14 @@ def _finite_positive(value: float, field_name: str) -> float:
     return value
 
 
+def _check_permittivity(value: float, field_name: str) -> float:
+    if not (math.isfinite(value) and value >= 1.0):
+        raise SchemaError(
+            f"{field_name}: must be finite and >= 1.0 (vacuum), got {value!r}"
+        )
+    return value
+
+
 def _as_float(value: object, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{field_name}: expected a number, got {value!r}")
@@ -264,11 +272,8 @@ class _Request:
                 f"repeater_fraction: must be in (0, 1], "
                 f"got {self.repeater_fraction!r}"
             )
-        if self.permittivity < 1.0:
-            raise SchemaError(
-                f"permittivity: must be >= 1.0 (vacuum), "
-                f"got {self.permittivity!r}"
-            )
+        _check_permittivity(self.permittivity, "permittivity")
+        _finite_positive(self.miller_factor, "miller_factor")
         if not 0.0 < self.rent_exponent < 1.0:
             raise SchemaError(
                 f"rent_exponent: must be in (0, 1), got {self.rent_exponent!r}"
@@ -595,6 +600,10 @@ class OptimizeRequest(_Request):
                         f"{name}[{i}]: must be in "
                         f"[{minimum}, {MAX_PAIRS_PER_TIER}], got {count!r}"
                     )
+        for i, k in enumerate(self.permittivities):
+            _check_permittivity(k, f"permittivities[{i}]")
+        for i, m in enumerate(self.miller_factors):
+            _finite_positive(m, f"miller_factors[{i}]")
         if self.max_metal_layers < 2:
             raise SchemaError(
                 f"max_metal_layers: must be >= 2, got {self.max_metal_layers!r}"

@@ -66,6 +66,9 @@ __all__ = ["ServiceConfig", "RankApp", "Response"]
 #: Per-endpoint latency reservoir size (ring buffer per endpoint).
 _LATENCY_WINDOW = 2048
 
+#: Ceiling on any request's ``deadline_s``, in seconds.
+MAX_DEADLINE_S = 300.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -78,9 +81,6 @@ class ServiceConfig:
     cache_entries: int = 256
     precompute_entries: int = 8
     default_deadline_s: Optional[float] = 30.0
-    max_deadline_s: float = 300.0
-    max_body_bytes: int = 1 << 20
-    idle_timeout_s: float = 75.0
     warm_on_start: bool = False
 
 
@@ -238,7 +238,7 @@ class RankApp:
             deadline_s = self.config.default_deadline_s
         if deadline_s is None:
             return None
-        deadline_s = min(deadline_s, self.config.max_deadline_s)
+        deadline_s = min(deadline_s, MAX_DEADLINE_S)
         return time.monotonic() + deadline_s
 
     async def _solve_point(

@@ -18,6 +18,12 @@ from .http import HttpError, json_error_body, read_request, render_response
 
 __all__ = ["RankService", "serve"]
 
+#: Largest request body accepted; a longer one answers ``413``.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds an idle keep-alive connection waits for its next request.
+IDLE_TIMEOUT_S = 75.0
+
 
 class RankService:
     """One serving instance: app + listening socket.
@@ -71,10 +77,8 @@ class RankService:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        read_request(
-                            reader, max_body_bytes=self.config.max_body_bytes
-                        ),
-                        timeout=self.config.idle_timeout_s,
+                        read_request(reader, max_body_bytes=MAX_BODY_BYTES),
+                        timeout=IDLE_TIMEOUT_S,
                     )
                 except asyncio.TimeoutError:
                     break

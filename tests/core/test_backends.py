@@ -182,7 +182,7 @@ def _dense_candidates(tables, disc, step, pair):
     parts = []
     for s, (b, r, z, e_hi) in enumerate(zip(step.bs, step.rs, step.zs, step.e_hi)):
         es = np.arange(b, e_hi + 1)
-        du = disc.slice_units_batch(pair, b, es)
+        du = disc.slice_units_spans(pair, b, es)
         capacity = tables.capacity(pair, float(tables.cum_wires[b]), float(z))
         with np.errstate(invalid="ignore"):
             parts.append((

@@ -68,9 +68,10 @@ class TestSliceUnits:
 
     def test_batch_matches_scalar(self, tables):
         disc = discretize_repeaters(tables, 64)
+        assert not hasattr(disc, "slice_units_batch")  # spans is the one batch form
         ends = np.arange(0, tables.num_groups + 1)
         for pair in range(tables.num_pairs):
-            batch = disc.slice_units_batch(pair, 0, ends)
+            batch = disc.slice_units_spans(pair, 0, ends)
             for i, e in enumerate(ends):
                 assert batch[i] == disc.slice_units(pair, 0, int(e))
 

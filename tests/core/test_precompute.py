@@ -68,7 +68,7 @@ class TestCachedResults:
 
     def test_wld_key_shared_across_clock_variants(self, problem):
         cache = PrecomputeCache()
-        cache.warm(problem, bunch_size=2_000)
+        cache.coarsened(problem, bunch_size=2_000)
         for scale in (1.0, 1.5, 2.0):
             variant = problem.with_clock_frequency(
                 problem.clock_frequency * scale
@@ -119,7 +119,9 @@ class TestLRU:
 
 class TestPicklability:
     def test_warm_cache_round_trips(self, problem):
-        cache = PrecomputeCache().warm(problem, bunch_size=2_000)
+        cache = PrecomputeCache()
+        assert not hasattr(cache, "warm")  # warming is a plain coarsened() call
+        cache.coarsened(problem, bunch_size=2_000)
         clone = pickle.loads(pickle.dumps(cache))
         clone.coarsened(problem, bunch_size=2_000)
         assert clone.stats()["hits"]["coarsened"] == 1

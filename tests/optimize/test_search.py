@@ -112,7 +112,7 @@ class TestHillClimb:
         assert trajectory[-1].result.rank == outcome.best.result.rank
 
     def test_max_steps_validated(self, problem, space):
-        with pytest.raises(RankComputationError):
+        with pytest.raises(TypeError, match="max_steps"):
             hill_climb(problem, space, max_steps=0, **FAST)
 
 

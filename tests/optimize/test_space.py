@@ -1,5 +1,7 @@
 """Tests for architecture design spaces."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -58,6 +60,24 @@ class TestValidation:
     def test_bad_permittivity_rejected(self, node130):
         with pytest.raises(ConfigurationError):
             DesignSpace(node=node130, permittivities=(0.5,))
+
+    @pytest.mark.parametrize(
+        "field,values,named",
+        [
+            ("permittivities", (), "permittivities"),
+            ("permittivities", (3.9, 2.8, float("nan")), "permittivities[2]"),
+            ("permittivities", (float("inf"),), "permittivities[0]"),
+            ("permittivities", (3.9, 0.5), "permittivities[1]"),
+            ("miller_factors", (), "miller_factors"),
+            ("miller_factors", (float("nan"),), "miller_factors[0]"),
+            ("miller_factors", (2.0, float("inf")), "miller_factors[1]"),
+            ("miller_factors", (2.0, 0.0), "miller_factors[1]"),
+            ("miller_factors", (-1.0,), "miller_factors[0]"),
+        ],
+    )
+    def test_every_material_class_bounded_by_name(self, node130, field, values, named):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            DesignSpace(node=node130, **{field: values})
 
     def test_bad_layer_budget_rejected(self, node130):
         with pytest.raises(ConfigurationError):

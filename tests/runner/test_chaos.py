@@ -56,7 +56,8 @@ SEQ_KINDS = ("raise", "torn", "corrupt")
 
 
 def _policy():
-    return RetryPolicy(max_attempts=2, timeout_s=0.5, hang_grace=2.0)
+    # Watchdog budget 0.25 * 2 attempts * HANG_GRACE (4) = 2.0 s.
+    return RetryPolicy(max_attempts=2, timeout_s=0.25)
 
 
 def _baseline_results(n=6):
@@ -268,7 +269,7 @@ class TestHangWatchdog:
                 ),
             )
         )
-        policy = RetryPolicy(max_attempts=2, timeout_s=0.2, hang_grace=1.5)
+        policy = RetryPolicy(max_attempts=2, timeout_s=0.075)
         started = time.monotonic()
         outcome = run_batch(
             "chaos",
@@ -281,7 +282,7 @@ class TestHangWatchdog:
         )
         elapsed = time.monotonic() - started
         assert dict(outcome.results) == _baseline_results()
-        # Reaped by the watchdog (budget 0.2*2*1.5 = 0.6s), not by
+        # Reaped by the watchdog (budget 0.075*2*HANG_GRACE = 0.6s), not by
         # waiting out the 60s sleep.
         assert elapsed < 30.0
         counters = obs.snapshot()["counters"]

@@ -146,7 +146,7 @@ class TestRetries:
             "demo",
             specs(1),
             evaluate,
-            policy=RetryPolicy(max_attempts=3, bunch_scale=2.0),
+            policy=RetryPolicy(max_attempts=3),
         )
         assert seen == [{}, {"bunch_scale": 2.0}, {"bunch_scale": 4.0}]
 

@@ -304,7 +304,7 @@ class TestBatchKeywords:
         self, callers, caller, tmp_path, monkeypatch
     ):
         state = failing_compute_rank(sweep_mod, monkeypatch)
-        for keyword in ("bogus", "checkpoint_path"):
+        for keyword in ("bogus", "checkpoint_path", "checkpoint_every"):
             with pytest.raises(TypeError, match=keyword):
                 callers[caller](checkpoint=tmp_path / "ck.json", **{keyword: 1})
         assert state["calls"] == 0
@@ -319,7 +319,6 @@ class TestBatchKeywords:
             resume=False,
             jobs=1,
             pool_mode="sequential",
-            checkpoint_every=2,
             fault_schedule=None,
             cache=None,
         )

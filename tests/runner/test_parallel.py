@@ -437,15 +437,20 @@ class TestAmortizedCheckpoints:
 
     def test_checkpoint_every_batches_writes(self, tmp_path, monkeypatch):
         calls = self._count_commits(monkeypatch)
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            run_batch(
+                "demo",
+                specs(6),
+                PicklableEvaluate(),
+                checkpoint_path=tmp_path / "c.json",
+                checkpoint_every=3,
+            )
+        assert calls == []
         run_batch(
-            "demo",
-            specs(6),
-            PicklableEvaluate(),
-            checkpoint_path=tmp_path / "c.json",
-            checkpoint_every=3,
+            "demo", specs(6), PicklableEvaluate(), checkpoint_path=tmp_path / "c.json"
         )
-        # identity write + one per 3 points + final commit
-        assert calls == [0, 3, 6, 6]
+        # identity write + one per point + final commit
+        assert calls == [0, 1, 2, 3, 4, 5, 6, 6]
 
     def test_final_commit_always_complete(self, tmp_path, monkeypatch):
         calls = self._count_commits(monkeypatch)
@@ -455,9 +460,9 @@ class TestAmortizedCheckpoints:
             specs(5),
             PicklableEvaluate(),
             checkpoint_path=path,
-            checkpoint_every=1000,
         )
-        assert calls == [0, 5]
+        assert calls == [0, 1, 2, 3, 4, 5, 5]
+        assert set(load_checkpoint(path).points) == {s.key for s in specs(5)}
         assert set(load_checkpoint(path).points) == {s.key for s in specs(5)}
 
     def test_final_commit_on_strict_failure(self, tmp_path, monkeypatch):
@@ -469,13 +474,13 @@ class TestAmortizedCheckpoints:
                 specs(5),
                 PicklableEvaluate(fail_keys=frozenset({"p[3]"})),
                 checkpoint_path=path,
-                checkpoint_every=1000,
             )
-        # Every completed point survives even though no periodic write fired.
+        assert calls[-1] == 3
+        # Every completed point survives the strict abort.
         assert set(load_checkpoint(path).points) == {"p[0]", "p[1]", "p[2]"}
 
     def test_invalid_knobs_rejected(self, tmp_path):
-        with pytest.raises(RunnerError, match="checkpoint_every"):
+        with pytest.raises(TypeError, match="checkpoint_every"):
             run_batch(
                 "demo", specs(2), PicklableEvaluate(), checkpoint_every=0
             )

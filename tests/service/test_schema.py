@@ -129,13 +129,21 @@ class TestRankRequest:
              {"semi_global_pairs_choices": [1, 2, MAX_PAIRS_PER_TIER + 1]}),
             ("global_pairs_choices[1]",
              {"global_pairs_choices": [MAX_PAIRS_PER_TIER, 10**9]}),
+            ("permittivities[0]", {"permittivities": [0.5]}),
+            ("permittivities[2]", {"permittivities": [3.9, 2.8, float("nan")]}),
+            ("permittivities[1]", {"permittivities": [3.9, float("inf")]}),
+            ("miller_factors[0]", {"miller_factors": [-1.0]}),
+            ("miller_factors[1]", {"miller_factors": [2.0, 0.0]}),
+            ("miller_factors[0]", {"miller_factors": [float("nan")]}),
+            ("permittivities[0]",
+             {"permittivities": [float("nan")], "miller_factors": [-1.0]}),
         ],
     )
     def test_oversized_values_rejected_by_name(self, field, payload):
-        """Each error names the field, or the element of a choice list
-        (only an optimize request has those), on the wire and when the
+        """Each error names the field, or the element of a list (only
+        an optimize request has those), on the wire and when the
         request is built directly."""
-        cls = OptimizeRequest if "_choices" in field else RankRequest
+        cls = OptimizeRequest if "[" in field else RankRequest
         with pytest.raises(SchemaError, match=f"^{re.escape(field)}: must be"):
             cls.from_wire(payload)
         direct = {k: tuple(v) if isinstance(v, list) else v

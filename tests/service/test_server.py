@@ -13,6 +13,8 @@ import pytest
 
 from repro import obs
 from repro.schema import SCHEMA_VERSION
+from repro.service import ServiceConfig
+from repro.service import server as server_module
 
 from tests.service.client import (
     Client,
@@ -188,9 +190,13 @@ class TestErrors:
 
         asyncio.run(scenario())
 
-    def test_oversize_body_is_413_and_closes(self):
+    def test_oversize_body_is_413_and_closes(self, monkeypatch):
+        with pytest.raises(TypeError, match="max_body_bytes"):
+            ServiceConfig(max_body_bytes=64)
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+
         async def scenario():
-            async with running_service(max_body_bytes=64) as (service, client):
+            async with running_service() as (service, client):
                 status, _, _ = await client.request(
                     "POST", "/v1/rank", b"x" * 100
                 )

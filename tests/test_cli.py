@@ -230,14 +230,38 @@ class TestExitCodes:
         assert main(["no-such-command"]) == 2
 
     def test_removed_flags_exit_two(self, capsys):
-        """``--units`` (the old spelling of ``--repeater-units``) and
-        ``--backend`` are gone; argparse rejects them as usage errors."""
+        """``--units`` (the old spelling of ``--repeater-units``),
+        ``--backend`` and ``--checkpoint-every`` are gone; argparse
+        rejects them as usage errors."""
         assert main(["rank", *self.FAST, "--units", "64"]) == 2
         assert main(["nodes", "--units", "64"]) == 2
         assert main(["rank", *self.FAST, "--backend", "numpy"]) == 2
+        assert main(["sweep", "R", *self.FAST, "--checkpoint-every", "5"]) == 2
 
     def test_library_error_exits_one(self, capsys):
         assert main(["rank", "--node", "65nm"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv,code,named",
+        [
+            (["curve", "--points", "0"], 2, "argument --points"),
+            (["curve", "--points", "-3"], 2, "argument --points"),
+            (["optimize", "--k-classes", "abc"], 2, "argument --k-classes"),
+            (["optimize", "--k-classes", ","], 2, "argument --k-classes"),
+            (["optimize", "--m-classes", "2.0,"], 2, "argument --m-classes"),
+            (["optimize", "--k-classes", "nan"], 1, "permittivities[0]"),
+            (["optimize", "--k-classes", "3.9,0.5"], 1, "permittivities[1]"),
+            (["optimize", "--m-classes", "inf"], 1, "miller_factors[0]"),
+            (["optimize", "--m-classes", "2.0,-1"], 1, "miller_factors[1]"),
+        ],
+    )
+    def test_bad_values_name_the_argument(self, capsys, argv, code, named):
+        """Bad flag values are usage errors (exit 2) or library errors
+        (exit 1) that name what is wrong, never a traceback."""
+        assert main([*argv, *self.FAST]) == code
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
 
     def test_total_failure_exits_one(self, monkeypatch, capsys):
         self._fail_points(monkeypatch, None)  # every point fails
