@@ -1,36 +1,90 @@
 """Vectorized (NumPy) transition kernels for the rank DP.
 
 Same recurrence and state space as the scalar test oracle
-``_solve_pairs_python`` in :mod:`repro.core.dp`, but one *whole
-layer-pair* of work per kernel call instead of one ``(b, r)`` state at
-a time:
+(``tests/dp_oracle.py``), but one *whole layer-pair* of work per kernel
+call instead of one ``(b, r)`` state at a time:
 
-* the transition reads its source states as arrays ``(bs, rs, zs)``,
-  not as a table: :func:`_close_pair` lists the few thousand finite
-  cells of the pair's scatter buffer and keeps the strict-improvement
-  records of each row, exactly the states a cummin over budgets would
-  expose, then resets those cells for the next pair, so the solve
-  allocates one dense buffer in all,
-* their prefix extensions are expanded a run of whole states at a
-  time, about ``_BLOCK`` candidates per run, with in-place ufuncs over
-  cache-sized temporaries, and each run is scatter-minimized into
-  ``F[pair]`` with ``np.minimum.at``; infeasible candidates are routed
-  to a dummy overflow cell instead of compressed away, and the pair's
-  multi-million candidates are never materialized at once; of each
-  state only its last valid end group ``v_hi`` is kept, as its valid
-  ends are a prefix of its range,
+* the transition reads its source states as arrays ``(bs, rs, zs)``:
+  the strict-improvement records of ``F[pair-1]``, exactly the states a
+  cummin over budgets would expose, row-major in ``(b, r)``,
+* of each state it first finds ``v_hi``, its last end group within
+  budget (the valid ends are a prefix of its range), from a
+  ``searchsorted`` guess and an uncapped fix-up with the cell test
+  itself, without expanding the range,
+* it then clips from each state's range the ends where an earlier state
+  dominates it (below) and expands only the rest, a run of whole states
+  at a time, about ``_BLOCK`` candidates per run, with in-place ufuncs
+  over cache-sized temporaries; the pair's candidates are never all
+  materialized, and no dense ``(G+1) x (R+1)`` table is allocated:
+  :func:`_close_pair` reads the next pair's records out of the kept
+  candidates with one sort,
 * witness parents are *not* tracked during the forward pass — the
-  kernel retains each pair's finite cells ``(rows, cols, vals)`` and
-  compact state arrays, and :func:`_recover_parents` rebuilds the one
-  row per pair the backward walk reads and re-derives the parent of
-  the one cell it visits,
+  kernel retains each pair's source states, and
+  :func:`_recover_parents` re-derives the parent of the one cell per
+  pair the backward walk visits,
 * the rank-candidate scan runs level-major — highest end group first
   across *all* states — and :func:`_candidates` rebuilds a level's
-  candidates only when the scan reaches it (bit-identical to the
-  transition's), with a vectorized
-  :func:`~repro.assign.greedy_assign.pack_required_leftover` threshold
-  test pruning provably-failing candidates before any scalar
+  candidates over each state's unclipped ``[b, v_hi]`` only when the
+  scan reaches it (bit-identical to the transition's), with a
+  vectorized :func:`~repro.assign.greedy_assign.pack_required_leftover`
+  threshold test pruning provably-failing candidates before any scalar
   :func:`~repro.assign.greedy_assign.pack_suffix` call.
+
+Dominance clip.  Write ``C``, ``I`` for the pair's ``cum_rep_area`` and
+``cum_inserted``, ``u`` for the cell area and ``ε`` for ``CEIL_EPS``; a
+state ``(b, r, z)``'s candidate at end ``e`` lands in cell ``r +
+ceil((C[e] - C[b]) / u - ε)`` (0 cells for a non-positive area) with
+value ``z + (I[e] - I[b])``.  State ``i`` dominates a later-starting
+state ``j`` (``b_i < b_j``) when
+
+1. ``v_hi[i] >= b_j``: it has valid candidates on ``j``'s rows;
+2. ``z_i - I[b_i] <= z_j - I[b_j]``: ``i`` extended to ``b_j`` carries
+   no more repeaters than ``j``;
+3. ``r_i - C[b_i] / u <= r_j - C[b_j] / u - δ``, with ``δ = 2^-46 ·
+   (max finite C / u + R + 1)``: ``i``'s unrounded extra cost ``(C[b_j]
+   - C[b_i]) / u`` is at most ``r_j - r_i`` less the margin; or else
+   ``C[b_j] == C[b_i]`` and ``r_i <= r_j``.
+
+Then at every end ``e`` in ``[b_j, v_hi[i]]`` the candidate of ``i``
+is no worse than ``j``'s in both cell and value, so the cummin'd row
+``e`` of ``F[pair]`` already holds, at ``j``'s cell or left of it, a
+value no larger than ``j``'s: dropping ``j``'s candidate there moves no
+record.  ``i``'s own candidate may be dropped only for an earlier
+state's that is no worse again, so by induction on ``b`` the records
+are the unclipped table's, bit for bit.
+
+* Values are exact.  On a valid range ``I`` is finite and
+  integer-valued (a running sum of wire count × inserted repeaters,
+  far below ``2^53``), and so is every ``z`` (a sum of such
+  differences), so the IEEE subtractions and additions are exact and
+  test 2 is the value comparison at every ``e``.
+* Cells need the unrounded cost and a margin.  In exact arithmetic
+  ``(C[e] - C[b_i]) / u = (C[e] - C[b_j]) / u + (C[b_j] - C[b_i]) / u``,
+  so if the last term is at most ``r_j - r_i`` then ``ceil``, being
+  monotone and commuting with adding an integer, charges ``i`` no more
+  than ``j``.  Each quantity the kernel actually computes (both slice
+  areas, their quotients, the ``ε`` shift and test 3's two sides) is
+  off by a few ulps of ``max C / u + R``; ``δ`` is thousands of times
+  that, so test 3 implies the exact inequality for the rounded values
+  too.  The clamp of a non-positive area to 0 cells only lowers ``i``'s
+  cost and only raises ``j``'s.  The equal-``C`` branch is exact: both
+  slices subtract the same float.
+* The ceil'd cost would be unsound.  ``ceil((C[b_j] - C[b_i]) / u - ε)
+  <= r_j - r_i`` admits an extra cost up to ``r_j - r_i + ε``, and that
+  ``ε`` can carry ``i``'s slice across a cell boundary that ``j``'s
+  stays below: ``ceil`` is subadditive, but ``ceil(a + b - ε) <= ceil(a
+  - ε) + ceil(b - ε)`` fails when ``a`` and ``b`` each exceed an
+  integer by less than ``ε`` but together by more.  With an extra cost
+  of ``1 + 5e-10`` cells and a slice of ``7.5e-10`` cells past ``b_j``,
+  ``j`` pays 0 cells and ``i`` pays 2.  Float rounding can break the
+  bare unrounded test too, hence the margin.
+
+Each state tests O(log n) earlier rows' states, the cheapest by ``r -
+C[b] / u`` (the best for test 3) within the last 1, 2, 4, ... states
+before its row, and keeps ``[max over its dominators of v_hi + 1,
+v_hi]``.  ``transitions``, :func:`_levels`, :func:`_candidates`, the
+rank scan and :func:`_recover_parents` all read the unclipped ranges,
+so counters, ranks and witnesses do not depend on the clip.
 
 The transition (:func:`_pair_transition`) is shared by two rank
 reductions: one global best (:func:`solve_pairs_numpy`) and the best
@@ -74,6 +128,7 @@ import numpy as np
 
 from ..assign.greedy_assign import pack_required_leftover, pack_suffix
 from ..assign.tables import AssignmentTables
+from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import observe as _obs_observe
 from .discretize import CEIL_EPS
@@ -90,44 +145,50 @@ _PRUNE_MARGIN = 1.0 - 1e-9
 #: stay in a 2 MB L2 cache.
 _BLOCK = 1 << 14
 
+#: Kept candidates a pair may hold before :func:`_pair_transition`
+#: reduces them to their records (16 bytes each, 4 MB).  Records of
+#: records are the records of the whole, so the reduction is exact; it
+#: bounds the pair's memory by this plus its records however much work
+#: the pair does.
+_COMPACT = 1 << 18
+
+#: Relative slack of the cost margin in :func:`_first_kept`: far above
+#: the few ulps that the IEEE cell test and the margin test can each
+#: round by, so the margin covers both (see the module docstring).
+_MARGIN_ULPS = 2.0**-46
+
 #: One pair's transition, as :func:`_pair_transition` returns it.
-_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi v_hi")
+_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi v_hi scattered")
 
 
-def _start(tables: AssignmentTables, disc):
-    """The solve's scatter buffer and the first pair's source states.
-
-    The buffer holds ``F[pair]`` row-major, ``(G+1) x (R+1)`` cells plus
-    one overflow cell, all ``inf``; :func:`_close_pair` leaves it so
-    after every pair.  Before the first pair only the empty prefix is
-    reachable, for free: the one source ``(b, r, z) = (0, 0, 0.0)``.
-    """
-    flat = np.full((tables.num_groups + 1) * (disc.num_units + 1) + 1, math.inf)
+def _start():
+    """The first pair's source states: before it only the empty prefix
+    is reachable, for free, so the one source is ``(b, r, z) = (0, 0,
+    0.0)``."""
     zero = np.zeros(1, dtype=np.int64)
-    return flat, (zero, zero.copy(), np.zeros(1))
+    return zero, zero.copy(), np.zeros(1)
 
 
 def _pair_transition(
     tables: AssignmentTables,
     disc,
     stats,
-    flat: np.ndarray,
     sources: Tuple[np.ndarray, np.ndarray, np.ndarray],
     pair: int,
     deadline: Optional[float],
-) -> _PairTransition:
+):
     """Expand the source states ``(bs, rs, zs)`` of ``F[pair-1]`` into
-    ``F[pair]``, scatter-minimized into ``flat`` (see :func:`_start`).
+    ``F[pair]``.
 
-    ``bs, rs, zs, capacity, e_hi`` are the source states that extend at
-    all; state ``s`` has one candidate per end group in
-    ``[bs[s], e_hi[s]]``.  Its candidates within budget are those up to
-    ``v_hi[s]`` (``bs[s] - 1`` when there are none): up to ``e_hi``,
-    ``cum_rep`` is finite and non-decreasing (or ``inf`` from ``b`` on,
-    when no end is valid), and IEEE subtract, divide and ceil are
-    monotone, so the cell count never falls as the end group grows and
-    the valid ends form a prefix of the range.  :func:`_candidates`
-    rebuilds any of them on demand.
+    Returns ``(step, cells)``.  ``step.bs, rs, zs, capacity, e_hi`` are
+    the source states that extend at all; state ``s`` has one candidate
+    per end group in ``[bs[s], e_hi[s]]``, and those within budget are
+    the ends up to ``v_hi[s]`` (``bs[s] - 1`` when there are none).
+    :func:`_candidates` rebuilds any of them on demand.  ``cells`` are
+    the candidates the pair scattered, ``(lin, vals)`` with ``lin = e *
+    (R+1) + cells``: the valid candidates the dominance clip keeps, in
+    no particular order; :func:`_close_pair` reads ``F[pair]``'s records
+    out of them.  ``step.scattered`` counts them before any reduction.
     """
     num_units = disc.num_units
     unit_area = disc.unit_area
@@ -158,37 +219,39 @@ def _pair_transition(
     ) - 1
     # The cap only prunes: an end past the wall crosses the first
     # infeasible group, whose +inf repeater term poisons cum_rep, so
-    # that candidate would fail the budget test below anyway.
+    # that candidate would fail the budget test anyway.
     e_hi = np.minimum(e_hi, delay_limit[bs])
     keep = e_hi >= bs
     bs, rs, zs, capacity, e_hi = (a[keep] for a in (bs, rs, zs, capacity, e_hi))
 
-    # F[pair] lives in a flat buffer with one extra overflow cell;
-    # infeasible candidates scatter there and are never read back.
-    width = num_units + 1
-    size = len(flat) - 1
+    v_hi = _last_valid(disc, pair, bs, rs, e_hi)
+    stats.transitions += int((v_hi - bs + 1).sum())
+    first = _first_kept(tables, disc, pair, bs, rs, zs, v_hi)
 
-    # Candidate c of state s extends the prefix to end group es[c] in
-    # [bs[s], e_hi[s]].  The candidates are processed in runs of whole
-    # states of about _BLOCK candidates each, so every temporary below
-    # stays in cache; a state longer than the block is a run of its own.
-    lens = e_hi - bs + 1
+    # Candidate c of the k-th kept state ends at group shift[k] + c, in
+    # [first, v_hi]: all within budget, so none needs masking.  They are
+    # processed in runs of whole states of about _BLOCK candidates each,
+    # so every temporary below stays in cache; a state longer than the
+    # block is a run of its own.
+    kept = np.flatnonzero(v_hi >= first)
+    lens = v_hi[kept] - first[kept] + 1
     offsets = np.concatenate(([0], np.cumsum(lens)))
-    n_states = len(bs)
     ramp = np.arange(min(offsets[-1], max(_BLOCK, lens.max(initial=0))))
     # Per-state operands (r as float: the same IEEE add as the int, one
-    # cast fewer per candidate), and each state's first end group minus
-    # its first candidate index, so candidate c ends at shift[s] + c.
-    rep_b, ins_b, rs_f = cum_rep[bs], cum_ins[bs], rs.astype(float)
-    shift = bs - offsets[:-1]
-    # Valid candidates per state; run bookkeeping in plain Python: a run
-    # costs a few dozen numpy calls, so its scalar steps should not add
-    # more.
-    n_valid = np.empty(n_states, dtype=np.int64)
+    # cast fewer per candidate).
+    rep_b, ins_b = cum_rep[bs[kept]], cum_ins[bs[kept]]
+    rs_f, zs_k = rs[kept].astype(float), zs[kept]
+    shift = first[kept] - offsets[:-1]
+    # Run bookkeeping in plain Python: a run costs a dozen numpy calls,
+    # so its scalar steps should not add more.
     bounds = offsets.tolist()
+    width = num_units + 1
+    lins: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    vals: List[np.ndarray] = [np.zeros(0)]
+    held, limit = 0, _COMPACT
 
     s0 = 0
-    while s0 < n_states:
+    while s0 < len(kept):
         check_deadline(deadline, where=f"dp pair {pair} run")
         lo = bounds[s0]
         s1 = max(bisect.bisect_right(bounds, lo + _BLOCK) - 1, s0 + 1)
@@ -201,49 +264,134 @@ def _pair_transition(
         # RepeaterDiscretization.slice_units_spans — subtract the
         # *state's* cumulative, divide, epsilon-ceil — but done in place
         # on the run's buffers, which keeps its temporaries in cache.
-        with np.errstate(invalid="ignore"):
-            areas = cum_rep[es]
-            areas -= np.repeat(rep_b[s0:s1], rl)
-            if math.isinf(unit_area):
-                nr = np.where(areas > 0.0, np.inf, 0.0)
-            else:
-                nr = areas / unit_area
-                nr -= CEIL_EPS
-                np.ceil(nr, out=nr)
-                np.copyto(nr, 0.0, where=areas <= 0.0)
-            # nan (poisoned slice) and inf both fail the budget test
-            # below, exactly like the scalar inf mapping.
-            nr += np.repeat(rs_f[s0:s1], rl)
-            valid = nr <= num_units
-            counts = np.add.reduceat(valid, offsets[s0:s1] - lo, dtype=np.int64)
-            n_valid[s0:s1] = counts
-            stats.transitions += int(counts.sum())
+        # With no budget (unit_area inf) every kept slice is free.
+        areas = cum_rep[es]
+        areas -= np.repeat(rep_b[s0:s1], rl)
+        nr = areas / unit_area
+        nr -= CEIL_EPS
+        np.ceil(nr, out=nr)
+        np.copyto(nr, 0.0, where=areas <= 0.0)
+        nr += np.repeat(rs_f[s0:s1], rl)
 
-            nz = cum_ins[es]
-            nz -= np.repeat(ins_b[s0:s1], rl)
-            nz += np.repeat(zs[s0:s1], rl)
+        nz = cum_ins[es]
+        nz -= np.repeat(ins_b[s0:s1], rl)
+        nz += np.repeat(zs_k[s0:s1], rl)
 
-            # Scatter targets; infeasible candidates go to the overflow
-            # cell `size` (cast garbage from inf/nan is overwritten
-            # before use).
-            lin = nr.astype(np.int64)
-            es *= width
-            lin += es
-        invalid = np.logical_not(valid, out=valid)
-        np.copyto(lin, size, where=invalid)
-        # Their cost may be nan (inf - inf in cum_ins); the overflow
-        # cell is never read, so give it a quiet inf instead.
-        np.copyto(nz, math.inf, where=invalid)
-
-        # Scatter-min the run into F[pair].  The value is
-        # order-independent; _recover_parents re-derives the scalar
-        # loop's strict-improvement winner (the first candidate in
-        # processing order attaining the min) for the cells the witness
-        # walk visits.
-        np.minimum.at(flat, lin, nz)
+        lin = nr.astype(np.int64)
+        es *= width
+        lin += es
+        lins.append(lin)
+        vals.append(nz)
+        held += n
+        if held > limit:
+            rows, cols, rec = _close_pair(np.concatenate(lins), np.concatenate(vals), width)
+            lins, vals = [rows * width + cols], [rec]
+            # Reduce again only once the pair has doubled: linear in all.
+            held = len(rec)
+            limit = max(_COMPACT, 2 * held)
         s0 = s1
 
-    return _PairTransition(bs, rs, zs, capacity, e_hi, bs + n_valid - 1)
+    step = _PairTransition(bs, rs, zs, capacity, e_hi, v_hi, bounds[-1])
+    return step, (np.concatenate(lins), np.concatenate(vals))
+
+
+def _last_valid(disc, pair: int, bs, rs, e_hi) -> np.ndarray:
+    """Each state's last end group within budget in ``[bs, e_hi]``
+    (``bs - 1`` when there is none), by the transition's own cell test.
+
+    Up to ``e_hi``, ``cum_rep`` is finite and non-decreasing (or ``inf``
+    from ``b`` on, when no end is valid), and IEEE subtract, divide and
+    ceil are monotone, so the cell count never falls as the end group
+    grows and the valid ends form a prefix of the range.  The guess
+    inverts the budget to an area; rounding can put it a few ends off,
+    and the fix-up steps it, one run of equal ``cum_rep`` (which share
+    one verdict) at a time, until the test holds at it and fails past
+    it.
+    """
+    cum_rep = disc.cum_rep_area[pair]
+    num_units, unit_area = disc.num_units, disc.unit_area
+
+    def valid(some, ends):
+        return rs[some] + disc.slice_units_spans(pair, bs[some], ends) <= num_units
+
+    reach = cum_rep[bs]
+    if not math.isinf(unit_area):
+        reach = reach + (num_units - rs + CEIL_EPS) * unit_area
+    v = np.searchsorted(cum_rep, reach, side="right") - 1
+    v = np.clip(v, bs - 1, e_hi)
+    while True:
+        up = v < e_hi
+        up[up] = valid(up, v[up] + 1)
+        down = v >= bs
+        down[down] = ~valid(down, v[down])
+        if not (up.any() or down.any()):
+            return v
+        nxt = v[up] + 1
+        v[up] = np.minimum(np.searchsorted(cum_rep, cum_rep[nxt], side="right") - 1, e_hi[up])
+        v[down] = np.maximum(
+            np.searchsorted(cum_rep, cum_rep[v[down]], side="left") - 1, bs[down] - 1
+        )
+
+
+def _first_kept(tables: AssignmentTables, disc, pair: int, bs, rs, zs, v_hi) -> np.ndarray:
+    """First end group each state scatters: one past the last end of
+    the earlier states found to dominate it, else its own ``b``.
+
+    The dominance tests and their proof are in the module docstring.
+    Each state tests, for every ``k``, the state with the least ``r -
+    cum_rep[b] / unit_area`` (the best for the cost test) among the last
+    ``2^k`` states before its row: the further back the window reaches,
+    the cheaper that state but the shorter its reach.
+    """
+    n = len(bs)
+    first = bs.copy()
+    idx = np.arange(n)
+    # The last state of the rows before each state's own (-1: none).
+    head = np.ones(n, dtype=bool)
+    head[1:] = bs[1:] != bs[:-1]
+    prev = np.maximum.accumulate(np.where(head, idx, 0)) - 1
+    j = np.flatnonzero(prev >= 0)
+    if not len(j):
+        return first
+
+    cum_rep = disc.cum_rep_area[pair]
+    unit_area = disc.unit_area
+    cb = cum_rep[bs]
+    # Tests 2 and 3 compare one key per state: the repeaters less the
+    # prefix's cumulative count (exact: integers), and the cells less
+    # the prefix's unrounded cumulative cost, whose margin covers the
+    # rounding of both it and the cell test over the pair's largest
+    # finite cum_rep.
+    top = cum_rep[np.isfinite(cum_rep)].max(initial=0.0)
+    margin = _MARGIN_ULPS * (top / unit_area + disc.num_units + 1)
+    with np.errstate(invalid="ignore"):
+        spare = zs - tables.cum_inserted[pair][bs]
+        cost = np.where(v_hi >= bs, rs - cb / unit_area, np.inf)
+
+    # The cheapest state of the last 1, 2, 4, ... states before each
+    # row: each doubling keeps the cheaper of a window's and the one
+    # just before it (state 0 stands in before the first).
+    pj = prev[j]
+    cheapest, span, rows = idx, 1, [pj]
+    while span < n:
+        before = np.concatenate((np.zeros(span, dtype=np.int64), cheapest[:-span]))
+        cheapest = np.where(cost[before] < cost[cheapest], before, cheapest)
+        span *= 2
+        rows.append(cheapest[pj])
+
+    i = np.array(rows)
+    with np.errstate(invalid="ignore"):
+        dominates = (
+            (v_hi[i] >= bs[j])
+            & (spare[i] <= spare[j])
+            & (
+                (cost[i] <= cost[j] - margin)
+                | ((cb[i] == cb[j]) & (rs[i] <= rs[j]))
+            )
+        )
+    last = np.where(dominates, v_hi[i], -1).max(axis=0)
+    first[j] = np.where(last >= 0, last + 1, bs[j])
+    return first
 
 
 def _candidates(
@@ -286,47 +434,32 @@ def _levels(step: _PairTransition, num_groups: int) -> np.ndarray:
     return np.flatnonzero(np.cumsum(cover[: num_groups + 1]))
 
 
-def _close_pair(flat: np.ndarray, width: int):
-    """Read the pair's source states for the next pair out of ``flat``
-    (``F[pair]`` of row width ``width`` plus the overflow cell) and reset
-    it to all ``inf``.
+def _close_pair(lin: np.ndarray, vals: np.ndarray, width: int):
+    """The records of ``F[pair]`` given its scattered candidates: cell
+    indices ``lin = row * width + col`` and values ``vals``, in any
+    order, several per cell allowed.
 
     The next pair reads the strict-improvement states of ``F[pair]``
-    cummin'd over budgets: the finite cells whose value is strictly
-    below every earlier finite cell of their row.  Only those cells are
-    touched, in row-major order, with their values copied unchanged, so
-    the states, their order and their ``z`` match the dense cummin's.
-    Returns ``(sources, cells)``: the records ``(bs, rs, zs)`` and every
-    finite cell ``(rows, cols, vals)``, which the witness keeps.
+    cummin'd over budgets: per row, the cells whose minimum is strictly
+    below every earlier cell's.  Sorted by row, then value, then
+    column, a candidate is one exactly when its column is left of every
+    candidate before it in its row; one running minimum over
+    ``col - row * width`` (which falls from row to row) tests that for
+    all rows at once.  Returns the records ``(bs, rs, zs)`` row-major
+    with their values copied unchanged, so the states, their order and
+    their ``z`` match a dense cummin's.
     """
-    size = len(flat) - 1
-    idx = np.flatnonzero(flat[:size] < math.inf)
-    vals = flat[idx]
-    flat[idx] = math.inf
-    flat[size] = math.inf
-    rows, cols = np.divmod(idx, width)
-
-    # The first finite cell of a row is a record; a later one is when
-    # it beats the running minimum of the row's earlier cells.  Rows
-    # with several cells (a few per pair) get a cummin padded to the
-    # longest of them.
-    keep = np.ones(len(idx), dtype=bool)
-    keep[1:] = rows[1:] != rows[:-1]
-    starts = np.flatnonzero(keep)
-    counts = np.diff(np.append(starts, len(idx)))
-    several = counts > 1
-    if several.any():
-        starts, counts = starts[several], counts[several]
-        ramp = np.arange(counts.max())
-        inside = ramp < counts[:, None]
-        pos = (starts[:, None] + ramp)[inside]
-        pad = np.full(inside.shape, math.inf)
-        pad[inside] = vals[pos]
-        runmin = np.minimum.accumulate(pad, axis=1)
-        beats = np.ones(inside.shape, dtype=bool)
-        beats[:, 1:] = pad[:, 1:] < runmin[:, :-1]
-        keep[pos] = beats[inside]
-    return (rows[keep], cols[keep], vals[keep]), (rows, cols, vals)
+    order = np.lexsort((lin, vals, lin // width))
+    cells = lin[order]
+    rows = cells // width
+    key = cells - rows * (2 * width)
+    record = np.ones(len(key), dtype=bool)
+    record[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
+    cells, rows, vals = cells[record], rows[record], vals[order[record]]
+    # Within a row the records came by value ascending, so columns
+    # descending: put them row-major.
+    back = np.argsort(cells)
+    return rows[back], cells[back] - rows[back] * width, vals[back]
 
 
 def solve_pairs_numpy(
@@ -338,26 +471,30 @@ def solve_pairs_numpy(
 ):
     """Run the DP pair loop with whole-pair vectorized kernels.
 
-    Returns ``(best_rank, best_trace, parent_b, parent_r)`` exactly as
-    :func:`repro.core.dp._solve_pairs_python` does.
+    Returns ``(best_rank, best_trace, parent_b, parent_r)``:
+    ``best_trace = (pair, b, e, r_pred)`` of the winning transition, or
+    ``None`` when no prefix meets delay, and the parents the witness
+    walk reads (see :func:`_recover_parents`).
     """
     width = disc.num_units + 1
-    flat, sources = _start(tables, disc)
+    sources = _start()
 
     best_rank = 0
     best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
-    # Per-pair (bs, rs, zs, e_hi, cells) snapshots for the lazy
-    # backward parent recovery; only kept when a witness is requested.
+    # Per-pair (bs, rs, zs, e_hi) snapshots for the lazy backward
+    # parent recovery; only kept when a witness is requested.
     snapshots: List[Optional[Tuple]] = []
     transition_s = 0.0
     rank_scan_s = 0.0
     close_s = 0.0
+    scattered = 0
 
     for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
-        step = _pair_transition(tables, disc, stats, flat, sources, pair, deadline)
+        step, cells = _pair_transition(tables, disc, stats, sources, pair, deadline)
         transition_s += time.perf_counter() - t0
+        scattered += step.scattered
 
         # --- Rank candidates, level-major: highest end group first.
         t1 = time.perf_counter()
@@ -367,16 +504,17 @@ def solve_pairs_numpy(
         rank_scan_s += time.perf_counter() - t1
 
         t2 = time.perf_counter()
-        sources, cells = _close_pair(flat, width)
+        sources = _close_pair(*cells, width)
         close_s += time.perf_counter() - t2
         if collect_witness:
-            snap = (step.bs, step.rs, step.zs, step.e_hi, cells)
+            snap = (step.bs, step.rs, step.zs, step.e_hi)
             snapshots.append(snap if len(step.bs) else None)
 
     if _metrics_enabled():
         _obs_observe("solver.dp.kernel.transition_s", transition_s)
         _obs_observe("solver.dp.kernel.rank_scan_s", rank_scan_s)
         _obs_observe("solver.dp.kernel.close_s", close_s)
+        _obs_inc("solver.dp.kernel.scattered", scattered)
 
     parent_b: List = []
     parent_r: List = []
@@ -395,10 +533,10 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     cum_wires = tables.cum_wires
     width = disc.num_units + 1
     ranks = np.zeros(width, dtype=np.int64)
-    flat, sources = _start(tables, disc)
+    sources = _start()
 
     for pair in range(tables.num_pairs):
-        step = _pair_transition(tables, disc, stats, flat, sources, pair, None)
+        step, cells = _pair_transition(tables, disc, stats, sources, pair, None)
         # Only candidates that would raise the curve at their own
         # budget cell matter.  ranks[0] is the curve's minimum, so the
         # index threshold on it is a cheap first cut.
@@ -408,7 +546,7 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
         _scan_budget_levels(
             tables, stats, pair, ranks, es[raises], nz[raises], left[raises], nr[raises]
         )
-        sources, _ = _close_pair(flat, width)
+        sources = _close_pair(*cells, width)
     return ranks
 
 
@@ -423,17 +561,16 @@ def _recover_parents(
     The witness walk in :func:`repro.core.dp._reconstruct_witness`
     reads exactly one ``parent[p][b, r]`` cell per pair, so instead of
     attributing parents to every DP cell during the forward pass the
-    kernel retains per-pair snapshots (its source states and the finite
-    cells of ``F[pair]`` before the cummin) and this function answers
-    the few queries after the fact, by the same two rules the scalar
-    loop applies eagerly:
-
-    * the cummin source of ``(b, r)`` is the *last* column ``c <= r``
-      whose pre-cummin value attains the running minimum (a tie keeps
-      its own column's parent);
-    * the parent of a pre-cummin cell is the *first* transition
-      candidate in processing order (states row-major in ``(b, r)``)
-      attaining its value.
+    kernel retains each pair's source states (``snapshots``) and this
+    function answers the few queries after the fact.  Every cell the
+    walk visits is a source state of the pair above, so a record of
+    ``F[p]``: its cummin'd value sits in its own column, as the scalar
+    loop's cummin keeps a column's own parent unless an earlier column
+    is strictly lower.  Its parent is then, as in the scalar loop, the
+    *first* transition candidate in processing order (states row-major
+    in ``(b, r)``) that lands on that cell with that value, the record's
+    ``z``.  Candidates are enumerated over each state's whole range, so
+    the dominance clip of :func:`_first_kept` cannot move a parent.
 
     Returns ``(parent_b, parent_r)`` lists of dicts keyed ``(b, r)``,
     drop-in compatible with the dense arrays' ``[b, r]`` indexing for
@@ -442,35 +579,28 @@ def _recover_parents(
     pair_t, b_t, _e_t, r_t = best_trace
     parent_b: List[dict] = [dict() for _ in range(pair_t)]
     parent_r: List[dict] = [dict() for _ in range(pair_t)]
+    if not pair_t:
+        return parent_b, parent_r
 
+    bs, rs, zs, _ = snapshots[pair_t]
+    value = zs[np.flatnonzero((bs == b_t) & (rs == r_t))[0]]
     cur_b, cur_r = b_t, r_t
     for p in range(pair_t - 1, -1, -1):
         pb_val = pr_val = -1
         snap = snapshots[p]
         if snap is not None:
-            bs, rs, zs, e_hi, (rows, cols, vals) = snap
-            # Rebuild the walked row of F[p] before the cummin, up to r.
-            lo, hi = np.searchsorted(rows, (cur_b, cur_b + 1))
-            row = np.full(cur_r + 1, math.inf)
-            upto = cols[lo:hi] <= cur_r
-            row[cols[lo:hi][upto]] = vals[lo:hi][upto]
-            runmin = np.minimum.accumulate(row)
-            att = np.flatnonzero(row[1:] <= runmin[:-1])
-            c = int(att[-1]) + 1 if len(att) else 0
-            value = row[c]
-
+            bs, rs, zs, e_hi = snap
             cum_ins = tables.cum_inserted[p]
             cand = np.flatnonzero((bs <= cur_b) & (e_hi >= cur_b))
-            if len(cand) and math.isfinite(value):
+            if len(cand):
                 sb = bs[cand]
                 nr = rs[cand] + disc.slice_units_spans(p, sb, cur_b)
                 with np.errstate(invalid="ignore"):
                     nz = zs[cand] + (cum_ins[cur_b] - cum_ins[sb])
-                    hits = np.flatnonzero((nr == c) & (nz == value))
+                    hits = np.flatnonzero((nr == cur_r) & (nz == value))
                 if len(hits):
                     i = int(cand[hits[0]])
-                    pb_val = int(bs[i])
-                    pr_val = int(rs[i])
+                    pb_val, pr_val, value = int(bs[i]), int(rs[i]), zs[i]
         parent_b[p][cur_b, cur_r] = pb_val
         parent_r[p][cur_b, cur_r] = pr_val
         if pb_val < 0:

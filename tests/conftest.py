@@ -109,18 +109,24 @@ def solve_rank_oracle(
     tables, repeater_units, collect_witness=False, deadline=None
 ):
     """The rank DP run on the scalar pair loop instead of the NumPy
-    kernel: same discretization, fits check and witness rebuild, so its
-    :class:`~repro.core.dp.RawSolution` compares field for field with
-    :func:`~repro.core.dp.solve_rank_dp`'s."""
-    from repro.core.dp import _solve_pairs_python, _solve_rank_dp_impl
+    kernel: :func:`~repro.core.dp.solve_rank_dp` with
+    :func:`tests.dp_oracle.solve_pairs_python` patched in where it looks
+    the kernel up, so the discretization, fits check and witness rebuild
+    are the same and its :class:`~repro.core.dp.RawSolution` compares
+    field for field with the kernel's."""
+    import repro.core.dp_numpy as dp_numpy
+    from repro.core.dp import solve_rank_dp
 
-    return _solve_rank_dp_impl(
-        tables,
-        repeater_units=repeater_units,
-        collect_witness=collect_witness,
-        deadline=deadline,
-        solve_pairs=_solve_pairs_python,
-    )
+    from .dp_oracle import solve_pairs_python
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp_numpy, "solve_pairs_numpy", solve_pairs_python)
+        return solve_rank_dp(
+            tables,
+            repeater_units=repeater_units,
+            collect_witness=collect_witness,
+            deadline=deadline,
+        )
 
 
 @pytest.fixture

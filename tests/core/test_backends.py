@@ -1,10 +1,10 @@
 """Kernel parity: the NumPy DP kernel matches the scalar test oracle.
 
 ``solve_rank_dp`` always runs the whole-pair kernels of
-:mod:`repro.core.dp_numpy`.  The scalar per-state loop stays in
-:mod:`repro.core.dp` as a private oracle (``solve_rank_oracle`` in the
-test conftest), run through the same discretize, fits check and witness
-rebuild.  The kernel promises *bit-identical* results to it — not merely
+:mod:`repro.core.dp_numpy`.  The scalar per-state loop is a test oracle
+(``tests/dp_oracle.py``); ``solve_rank_oracle`` in the test conftest
+patches it in for the kernel, so it runs through the same discretize,
+fits check and witness rebuild.  The kernel promises *bit-identical* results to it — not merely
 the same rank, but the same witness, the same feasibility verdict, and
 the same deterministic solver counters.  These tests pin that contract
 on randomized instances (Hypothesis) and on the degradation paths
@@ -16,6 +16,7 @@ old kernel-selection knob.
 import dataclasses
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ import repro.core.dp as dp
 import repro.core.dp_numpy as dp_numpy
 from repro import compute_rank
 from repro.api import baseline_problem, budget_curve
-from repro.core.discretize import discretize_repeaters
+from repro.core.discretize import CEIL_EPS, RepeaterDiscretization, discretize_repeaters
 from repro.core.dp import solve_rank_dp
 from repro.errors import DeadlineExceeded
 
+from .. import dp_oracle
 from ..conftest import make_tiny_problem, solve_rank_oracle
 
 
@@ -143,11 +145,11 @@ class TestTransitionBounds:
         tables, _ = problem.tables()
         disc = discretize_repeaters(tables, 32)
         stats = dp.SolverStats(solver="dp")
-        flat, sources = dp_numpy._start(tables, disc)
+        sources = dp_numpy._start()
         walled = 0
         for pair in range(tables.num_pairs):
-            step = dp_numpy._pair_transition(
-                tables, disc, stats, flat, sources, pair, None
+            step, cells = dp_numpy._pair_transition(
+                tables, disc, stats, sources, pair, None
             )
             wall = tables.next_infeasible[pair][step.bs]
             assert np.all(step.e_hi <= wall)
@@ -155,7 +157,7 @@ class TestTransitionBounds:
             beyond = np.minimum(wall + 1, tables.num_groups)
             reach = cum_area[beyond] - cum_area[step.bs]
             walled += int(np.count_nonzero((wall < beyond) & (reach <= step.capacity)))
-            sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
+            sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
         assert walled > 0
 
 
@@ -163,13 +165,12 @@ def _transitions(tables, units):
     """Every pair's transition of a solve, with its discretization."""
     disc = discretize_repeaters(tables, units)
     stats = dp.SolverStats(solver="dp")
-    flat, sources = dp_numpy._start(tables, disc)
+    sources = dp_numpy._start()
     steps = []
     for pair in range(tables.num_pairs):
-        steps.append(
-            dp_numpy._pair_transition(tables, disc, stats, flat, sources, pair, None)
-        )
-        sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
+        step, cells = dp_numpy._pair_transition(tables, disc, stats, sources, pair, None)
+        steps.append(step)
+        sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
     return disc, steps
 
 
@@ -200,30 +201,33 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(scope="module")
+def stacks(node130, small_baseline):
+    """Real tables with their cell counts: tiny, via-saturated, zero
+    budget and a bunched full pipeline."""
+    saturated, _ = make_tiny_problem(
+        node130, [1500, 1200, 700, 300, 90, 25], semi_global_pairs=1
+    ).tables()
+    via_area = saturated.via_area.copy()
+    via_area[1] = 2 * saturated.routing_capacity / (
+        saturated.vias_per_wire * float(saturated.cum_wires[1])
+    )
+    return [
+        (make_tiny_problem(
+            node130, [1200, 700, 300, 90, 25], repeater_fraction=0.2
+        ).tables()[0], 32),
+        (dataclasses.replace(saturated, via_area=via_area), 32),
+        (make_tiny_problem(
+            node130, [900, 500, 100], repeater_fraction=0.0
+        ).tables()[0], 8),
+        (small_baseline.tables(bunch_size=5_000)[0], 128),
+    ]
+
+
 class TestCandidates:
     """``_candidates`` rebuilds, for any band of end groups, exactly the
     transition's valid candidates: same states, same order, bit-identical
     floats; ``_levels`` lists exactly the levels that hold any."""
-
-    @pytest.fixture(scope="class")
-    def stacks(self, node130, small_baseline):
-        saturated, _ = make_tiny_problem(
-            node130, [1500, 1200, 700, 300, 90, 25], semi_global_pairs=1
-        ).tables()
-        via_area = saturated.via_area.copy()
-        via_area[1] = 2 * saturated.routing_capacity / (
-            saturated.vias_per_wire * float(saturated.cum_wires[1])
-        )
-        return [
-            (make_tiny_problem(
-                node130, [1200, 700, 300, 90, 25], repeater_fraction=0.2
-            ).tables()[0], 32),
-            (dataclasses.replace(saturated, via_area=via_area), 32),
-            (make_tiny_problem(
-                node130, [900, 500, 100], repeater_fraction=0.0
-            ).tables()[0], 8),
-            (small_baseline.tables(bunch_size=5_000)[0], 128),
-        ]
 
     def test_levels_match_dense_enumeration(self, stacks):
         empty = short = 0
@@ -258,7 +262,7 @@ class TestCandidates:
         does not rely on that."""
         bs = np.array([0, 0, 4, 9])
         v_hi = np.array([1, -1, 5, 9])
-        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi)
+        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi, 0)
         assert dp_numpy._levels(step, 12).tolist() == [0, 1, 4, 5, 9]
 
     @staticmethod
@@ -283,24 +287,27 @@ def _dense_close(table):
 
 
 class TestClosePair:
-    """``_close_pair`` returns the dense close's sources, exactly, and
-    leaves the buffer all ``inf``.  Real workloads have at most one
-    record per row, so the several-records branch is pinned here."""
+    """``_close_pair`` reads the dense close's sources, exactly, out of
+    a pair's scattered candidates given in any order, with several per
+    cell.  Real workloads have at most one record per row, so the
+    several-records branch is pinned here."""
 
     @staticmethod
-    def _close(table, overflow=np.inf):
+    def _close(table, seed=0):
+        """Close the candidates of ``table``: each finite cell once with
+        its value, plus worse and equal copies of some, shuffled."""
+        rng = np.random.default_rng(seed)
         width = table.shape[1]
-        flat = np.append(table.ravel(), overflow)
-        sources, cells = dp_numpy._close_pair(flat, width)
-        assert np.all(flat == np.inf)
-        rows, cols, vals = cells
-        finite = np.isfinite(table)
-        assert np.array_equal(rows * width + cols, np.flatnonzero(finite))
-        assert np.array_equal(vals, table[finite])
-        return sources
+        lin = np.flatnonzero(np.isfinite(table))
+        vals = table.ravel()[lin]
+        again = rng.random(len(lin)) < 0.5
+        lin = np.concatenate((lin, lin[again], lin[again]))
+        vals = np.concatenate((vals, vals[again], vals[again] + rng.integers(1, 3, again.sum())))
+        order = rng.permutation(len(lin))
+        return dp_numpy._close_pair(lin[order], vals[order], width)
 
-    def _assert_matches_dense(self, table, overflow=np.inf):
-        got = self._close(table, overflow)
+    def _assert_matches_dense(self, table, seed=0):
+        got = self._close(table, seed)
         for a, b in zip(got, _dense_close(table)):
             assert a.dtype.kind == b.dtype.kind
             assert np.array_equal(a, b)
@@ -317,7 +324,7 @@ class TestClosePair:
                 [9.0, 8.0, 7.0, 6.0, 5.0, 4.0],  # every cell a record
             ]
         )
-        bs, rs, zs = self._close(table, overflow=-1.0)
+        bs, rs, zs = self._close(table)
         assert list(zip(bs, rs, zs)) == [
             (0, 0, 0.0),
             (2, 1, 5.0), (2, 3, 3.0), (2, 5, 1.0),
@@ -326,7 +333,8 @@ class TestClosePair:
             (5, 0, 9.0), (5, 1, 8.0), (5, 2, 7.0),
             (5, 3, 6.0), (5, 4, 5.0), (5, 5, 4.0),
         ]
-        self._assert_matches_dense(table, overflow=-1.0)
+        for seed in range(4):
+            self._assert_matches_dense(table, seed)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sparse_tables(self, seed):
@@ -336,11 +344,240 @@ class TestClosePair:
         shape = (int(rng.integers(1, 40)), int(rng.integers(1, 30)))
         table = rng.integers(0, 6, size=shape).astype(float)
         table[rng.random(shape) >= rng.uniform(0.02, 1.0)] = np.inf
-        self._assert_matches_dense(table, overflow=float(rng.integers(0, 6)))
+        self._assert_matches_dense(table, seed)
 
     def test_empty_buffer(self):
         bs, rs, zs = self._close(np.full((3, 4), np.inf))
         assert len(bs) == len(rs) == len(zs) == 0
+
+
+def _hand_tables(cum_rep, cum_ins=None, wire_area=None, routing=1.0):
+    """One hand-built pair: what the transition reads of a table, with
+    every group feasible and free wire area unless given."""
+    cum_rep = np.asarray(cum_rep, dtype=float)
+    groups = len(cum_rep) - 1
+    row = lambda a: np.asarray(a, dtype=float)[None, :]
+    return types.SimpleNamespace(
+        num_groups=groups,
+        cum_wires=np.arange(groups + 1),
+        cum_wire_area=row(np.zeros(groups + 1) if wire_area is None else wire_area),
+        cum_rep_area=row(cum_rep),
+        cum_inserted=row(np.zeros(groups + 1) if cum_ins is None else cum_ins),
+        next_infeasible=np.full((1, groups + 1), groups),
+        via_area=np.zeros(1),
+        vias_per_wire=0,
+        routing_capacity=routing,
+    )
+
+
+def _clip_and_dense(tables, units, unit_area, sources):
+    """The transition of hand-built ``tables`` from ``sources`` and the
+    same pair by dense enumeration with the oracle's arithmetic.
+    Returns ``(step, first, records, dense_v_hi, dense_records)``."""
+    disc = RepeaterDiscretization(units, unit_area, tables.cum_rep_area)
+    bs, rs, zs = (np.asarray(a) for a in sources)
+    sources = (bs.astype(np.int64), rs.astype(np.int64), zs.astype(float))
+    step, cells = dp_numpy._pair_transition(
+        tables, disc, dp.SolverStats(), sources, 0, None
+    )
+    assert np.array_equal(step.bs, sources[0])  # every state extends
+    first = dp_numpy._first_kept(tables, disc, 0, *sources, step.v_hi)
+    records = dp_numpy._close_pair(*cells, disc.num_units + 1)
+
+    cum_ins = tables.cum_inserted[0]
+    table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
+    v_hi = []
+    for b, r, z, e_hi in zip(*sources, step.e_hi):
+        es = np.arange(b, e_hi + 1)
+        nr = r + disc.slice_units_spans(0, b, es)
+        valid = nr <= disc.num_units
+        # The valid ends are a prefix of the range.
+        v_hi.append(b - 1 + int(np.argmin(np.append(valid, False))))
+        assert not valid[v_hi[-1] - b + 1:].any()
+        with np.errstate(invalid="ignore"):
+            nz = z + (cum_ins[es] - cum_ins[b])
+        np.minimum.at(table, (es[valid], nr[valid].astype(np.int64)), nz[valid])
+    return step, first, records, np.array(v_hi), _dense_close(table)
+
+
+def _assert_exact(step, records, v_hi, dense):
+    assert np.array_equal(step.v_hi, v_hi)
+    for got, want in zip(records, dense):
+        assert _same_bits(got, want)
+
+
+class TestClip:
+    """The dominance clip of ``_pair_transition`` scatters fewer
+    candidates but gives the records and ``v_hi`` of a dense per-state
+    enumeration, floats equal as bytes.  Hand-built tables pin the
+    edges of each dominance test; the real stacks check it at scale."""
+
+    def test_real_tables_match_dense(self, stacks):
+        clipped = 0
+        for tables, units in stacks:
+            disc = discretize_repeaters(tables, units)
+            sources = dp_numpy._start()
+            for pair in range(tables.num_pairs):
+                step, cells = dp_numpy._pair_transition(
+                    tables, disc, dp.SolverStats(), sources, pair, None
+                )
+                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+                _, es, nr, nz, _, valid = _dense_candidates(tables, disc, step, pair)
+                table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
+                np.minimum.at(table, (es[valid], nr[valid].astype(np.int64)), nz[valid])
+                for got, want in zip(sources, _dense_close(table)):
+                    assert _same_bits(got, want)
+                assert step.scattered <= int(valid.sum())
+                clipped += int(valid.sum()) - step.scattered
+        assert clipped > 0
+
+    def test_compaction_is_exact(self, stacks, monkeypatch):
+        """A pair holding more than ``_COMPACT`` candidates reduces them
+        to their records as it goes; the records do not change."""
+        def records(tables, units):
+            disc = discretize_repeaters(tables, units)
+            sources, out = dp_numpy._start(), []
+            for pair in range(tables.num_pairs):
+                _, cells = dp_numpy._pair_transition(
+                    tables, disc, dp.SolverStats(), sources, pair, None
+                )
+                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+                out.append(sources)
+            return out
+
+        want = [records(*stack) for stack in stacks]
+        closes = []
+        real = dp_numpy._close_pair
+        monkeypatch.setattr(
+            dp_numpy, "_close_pair", lambda *a: closes.append(1) or real(*a)
+        )
+        monkeypatch.setattr(dp_numpy, "_BLOCK", 7)
+        monkeypatch.setattr(dp_numpy, "_COMPACT", 16)
+        got = [records(*stack) for stack in stacks]
+        assert len(closes) > sum(tables.num_pairs for tables, _ in stacks)
+        for g, w in zip(got, want):
+            for g_pair, w_pair in zip(g, w):
+                for a, b in zip(g_pair, w_pair):
+                    assert _same_bits(a, b)
+
+    def test_ceil_eps_edge_does_not_clip(self):
+        """State 0 pays ``1 + 5e-10`` cells more than state 1 to reach
+        group 1: one cell once ceil'd with ``CEIL_EPS``, so a ceil'd
+        cost would call it no worse than state 1's one extra cell.  At
+        group 2 it crosses a cell boundary that state 1 does not."""
+        u = 1.0
+        tables = _hand_tables([0.0, 1 + 5e-10, 1 + 5e-10 + 7.5e-10, 3.0, 4.0])
+        cost = tables.cum_rep_area[0][1] / u
+        assert np.ceil(cost - CEIL_EPS) <= 1 < cost
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 8, u, ([0, 1], [0, 1], [0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert first.tolist() == [0, 1]
+        assert (2, 1, 0.0) in zip(*records)  # state 1's, a cell ahead
+
+    def test_equal_cost_keeps_earlier_parent(self):
+        """Group 0 is free, so states 0 and 1 (same ``r`` and ``z``)
+        give identical candidates from group 1 on: state 1 is clipped
+        whole, and the parent of every cell is still state 0, the first
+        in processing order as in the scalar loop."""
+        tables = _hand_tables([0.0, 0.0, 1.5, 2.5, 4.0])
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 4, 1.0, ([0, 1], [0, 0], [0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert first[1] > step.v_hi[1] >= 1
+        disc = RepeaterDiscretization(4, 1.0, tables.cum_rep_area)
+        snapshots = [(step.bs, step.rs, step.zs, step.e_hi), records + (None,)]
+        for b, r, _ in zip(*records):
+            if b >= 1:
+                parent_b, parent_r = dp_numpy._recover_parents(
+                    tables, disc, snapshots, (1, int(b), int(b), int(r))
+                )
+                assert (parent_b[0][b, r], parent_r[0][b, r]) == (0, 0)
+
+    def test_inserted_repeaters_decide(self):
+        """State 0 is cheaper in cells and reaches as far, but group 0
+        inserts 3 repeaters, so from group 1 on its candidates carry 2
+        more than state 1's: the ``z`` test alone keeps state 1."""
+        tables = _hand_tables(
+            [0.0, 0.0, 1.0, 2.0, 3.0], cum_ins=[0.0, 3.0, 3.0, 4.0, 4.0]
+        )
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 8, 1.0, ([0, 1], [0, 2], [0.0, 1.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert first.tolist() == [0, 1]
+        assert (4, 5, 2.0) in zip(*records)  # state 1's
+
+    def test_short_reach_does_not_clip(self):
+        """State 0 is no worse in cells or repeaters, but its routing
+        area ends at group 1: it cannot clip state 1, which starts at 3,
+        nor make it scatter before its own start."""
+        tables = _hand_tables(
+            [0.0] * 6, wire_area=[0.0, 1.0, 2.0, 3.0, 3.5, 4.0], routing=1.5
+        )
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 4, 1.0, ([0, 3], [0, 0], [0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert step.v_hi.tolist() == [1, 5]
+        assert first.tolist() == [0, 3]
+
+    def test_zero_budget(self):
+        """``unit_area = inf``: only free slices fit, and a free earlier
+        state clips a later one over its whole free run."""
+        tables = _hand_tables([0.0, 0.0, 0.0, 2.0, 2.0, 3.0])
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 0, np.inf, ([0, 1, 3], [0, 0, 0], [0.0, 0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert step.v_hi.tolist() == [2, 2, 4]
+        assert first.tolist() == [0, 3, 3]
+
+    def test_poisoned_cum_rep(self):
+        """A delay-infeasible group poisons ``cum_rep`` with ``+inf``
+        past the wall, here inside every state's area reach: no end
+        past it is valid, and a state starting beyond it has none."""
+        inf = np.inf
+        tables = _hand_tables([0.0, 1.0, 2.0, inf, inf, inf])
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 8, 1.0, ([0, 1, 4], [0, 3, 0], [0.0, 0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert step.v_hi.tolist() == [2, 2, 3]
+
+    def test_margin_covers_rounding(self):
+        """Unrounded, state 0's extra cost to reach state 1's start is
+        no more than state 1's one extra cell, yet at group 3 rounding
+        charges state 0 two cells and state 1 none: the margin, not the
+        bare unrounded cost, keeps state 1."""
+        u = 0.710461060344833
+        c0, c1, c3 = 11.426685348615184, 12.137146408960017, 12.137146409670478
+        tables = _hand_tables([0.0, c0, c1, c3, c3 + 10.0])
+        assert 0 - c0 / u <= 1 - c1 / u
+        step, first, records, v_hi, dense = _clip_and_dense(
+            tables, 8, u, ([1, 2], [0, 1], [0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert first.tolist() == [1, 2]
+        assert (3, 1, 0.0) in zip(*records)  # state 1's, a cell ahead
+
+    def test_fix_up_walks_past_the_guess(self):
+        """Groups ulps apart at the budget's area bound: the area guess
+        keeps two that the cell test rejects, so the fix-up must step
+        back twice."""
+        c0, u, units = 0.3, 0.1, 6
+        bound = c0 + (units + CEIL_EPS) * u
+        near = bound + np.arange(-4, 5) * np.spacing(bound)
+        tables = _hand_tables(np.concatenate(([0.0, c0], near, [c0 + 7.0])))
+        within = np.ceil((near - c0) / u - CEIL_EPS) <= units
+        assert np.count_nonzero(within != (near <= bound)) == 2
+        step, _, records, v_hi, dense = _clip_and_dense(
+            tables, units, u, ([0, 1], [0, 0], [0.0, 0.0])
+        )
+        _assert_exact(step, records, v_hi, dense)
+        assert step.v_hi[1] == 1 + np.count_nonzero(within)
 
 
 def _counters(stats):
@@ -407,10 +644,12 @@ class TestBlockedTransition:
 
 
 class TestMemory:
-    """The transition never holds a whole layer-pair's candidates: at
-    this size that peaks at ~54 MB, the blocked runs at ~8 MB, with or
-    without a witness, whose snapshots keep only each pair's finite
-    cells (tracemalloc counts numpy's buffers)."""
+    """The transition never holds a whole layer-pair's candidates, nor a
+    dense ``(G+1) x (R+1)`` table: at this size the solve peaks at
+    ~1.3 MB with or without a witness, whose snapshots keep only each
+    pair's source states (tracemalloc counts numpy's buffers; holding
+    a whole pair's candidates peaked at ~54 MB, the dense scatter
+    buffer at ~7.3 MB)."""
 
     @staticmethod
     def _peak(collect_witness):
@@ -437,34 +676,37 @@ class TestMemory:
 
 class TestDeadline:
     def test_transition_checks_deadline_every_run(
-        self, node130, monkeypatch
+        self, small_baseline, monkeypatch
     ):
         """A pair with many runs checks the deadline before each one,
-        so one long pair cannot overrun it."""
-        problem = make_tiny_problem(
-            node130, [2000, 1200, 700, 300, 90, 25], repeater_fraction=0.3
-        )
-        tables, _ = problem.tables()
-        disc = discretize_repeaters(tables, 32)
+        so one long pair cannot overrun it.  Runs hold kept candidates
+        only, so a state the dominance clip empties gets no run (and
+        no check); this pair has some of each."""
+        tables, _ = small_baseline.tables(bunch_size=5_000)
+        disc = discretize_repeaters(tables, 128)
         monkeypatch.setattr(dp_numpy, "_BLOCK", 1)
         stats = dp.SolverStats(solver="dp")
-        flat, sources = dp_numpy._start(tables, disc)
-        step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, 0, None)
-        sources, _ = dp_numpy._close_pair(flat, disc.num_units + 1)
-        assert len(sources[0]) > 1
+        _, cells = dp_numpy._pair_transition(
+            tables, disc, stats, dp_numpy._start(), 0, None
+        )
+        sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
 
         checks = []
         real = dp_numpy.check_deadline
         monkeypatch.setattr(
             dp_numpy, "check_deadline", lambda d, where: checks.append(where) or real(d, where)
         )
-        step = dp_numpy._pair_transition(tables, disc, stats, flat, sources, 1, None)
-        assert checks == ["dp pair 1 run"] * len(step.bs)
-        dp_numpy._close_pair(flat, disc.num_units + 1)
+        step, _ = dp_numpy._pair_transition(tables, disc, stats, sources, 1, None)
+        first = dp_numpy._first_kept(
+            tables, disc, 1, step.bs, step.rs, step.zs, step.v_hi
+        )
+        runs = int(np.count_nonzero(step.v_hi >= first))
+        assert 1 < runs < np.count_nonzero(step.v_hi >= step.bs)
+        assert checks == ["dp pair 1 run"] * runs
 
         expired = time.monotonic() - 1.0
         with pytest.raises(DeadlineExceeded, match="dp pair 1 run"):
-            dp_numpy._pair_transition(tables, disc, stats, flat, sources, 1, expired)
+            dp_numpy._pair_transition(tables, disc, stats, sources, 1, expired)
 
     def test_expired_deadline_raises_on_both(self, node130):
         problem = make_tiny_problem(node130, [1200, 700, 300])
@@ -490,7 +732,7 @@ def numpy_calls(monkeypatch):
         raise AssertionError("the scalar oracle ran in a product path")
 
     monkeypatch.setattr(dp_numpy, "solve_pairs_numpy", spy)
-    monkeypatch.setattr(dp, "_solve_pairs_python", oracle)
+    monkeypatch.setattr(dp_oracle, "solve_pairs_python", oracle)
     return calls
 
 
