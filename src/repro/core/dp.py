@@ -209,6 +209,8 @@ def solve_rank_dp(
         disc = discretize_repeaters(tables, repeater_units)
 
         # Definition 3: rank 0 outright if the WLD does not fit at all.
+        # The check walks every group, so a spent deadline stops first.
+        check_deadline(deadline, where="dp fits check")
         fits = pack_suffix(tables, 0, 0, 0, 0.0)
         if not fits:
             stats.runtime_seconds = time.perf_counter() - start_time

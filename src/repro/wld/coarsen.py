@@ -15,7 +15,7 @@ the total wire count exactly.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -35,18 +35,19 @@ def bunch_wld(
     """
     if bunch_size <= 0:
         raise WLDError(f"bunch size must be positive, got {bunch_size!r}")
-    lengths: List[float] = []
-    counts: List[int] = []
-    for length, count in wld:
-        full, remainder = divmod(count, bunch_size)
-        lengths.extend([length] * full)
-        counts.extend([bunch_size] * full)
-        if remainder:
-            lengths.append(length)
-            counts.append(remainder)
+    if wld.num_groups:
+        # A bunch larger than every group splits none; capping it keeps
+        # the divisor inside int64.
+        bunch_size = min(bunch_size, int(wld.counts.max()))
+    full, remainder = np.divmod(wld.counts, bunch_size)
+    partial = remainder > 0
+    bunches = full + partial
+    counts = np.full(int(bunches.sum()), bunch_size, dtype=np.int64)
+    # A group's partial bunch, if any, is its last.
+    counts[np.cumsum(bunches)[partial] - 1] = remainder[partial]
     return WireLengthDistribution(
-        lengths=np.array(lengths, dtype=float),
-        counts=np.array(counts, dtype=np.int64),
+        lengths=np.repeat(wld.lengths, bunches),
+        counts=counts,
     )
 
 

@@ -27,6 +27,21 @@ class TestComputeRankDeadline:
         with pytest.raises(DeadlineExceeded):
             compute_rank(tiny_problem, deadline=time.monotonic() - 1.0)
 
+    def test_expired_deadline_stops_before_fits_check(
+        self, tiny_problem, monkeypatch
+    ):
+        """The Definition-3 fits check walks every group: a spent
+        deadline must raise before it runs, not after."""
+        from repro.core import dp
+
+        def pack_suffix(*args, **kwargs):
+            raise AssertionError("fits check ran past an expired deadline")
+
+        monkeypatch.setattr(dp, "pack_suffix", pack_suffix)
+        tables, _ = tiny_problem.tables()
+        with pytest.raises(DeadlineExceeded, match="dp fits check"):
+            dp.solve_rank_dp(tables, 16, deadline=time.monotonic() - 1.0)
+
     def test_generous_deadline_is_harmless(self, tiny_problem):
         unlimited = compute_rank(tiny_problem)
         bounded = compute_rank(tiny_problem, deadline=time.monotonic() + 300.0)

@@ -61,6 +61,26 @@ class TestBunching:
         assert max_bunch_count(bunched) <= bunch_size
         assert (np.diff(bunched.lengths) <= 0).all()
 
+    @given(group_lists, st.sampled_from([1, 2, 7, 40, 5000, 2**62, 2**80]))
+    def test_matches_reference_loop(self, groups, bunch_size):
+        """Byte for byte the per-group loop ``bunch_wld`` replaced."""
+        wld = WireLengthDistribution.from_groups(groups)
+        lengths, counts = [], []
+        for length, count in wld:
+            full, remainder = divmod(count, bunch_size)
+            lengths.extend([length] * full)
+            counts.extend([bunch_size] * full)
+            if remainder:
+                lengths.append(length)
+                counts.append(remainder)
+        bunched = bunch_wld(wld, bunch_size)
+        for got, want in (
+            (bunched.lengths, np.array(lengths, dtype=float)),
+            (bunched.counts, np.array(counts, dtype=np.int64)),
+        ):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestBinning:
     def test_footnote_example(self):
