@@ -183,13 +183,10 @@ def solve_rank_request(
     the service passes its process-wide :class:`PrecomputeCache` and
     the per-request deadline here.
     """
-    problem = baseline_problem(
-        request.node, request.gates, **request.problem_kwargs()
-    )
     if deadline is None and request.deadline_s is not None:
         deadline = time.monotonic() + request.deadline_s
     return compute_rank(
-        problem, deadline=deadline, cache=cache, **request.solve_kwargs()
+        request.problem(), deadline=deadline, cache=cache, **request.solve_kwargs()
     )
 
 

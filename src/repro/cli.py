@@ -14,7 +14,11 @@ Installed as ``ia-rank`` (see pyproject) and runnable as
 * ``stats`` — render the metrics section of a trace file.
 
 Any design-taking command accepts ``--node-file my_node.json`` to run
-on a custom JSON-described process.
+on a custom JSON-described process.  Design-taking commands turn their
+flags into a :mod:`repro.schema` request and solve it as the service
+does, so the wire schema's caps and error messages apply to them.
+``--solver`` is offered by ``rank``, ``sweep``, ``optimize`` and
+``corners``; ``curve`` and ``report`` always run the DP.
 
 Flag names mirror the :mod:`repro.api` facade keywords:
 ``--bunch-size``, ``--repeater-units``, ``--clock-frequency``,
@@ -72,7 +76,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+from dataclasses import fields
+from typing import Callable, List, Optional, Tuple, Type, TypeVar
 
 from .analysis.compare import compare_nodes
 from .analysis.sweep import (
@@ -82,13 +87,13 @@ from .analysis.sweep import (
     sweep_repeater_fraction,
 )
 from .api import (
-    DesignSpace,
+    OptimizeRequest,
+    RankProblem,
     RankRequest,
-    baseline_problem,
     compute_rank,
+    load_node,
     optimize_rank,
     parse_fault_schedule,
-    solve_rank_request,
 )
 from .errors import ReproError
 from .reporting.tables import format_node_table, format_sweep_table, sweep_to_csv
@@ -117,22 +122,31 @@ _SWEEPS = {
 }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(minimum: float) -> Callable[[str], float]:
+    """argparse type: a number >= ``minimum``, parsed as ``minimum``'s
+    type (``_at_least(1)`` takes integers, ``_at_least(0.0)`` floats)."""
+    kind = type(minimum)
+    noun = "an integer" if kind is int else "a number"
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {noun}, got {text!r}"
+            ) from None
+        if not value >= minimum:  # also refuses nan
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _number_list(text: str) -> Tuple[float, ...]:
     """argparse type: a comma-separated list of numbers, none empty.
 
     Only the syntax is checked here; the value bounds belong to
-    :class:`~repro.optimize.space.DesignSpace`.
+    :class:`~repro.schema.OptimizeRequest`.
     """
     try:
         return tuple(float(item) for item in text.split(","))
@@ -176,6 +190,10 @@ def _add_design_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--repeater-units", type=int, default=512, help="repeater budget cells"
     )
+
+
+def _add_solver_arg(parser: argparse.ArgumentParser) -> None:
+    """``--solver``, for the commands that can solve greedily."""
     parser.add_argument(
         "--solver",
         default="dp",
@@ -221,7 +239,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--max-retries",
-        type=int,
+        type=_at_least(0),
         default=0,
         metavar="N",
         help="retry a failing point up to N extra times, coarsening "
@@ -229,7 +247,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--timeout-s",
-        type=float,
+        type=_at_least(0.0),
         default=0.0,
         metavar="S",
         help="per-attempt wall-clock budget in seconds, enforced "
@@ -267,7 +285,7 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
     checkpoint = args.resume or args.checkpoint or None
     kwargs = dict(
         policy=RetryPolicy(
-            max_attempts=1 + max(0, args.max_retries),
+            max_attempts=1 + args.max_retries,
             timeout_s=args.timeout_s if args.timeout_s > 0 else None,
         ),
         keep_going=args.keep_going,
@@ -290,86 +308,40 @@ def _batch_exit_code(journal, n_results: int, n_failures: int) -> int:
     return EXIT_OK
 
 
-def _problem_from_args(args: argparse.Namespace):
-    if getattr(args, "node_file", ""):
-        from .api import RankProblem
-        from .arch import ArchitectureSpec, DieModel, build_architecture
-        from .tech.io import load_node
-
-        node = load_node(args.node_file)
-        arch = build_architecture(
-            ArchitectureSpec(
-                node=node,
-                permittivity=args.permittivity,
-                miller_factor=args.miller_factor,
-            )
-        )
-        die = DieModel(
-            node=node,
-            gate_count=args.gates,
-            repeater_fraction=args.repeater_fraction,
-        )
-        wld = davis_wld(DavisParameters(gate_count=args.gates))
-        return RankProblem(
-            arch=arch, die=die, wld=wld, clock_frequency=args.clock_frequency
-        )
-    return baseline_problem(
-        args.node,
-        args.gates,
-        clock_frequency=args.clock_frequency,
-        repeater_fraction=args.repeater_fraction,
-        permittivity=args.permittivity,
-        miller_factor=args.miller_factor,
-    )
+_RequestT = TypeVar("_RequestT", RankRequest, OptimizeRequest)
 
 
-def _rank_request_from_args(args: argparse.Namespace) -> RankRequest:
-    """The typed request equivalent of the design flags.
+def _request(args: argparse.Namespace, kind: Type[_RequestT]) -> _RequestT:
+    """The typed request of the design flags.
 
-    The CLI constructs the same :class:`~repro.schema.RankRequest` the
-    HTTP service canonicalizes, so a command line and a ``/v1/rank``
-    body with the same knobs produce the same fingerprint — and hit
-    the same caches.
+    Each flag's destination is the request field of the same name, so
+    a command line meets the caps and messages of the HTTP service and
+    solves as the equivalent request body does.
     """
-    return RankRequest(
-        node=args.node,
-        gates=args.gates,
-        clock_frequency=args.clock_frequency,
-        repeater_fraction=args.repeater_fraction,
-        permittivity=args.permittivity,
-        miller_factor=args.miller_factor,
-        solver=args.solver,
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
-    )
+    values = {
+        spec.name: getattr(args, spec.name)
+        for spec in fields(kind)
+        if hasattr(args, spec.name)
+    }
+    values["bunch_size"] = args.bunch_size or None
+    return kind(**values)
+
+
+def _problem(args: argparse.Namespace, request: _RequestT) -> RankProblem:
+    """The request's problem, on the ``--node-file`` node when given."""
+    return request.problem(load_node(args.node_file) if args.node_file else None)
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    if getattr(args, "node_file", ""):
-        # Custom node files describe problems outside the wire schema's
-        # by-name node vocabulary; they keep the direct path.
-        problem = _problem_from_args(args)
-        result = compute_rank(
-            problem,
-            solver=args.solver,
-            bunch_size=args.bunch_size or None,
-            repeater_units=args.repeater_units,
-        )
-    else:
-        result = solve_rank_request(_rank_request_from_args(args))
-    print(result.summary())
+    request = _request(args, RankRequest)
+    print(compute_rank(_problem(args, request), **request.solve_kwargs()).summary())
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    problem = _problem_from_args(args)
-    sweep_fn = _SWEEPS[args.knob]
-    sweep = sweep_fn(
-        problem,
-        solver=args.solver,
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
-        **_runner_kwargs(args),
+    request = _request(args, RankRequest)
+    sweep = _SWEEPS[args.knob](
+        _problem(args, request), **request.solve_kwargs(), **_runner_kwargs(args)
     )
     if args.csv:
         print(sweep_to_csv(sweep), end="")
@@ -399,22 +371,12 @@ def _cmd_nodes(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    problem = _problem_from_args(args)
-    space = DesignSpace(
-        node=problem.die.node,
-        local_pairs=(1, 2),
-        semi_global_pairs=(1, 2, 3),
-        global_pairs=(1, 2),
-        permittivities=args.k_classes,
-        miller_factors=args.m_classes,
-        max_metal_layers=args.max_layers,
-    )
+    request = _request(args, OptimizeRequest)
+    problem = _problem(args, request)
     outcome = optimize_rank(
         problem,
-        space,
-        exhaustive_limit=args.exhaustive_limit,
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
+        request.design_space(problem.die.node),
+        **request.solve_kwargs(),
         **_runner_kwargs(args),
     )
     rows = [
@@ -438,12 +400,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_corners(args: argparse.Namespace) -> int:
     from .analysis.corners import STANDARD_CORNERS, rank_across_corners
 
-    problem = _problem_from_args(args)
+    request = _request(args, RankRequest)
     report = rank_across_corners(
-        problem,
+        _problem(args, request),
         STANDARD_CORNERS,
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
+        **request.solve_kwargs(),
         **_runner_kwargs(args),
     )
     rows = [
@@ -478,15 +439,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis.slack import slack_profile, summarize_slack
     from .reporting.witness import format_assignment_report
 
-    problem = _problem_from_args(args)
-    result = compute_rank(
-        problem,
-        solver="dp",
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
-        collect_witness=True,
-    )
-    tables, _ = problem.tables(bunch_size=args.bunch_size or None)
+    request = _request(args, RankRequest)
+    problem = _problem(args, request)
+    result = compute_rank(problem, collect_witness=True, **request.solve_kwargs())
+    tables, _ = problem.tables(bunch_size=request.bunch_size)
     print(result.summary())
     print()
     print(format_assignment_report(tables, result))
@@ -505,11 +461,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     from .api import budget_curve
 
-    problem = _problem_from_args(args)
+    request = _request(args, RankRequest)
     curve, tables = budget_curve(
-        problem,
-        bunch_size=args.bunch_size or None,
-        repeater_units=args.repeater_units,
+        _problem(args, request),
+        bunch_size=request.bunch_size,
+        repeater_units=request.repeater_units,
     )
     total = tables.total_wires
     step = max(1, curve.num_units // args.points) if curve.num_units else 1
@@ -594,12 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="compute the rank of one configuration")
     _add_design_args(p_rank)
+    _add_solver_arg(p_rank)
     _add_obs_args(p_rank)
     p_rank.set_defaults(func=_cmd_rank)
 
     p_sweep = sub.add_parser("sweep", help="regenerate one Table 4 column")
     p_sweep.add_argument("knob", choices=sorted(_SWEEPS), help="knob to sweep")
     _add_design_args(p_sweep)
+    _add_solver_arg(p_sweep)
     _add_runner_args(p_sweep)
     _add_obs_args(p_sweep)
     p_sweep.add_argument("--csv", action="store_true", help="emit CSV instead")
@@ -620,19 +578,22 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize", help="search architectures for maximal rank (Section 6)"
     )
     _add_design_args(p_opt)
+    _add_solver_arg(p_opt)
     p_opt.add_argument(
         "--k-classes",
+        dest="permittivities",
         type=_number_list,
         default="3.9,3.6,2.8",
         help="comma-separated candidate ILD permittivities",
     )
     p_opt.add_argument(
         "--m-classes",
+        dest="miller_factors",
         type=_number_list,
         default="2.0,1.0",
         help="comma-separated candidate Miller factors (shielding levels)",
     )
-    p_opt.add_argument("--max-layers", type=int, default=12)
+    p_opt.add_argument("--max-layers", dest="max_metal_layers", type=int, default=12)
     p_opt.add_argument("--exhaustive-limit", type=int, default=128)
     _add_runner_args(p_opt)
     _add_obs_args(p_opt)
@@ -644,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_design_args(p_curve)
     p_curve.add_argument(
         "--points",
-        type=_positive_int,
+        type=_at_least(1),
         default=16,
         help="rows to print along the curve",
     )
@@ -661,6 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "corners", help="rank across process/operating corners"
     )
     _add_design_args(p_corners)
+    _add_solver_arg(p_corners)
     _add_runner_args(p_corners)
     _add_obs_args(p_corners)
     p_corners.set_defaults(func=_cmd_corners)

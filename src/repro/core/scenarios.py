@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 from ..arch.builder import ArchitectureSpec, build_architecture
 from ..arch.die import DieModel
 from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
+from ..tech.node import TechnologyNode
 from ..tech.presets import get_node
 from ..wld.davis import DavisParameters, davis_wld
 from ..wld.distribution import WireLengthDistribution
@@ -97,7 +98,7 @@ def davis_cache_info():
 
 
 def baseline_problem(
-    node_name: str,
+    node_name: Union[str, TechnologyNode],
     gate_count: int,
     clock_frequency: float = BASELINE_CLOCK_HZ,
     repeater_fraction: float = BASELINE_REPEATER_FRACTION,
@@ -112,10 +113,12 @@ def baseline_problem(
 ) -> RankProblem:
     """Assemble a paper-style rank problem.
 
+    ``node_name`` names a built-in node or is a loaded
+    :class:`~repro.tech.node.TechnologyNode` (e.g. from a node file).
     Parameters default to the Table 2 baseline; pass a pre-built ``wld``
     to skip Davis generation (e.g. for synthetic studies).
     """
-    node = get_node(node_name)
+    node = get_node(node_name) if isinstance(node_name, str) else node_name
     spec = ArchitectureSpec(
         node=node,
         local_pairs=local_pairs,

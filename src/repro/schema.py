@@ -38,11 +38,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple, Type, TypeVar
 
 from .core.precompute import fingerprint_bytes
+from .core.problem import RankProblem
+from .core.scenarios import baseline_problem
 from .errors import SchemaError
+from .tech.node import TechnologyNode
 from .units import GHZ, KILO, MHZ, TERA
+
+if TYPE_CHECKING:
+    from .optimize.space import DesignSpace
 
 #: Version tag written into (and required compatible by) every wire
 #: payload this module produces or parses.
@@ -240,7 +246,9 @@ class _Request:
 
     The defaults are the paper's Table 2 baseline, mirroring
     :func:`repro.api.baseline_problem`; a canonical request always
-    carries every field explicitly.
+    carries every field explicitly.  :meth:`problem` and
+    :meth:`solve_kwargs` are the one translation from these fields to
+    a solve, shared by the CLI and every service job.
     """
 
     node: str = "130nm"
@@ -420,19 +428,25 @@ class _Request:
         """SHA-256 of :meth:`canonical_json` — the memoization key."""
         return fingerprint_bytes(self.canonical_json())
 
-    def problem_kwargs(self) -> Dict[str, Any]:
-        """Keywords for :func:`repro.api.baseline_problem`."""
-        return {
-            "clock_frequency": self.clock_frequency,
-            "repeater_fraction": self.repeater_fraction,
-            "permittivity": self.permittivity,
-            "miller_factor": self.miller_factor,
-            "rent_exponent": self.rent_exponent,
-            "local_pairs": self.local_pairs,
-            "semi_global_pairs": self.semi_global_pairs,
-            "global_pairs": self.global_pairs,
-            "target_kind": self.target_kind,
-        }
+    def problem(self, node: Optional[TechnologyNode] = None) -> RankProblem:
+        """The rank problem this request describes.
+
+        ``node``, a loaded technology node (``ia-rank --node-file``),
+        stands in for the built-in node the ``node`` field names.
+        """
+        return baseline_problem(
+            self.node if node is None else node,
+            self.gates,
+            clock_frequency=self.clock_frequency,
+            repeater_fraction=self.repeater_fraction,
+            permittivity=self.permittivity,
+            miller_factor=self.miller_factor,
+            rent_exponent=self.rent_exponent,
+            local_pairs=self.local_pairs,
+            semi_global_pairs=self.semi_global_pairs,
+            global_pairs=self.global_pairs,
+            target_kind=self.target_kind,
+        )
 
     def solve_kwargs(self) -> Dict[str, Any]:
         """Keywords for :func:`repro.api.compute_rank` (sans deadline)."""
@@ -660,6 +674,28 @@ class OptimizeRequest(_Request):
         base["max_metal_layers"] = int(self.max_metal_layers)
         base["exhaustive_limit"] = int(self.exhaustive_limit)
         return base
+
+    def design_space(self, node: TechnologyNode) -> DesignSpace:
+        """The candidate architectures to search, built on ``node``."""
+        # Deferred: repro.optimize loads repro.analysis (see
+        # _standard_corners).
+        from .optimize.space import DesignSpace
+
+        return DesignSpace(
+            node=node,
+            local_pairs=tuple(self.local_pairs_choices),
+            semi_global_pairs=tuple(self.semi_global_pairs_choices),
+            global_pairs=tuple(self.global_pairs_choices),
+            permittivities=tuple(self.permittivities),
+            miller_factors=tuple(self.miller_factors),
+            max_metal_layers=self.max_metal_layers,
+        )
+
+    def solve_kwargs(self) -> Dict[str, Any]:
+        """Keywords for :func:`repro.api.optimize_rank`: the search
+        bound plus every candidate's :func:`repro.api.compute_rank`
+        keywords."""
+        return dict(super().solve_kwargs(), exhaustive_limit=self.exhaustive_limit)
 
 
 def _standard_corners() -> Tuple[Any, ...]:

@@ -47,7 +47,7 @@ class _LockedPrecomputeCache(api.PrecomputeCache):
     layer.
     """
 
-    def __init__(self, max_entries: int = 8) -> None:
+    def __init__(self, max_entries: int) -> None:
         super().__init__(max_entries=max_entries)
         self._lock = threading.RLock()
 
@@ -124,11 +124,8 @@ def solve_corner_job(
     request = CornersRequest.from_wire(canonical)
     by_name = {corner.name: corner for corner in STANDARD_CORNERS}
     corner = by_name[corner_name]
-    problem = api.baseline_problem(
-        request.node, request.gates, **request.problem_kwargs()
-    )
     result = api.compute_rank(
-        apply_corner(problem, corner),
+        apply_corner(request.problem(), corner),
         deadline=deadline,
         cache=_CACHE,
         **request.solve_kwargs(),
@@ -150,26 +147,13 @@ def solve_optimize_job(
     """
     fault_point("service.solve.start", kind="optimize")
     request = OptimizeRequest.from_wire(canonical)
-    problem = api.baseline_problem(
-        request.node, request.gates, **request.problem_kwargs()
-    )
-    space = api.DesignSpace(
-        node=problem.die.node,
-        local_pairs=tuple(request.local_pairs_choices),
-        semi_global_pairs=tuple(request.semi_global_pairs_choices),
-        global_pairs=tuple(request.global_pairs_choices),
-        permittivities=tuple(request.permittivities),
-        miller_factors=tuple(request.miller_factors),
-        max_metal_layers=request.max_metal_layers,
-    )
+    problem = request.problem()
     outcome = api.optimize_rank(
         problem,
-        space,
-        exhaustive_limit=request.exhaustive_limit,
-        bunch_size=request.bunch_size,
-        repeater_units=request.repeater_units,
+        request.design_space(problem.die.node),
         deadline=deadline,
         cache=_CACHE,
+        **request.solve_kwargs(),
     )
     def _candidate(entry: Any) -> Dict[str, object]:
         return dict(

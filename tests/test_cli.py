@@ -140,22 +140,22 @@ class TestCommands:
         assert "timing:" in out
 
     def test_node_file_option(self, tmp_path, capsys):
+        """A saved preset solves as the preset: --node-file and --node
+        reach the same problem through the same request."""
         from repro.tech.io import save_node
         from repro.tech.presets import NODE_130NM
 
         path = tmp_path / "node.json"
         save_node(NODE_130NM, path)
-        code = main(
-            [
-                "rank",
-                "--node-file", str(path),
-                "--gates", "20000",
-                "--bunch-size", "2000",
-                "--repeater-units", "64",
-            ]
-        )
-        assert code == 0
-        assert "rank" in capsys.readouterr().out
+        size = ["--gates", "20000", "--bunch-size", "2000",
+                "--repeater-units", "64"]
+        summaries = []
+        for node in (["--node-file", str(path)], ["--node", "130nm"]):
+            assert main(["rank", *node, *size]) == 0
+            out = capsys.readouterr().out
+            summaries.append(out[: out.index("solver=")])
+        assert summaries[0].startswith("rank ")
+        assert summaries[0] == summaries[1]
 
     def test_node_file_errors_cleanly(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -177,6 +177,45 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Budget-rank curve" in out
+
+    def test_corners_greedy_matches_service(self, capsys):
+        """`corners --solver greedy` prints what /v1/corners answers."""
+        from repro.schema import CornersRequest
+        from repro.service.solve import solve_corner_job
+
+        assert main(["corners", "--gates", "20000", "--bunch-size", "2000",
+                     "--repeater-units", "64", "--solver", "greedy"]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:8]
+        printed = {row.split()[0]: int(row.split()[1]) for row in rows}
+        request = CornersRequest(gates=20_000, bunch_size=2000,
+                                 repeater_units=64, solver="greedy")
+        served = {
+            name: solve_corner_job(request.canonicalize(), name, None)["rank"]
+            for name in request.selected_corner_names()
+        }
+        assert printed == served
+
+    def test_optimize_greedy_matches_service(self, capsys):
+        """`optimize --solver greedy` solves every candidate greedily,
+        as /v1/optimize does, and picks the same best candidate."""
+        from repro.schema import OptimizeRequest
+        from repro.service.solve import solve_optimize_job
+
+        assert main(["optimize", "--gates", "50000", "--bunch-size", "2000",
+                     "--repeater-units", "64", "--k-classes", "3.9,2.8",
+                     "--m-classes", "2.0", "--max-layers", "8",
+                     "--solver", "greedy"]) == 0
+        best = capsys.readouterr().out.splitlines()[-1]
+        request = OptimizeRequest(
+            gates=50_000, bunch_size=2000, repeater_units=64,
+            solver="greedy", permittivities=(3.9, 2.8),
+            miller_factors=(2.0,), max_metal_layers=8,
+        )
+        served = solve_optimize_job(request.canonicalize(), None)["best"]
+        assert "solver=greedy" in best
+        assert best.startswith(
+            f"best: {served['label']} -> rank {served['rank']} "
+        )
 
     def test_optimize_command(self, capsys):
         code = main(
@@ -231,12 +270,15 @@ class TestExitCodes:
 
     def test_removed_flags_exit_two(self, capsys):
         """``--units`` (the old spelling of ``--repeater-units``),
-        ``--backend`` and ``--checkpoint-every`` are gone; argparse
+        ``--backend`` and ``--checkpoint-every`` are gone, and ``curve``
+        and ``report`` (always the DP) take no ``--solver``; argparse
         rejects them as usage errors."""
         assert main(["rank", *self.FAST, "--units", "64"]) == 2
         assert main(["nodes", "--units", "64"]) == 2
         assert main(["rank", *self.FAST, "--backend", "numpy"]) == 2
         assert main(["sweep", "R", *self.FAST, "--checkpoint-every", "5"]) == 2
+        assert main(["curve", *self.FAST, "--solver", "greedy"]) == 2
+        assert main(["report", *self.FAST, "--solver", "greedy"]) == 2
 
     def test_library_error_exits_one(self, capsys):
         assert main(["rank", "--node", "65nm"]) == 1
@@ -253,12 +295,25 @@ class TestExitCodes:
             (["optimize", "--k-classes", "3.9,0.5"], 1, "permittivities[1]"),
             (["optimize", "--m-classes", "inf"], 1, "miller_factors[0]"),
             (["optimize", "--m-classes", "2.0,-1"], 1, "miller_factors[1]"),
+            (["optimize", "--exhaustive-limit", "0"], 1,
+             "exhaustive_limit: must be >= 1"),
+            (["sweep", "R", "--max-retries", "-3"], 2, "argument --max-retries"),
+            (["sweep", "R", "--timeout-s", "-1"], 2, "argument --timeout-s"),
+            (["sweep", "R", "--repeater-units", "20000"], 1,
+             "repeater_units: must be in"),
+            (["corners", "--repeater-units", "20000"], 1,
+             "repeater_units: must be in"),
+            (["curve", "--repeater-units", "20000"], 1,
+             "repeater_units: must be in"),
+            (["report", "--repeater-units", "20000"], 1,
+             "repeater_units: must be in"),
         ],
     )
     def test_bad_values_name_the_argument(self, capsys, argv, code, named):
         """Bad flag values are usage errors (exit 2) or library errors
-        (exit 1) that name what is wrong, never a traceback."""
-        assert main([*argv, *self.FAST]) == code
+        (exit 1) that name what is wrong, never a traceback.  The size
+        flags go first so that each case's own flag is the one parsed."""
+        assert main([argv[0], *self.FAST, *argv[1:]]) == code
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
