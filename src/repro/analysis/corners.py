@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
-from ..arch.builder import ArchitectureSpec, build_architecture
 from ..errors import RankComputationError
 from .sweep import rank_batch
 
@@ -39,8 +38,8 @@ class Corner:
         Multiplier on the minimum inverter's output resistance (> 1 is
         a slower device).
     permittivity_scale:
-        Multiplier on ILD relative permittivity (clamped at >= 1.0
-        absolute).
+        Multiplier on the problem's ILD relative permittivity (clamped
+        at >= 1.0 absolute).
     miller_factor:
         Overrides the Miller coupling factor (None keeps the nominal).
     clock_scale:
@@ -77,29 +76,27 @@ STANDARD_CORNERS: Tuple[Corner, ...] = (
 
 
 def apply_corner(problem: RankProblem, corner: Corner) -> RankProblem:
-    """Materialize the problem variant a corner describes."""
-    node = problem.die.node
+    """Materialize the problem variant a corner describes.
+
+    The corner scales the problem's own device, permittivity and clock,
+    and keeps its Miller factor unless the corner overrides it.
+    """
+    spec = problem.spec
+    device = spec.node.device
     device = dataclasses.replace(
-        node.device,
-        output_resistance=node.device.output_resistance * corner.device_speed,
+        device, output_resistance=device.output_resistance * corner.device_speed
     )
-    counts = problem.arch.tier_counts()
-    nominal_k = node.dielectric.relative_permittivity
-    spec = ArchitectureSpec(
-        node=node.with_device(device),
-        local_pairs=counts.get("local", 0),
-        semi_global_pairs=counts.get("semi_global", 0),
-        global_pairs=counts.get("global", 0),
-        permittivity=max(1.0, nominal_k * corner.permittivity_scale),
-        miller_factor=(
-            corner.miller_factor if corner.miller_factor is not None else 2.0
-        ),
+    k = spec.permittivity
+    if k is None:
+        k = spec.node.dielectric.relative_permittivity
+    changes = dict(
+        node=spec.node.with_device(device),
+        permittivity=max(1.0, k * corner.permittivity_scale),
     )
-    die = dataclasses.replace(problem.die, node=spec.node)
+    if corner.miller_factor is not None:
+        changes["miller_factor"] = corner.miller_factor
     return dataclasses.replace(
-        problem,
-        arch=build_architecture(spec),
-        die=die,
+        problem.with_spec(**changes),
         clock_frequency=problem.clock_frequency * corner.clock_scale,
     )
 

@@ -1,7 +1,8 @@
 """Parameter sweeps: the paper's Table 4.
 
-Each sweep varies one knob of the Table 2 baseline and records the
-normalized rank, mirroring the four columns of Table 4:
+Each sweep varies one knob of a baseline problem (in the paper, the
+Table 2 stack), keeps the baseline's own value of every other knob, and
+records the normalized rank, mirroring the four columns of Table 4:
 
 * ``K`` — ILD permittivity 3.9 down to 1.8,
 * ``M`` — Miller coupling factor 2.0 down to 1.0,
@@ -16,10 +17,10 @@ without copying numbers around.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..arch.builder import ArchitectureSpec, build_architecture
 from ..core.problem import RankProblem
 from ..core.rank import RankResult, compute_rank
 from ..errors import RankComputationError
@@ -169,7 +170,8 @@ class RankEvaluator:
     included, to the pool workers.  ``options`` are
     :func:`~repro.core.rank.compute_rank` keywords; every attempt
     coarsens ``bunch_size`` along the retry policy's ladder and runs
-    under the attempt's deadline.  Solves go through this module's
+    under the earlier of the ``deadline`` option and the attempt's
+    deadline.  Solves go through this module's
     ``compute_rank`` name, which ``bench/library.py`` wraps to trace a
     sweep's solves and the tests patch to fail them.
     """
@@ -209,12 +211,13 @@ class RankEvaluator:
     def __call__(self, point, attempt) -> RankResult:
         from ..runner.policy import scaled_bunch_size
 
+        deadlines = (self.options.get("deadline"), attempt.deadline)
         options = dict(
             self.options,
             bunch_size=scaled_bunch_size(
                 self.options.get("bunch_size"), attempt.degradation
             ),
-            deadline=attempt.deadline,
+            deadline=min((d for d in deadlines if d is not None), default=None),
             cache=self.cache,
         )
         return compute_rank(self.make_problem(point.value), **options)
@@ -320,101 +323,49 @@ def run_sweep(
     )
 
 
-def _spec_from_problem(problem: RankProblem, **overrides) -> ArchitectureSpec:
-    """Rebuild the problem's architecture spec with overridden knobs.
-
-    The architecture object does not retain its spec, so sweeps
-    reconstruct it from the problem's die node and tier counts.
-    """
-    counts = problem.arch.tier_counts()
-    base = ArchitectureSpec(
-        node=problem.die.node,
-        local_pairs=counts.get("local", 0),
-        semi_global_pairs=counts.get("semi_global", 0),
-        global_pairs=counts.get("global", 0),
-    )
-    return replace(base, **overrides)
+# The point -> problem builders are partials of module-level functions
+# and bound methods (not closures) so a parallel sweep can pickle them
+# to worker processes.
 
 
-# The point -> problem builders are dataclasses (not closures) so a
-# parallel sweep can pickle them to worker processes.
+def _with_knob(baseline: RankProblem, knob: str, value: float) -> RankProblem:
+    """``baseline`` with one :class:`ArchitectureSpec` knob set to ``value``."""
+    return baseline.with_spec(**{knob: value})
 
 
-@dataclass(frozen=True)
-class _PermittivityMake:
-    baseline: RankProblem
-    miller_factor: float
-
-    def __call__(self, k: float) -> RankProblem:
-        spec = _spec_from_problem(
-            self.baseline, permittivity=k, miller_factor=self.miller_factor
-        )
-        return self.baseline.with_arch(build_architecture(spec))
-
-
-@dataclass(frozen=True)
-class _MillerMake:
-    baseline: RankProblem
-    permittivity: float
-
-    def __call__(self, m: float) -> RankProblem:
-        spec = _spec_from_problem(
-            self.baseline, permittivity=self.permittivity, miller_factor=m
-        )
-        return self.baseline.with_arch(build_architecture(spec))
-
-
-@dataclass(frozen=True)
-class _ClockMake:
-    baseline: RankProblem
-
-    def __call__(self, frequency: float) -> RankProblem:
-        return self.baseline.with_clock_frequency(frequency)
-
-
-@dataclass(frozen=True)
-class _RepeaterFractionMake:
-    baseline: RankProblem
-
-    def __call__(self, fraction: float) -> RankProblem:
-        return self.baseline.with_repeater_fraction(fraction)
-
-
-@dataclass(frozen=True)
-class _TierScaleMake:
-    baseline: RankProblem
-    tier: str
-
-    def __call__(self, factor: float) -> RankProblem:
-        spec = _spec_from_problem(self.baseline).with_tier_scaling(
-            self.tier, factor
-        )
-        return self.baseline.with_arch(build_architecture(spec))
+def _with_tier_scale(baseline: RankProblem, tier: str, factor: float) -> RankProblem:
+    """``baseline`` with one tier's geometry scaled by ``factor``."""
+    spec = baseline.spec.with_tier_scaling(tier, factor)
+    return baseline.with_spec(tier_scaling=spec.tier_scaling)
 
 
 def sweep_permittivity(
     baseline: RankProblem,
     values: Optional[Sequence[float]] = None,
-    miller_factor: float = 2.0,
     **kwargs,
 ) -> SweepResult:
-    """Table 4 column K: rank vs ILD permittivity (experiment E1)."""
+    """Table 4 column K: rank vs ILD permittivity (experiment E1).
+
+    Every point keeps the baseline's own Miller factor.
+    """
     if values is None:
         values = [k for k, _ in PAPER_TABLE4_K]
-    make = _PermittivityMake(baseline=baseline, miller_factor=miller_factor)
+    make = partial(_with_knob, baseline, "permittivity")
     return run_sweep("K", values, make, paper=dict(PAPER_TABLE4_K), **kwargs)
 
 
 def sweep_miller(
     baseline: RankProblem,
     values: Optional[Sequence[float]] = None,
-    permittivity: float = 3.9,
     **kwargs,
 ) -> SweepResult:
-    """Table 4 column M: rank vs Miller coupling factor (experiment E2)."""
+    """Table 4 column M: rank vs Miller coupling factor (experiment E2).
+
+    Every point keeps the baseline's own ILD permittivity.
+    """
     if values is None:
         values = [m for m, _ in PAPER_TABLE4_M]
-    make = _MillerMake(baseline=baseline, permittivity=permittivity)
+    make = partial(_with_knob, baseline, "miller_factor")
     return run_sweep("M", values, make, paper=dict(PAPER_TABLE4_M), **kwargs)
 
 
@@ -426,9 +377,8 @@ def sweep_clock(
     """Table 4 column C: rank vs target clock frequency (experiment E3)."""
     if values is None:
         values = [c for c, _ in PAPER_TABLE4_C]
-    return run_sweep(
-        "C", values, _ClockMake(baseline), paper=dict(PAPER_TABLE4_C), **kwargs
-    )
+    make = baseline.with_clock_frequency
+    return run_sweep("C", values, make, paper=dict(PAPER_TABLE4_C), **kwargs)
 
 
 def sweep_repeater_fraction(
@@ -439,13 +389,8 @@ def sweep_repeater_fraction(
     """Table 4 column R: rank vs repeater area fraction (experiment E4)."""
     if values is None:
         values = [r for r, _ in PAPER_TABLE4_R]
-    return run_sweep(
-        "R",
-        values,
-        _RepeaterFractionMake(baseline),
-        paper=dict(PAPER_TABLE4_R),
-        **kwargs,
-    )
+    make = baseline.with_repeater_fraction
+    return run_sweep("R", values, make, paper=dict(PAPER_TABLE4_R), **kwargs)
 
 
 def sweep_tier_geometry(
@@ -463,5 +408,5 @@ def sweep_tier_geometry(
     its RC (quadratically in resistance) but halves its track count per
     doubling — the classic fat-wire trade-off.
     """
-    make = _TierScaleMake(baseline=baseline, tier=tier)
+    make = partial(_with_tier_scale, baseline, tier)
     return run_sweep(f"geometry:{tier}", values, make, **kwargs)

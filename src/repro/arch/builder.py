@@ -98,14 +98,6 @@ class ArchitectureSpec:
         """Total number of layer-pairs the spec will build."""
         return self.local_pairs + self.semi_global_pairs + self.global_pairs
 
-    def with_miller(self, miller_factor: float) -> "ArchitectureSpec":
-        """Copy with a different Miller factor (Table 4 ``M`` knob)."""
-        return replace(self, miller_factor=miller_factor)
-
-    def with_permittivity(self, k: float) -> "ArchitectureSpec":
-        """Copy with a different ILD permittivity (Table 4 ``K`` knob)."""
-        return replace(self, permittivity=k)
-
     def with_tier_scaling(self, tier: str, factor: float) -> "ArchitectureSpec":
         """Copy with one tier's geometry uniformly scaled by ``factor``."""
         scaling = tuple(
@@ -127,7 +119,8 @@ def build_architecture(spec: ArchitectureSpec) -> InterconnectArchitecture:
     Pairs are stacked global → semi-global → local from top to bottom,
     matching the paper's "longer wires on upper layer-pairs" orientation.
     Each pair's RC is extracted once here; downstream code never touches
-    geometry again.
+    geometry again.  The architecture keeps ``spec``, so a variant (a
+    sweep point, a corner) rebuilds from it with one knob changed.
     """
     node = spec.node
     dielectric = (
@@ -171,4 +164,4 @@ def build_architecture(spec: ArchitectureSpec) -> InterconnectArchitecture:
         f"-L{spec.local_pairs}(k={dielectric.relative_permittivity:g},"
         f"M={spec.miller_factor:g})"
     )
-    return InterconnectArchitecture(name=name, pairs=tuple(pairs))
+    return InterconnectArchitecture(name=name, pairs=tuple(pairs), spec=spec)

@@ -9,11 +9,14 @@ proceeds downward.  The bottom pair is ``pairs[-1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..units import to_um
 from .layer import LayerPair
+
+if TYPE_CHECKING:
+    from .builder import ArchitectureSpec
 
 
 @dataclass(frozen=True)
@@ -26,10 +29,15 @@ class InterconnectArchitecture:
         Display name, e.g. ``"130nm/L1-SG2-G1"``.
     pairs:
         Layer-pairs, topmost first.  The paper's ``m`` is ``len(pairs)``.
+    spec:
+        The :class:`~repro.arch.builder.ArchitectureSpec` the stack was
+        built from (``None`` for a stack assembled by hand); variants
+        of a problem are rebuilt from it.
     """
 
     name: str
     pairs: Tuple[LayerPair, ...]
+    spec: Optional["ArchitectureSpec"] = None
 
     def __post_init__(self) -> None:
         if not self.pairs:

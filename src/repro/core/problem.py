@@ -11,16 +11,17 @@ so every solver consumes identical physics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 if TYPE_CHECKING:
     from .precompute import PrecomputeCache
 
+from ..arch.builder import ArchitectureSpec, build_architecture
 from ..arch.die import DieModel
 from ..arch.stack import InterconnectArchitecture
 from ..assign.tables import AssignmentTables, build_tables
 from ..delay.target import LinearTargetModel, QuadraticTargetModel, TargetDelayModel
-from ..errors import RankComputationError
+from ..errors import ConfigurationError, RankComputationError
 from ..rc.via import DEFAULT_VIAS_PER_WIRE
 from ..wld.coarsen import coarsen
 from ..wld.distribution import WireLengthDistribution
@@ -178,8 +179,33 @@ class RankProblem:
         return replace(self, die=self.die.with_repeater_fraction(fraction))
 
     def with_arch(self, arch: InterconnectArchitecture) -> "RankProblem":
-        """Copy with a different architecture (K / M sweeps rebuild it)."""
+        """Copy with a different architecture."""
         return replace(self, arch=arch)
+
+    @property
+    def spec(self) -> ArchitectureSpec:
+        """The :class:`~repro.arch.builder.ArchitectureSpec` of ``arch``.
+
+        Raises :class:`~repro.errors.ConfigurationError` for a stack
+        assembled by hand, which has no spec to derive variants from.
+        """
+        if self.arch.spec is None:
+            raise ConfigurationError(
+                f"architecture {self.arch.name!r} was not built from an "
+                "ArchitectureSpec, so its variants cannot be derived"
+            )
+        return self.arch.spec
+
+    def with_spec(self, **changes: Any) -> "RankProblem":
+        """Copy with the stack rebuilt from ``replace(self.spec, **changes)``.
+
+        The one path to an architecture variant (Table 4 ``K`` / ``M``,
+        tier geometry, corners): every knob not named keeps the
+        problem's own value.  A changed ``node`` moves the die to it.
+        """
+        spec = replace(self.spec, **changes)
+        die = replace(self.die, node=spec.node) if "node" in changes else self.die
+        return replace(self, arch=build_architecture(spec), die=die)
 
     def with_target_kind(self, target_kind: str) -> "RankProblem":
         """Copy with the other target-delay model (Section 6 ablation)."""

@@ -10,7 +10,7 @@ metal-layer-count budget.  It enumerates the concrete
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence, Tuple
 
 from ..arch.builder import ArchitectureSpec
@@ -130,57 +130,18 @@ class DesignSpace:
             else:
                 yield from values
 
-        for local in adjacent(self.local_pairs, spec.local_pairs):
-            candidate = ArchitectureSpec(
-                node=spec.node,
-                local_pairs=local,
-                semi_global_pairs=spec.semi_global_pairs,
-                global_pairs=spec.global_pairs,
-                permittivity=spec.permittivity,
-                miller_factor=spec.miller_factor,
-            )
-            if 2 * candidate.num_pairs <= self.max_metal_layers:
-                yield candidate
-        for semi in adjacent(self.semi_global_pairs, spec.semi_global_pairs):
-            candidate = ArchitectureSpec(
-                node=spec.node,
-                local_pairs=spec.local_pairs,
-                semi_global_pairs=semi,
-                global_pairs=spec.global_pairs,
-                permittivity=spec.permittivity,
-                miller_factor=spec.miller_factor,
-            )
-            if 2 * candidate.num_pairs <= self.max_metal_layers:
-                yield candidate
-        for global_pairs in adjacent(self.global_pairs, spec.global_pairs):
-            candidate = ArchitectureSpec(
-                node=spec.node,
-                local_pairs=spec.local_pairs,
-                semi_global_pairs=spec.semi_global_pairs,
-                global_pairs=global_pairs,
-                permittivity=spec.permittivity,
-                miller_factor=spec.miller_factor,
-            )
-            if 2 * candidate.num_pairs <= self.max_metal_layers:
-                yield candidate
-        for k in adjacent(self.permittivities, spec.permittivity):
-            yield ArchitectureSpec(
-                node=spec.node,
-                local_pairs=spec.local_pairs,
-                semi_global_pairs=spec.semi_global_pairs,
-                global_pairs=spec.global_pairs,
-                permittivity=k,
-                miller_factor=spec.miller_factor,
-            )
-        for miller in adjacent(self.miller_factors, spec.miller_factor):
-            yield ArchitectureSpec(
-                node=spec.node,
-                local_pairs=spec.local_pairs,
-                semi_global_pairs=spec.semi_global_pairs,
-                global_pairs=spec.global_pairs,
-                permittivity=spec.permittivity,
-                miller_factor=miller,
-            )
+        knobs = (
+            ("local_pairs", self.local_pairs),
+            ("semi_global_pairs", self.semi_global_pairs),
+            ("global_pairs", self.global_pairs),
+            ("permittivity", self.permittivities),
+            ("miller_factor", self.miller_factors),
+        )
+        for knob, values in knobs:
+            for value in adjacent(values, getattr(spec, knob)):
+                candidate = replace(spec, **{knob: value})
+                if 2 * candidate.num_pairs <= self.max_metal_layers:
+                    yield candidate
 
     def default_spec(self) -> ArchitectureSpec:
         """A starting point: the smallest candidate of the space."""

@@ -14,10 +14,11 @@ boundary.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from .. import api
-from ..errors import ReproError
+from ..errors import DeadlineExceeded, ReproError, RunnerError
 from ..faultkit import fault_point
 from ..schema import (
     CornersRequest,
@@ -142,19 +143,24 @@ def solve_optimize_job(
 
     The search itself is a batch of candidate evaluations; the request
     deadline rides the cooperative per-solve deadline of each
-    candidate, so an expiry surfaces as :class:`DeadlineExceeded` from
-    whichever candidate was in flight.
+    candidate.  The candidate in flight at expiry fails the search,
+    which then raises :class:`DeadlineExceeded`.
     """
     fault_point("service.solve.start", kind="optimize")
     request = OptimizeRequest.from_wire(canonical)
     problem = request.problem()
-    outcome = api.optimize_rank(
-        problem,
-        request.design_space(problem.die.node),
-        deadline=deadline,
-        cache=_CACHE,
-        **request.solve_kwargs(),
-    )
+    try:
+        outcome = api.optimize_rank(
+            problem,
+            request.design_space(problem.die.node),
+            deadline=deadline,
+            cache=_CACHE,
+            **request.solve_kwargs(),
+        )
+    except RunnerError as exc:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise DeadlineExceeded(f"request deadline expired: {exc}") from exc
+        raise
     def _candidate(entry: Any) -> Dict[str, object]:
         return dict(
             sorted(

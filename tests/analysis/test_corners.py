@@ -32,12 +32,14 @@ class TestCornerValidation:
 
 
 class TestApplyCorner:
-    def test_nominal_is_identity_rank(self, small_baseline):
+    @pytest.mark.parametrize("baseline", ["small_baseline", "low_k_baseline"])
+    def test_nominal_is_identity_rank(self, request, baseline):
         from repro.core.rank import compute_rank
 
-        nominal = apply_corner(small_baseline, Corner(name="nominal"))
+        problem = request.getfixturevalue(baseline)
+        nominal = apply_corner(problem, Corner(name="nominal"))
         assert compute_rank(nominal, **FAST).rank == compute_rank(
-            small_baseline, **FAST
+            problem, **FAST
         ).rank
 
     def test_device_speed_applied(self, small_baseline):

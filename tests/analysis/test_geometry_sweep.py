@@ -74,13 +74,13 @@ class TestGeometrySweep:
         assert len(sweep.points) == 3
         assert all(p.result.fits for p in sweep.points)
 
-    def test_unit_scale_matches_baseline(self, small_baseline):
+    @pytest.mark.parametrize("baseline", ["small_baseline", "low_k_baseline"])
+    def test_unit_scale_matches_baseline(self, request, baseline):
         from repro.core.rank import compute_rank
 
-        sweep = sweep_tier_geometry(
-            small_baseline, tier="global", values=(1.0,), **FAST
-        )
-        base = compute_rank(small_baseline, **FAST)
+        problem = request.getfixturevalue(baseline)
+        sweep = sweep_tier_geometry(problem, tier="global", values=(1.0,), **FAST)
+        base = compute_rank(problem, **FAST)
         assert sweep.points[0].result.rank == base.rank
 
     def test_budget_bound_regime_prefers_finer_semi_global(self, small_baseline):

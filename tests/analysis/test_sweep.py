@@ -112,8 +112,10 @@ class TestTable4Sweeps:
         sweep = sweep_repeater_fraction(small_baseline, **FAST)
         assert sweep.values() == [r for r, _ in PAPER_TABLE4_R]
 
-    def test_k_and_m_coincide_at_baseline(self, small_baseline):
-        """Both sweeps start from the identical Table 2 baseline."""
-        k = sweep_permittivity(small_baseline, values=[3.9], **FAST)
-        m = sweep_miller(small_baseline, values=[2.0], **FAST)
+    @pytest.mark.parametrize("baseline", ["small_baseline", "low_k_baseline"])
+    def test_k_and_m_coincide_at_baseline(self, request, baseline):
+        """At the baseline's own K and M, both sweeps solve the baseline."""
+        problem = request.getfixturevalue(baseline)
+        k = sweep_permittivity(problem, values=[problem.spec.permittivity], **FAST)
+        m = sweep_miller(problem, values=[problem.spec.miller_factor], **FAST)
         assert k.points[0].normalized == pytest.approx(m.points[0].normalized)

@@ -1,5 +1,7 @@
 """Tests for ArchitectureSpec and build_architecture."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.builder import ArchitectureSpec, build_architecture
@@ -39,11 +41,11 @@ class TestSpecValidation:
             ArchitectureSpec(node=node130, permittivity=0.5)
 
     def test_with_miller(self, node130):
-        spec = ArchitectureSpec(node=node130).with_miller(1.5)
+        spec = replace(ArchitectureSpec(node=node130), miller_factor=1.5)
         assert spec.miller_factor == pytest.approx(1.5)
 
     def test_with_permittivity(self, node130):
-        spec = ArchitectureSpec(node=node130).with_permittivity(2.8)
+        spec = replace(ArchitectureSpec(node=node130), permittivity=2.8)
         assert spec.permittivity == pytest.approx(2.8)
 
 

@@ -139,3 +139,10 @@ def tiny_problem(node130):
 def small_baseline():
     """A 100k-gate 130 nm baseline — full pipeline, fast to solve."""
     return baseline_problem("130nm", 100_000)
+
+
+@pytest.fixture(scope="session")
+def low_k_baseline():
+    """``small_baseline`` on a K=2.8, M=1.0 stack: variants of it must
+    keep these values, not fall back to the Table 2 ones."""
+    return baseline_problem("130nm", 100_000, permittivity=2.8, miller_factor=1.0)

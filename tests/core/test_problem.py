@@ -1,10 +1,13 @@
 """Tests for RankProblem."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.arch.stack import InterconnectArchitecture
 from repro.core.problem import RankProblem
 from repro.delay.target import LinearTargetModel, QuadraticTargetModel
-from repro.errors import RankComputationError
+from repro.errors import ConfigurationError, RankComputationError
 from repro.wld.distribution import WireLengthDistribution
 
 from ..conftest import make_tiny_problem
@@ -87,6 +90,22 @@ class TestSweepKnobs:
     def test_with_arch(self, tiny_problem, arch130):
         changed = tiny_problem.with_arch(arch130)
         assert changed.arch is arch130
+
+    def test_with_spec_keeps_the_other_knobs(self, low_k_baseline):
+        changed = low_k_baseline.with_spec(permittivity=2.2)
+        assert changed.spec == replace(low_k_baseline.spec, permittivity=2.2)
+        assert changed.spec.miller_factor == 1.0
+        assert changed.die is low_k_baseline.die
+
+    def test_with_spec_moves_the_die_to_a_new_node(self, tiny_problem):
+        node = tiny_problem.spec.node.with_permittivity(2.5)
+        changed = tiny_problem.with_spec(node=node)
+        assert changed.die.node is changed.arch.spec.node is node
+
+    def test_with_spec_needs_a_spec(self, tiny_problem):
+        by_hand = InterconnectArchitecture("by-hand", tiny_problem.arch.pairs)
+        with pytest.raises(ConfigurationError, match="by-hand"):
+            tiny_problem.with_arch(by_hand).with_spec(permittivity=2.8)
 
     def test_frozen(self, tiny_problem):
         with pytest.raises(Exception):

@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.faultkit import FaultSchedule, FaultSpec, activated
 from repro.schema import SCHEMA_VERSION
 from repro.service import ServiceConfig
 from repro.service import server as server_module
@@ -217,6 +218,31 @@ class TestDeadlines:
                 assert json.loads(body)["error"] == "DeadlineExceeded"
                 _, _, raw = await client.request("GET", "/v1/metrics")
                 assert counter(json.loads(raw), "service.deadline.expired") >= 1
+
+        asyncio.run(scenario())
+
+    def test_optimize_deadline_expiring_mid_search_is_504(self):
+        """A search whose deadline passes after dispatch answers 504,
+        not 200: the hang holds the solve thread past the deadline
+        before the search starts."""
+        hang = FaultSchedule(
+            specs=(FaultSpec(site="service.solve.start", kind="hang", arg=0.5),),
+            seed=7,
+        )
+
+        async def scenario():
+            async with running_service() as (service, client):
+                body = json.dumps({
+                    "gates": 20_000,
+                    "bunch_size": 2_000,
+                    "deadline_s": 0.2,
+                }).encode()
+                with activated(hang):
+                    status, _, raw = await client.request(
+                        "POST", "/v1/optimize", body
+                    )
+                assert status == 504
+                assert json.loads(raw)["error"] == "DeadlineExceeded"
 
         asyncio.run(scenario())
 

@@ -195,6 +195,44 @@ class TestCommands:
         }
         assert printed == served
 
+    SMALL = ["--gates", "20000", "--bunch-size", "2000", "--repeater-units", "64"]
+
+    def _rank(self, capsys, *flags):
+        """``(rank, normalized)`` as ``ia-rank rank`` prints them."""
+        assert main(["rank", *self.SMALL, *flags]) == 0
+        words = capsys.readouterr().out.replace(",", " ").split()
+        return words[1], words[words.index("(normalized") + 1]
+
+    def test_sweep_keeps_the_baseline_miller_factor(self, capsys):
+        """The K=3.9 row of `sweep K --miller-factor 1.0` is that rank."""
+        _, normalized = self._rank(capsys, "--miller-factor", "1.0")
+        assert main(["sweep", "K", *self.SMALL, "--miller-factor", "1.0",
+                     "--csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].split(",")[:2] == ["3.9", normalized]
+
+    def test_corners_nominal_matches_rank(self, capsys):
+        """The nominal row of `corners --permittivity 2.8` is its rank."""
+        rank, normalized = self._rank(capsys, "--permittivity", "2.8")
+        assert main(["corners", *self.SMALL, "--permittivity", "2.8"]) == 0
+        nominal = capsys.readouterr().out.splitlines()[3].split()
+        assert nominal[:3] == ["nominal", rank, normalized]
+
+    def test_corner_job_nominal_matches_rank_job(self):
+        """/v1/corners' nominal corner solves what /v1/rank solves."""
+        from repro.schema import CornersRequest, RankRequest
+        from repro.service.solve import solve_corner_job, solve_rank_job
+
+        body = {"gates": 20_000, "bunch_size": 2000, "repeater_units": 64,
+                "miller_factor": 1.0}
+        corner = solve_corner_job(
+            CornersRequest.from_wire(body).canonicalize(), "nominal", None
+        )
+        rank = solve_rank_job(RankRequest.from_wire(body).canonicalize(), None)
+        assert (corner["rank"], corner["normalized"]) == (
+            rank["rank"], rank["normalized"]
+        )
+
     def test_optimize_greedy_matches_service(self, capsys):
         """`optimize --solver greedy` solves every candidate greedily,
         as /v1/optimize does, and picks the same best candidate."""
