@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "examples"))
 
 from greedy_counterexample import build_figure2_problem  # noqa: E402
 
-from repro import compute_rank  # noqa: E402
+from repro import compute_rank, solve_rank_exhaustive  # noqa: E402
 from repro.reporting.text import format_table  # noqa: E402
 
 from .conftest import run_once  # noqa: E402
@@ -25,7 +25,8 @@ def test_figure2_greedy_vs_optimal(benchmark):
     def run():
         greedy = compute_rank(problem, solver="greedy")
         optimal = compute_rank(problem, solver="dp", repeater_units=256)
-        brute = compute_rank(problem, solver="exhaustive", repeater_units=256)
+        tables, _ = problem.tables()
+        brute = solve_rank_exhaustive(tables, repeater_units=256)
         return greedy, optimal, brute
 
     greedy, optimal, brute = run_once(benchmark, run)

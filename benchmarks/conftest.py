@@ -4,9 +4,13 @@ Every benchmark regenerates one experiment from DESIGN.md's index
 (E1-E11) and prints the paper-shaped rows next to the paper's values.
 
 Scale knob: ``REPRO_BENCH_GATES`` (default 1_000_000 — the paper's
-baseline design; set e.g. 200000 for a quick pass).  Heavy benchmarks
-run exactly one round via ``benchmark.pedantic`` so a full run stays in
-the minutes range.
+baseline design).  The assertions hold at the paper's 1M gates only: at
+a smaller design (200000 or 100000 gates)
+``bench_policies.py::test_pair_capacity_ablation`` and
+``bench_roadmap.py::test_materials_alone_cannot_scale`` fail, because
+their claims are the paper's claims about its 1M-gate baseline.  Heavy
+benchmarks run exactly one round via ``benchmark.pedantic``; the whole
+directory takes seconds at the default scale.
 """
 
 from __future__ import annotations

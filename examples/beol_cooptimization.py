@@ -4,15 +4,10 @@
 The paper concludes that "it is not possible to enable future MPU-class
 designs by material improvements alone" and proposes optimizing
 interconnect architectures directly against the rank metric.  This
-example runs that full loop for a 130 nm design:
-
-1. search a design space (tier allocations x dielectric classes x
-   shielding levels) for the highest-rank stack under a metal-layer
-   budget, and extract the rank-vs-layers Pareto frontier;
-2. reconcile the winner's repeater provisioning with its actual usage
-   (the paper's footnote 3 extension), right-sizing the die;
-3. price the certified prefix in switching power, showing that the
-   knobs that buy rank also buy energy.
+example runs that search for a 130 nm design: it searches a design
+space (tier allocations x dielectric classes x shielding levels) for
+the highest-rank stack under a metal-layer budget, and extracts the
+rank-vs-layers Pareto frontier.
 
 Run:
 
@@ -21,13 +16,9 @@ Run:
 
 import argparse
 
-from repro.analysis.reconcile import reconcile_repeater_area
 from repro.core.scenarios import baseline_problem
 from repro.optimize import DesignSpace, optimize_architecture
-from repro.power import PowerModel, witness_power
 from repro.reporting.text import format_table
-from repro.units import NANO, to_mm2
-from repro import compute_rank
 
 
 def main() -> None:
@@ -38,7 +29,6 @@ def main() -> None:
     problem = baseline_problem("130nm", args.gates)
     options = dict(bunch_size=5000, repeater_units=512)
 
-    # -- 1. architecture search -------------------------------------------
     space = DesignSpace(
         node=problem.die.node,
         local_pairs=(1, 2),
@@ -64,39 +54,6 @@ def main() -> None:
     )
     best = outcome.best
     print(f"\nbest stack: {best.label()}  ->  {best.result.summary()}")
-
-    # -- 2. footnote-3 reconciliation -------------------------------------
-    tuned = problem.with_arch(
-        __import__("repro").build_architecture(best.spec)
-    )
-    reconciled = reconcile_repeater_area(tuned, **options)
-    initial, final = reconciled.initial, reconciled.final
-    print()
-    print("Repeater-area reconciliation (footnote 3):")
-    print(
-        f"  provisioned {to_mm2(initial.provisioned_area):.3f} mm^2, "
-        f"used {to_mm2(initial.used_area):.3f} mm^2 "
-        f"({initial.utilized * 100:.0f}% utilized)"
-    )
-    print(
-        f"  right-sized to {to_mm2(final.provisioned_area):.3f} mm^2 "
-        f"(fraction {final.repeater_fraction:.3f}); "
-        f"rank {initial.result.rank:,} -> {final.result.rank:,}"
-    )
-
-    # -- 3. power companion -------------------------------------------------
-    result = compute_rank(tuned, collect_witness=True, **options)
-    tables, _ = tuned.tables(bunch_size=5000)
-    power = witness_power(
-        tables, result.witness, tuned.clock_frequency, PowerModel()
-    )
-    print()
-    print("Switching power of the certified prefix:")
-    print(f"  wires:     {power.wires:,}")
-    print(f"  wire cap:  {power.wire_power * 1e3:.2f} mW")
-    print(f"  repeaters: {power.repeater_power * 1e3:.2f} mW")
-    print(f"  total:     {power.total * 1e3:.2f} mW "
-          f"({power.per_wire() / NANO:.2f} nW/wire)")
 
 
 if __name__ == "__main__":

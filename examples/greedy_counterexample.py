@@ -19,6 +19,7 @@ from repro import (
     build_architecture,
     compute_rank,
     get_node,
+    solve_rank_exhaustive,
 )
 from repro.delay.repeater import optimal_repeater_size
 from repro.units import to_um2
@@ -64,7 +65,8 @@ def main() -> None:
 
     greedy = compute_rank(problem, solver="greedy")
     optimal = compute_rank(problem, solver="dp", repeater_units=256)
-    brute = compute_rank(problem, solver="exhaustive", repeater_units=256)
+    tables, _ = problem.tables()
+    brute = solve_rank_exhaustive(tables, repeater_units=256)
 
     print(f"greedy assignment:     rank {greedy.rank}")
     print(f"optimal (DP):          rank {optimal.rank}")

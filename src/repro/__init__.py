@@ -31,12 +31,10 @@ from .core import (
     solve_rank_dp,
     solve_rank_exhaustive,
     solve_rank_greedy,
-    solve_rank_reference,
 )
 from .core.scenarios import baseline_problem, paper_baseline_130nm
 from . import obs
 from .optimize import DesignSpace, optimize_architecture
-from .power import PowerModel, witness_power
 from .errors import (
     AssignmentError,
     CheckpointError,
@@ -84,6 +82,7 @@ from .wld import (
 from . import api
 from .api import (
     SCHEMA_VERSION,
+    SOLVERS,
     CornersRequest,
     FaultSchedule,
     FaultSpec,
@@ -120,12 +119,12 @@ __all__ = [
     "paper_baseline_130nm",
     "solve_rank_dp",
     "solve_rank_greedy",
-    "solve_rank_reference",
     "solve_rank_exhaustive",
     # stable facade (repro.api); the bare ``api.optimize`` stays
     # namespaced to avoid shadowing the repro.optimize subpackage —
     # ``optimize_rank`` is the top-level spelling of the same callable
     "api",
+    "SOLVERS",
     "sweep",
     "corners",
     "optimize_rank",
@@ -162,8 +161,6 @@ __all__ = [
     # extensions
     "DesignSpace",
     "optimize_architecture",
-    "PowerModel",
-    "witness_power",
     # observability
     "obs",
     # fault-tolerant run harness

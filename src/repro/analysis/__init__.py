@@ -12,7 +12,6 @@
 
 from .coarsening import BinningPoint, CoarseningPoint, binning_study, coarsening_study
 from .corners import Corner, CornerReport, STANDARD_CORNERS, apply_corner, rank_across_corners
-from .reconcile import ReconciliationResult, ReconciliationStep, reconcile_repeater_area
 from .roadmap import RoadmapPoint, materials_shortfall, roadmap_study
 from .slack import GroupSlack, SlackSummary, slack_profile, summarize_slack
 from .compare import NodeBaseline, compare_nodes
@@ -61,9 +60,6 @@ __all__ = [
     "STANDARD_CORNERS",
     "apply_corner",
     "rank_across_corners",
-    "ReconciliationResult",
-    "ReconciliationStep",
-    "reconcile_repeater_area",
     "RoadmapPoint",
     "roadmap_study",
     "materials_shortfall",

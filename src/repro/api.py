@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # import-time cycle guards; annotations are lazy
 from .core.discretize import DEFAULT_REPEATER_UNITS
 from .core.precompute import PrecomputeCache
 from .core.problem import RankProblem
-from .core.rank import RankResult
+from .core.rank import SOLVERS, RankResult
 from .core.rank import compute_rank as _compute_rank_impl
 from .core.scenarios import baseline_problem
 from .faultkit import FaultSchedule, FaultSpec, parse_fault_schedule
@@ -58,6 +58,7 @@ __all__ = [
     "PrecomputeCache",
     "RankProblem",
     "RankResult",
+    "SOLVERS",
     # Deterministic chaos testing: batch entry points (sweep, corners,
     # optimize) accept fault_schedule= and thread it to the runner.
     "FaultSchedule",

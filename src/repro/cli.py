@@ -87,6 +87,7 @@ from .analysis.sweep import (
     sweep_repeater_fraction,
 )
 from .api import (
+    SOLVERS,
     OptimizeRequest,
     RankProblem,
     RankRequest,
@@ -197,8 +198,8 @@ def _add_solver_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--solver",
         default="dp",
-        choices=("dp", "greedy"),
-        help="rank solver (reference/exhaustive are test-only)",
+        choices=SOLVERS,
+        help="rank solver",
     )
 
 

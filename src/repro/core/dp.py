@@ -22,7 +22,8 @@ transition pair's leftover capacity — exactly the role of the paper's
 
 The returned rank equals the paper algorithm's ``max i'`` (see
 ``tests/core/test_cross_validation.py``, which checks agreement with the
-faithful wire-at-a-time reference and with exhaustive search).
+faithful wire-at-a-time reference of ``tests/reference_dp.py`` and with
+exhaustive search).
 """
 
 from __future__ import annotations

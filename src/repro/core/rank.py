@@ -22,16 +22,15 @@ from .dp import (
     check_deadline,
     solve_rank_dp,
 )
-from .exhaustive import solve_rank_exhaustive
 from .greedy import solve_rank_greedy
 from .problem import RankProblem
-from .reference import solve_rank_reference
 
 if TYPE_CHECKING:
     from .precompute import PrecomputeCache
 
-#: Registered solver names.
-SOLVERS = ("dp", "greedy", "reference", "exhaustive")
+#: Registered solver names: the one list ``compute_rank``, the wire
+#: schema and the CLI accept.
+SOLVERS = ("dp", "greedy")
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,10 @@ def compute_rank(
     problem:
         The architecture / WLD / budget / targets bundle.
     solver:
-        ``"dp"`` (exact, default), ``"greedy"`` (the Figure 2 baseline),
-        ``"reference"`` (faithful wire-at-a-time DP, tiny instances) or
-        ``"exhaustive"`` (brute force, tiny instances).
+        ``"dp"`` (exact, default) or ``"greedy"`` (the Figure 2
+        baseline).  The brute-force optimum of tiny instances is
+        :func:`~repro.core.exhaustive.solve_rank_exhaustive`, called on
+        the problem's tables directly.
     bunch_size:
         Paper Section 5.1 bunching: cap on wires per coarse group (the
         paper uses 10000 for its 1M-gate studies).
@@ -115,8 +115,8 @@ def compute_rank(
         DP only: also reconstruct the winning prefix assignment.
     deadline:
         Optional absolute ``time.monotonic()`` wall-clock deadline.
-        The DP solver checks it cooperatively inside its main loop;
-        the other solvers check it once before solving.  Raises
+        It is checked once after the table build, and the DP solver
+        also checks it cooperatively inside its main loop.  Raises
         :class:`~repro.errors.DeadlineExceeded` when it has passed.
     cache:
         Optional :class:`~repro.core.precompute.PrecomputeCache`: reuse
@@ -144,12 +144,8 @@ def compute_rank(
             collect_witness=collect_witness,
             deadline=deadline,
         )
-    elif solver == "greedy":
-        raw = solve_rank_greedy(tables)
-    elif solver == "reference":
-        raw = solve_rank_reference(tables, repeater_units=repeater_units)
     else:
-        raw = solve_rank_exhaustive(tables, repeater_units=repeater_units)
+        raw = solve_rank_greedy(tables)
 
     total = problem.wld.total_wires
     return RankResult(

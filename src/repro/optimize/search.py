@@ -15,7 +15,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.sweep import RankEvaluator, rank_batch
-from ..arch.builder import ArchitectureSpec, build_architecture
+from ..arch.builder import ArchitectureSpec
 from ..core.problem import RankProblem
 from ..core.rank import RankResult
 from ..errors import RankComputationError, RunnerError
@@ -131,9 +131,19 @@ class OptimizationResult:
 def _candidate_problem(
     problem: RankProblem, shielding_aware: bool, spec: ArchitectureSpec
 ) -> RankProblem:
-    """The problem with ``spec``'s architecture (and, when shielding-aware,
-    its shield-track utilization cost)."""
-    variant = problem.with_arch(build_architecture(spec))
+    """The problem with ``spec``'s tier counts, K and M (and, when
+    shielding-aware, its shield-track utilization cost).
+
+    Every other knob of the problem's own spec (tier scaling, the
+    capacitance model) is kept.
+    """
+    variant = problem.with_spec(
+        local_pairs=spec.local_pairs,
+        semi_global_pairs=spec.semi_global_pairs,
+        global_pairs=spec.global_pairs,
+        permittivity=spec.permittivity,
+        miller_factor=spec.miller_factor,
+    )
     if shielding_aware:
         factor = shielding_capacity_factor(spec.miller_factor)
         variant = dataclasses.replace(

@@ -1,20 +1,14 @@
-"""Crosstalk noise and shielding trade-offs.
+"""Shielding trade-offs.
 
 The paper treats crosstalk exclusively through the Miller coupling
 factor and notes (footnote 8) that the minimum value ``M = 1.0`` "can
-be achieved by double-sided shielding of lines".  This module supplies
-the two quantities that make that knob physical:
-
-* :func:`peak_coupling_noise` — the classical charge-sharing estimate
-  of the glitch a switching aggressor injects into a quiet victim,
-  ``V_peak = Vdd * C_c / (C_c + C_g)`` per coupled side — the signal-
-  integrity number a designer would trade against rank;
-* :class:`ShieldingPolicy` — the effective Miller factor and the
-  *routing-capacity cost* of each shielding level: a shield wire
-  occupies a track, so double-sided shielding of every line triples the
-  consumed pitch.  This is the honest price of the paper's "M = 1.0"
-  endpoint, exposed as a capacity utilization factor that rank studies
-  can apply.
+be achieved by double-sided shielding of lines".  This module makes
+that knob physical: a :class:`ShieldingPolicy` carries the effective
+Miller factor and the *routing-capacity cost* of each shielding level.
+A shield wire occupies a track, so double-sided shielding of every line
+triples the consumed pitch.  This is the honest price of the paper's
+"M = 1.0" endpoint, exposed as a capacity utilization factor that rank
+studies (shielding-aware optimization) apply.
 """
 
 from __future__ import annotations
@@ -23,39 +17,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ConfigurationError
-from ..tech.materials import Dielectric
-from ..tech.node import MetalRule
-from .capacitance import CapacitanceModel, DEFAULT_MODEL
-
-
-def peak_coupling_noise(
-    rule: MetalRule,
-    dielectric: Dielectric,
-    supply_voltage: float,
-    aggressors: int = 2,
-    model: CapacitanceModel | None = None,
-) -> float:
-    """Charge-sharing peak noise on a quiet victim line, volts.
-
-    ``V_peak = Vdd * (n_agg * C_c) / (n_agg * C_c + 2 * C_g)`` — the
-    coupled charge divided over the victim's total capacitance; ignores
-    driver holding resistance, so it is an upper bound (appropriate for
-    the same worst-case regime as Miller factor 2.0).
-    """
-    if supply_voltage <= 0:
-        raise ConfigurationError(
-            f"supply voltage must be positive, got {supply_voltage!r}"
-        )
-    if aggressors not in (0, 1, 2):
-        raise ConfigurationError(
-            f"a wire has 0, 1 or 2 same-layer aggressors, got {aggressors!r}"
-        )
-    model = model or DEFAULT_MODEL
-    coupling = aggressors * model.coupling(rule, dielectric)
-    ground = 2.0 * model.ground(rule, dielectric)
-    if coupling == 0.0:
-        return 0.0
-    return supply_voltage * coupling / (coupling + ground)
 
 
 @dataclass(frozen=True)
@@ -91,14 +52,6 @@ class ShieldingPolicy:
     def capacity_factor(self) -> float:
         """Fraction of routing capacity left for signals (<= 1)."""
         return 1.0 / self.tracks_per_signal
-
-    def aggressors(self) -> int:
-        """Same-layer aggressors a victim sees under this policy."""
-        if self.tracks_per_signal >= 3.0:
-            return 0
-        if self.tracks_per_signal >= 2.0:
-            return 1
-        return 2
 
 
 #: No shielding: worst-case simultaneous switching on both sides.

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple,
 
 from .core.precompute import fingerprint_bytes
 from .core.problem import RankProblem
+from .core.rank import SOLVERS
 from .core.scenarios import baseline_problem
 from .errors import SchemaError
 from .tech.node import TechnologyNode
@@ -76,10 +77,6 @@ MAX_GATE_UNITS = MAX_GATES * 512
 #: minute at a 10-20 s ``deadline_s``.  The paper's architectures and the
 #: default optimize design space use at most 3 per tier.
 MAX_PAIRS_PER_TIER = 64
-
-#: Registered rank solvers a request may ask for (the service refuses
-#: the test-only exhaustive/reference solvers: unbounded runtime).
-REQUEST_SOLVERS = ("dp", "greedy")
 
 _FREQUENCY_SUFFIXES: Tuple[Tuple[str, float], ...] = (
     ("THz", TERA),
@@ -286,9 +283,9 @@ class _Request:
             raise SchemaError(
                 f"rent_exponent: must be in (0, 1), got {self.rent_exponent!r}"
             )
-        if self.solver not in REQUEST_SOLVERS:
+        if self.solver not in SOLVERS:
             raise SchemaError(
-                f"solver: {self.solver!r} is not one of {REQUEST_SOLVERS!r}"
+                f"solver: {self.solver!r} is not one of {SOLVERS!r}"
             )
         for name, minimum in (("local_pairs", 1), ("semi_global_pairs", 0),
                               ("global_pairs", 0)):
@@ -344,7 +341,7 @@ class _Request:
             )
         if "solver" in payload:
             kwargs["solver"] = _as_choice(
-                payload["solver"], "solver", REQUEST_SOLVERS
+                payload["solver"], "solver", SOLVERS
             )
         if "bunch_size" in payload:
             kwargs["bunch_size"] = _as_optional_count(
@@ -801,7 +798,6 @@ class RankResponse:
 __all__ = [
     "SCHEMA_VERSION",
     "SWEEP_KNOBS",
-    "REQUEST_SOLVERS",
     "REQUEST_TYPES",
     "RankRequest",
     "SweepRequest",

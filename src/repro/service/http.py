@@ -74,7 +74,10 @@ class HttpRequest:
 
 
 async def _read_line(reader: asyncio.StreamReader) -> bytes:
-    line = await reader.readline()
+    try:
+        line = await reader.readline()
+    except ValueError:  # longer than the stream's own buffer limit
+        raise HttpError(400, "header line too long") from None
     if len(line) > MAX_LINE_BYTES:
         raise HttpError(400, "header line too long")
     return line

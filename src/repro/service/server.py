@@ -95,7 +95,7 @@ class RankService:
                     )
                     await writer.drain()
                     break
-                except (ValueError, ConnectionError):
+                except ConnectionError:
                     break
                 if request is None:
                     break

@@ -15,7 +15,6 @@ from .materials import Conductor, Dielectric, COPPER, ALUMINIUM, SIO2, LOW_K_36,
 from .device import DeviceParameters
 from .node import MetalRule, ViaRule, TechnologyNode
 from .io import load_node, node_from_dict, node_to_dict, save_node
-from .projection import project_node, roadmap_nodes
 from .presets import (
     NODE_180NM,
     NODE_130NM,
@@ -45,6 +44,4 @@ __all__ = [
     "save_node",
     "node_to_dict",
     "node_from_dict",
-    "project_node",
-    "roadmap_nodes",
 ]

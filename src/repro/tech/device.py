@@ -45,8 +45,8 @@ class DeviceParameters:
         of size ``s`` (a multiple of minimum size) consumes
         ``s * min_inverter_area`` of the repeater budget.
     supply_voltage:
-        Nominal supply in volts; used only by the power companion
-        metric (:mod:`repro.power`), never by rank computation.
+        Nominal supply in volts.  Node files carry it and it is
+        validated, but rank computation never uses it.
     """
 
     output_resistance: float

@@ -24,6 +24,7 @@ Example (abridged)::
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -116,13 +117,22 @@ def _number(
         raise ConfigurationError(
             f"technology node field {path!r}: expected a number, got {value!r}"
         )
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ConfigurationError(
+            f"technology node field {path!r}: expected a finite number, "
+            f"got {number!r}"
+        )
     bound = f"> {minimum:g}" if exclusive else f">= {minimum:g}"
     if (value <= minimum) if exclusive else (value < minimum):
         raise ConfigurationError(
             f"technology node field {path!r}: expected a number {bound}, "
             f"got {value!r}"
         )
-    return float(value)
+    return number
 
 
 def _name(mapping: dict, path: str) -> str:
@@ -225,7 +235,7 @@ def load_node(path: PathLike) -> TechnologyNode:
             payload = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read node file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, oversized integer
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigurationError(f"{path}: expected a JSON object")

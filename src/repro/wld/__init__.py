@@ -20,9 +20,7 @@ from .coarsen import bin_wld, bunch_wld, max_bunch_count
 from .davis import DavisParameters, davis_wld, davis_density
 from .distribution import WireLengthDistribution
 from .io import load_wld_csv, load_wld_json, save_wld_csv, save_wld_json
-from .nets import Net, decompose_net, synthetic_netlist, wld_from_nets
 from .rent import average_fanout, rent_terminals, total_connections
-from .stats import WLDSummary, cdf_distance, share_at_least, summarize
 from .synthetic import (
     geometric_wld,
     single_length_wld,
@@ -39,20 +37,12 @@ __all__ = [
     "bin_wld",
     "max_bunch_count",
     "rent_terminals",
-    "WLDSummary",
-    "cdf_distance",
-    "share_at_least",
-    "summarize",
     "average_fanout",
     "total_connections",
     "uniform_wld",
     "geometric_wld",
     "single_length_wld",
     "wld_from_pairs",
-    "Net",
-    "decompose_net",
-    "wld_from_nets",
-    "synthetic_netlist",
     "save_wld_csv",
     "load_wld_csv",
     "save_wld_json",

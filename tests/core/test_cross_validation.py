@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import compute_rank
+from repro import compute_rank, solve_rank_exhaustive
 
 from ..conftest import make_tiny_problem, solve_rank_oracle
+from ..reference_dp import solve_rank_reference
 
 
 def solve_all(problem, units):
@@ -22,8 +23,8 @@ def solve_all(problem, units):
     tables, _ = problem.tables()
     oracle = solve_rank_oracle(tables, units)
     assert dp.rank == oracle.rank and dp.fits == oracle.fits
-    ref = compute_rank(problem, solver="reference", repeater_units=units)
-    exh = compute_rank(problem, solver="exhaustive", repeater_units=units)
+    ref = solve_rank_reference(tables, repeater_units=units)
+    exh = solve_rank_exhaustive(tables, repeater_units=units)
     return dp, ref, exh
 
 

@@ -4,14 +4,13 @@ import math
 
 import pytest
 
-import repro.core.reference as reference_mod
 from repro.api import baseline_problem, budget_curve
 from repro.core.curve import solve_budget_rank_curve
 from repro.core.discretize import RepeaterDiscretization, discretize_repeaters
 from repro.core.dp import solve_rank_dp
 from repro.core.rank import compute_rank
-from repro.core.reference import solve_rank_reference
 
+from .. import reference_dp
 from ..conftest import make_tiny_problem
 
 
@@ -167,9 +166,9 @@ class TestPerCellOracle:
                 cells, full.unit_area, tables.cum_rep_area
             )
             monkeypatch.setattr(
-                reference_mod, "discretize_repeaters", lambda *_a, d=disc: d
+                reference_dp, "discretize_repeaters", lambda *_a, d=disc: d
             )
-            expected.append(solve_rank_reference(tables, units).rank)
+            expected.append(reference_dp.solve_rank_reference(tables, units).rank)
         assert list(curve.ranks) == expected
 
     def test_cases_cover_the_edges(self, node130):

@@ -8,6 +8,7 @@ from repro import (
     RankProblem,
     build_architecture,
     compute_rank,
+    solve_rank_exhaustive,
 )
 from repro.delay.repeater import optimal_repeater_size
 from repro.wld.synthetic import wld_from_pairs
@@ -51,7 +52,8 @@ class TestFigure2:
     def test_exhaustive_confirms_optimum(self, node130):
         problem = figure2_problem(node130)
         optimal = compute_rank(problem, solver="dp", repeater_units=256)
-        brute = compute_rank(problem, solver="exhaustive", repeater_units=256)
+        tables, _ = problem.tables()
+        brute = solve_rank_exhaustive(tables, repeater_units=256)
         assert brute.rank == optimal.rank == 4
 
     def test_gap_scales_with_budget(self, node130):

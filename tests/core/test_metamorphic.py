@@ -15,6 +15,7 @@ from repro import compute_rank
 from repro.wld.synthetic import wld_from_pairs
 
 from ..conftest import make_tiny_problem, solve_rank_oracle
+from ..reference_dp import solve_rank_reference
 
 #: Small-but-nontrivial length pools for tiny problems.
 _lengths = st.sets(
@@ -98,7 +99,8 @@ class TestSolverEquivalence:
             node130, sorted(lengths, reverse=True), repeater_fraction=fraction
         )
         dp = compute_rank(problem, solver="dp", repeater_units=32)
-        ref = compute_rank(problem, solver="reference", repeater_units=32)
+        tables, _ = problem.tables()
+        ref = solve_rank_reference(tables, repeater_units=32)
         assert dp.rank == ref.rank
         assert dp.fits == ref.fits
 

@@ -12,7 +12,12 @@ class TestComputeRank:
             compute_rank(tiny_problem, solver="magic")
 
     def test_all_solvers_registered(self):
-        assert set(SOLVERS) == {"dp", "greedy", "reference", "exhaustive"}
+        assert SOLVERS == ("dp", "greedy")
+
+    @pytest.mark.parametrize("oracle", ["reference", "exhaustive"])
+    def test_test_oracles_are_not_solvers(self, tiny_problem, oracle):
+        with pytest.raises(RankComputationError, match=r"\('dp', 'greedy'\)"):
+            compute_rank(tiny_problem, solver=oracle)
 
     def test_normalized_rank(self, tiny_problem):
         result = compute_rank(tiny_problem)

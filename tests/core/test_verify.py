@@ -6,10 +6,10 @@ import pytest
 
 from repro.core.dp import WitnessSegment
 from repro.core.rank import compute_rank
-from repro.core.verify import verify_witness
 from repro.errors import RankComputationError
 
 from ..conftest import make_tiny_problem
+from ..witness_check import verify_witness
 
 
 @pytest.fixture(scope="module")

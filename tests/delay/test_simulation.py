@@ -10,10 +10,11 @@ import pytest
 from repro.delay.elmore import elmore_wire_delay
 from repro.delay.ottenbrayton import wire_delay
 from repro.delay.repeater import min_stages_for_target, optimal_repeater_size
-from repro.delay.simulation import simulate_segment_delay, simulate_wire_delay
 from repro.errors import DelayModelError
 from repro.rc.models import WireRC
 from repro.tech.device import DeviceParameters
+
+from ..rc_ladder import simulate_segment_delay, simulate_wire_delay
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.rank import compute_rank
 from repro.core.scenarios import baseline_problem
 from repro.errors import RankComputationError
 from repro.optimize.search import (
@@ -52,6 +53,31 @@ class TestEvaluate:
     def test_metal_layers(self, problem, space):
         results = evaluate_candidates(problem, [space.default_spec()], **FAST)
         assert results[0].metal_layers == 2 * 3
+
+    @pytest.mark.parametrize(
+        "baseline,tier_scaling",
+        [("low_k_baseline", ()), ("small_baseline", (("semi_global", 0.5),))],
+    )
+    def test_baseline_candidate_has_baseline_rank(
+        self, request, baseline, tier_scaling
+    ):
+        """A candidate varies only tier counts, K and M: the problem's
+        other knobs (here its tier scaling) carry over to it."""
+        base = request.getfixturevalue(baseline).with_spec(
+            tier_scaling=tier_scaling
+        )
+        spec = base.spec
+        space = DesignSpace(
+            node=base.die.node,
+            local_pairs=(spec.local_pairs,),
+            semi_global_pairs=(spec.semi_global_pairs,),
+            global_pairs=(spec.global_pairs,),
+            permittivities=(spec.permittivity,),
+            miller_factors=(spec.miller_factor,),
+        )
+        options = dict(bunch_size=2000, repeater_units=64)
+        (candidate,) = evaluate_candidates(base, list(space), **options)
+        assert candidate.result.rank == compute_rank(base, **options).rank
 
 
 class TestOptimize:

@@ -1,8 +1,7 @@
-"""Tests for crosstalk noise and shielding policies."""
+"""Tests for shielding policies."""
 
 import pytest
 
-from repro import units
 from repro.errors import ConfigurationError
 from repro.rc.noise import (
     DOUBLE_SHIELDED,
@@ -10,74 +9,13 @@ from repro.rc.noise import (
     SINGLE_SHIELDED,
     UNSHIELDED,
     ShieldingPolicy,
-    peak_coupling_noise,
 )
-from repro.tech.materials import SIO2
-from repro.tech.node import MetalRule
-
-
-@pytest.fixture
-def rule():
-    return MetalRule(
-        min_width=units.um(0.16),
-        min_spacing=units.um(0.18),
-        thickness=units.um(0.336),
-    )
-
-
-class TestPeakNoise:
-    def test_bounded_by_supply(self, rule):
-        noise = peak_coupling_noise(rule, SIO2, supply_voltage=1.2)
-        assert 0.0 < noise < 1.2
-
-    def test_substantial_for_dense_wiring(self, rule):
-        """Coupling-dominated minimum-pitch wiring: > 40% of Vdd worst
-        case — exactly why the paper sweeps the Miller factor."""
-        noise = peak_coupling_noise(rule, SIO2, supply_voltage=1.0)
-        assert noise > 0.4
-
-    def test_monotone_in_aggressors(self, rule):
-        values = [
-            peak_coupling_noise(rule, SIO2, 1.2, aggressors=n) for n in (0, 1, 2)
-        ]
-        assert values[0] == 0.0
-        assert values[0] < values[1] < values[2]
-
-    def test_scales_with_supply(self, rule):
-        low = peak_coupling_noise(rule, SIO2, 1.0)
-        high = peak_coupling_noise(rule, SIO2, 2.0)
-        assert high == pytest.approx(2 * low)
-
-    def test_permittivity_invariant(self, rule):
-        """Both C_c and C_g scale with k, so the noise *ratio* does not
-        change with the dielectric — low-k buys delay, not SI."""
-        oxide = peak_coupling_noise(rule, SIO2, 1.2)
-        lowk = peak_coupling_noise(rule, SIO2.scaled(2.0), 1.2)
-        assert oxide == pytest.approx(lowk, rel=1e-9)
-
-    def test_wider_spacing_less_noise(self, rule):
-        wide = MetalRule(
-            min_width=rule.min_width,
-            min_spacing=rule.min_spacing * 3,
-            thickness=rule.thickness,
-            ild_height=rule.ild_height,
-        )
-        assert peak_coupling_noise(wide, SIO2, 1.2) < peak_coupling_noise(
-            rule, SIO2, 1.2
-        )
-
-    def test_validation(self, rule):
-        with pytest.raises(ConfigurationError):
-            peak_coupling_noise(rule, SIO2, 0.0)
-        with pytest.raises(ConfigurationError):
-            peak_coupling_noise(rule, SIO2, 1.2, aggressors=3)
 
 
 class TestShieldingPolicies:
     def test_footnote8_endpoint(self):
         """Double-sided shielding achieves the paper's M = 1.0."""
         assert DOUBLE_SHIELDED.miller_factor == pytest.approx(1.0)
-        assert DOUBLE_SHIELDED.aggressors() == 0
 
     def test_ladder_ordering(self):
         millers = [p.miller_factor for p in SHIELDING_LADDER]
@@ -89,10 +27,6 @@ class TestShieldingPolicies:
         assert UNSHIELDED.capacity_factor == pytest.approx(1.0)
         assert SINGLE_SHIELDED.capacity_factor == pytest.approx(0.5)
         assert DOUBLE_SHIELDED.capacity_factor == pytest.approx(1.0 / 3.0)
-
-    def test_aggressor_counts(self):
-        assert UNSHIELDED.aggressors() == 2
-        assert SINGLE_SHIELDED.aggressors() == 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 """Golden-model validation: numerical simulation of a repeatered line.
 
+A test oracle (``tests/delay/test_simulation.py``, experiment E15).
+
 The rank metric consumes delays exclusively through the Otten--Brayton
 closed form (Eqs. (2)-(3)).  This module provides an independent
 *numerical* golden model — a discretized distributed-RC ladder driven
@@ -15,7 +17,7 @@ the switching charge time of the stage's own parasitic ``s·c_p``
 (approximated as ``ln 2 · r_o/s · s·c_p``).  Total wire delay is the
 stage delay times the stage count — matching the Eq. (3) topology.
 
-This is intentionally *not* used by any solver: it exists to be slow,
+No solver and no product path uses it: it exists to be slow,
 obviously-correct, and independent.
 """
 
@@ -26,9 +28,9 @@ from typing import Tuple
 
 import numpy as np
 
-from ..errors import DelayModelError
-from ..rc.models import WireRC
-from ..tech.device import DeviceParameters
+from repro.errors import DelayModelError
+from repro.rc.models import WireRC
+from repro.tech.device import DeviceParameters
 
 _LN2 = math.log(2.0)
 

@@ -1,5 +1,7 @@
 """Faithful wire-at-a-time reference implementation of Algorithms 1-5.
 
+A test oracle: no product path runs it.
+
 This solver re-implements the paper's procedures as literally as
 practical — per-wire loops, *incremental* repeater insertion (Algorithm 4
 steps 8-11: add one repeater at a time until the target is met or adding
@@ -23,11 +25,11 @@ import math
 import time
 from typing import Dict, Optional, Tuple
 
-from ..assign.tables import AssignmentTables
-from ..delay.ottenbrayton import wire_delay
-from ..errors import RankComputationError
-from .discretize import DEFAULT_REPEATER_UNITS, discretize_repeaters
-from .dp import RawSolution, SolverStats
+from repro.assign.tables import AssignmentTables
+from repro.core.discretize import DEFAULT_REPEATER_UNITS, discretize_repeaters
+from repro.core.dp import RawSolution, SolverStats
+from repro.delay.ottenbrayton import wire_delay
+from repro.errors import RankComputationError
 
 
 def _incremental_insertion(

@@ -70,20 +70,8 @@ def test_custom_architecture(monkeypatch, capsys):
     assert "Candidate 130 nm stacks" in out
 
 
-def test_netlist_driven_rank(monkeypatch, capsys):
-    run_example(
-        monkeypatch,
-        "netlist_driven_rank.py",
-        ["--gates", "20000", "--nets", "2000"],
-    )
-    out = capsys.readouterr().out
-    assert "netlist (star)" in out
-    assert "Davis closed form" in out
-
-
 def test_beol_cooptimization(monkeypatch, capsys):
     run_example(monkeypatch, "beol_cooptimization.py", ["--gates", "50000"])
     out = capsys.readouterr().out
     assert "Pareto frontier" in out
-    assert "reconciliation" in out.lower()
-    assert "Switching power" in out
+    assert "best stack" in out

@@ -1,9 +1,10 @@
-"""Independent verification of witnessed rank solutions.
+"""Independent verification of witnessed rank solutions: a test oracle.
 
 ``compute_rank(..., collect_witness=True)`` returns a constructive
 proof of the reported rank; :func:`verify_witness` re-checks that proof
-against the raw tables with none of the DP's machinery — a downstream
-user can trust a result without trusting the solver.  Checks:
+against the raw tables with none of the DP's machinery, so the tests
+(``tests/core/test_verify.py``) trust a witness without trusting the
+solver.  No product path runs it.  Checks:
 
 1. the witness covers pairs top-down with contiguous group slices
    starting at group 0;
@@ -19,10 +20,10 @@ violation; returns quietly on success.
 
 from __future__ import annotations
 
-from ..assign.greedy_assign import pack_suffix
-from ..assign.tables import AssignmentTables
-from ..errors import RankComputationError
-from .rank import RankResult
+from repro.assign.greedy_assign import pack_suffix
+from repro.assign.tables import AssignmentTables
+from repro.errors import RankComputationError
+from repro.core.rank import RankResult
 
 
 def verify_witness(
