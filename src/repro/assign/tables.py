@@ -271,6 +271,19 @@ def build_tables(
         )[::-1]
         next_infeasible[p][num_groups] = num_groups
 
+    # The DP kernel packs a prefix's repeater count into an int64 sort
+    # key (repro.core.dp_numpy._close_pair), so every count it can reach
+    # must be held exactly.  The counts are integers by construction
+    # (int64 wires times int64 repeaters); a float holds them exactly
+    # below 2^53.  A prefix takes one slice of each pair, so the pairs'
+    # largest finite counts bound them all.
+    reach = np.where(np.isfinite(cum_inserted), cum_inserted, 0.0).max(axis=1).sum()
+    if not reach < 2.0**53:
+        raise RankComputationError(
+            f"inserted repeater counts reach {reach:.4g}: not below 2^53, "
+            "which the DP kernel needs to count them exactly"
+        )
+
     return AssignmentTables(
         arch=arch,
         die=die,

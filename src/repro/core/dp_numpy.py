@@ -15,9 +15,15 @@ call instead of one ``(b, r)`` state at a time:
   dominates it (below) and expands only the rest, a run of whole states
   at a time, about ``_BLOCK`` candidates per run, with in-place ufuncs
   over cache-sized temporaries; the pair's candidates are never all
-  materialized, and no dense ``(G+1) x (R+1)`` table is allocated:
-  :func:`_close_pair` reads the next pair's records out of the kept
-  candidates with one sort,
+  materialized, and no dense ``(G+1) x (R+1)`` table is allocated,
+* :func:`_close_pair` reads the next pair's records out of the kept
+  candidates with one ``np.sort`` of int64 keys ``cell * span + (z -
+  z_min)``, exact because every ``z`` is an integer below ``2^53``
+  ("Values are exact" below): the first key of each cell is its
+  minimum, one running minimum over ``z - row * span`` picks every
+  row's records at once, and they come out row-major with their ``z``
+  restored; blocks of whole rows keep a key within int64, and a pair
+  holding more than ``_COMPACT`` candidates closes them on the way,
 * witness parents are *not* tracked during the forward pass — the
   kernel retains each pair's source states, and
   :func:`_recover_parents` re-derives the parent of the one cell per
@@ -54,10 +60,12 @@ state's that is no worse again, so by induction on ``b`` the records
 are the unclipped table's, bit for bit.
 
 * Values are exact.  On a valid range ``I`` is finite and
-  integer-valued (a running sum of wire count × inserted repeaters,
-  far below ``2^53``), and so is every ``z`` (a sum of such
-  differences), so the IEEE subtractions and additions are exact and
-  test 2 is the value comparison at every ``e``.
+  integer-valued (a running sum of wire count × inserted repeaters),
+  and so is every ``z`` (a sum of such differences, one per pair).
+  :func:`~repro.assign.tables.build_tables` checks that the pairs'
+  largest finite ``I`` sum to below ``2^53``, which bounds every ``z``,
+  so the IEEE subtractions and additions are exact and test 2 is the
+  value comparison at every ``e``.
 * Cells need the unrounded cost and a margin.  In exact arithmetic
   ``(C[e] - C[b_i]) / u = (C[e] - C[b_j]) / u + (C[b_j] - C[b_i]) / u``,
   so if the last term is at most ``r_j - r_i`` then ``ceil``, being
@@ -128,6 +136,7 @@ import numpy as np
 
 from ..assign.greedy_assign import pack_required_leftover, pack_suffix
 from ..assign.tables import AssignmentTables
+from ..errors import RankComputationError
 from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import observe as _obs_observe
@@ -146,11 +155,11 @@ _PRUNE_MARGIN = 1.0 - 1e-9
 _BLOCK = 1 << 14
 
 #: Kept candidates a pair may hold before :func:`_pair_transition`
-#: reduces them to their records (16 bytes each, 4 MB).  Records of
+#: reduces them to their records (16 bytes each, 1 MB).  Records of
 #: records are the records of the whole, so the reduction is exact; it
 #: bounds the pair's memory by this plus its records however much work
-#: the pair does.
-_COMPACT = 1 << 18
+#: the pair does, and keeps each sort's keys within a 2 MB L2 cache.
+_COMPACT = 1 << 16
 
 #: Relative slack of the cost margin in :func:`_first_kept`: far above
 #: the few ulps that the IEEE cell test and the margin test can each
@@ -158,7 +167,12 @@ _COMPACT = 1 << 18
 _MARGIN_ULPS = 2.0**-46
 
 #: One pair's transition, as :func:`_pair_transition` returns it.
-_PairTransition = namedtuple("_PairTransition", "bs rs zs capacity e_hi v_hi scattered")
+_PairTransition = namedtuple(
+    "_PairTransition", "bs rs zs capacity e_hi v_hi scattered close_s"
+)
+
+#: Largest key :func:`_close_pair` packs into one int64.
+_KEY_MAX = int(np.iinfo(np.int64).max)
 
 
 def _start():
@@ -188,7 +202,9 @@ def _pair_transition(
     the candidates the pair scattered, ``(lin, vals)`` with ``lin = e *
     (R+1) + cells``: the valid candidates the dominance clip keeps, in
     no particular order; :func:`_close_pair` reads ``F[pair]``'s records
-    out of them.  ``step.scattered`` counts them before any reduction.
+    out of them.  ``step.scattered`` counts them before any reduction,
+    and ``step.close_s`` is the time the pair spent reducing them on the
+    way (a :func:`_close_pair` of its own).
     """
     num_units = disc.num_units
     unit_area = disc.unit_area
@@ -249,6 +265,7 @@ def _pair_transition(
     lins: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
     vals: List[np.ndarray] = [np.zeros(0)]
     held, limit = 0, _COMPACT
+    close_s = 0.0
 
     s0 = 0
     while s0 < len(kept):
@@ -284,14 +301,16 @@ def _pair_transition(
         vals.append(nz)
         held += n
         if held > limit:
+            t0 = time.perf_counter()
             rows, cols, rec = _close_pair(np.concatenate(lins), np.concatenate(vals), width)
             lins, vals = [rows * width + cols], [rec]
+            close_s += time.perf_counter() - t0
             # Reduce again only once the pair has doubled: linear in all.
             held = len(rec)
             limit = max(_COMPACT, 2 * held)
         s0 = s1
 
-    step = _PairTransition(bs, rs, zs, capacity, e_hi, v_hi, bounds[-1])
+    step = _PairTransition(bs, rs, zs, capacity, e_hi, v_hi, bounds[-1], close_s)
     return step, (np.concatenate(lins), np.concatenate(vals))
 
 
@@ -441,25 +460,68 @@ def _close_pair(lin: np.ndarray, vals: np.ndarray, width: int):
 
     The next pair reads the strict-improvement states of ``F[pair]``
     cummin'd over budgets: per row, the cells whose minimum is strictly
-    below every earlier cell's.  Sorted by row, then value, then
-    column, a candidate is one exactly when its column is left of every
-    candidate before it in its row; one running minimum over
-    ``col - row * width`` (which falls from row to row) tests that for
-    all rows at once.  Returns the records ``(bs, rs, zs)`` row-major
-    with their values copied unchanged, so the states, their order and
-    their ``z`` match a dense cummin's.
+    below every earlier cell's.  The values are integers below ``2^53``
+    (see the module docstring), so a candidate packs exactly into the
+    int64 key ``cell * span + (z - z_min)``, ``span`` the values' range
+    plus one, and one sort orders the candidates by row, column and
+    value.  Returns the records ``(bs, rs, zs)`` row-major with their
+    values restored bit for bit, so the states, their order and their
+    ``z`` match a dense cummin's.
+
+    When ``(max cell + 1) * span`` does not fit in an int64, the close
+    runs on blocks of whole rows, each block's cells counted from its
+    first row: records never cross rows, so the blocks' records, in
+    block order, are the whole's.
     """
-    order = np.lexsort((lin, vals, lin // width))
-    cells = lin[order]
+    if not len(lin):
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
+    z_min = vals.min()
+    span = int(vals.max() - z_min) + 1
+    if (int(lin.max()) + 1) * span <= _KEY_MAX:
+        return _close_rows(lin, vals, width, 0, z_min, span)
+    block = _KEY_MAX // (span * width)  # whole rows a key can hold
+    if not block:
+        raise RankComputationError(
+            f"repeater counts span {span:,}: one row of {width} budget cells "
+            "does not pack into an int64 sort key"
+        )
+    parts = []
+    for r0 in range(int(lin.min()) // width, int(lin.max()) // width + 1, block):
+        sel = (lin >= r0 * width) & (lin < (r0 + block) * width)
+        if sel.any():
+            parts.append(_close_rows(lin[sel], vals[sel], width, r0, z_min, span))
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _close_rows(lin, vals, width: int, r0: int, z_min, span: int):
+    """:func:`_close_pair` of candidates whose keys, with cells counted
+    from row ``r0``, fit in an int64."""
+    key = (lin - r0 * width) * span if r0 else lin * span
+    if z_min:
+        key -= int(z_min)
+    key += vals.astype(np.int64)
+    key.sort()
+    # The first key of each cell is the cell's minimum; the rest are
+    # never records.
+    cells = key // span
+    head = np.empty(len(key), dtype=bool)
+    head[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=head[1:])
+    key = key[head]
+    cells = key // span
+    z = key - cells * span
     rows = cells // width
-    key = cells - rows * (2 * width)
+    # Cell minima in row-major order: one is a record exactly when it is
+    # below every earlier one in its row.  z - row * span falls from row
+    # to row, so one running minimum tests all rows at once.
+    drop = z - rows * span
     record = np.ones(len(key), dtype=bool)
-    record[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
-    cells, rows, vals = cells[record], rows[record], vals[order[record]]
-    # Within a row the records came by value ascending, so columns
-    # descending: put them row-major.
-    back = np.argsort(cells)
-    return rows[back], cells[back] - rows[back] * width, vals[back]
+    record[1:] = drop[1:] < np.minimum.accumulate(drop)[:-1]
+    bs = rows[record]
+    rs = cells[record] - bs * width
+    if r0:
+        bs += r0
+    return bs, rs, z[record] + z_min
 
 
 def solve_pairs_numpy(
@@ -493,7 +555,8 @@ def solve_pairs_numpy(
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
         step, cells = _pair_transition(tables, disc, stats, sources, pair, deadline)
-        transition_s += time.perf_counter() - t0
+        transition_s += time.perf_counter() - t0 - step.close_s
+        close_s += step.close_s
         scattered += step.scattered
 
         # --- Rank candidates, level-major: highest end group first.
@@ -510,10 +573,8 @@ def solve_pairs_numpy(
             snap = (step.bs, step.rs, step.zs, step.e_hi)
             snapshots.append(snap if len(step.bs) else None)
 
+    _publish_kernel_timers(transition_s, rank_scan_s, close_s)
     if _metrics_enabled():
-        _obs_observe("solver.dp.kernel.transition_s", transition_s)
-        _obs_observe("solver.dp.kernel.rank_scan_s", rank_scan_s)
-        _obs_observe("solver.dp.kernel.close_s", close_s)
         _obs_inc("solver.dp.kernel.scattered", scattered)
 
     parent_b: List = []
@@ -521,6 +582,14 @@ def solve_pairs_numpy(
     if collect_witness and best_trace is not None:
         parent_b, parent_r = _recover_parents(tables, disc, snapshots, best_trace)
     return best_rank, best_trace, parent_b, parent_r
+
+
+def _publish_kernel_timers(transition_s: float, rank_scan_s: float, close_s: float) -> None:
+    """Publish one solve's time in the kernel's three layers."""
+    if _metrics_enabled():
+        _obs_observe("solver.dp.kernel.transition_s", transition_s)
+        _obs_observe("solver.dp.kernel.rank_scan_s", rank_scan_s)
+        _obs_observe("solver.dp.kernel.close_s", close_s)
 
 
 def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray:
@@ -534,9 +603,12 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     width = disc.num_units + 1
     ranks = np.zeros(width, dtype=np.int64)
     sources = _start()
+    transition_s = rank_scan_s = close_s = 0.0
 
     for pair in range(tables.num_pairs):
+        t0 = time.perf_counter()
         step, cells = _pair_transition(tables, disc, stats, sources, pair, None)
+        t1 = time.perf_counter()
         # Only candidates that would raise the curve at their own
         # budget cell matter.  ranks[0] is the curve's minimum, so the
         # index threshold on it is a cheap first cut.
@@ -546,7 +618,13 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
         _scan_budget_levels(
             tables, stats, pair, ranks, es[raises], nz[raises], left[raises], nr[raises]
         )
+        t2 = time.perf_counter()
         sources = _close_pair(*cells, width)
+        transition_s += t1 - t0 - step.close_s
+        rank_scan_s += t2 - t1
+        close_s += time.perf_counter() - t2 + step.close_s
+
+    _publish_kernel_timers(transition_s, rank_scan_s, close_s)
     return ranks
 
 
@@ -655,7 +733,7 @@ def _scan_budget_levels(tables, stats, pair, ranks, es_v, nz_v, leftover_v, nr_v
     only when dominated or provably unable to pack.
     """
     cum_wires = tables.cum_wires
-    order = np.lexsort((nr_v, es_v))
+    order = _level_order(es_v, nr_v, len(ranks))
     sorted_es = es_v[order]
     levels, starts = np.unique(sorted_es, return_index=True)
     bounds = np.append(starts, len(sorted_es))
@@ -676,6 +754,12 @@ def _scan_budget_levels(tables, stats, pair, ranks, es_v, nz_v, leftover_v, nr_v
         if i is not None:
             nr = int(nr_v[idxs[i]])
             np.maximum(ranks[nr:], wires_e, out=ranks[nr:])
+
+
+def _level_order(es_v, nr_v, width: int) -> np.ndarray:
+    """The candidates' order by end group, then cells (``nr < width``):
+    one stable sort of the keys ``es * width + nr``."""
+    return np.argsort(es_v * width + nr_v, kind="stable")
 
 
 def _first_packing(tables, stats, pair: int, e: int, cz, cleft) -> Optional[int]:

@@ -72,13 +72,14 @@ class RankResult:
     witness: Optional[Tuple[WitnessSegment, ...]] = None
 
     def summary(self) -> str:
-        """One-line human-readable result."""
+        """One-line human-readable result.  It holds no wall time
+        (``stats.runtime_seconds`` does), so equal results print equal
+        lines."""
         status = "fits" if self.fits else "DOES NOT FIT (rank 0 by Definition 3)"
         return (
             f"rank {self.rank} / {self.total_wires} wires "
             f"(normalized {self.normalized:.6f}, +/-{self.error_bound}; "
-            f"{status}; solver={self.solver}, "
-            f"{self.stats.runtime_seconds * 1e3:.1f} ms)"
+            f"{status}; solver={self.solver})"
         )
 
 

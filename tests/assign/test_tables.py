@@ -160,3 +160,19 @@ class TestPoisoning:
         for p in range(tables.num_pairs):
             assert np.isinf(tables.cum_rep_area[p][-1])
             assert np.isfinite(tables.cum_rep_area[p][1])
+
+
+class TestInsertedCounts:
+    """The DP kernel packs repeater counts into int64 sort keys, so the
+    build refuses tables whose counts it could not hold exactly."""
+
+    def test_counts_past_2_53_rejected(self, arch130, die130):
+        """At 2 GHz a 2000-pitch wire inserts 0, 1, 1 and 2 repeaters
+        on the four pairs, so a prefix can count 4 per wire: 2^53 at
+        2^51 wires, and below it at one wire fewer."""
+        lengths = [(2000.0, 2), (300.0, 10)]
+        small = make_tables(arch130, die130, lengths, clock=2e9)
+        assert small.inserted[:, 0].sum() == 4
+        with pytest.raises(RankComputationError, match="2\\^53"):
+            make_tables(arch130, die130, [(2000.0, 2**51), (300.0, 10)], clock=2e9)
+        make_tables(arch130, die130, [(2000.0, 2**51 - 1), (300.0, 10)], clock=2e9)

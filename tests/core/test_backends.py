@@ -29,7 +29,7 @@ from repro import compute_rank
 from repro.api import baseline_problem, budget_curve
 from repro.core.discretize import CEIL_EPS, RepeaterDiscretization, discretize_repeaters
 from repro.core.dp import solve_rank_dp
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, RankComputationError
 
 from .. import dp_oracle
 from ..conftest import make_tiny_problem, solve_rank_oracle
@@ -262,7 +262,7 @@ class TestCandidates:
         does not rely on that."""
         bs = np.array([0, 0, 4, 9])
         v_hi = np.array([1, -1, 5, 9])
-        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi, 0)
+        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi, 0, 0.0)
         assert dp_numpy._levels(step, 12).tolist() == [0, 1, 4, 5, 9]
 
     @staticmethod
@@ -284,6 +284,51 @@ def _dense_close(table):
     use[:, 1:] &= f[:, 1:] < f[:, :-1]
     bs, rs = np.nonzero(use)
     return bs, rs, f[bs, rs]
+
+
+def _dense_close_rows(lin, vals, width):
+    """:func:`_dense_close` of scattered candidates, over their own rows
+    only, so that sparse rows far apart need no table of the rows
+    between."""
+    rows, at = np.unique(lin // width, return_inverse=True)
+    table = np.full((len(rows), width), np.inf)
+    np.minimum.at(table, (at, lin % width), vals)
+    bs, rs, zs = _dense_close(table)
+    return rows[bs], rs, zs
+
+
+@st.composite
+def _scattered(draw):
+    """A pair's scattered candidates ``(lin, vals, width)``: integer
+    values up to 2^40 on rows up to 2^13 of up to 4096 cells (so some
+    keys pass int64 and the close splits into row blocks), with equal
+    and worse copies of some, shuffled."""
+    if draw(st.booleans()):
+        width, row_top, z_top = 4096, 1 << 13, 1 << 40
+    else:
+        width = draw(st.sampled_from([1, 2, 7, 64, 513]))
+        row_top = draw(st.sampled_from([0, 5, 40]))
+        z_top = draw(st.sampled_from([0, 3, 1 << 20]))
+    # The extremes as often as not, so the wide draws split.
+    cands = draw(st.lists(
+        st.tuples(
+            st.integers(0, row_top) | st.just(row_top),
+            st.integers(0, width - 1),
+            st.integers(0, z_top) | st.sampled_from([0, z_top]),
+        ),
+        max_size=60,
+    ))
+    copies = draw(st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(0, 2)), max_size=30
+    ))
+    if cands:
+        cands += [
+            (row, col, z + extra)
+            for (row, col, z), extra in ((cands[i % len(cands)], e) for i, e in copies)
+        ]
+    rows, cols, zs = np.array(cands, dtype=np.int64).reshape(-1, 3).T
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(zs))
+    return (rows * width + cols)[order], zs[order].astype(float), width
 
 
 class TestClosePair:
@@ -313,8 +358,10 @@ class TestClosePair:
             assert np.array_equal(a, b)
 
     def test_handmade_rows(self):
+        """Values are repeater counts, so integers: the table is twice
+        one with halves in it, which keeps every tie and record."""
         inf = np.inf
-        table = np.array(
+        table = 2 * np.array(
             [
                 [0.0, inf, inf, inf, inf, inf],  # record in column 0 only
                 [inf, inf, inf, inf, inf, inf],  # all inf
@@ -327,11 +374,11 @@ class TestClosePair:
         bs, rs, zs = self._close(table)
         assert list(zip(bs, rs, zs)) == [
             (0, 0, 0.0),
-            (2, 1, 5.0), (2, 3, 3.0), (2, 5, 1.0),
-            (3, 0, 2.0), (3, 3, 1.5),
-            (4, 5, 4.0),
-            (5, 0, 9.0), (5, 1, 8.0), (5, 2, 7.0),
-            (5, 3, 6.0), (5, 4, 5.0), (5, 5, 4.0),
+            (2, 1, 10.0), (2, 3, 6.0), (2, 5, 2.0),
+            (3, 0, 4.0), (3, 3, 3.0),
+            (4, 5, 8.0),
+            (5, 0, 18.0), (5, 1, 16.0), (5, 2, 14.0),
+            (5, 3, 12.0), (5, 4, 10.0), (5, 5, 8.0),
         ]
         for seed in range(4):
             self._assert_matches_dense(table, seed)
@@ -349,6 +396,74 @@ class TestClosePair:
     def test_empty_buffer(self):
         bs, rs, zs = self._close(np.full((3, 4), np.inf))
         assert len(bs) == len(rs) == len(zs) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(scattered=_scattered())
+    def test_matches_oracles_property(self, scattered):
+        """The packed-key close, the three-key lexsort close and the
+        dense close agree bit for bit, whatever the candidates' order,
+        copies and value range."""
+        lin, vals, width = scattered
+        got = dp_numpy._close_pair(lin, vals, width)
+        for want in (dp_oracle.close_pair_lexsort(lin, vals, width),
+                     _dense_close_rows(lin, vals, width)):
+            for a, b in zip(got, want):
+                assert _same_bits(a, b)
+
+    def test_row_block_split(self, monkeypatch):
+        """Values 2^40 apart on 2^13 rows of 4096 cells: a key of the
+        whole would pass 2^63, so the close runs on blocks of whole
+        rows, and their records are the whole's."""
+        rng = np.random.default_rng(3)
+        width, n = 4096, 400
+        rows = np.sort(rng.choice(1 << 13, 60, replace=False))
+        lin = rng.choice(rows, n) * width + rng.integers(0, width, n)
+        vals = rng.integers(0, 1 << 40, n).astype(float)
+        vals[:2] = 0.0, float(1 << 40)
+        lin = np.concatenate((lin, lin[:50], lin[:50]))
+        vals = np.concatenate((vals, vals[:50], vals[:50] + 1))
+        order = rng.permutation(len(lin))
+        lin, vals = lin[order], vals[order]
+        assert (int(lin.max()) + 1) * ((1 << 40) + 1) > np.iinfo(np.int64).max
+
+        blocks = []
+        real = dp_numpy._close_rows
+        monkeypatch.setattr(
+            dp_numpy, "_close_rows", lambda *a: blocks.append(a[3]) or real(*a)
+        )
+        got = dp_numpy._close_pair(lin, vals, width)
+        assert len(blocks) > 1
+        assert len(got[0]) > len(rows)  # some rows hold several records
+        for want in (dp_oracle.close_pair_lexsort(lin, vals, width),
+                     _dense_close_rows(lin, vals, width)):
+            for a, b in zip(got, want):
+                assert _same_bits(a, b)
+
+    def test_unpackable_row_is_named(self):
+        """A value range so wide that one row of cells overflows a key
+        is refused with a named error, never a wrapped sort."""
+        width = 1 << 11
+        lin = np.array([0, 5 * width], dtype=np.int64)
+        vals = np.array([0.0, 2.0**53 - 1])
+        with pytest.raises(RankComputationError, match="int64 sort key"):
+            dp_numpy._close_pair(lin, vals, width)
+
+
+class TestLevelOrder:
+    """The budget curve's candidate order is a stable sort by end group,
+    then cells: the packed keys give the two-key lexsort's order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 40), st.integers(0, 8)), max_size=80
+        )
+    )
+    def test_matches_lexsort(self, pairs):
+        es = np.array([e for e, _ in pairs], dtype=np.int64)
+        nr = np.array([r for _, r in pairs], dtype=np.int64)
+        want = np.lexsort((nr, es))
+        assert np.array_equal(dp_numpy._level_order(es, nr, 9), want)
 
 
 def _hand_tables(cum_rep, cum_ins=None, wire_area=None, routing=1.0):
@@ -459,6 +574,27 @@ class TestClip:
             for g_pair, w_pair in zip(g, w):
                 for a, b in zip(g_pair, w_pair):
                     assert _same_bits(a, b)
+
+    def test_compaction_time_is_close_time(self, stacks, monkeypatch):
+        """A pair that reduces its candidates on the way reports the time
+        as ``close_s``, which the solve counts as close, not transition;
+        a pair that holds them all reports none."""
+        tables, units = stacks[-1]
+        disc = discretize_repeaters(tables, units)
+
+        def close_times():
+            sources, out = dp_numpy._start(), []
+            for pair in range(tables.num_pairs):
+                step, cells = dp_numpy._pair_transition(
+                    tables, disc, dp.SolverStats(), sources, pair, None
+                )
+                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+                out.append(step.close_s)
+            return out
+
+        assert close_times() == [0.0] * tables.num_pairs
+        monkeypatch.setattr(dp_numpy, "_COMPACT", 16)
+        assert max(close_times()) > 0.0
 
     def test_ceil_eps_edge_does_not_clip(self):
         """State 0 pays ``1 + 5e-10`` cells more than state 1 to reach

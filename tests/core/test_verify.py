@@ -25,10 +25,30 @@ def verified(node130):
     return problem, tables, result
 
 
+@pytest.fixture(scope="module")
+def layered(node130):
+    """A witness over three pairs: on a 200-gate die the top pair holds
+    nothing and two pairs below it split the wires."""
+    problem = make_tiny_problem(
+        node130,
+        list(range(20, 400, 20)),
+        gate_count=200,
+        repeater_fraction=0.3,
+        semi_global_pairs=1,
+    )
+    result = compute_rank(problem, collect_witness=True, repeater_units=64)
+    tables, _ = problem.tables()
+    assert [s.pair for s in result.witness if s.end_group > s.start_group] == [1, 2]
+    return tables, result
+
+
 class TestAcceptsValidWitness:
     def test_solver_output_verifies(self, verified):
         _, tables, result = verified
         verify_witness(tables, result)  # must not raise
+
+    def test_layered_output_verifies(self, layered):
+        verify_witness(*layered)
 
     def test_baseline_scale_verifies(self, small_baseline):
         result = compute_rank(
@@ -65,14 +85,13 @@ class TestRejectsTampering:
         with pytest.raises(RankComputationError):
             verify_witness(tables, bad)
 
-    def test_pair_order_violation(self, verified):
-        _, tables, result = verified
+    def test_pair_order_violation(self, layered):
+        tables, result = layered
         witness = list(result.witness)
-        if len(witness) < 2:
-            pytest.skip("need two segments to swap")
+        # The swapped-in first segment is the valid second one, so the
+        # checker's first complaint is the pair order.
         swapped = [witness[1], witness[0]] + witness[2:]
-        # re-anchor start groups so only the pair order is wrong
-        with pytest.raises(RankComputationError):
+        with pytest.raises(RankComputationError, match="strictly descending"):
             verify_witness(tables, self._tamper(result, swapped))
 
     def test_overstuffed_pair(self, small_baseline):

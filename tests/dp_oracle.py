@@ -6,6 +6,10 @@ eager parent pointers and a per-pair failed-pack memo.  No product
 path runs it; ``tests/conftest.py::solve_rank_oracle`` runs
 :func:`repro.core.dp.solve_rank_dp` with it in place of
 :func:`repro.core.dp_numpy.solve_pairs_numpy`.
+
+:func:`close_pair_lexsort` is the kernel's pair close as a three-key
+sort, the oracle of the packed-key
+:func:`repro.core.dp_numpy._close_pair`.
 """
 
 from __future__ import annotations
@@ -192,3 +196,28 @@ def solve_pairs_python(
             f_prev = np.minimum.accumulate(f_new, axis=1)
 
     return best_rank, best_trace, parent_b, parent_r
+
+
+def close_pair_lexsort(lin: np.ndarray, vals: np.ndarray, width: int):
+    """The records of a pair's scattered candidates (cells ``lin = row *
+    width + col``, values ``vals``, any order, several per cell), by a
+    three-key sort: oracle of :func:`repro.core.dp_numpy._close_pair`.
+
+    Sorted by row, then value, then column, a candidate is a record
+    exactly when its column is left of every candidate before it in its
+    row; one running minimum over ``col - row * width`` (which falls
+    from row to row) tests that for all rows at once.  Returns the
+    records ``(bs, rs, zs)`` row-major with their values copied
+    unchanged; the values need not be integers.
+    """
+    order = np.lexsort((lin, vals, lin // width))
+    cells = lin[order]
+    rows = cells // width
+    key = cells - rows * (2 * width)
+    record = np.ones(len(key), dtype=bool)
+    record[1:] = key[1:] < np.minimum.accumulate(key)[:-1]
+    cells, rows, vals = cells[record], rows[record], vals[order[record]]
+    # Within a row the records came by value ascending, so columns
+    # descending: put them row-major.
+    back = np.argsort(cells)
+    return rows[back], cells[back] - rows[back] * width, vals[back]

@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry and its merge algebra."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -176,3 +177,19 @@ class TestGlobalHelpers:
             timer = timers[f"solver.dp.kernel.{name}"]
             assert timer["count"] == 1
             assert 0.0 <= timer["total_s"] <= timers["solver.dp.solve_s"]["total_s"]
+
+    def test_budget_curve_publishes_kernel_timers(self, small_baseline):
+        """The curve's pair loop reports the kernel's three layers under
+        the rank solve's names, once per curve."""
+        from repro.api import budget_curve
+
+        obs.enable()
+        t0 = time.perf_counter()
+        budget_curve(small_baseline, bunch_size=2000, repeater_units=64)
+        spent = time.perf_counter() - t0
+        obs.disable()
+        timers = obs.snapshot()["timers"]
+        for name in ("transition_s", "rank_scan_s", "close_s"):
+            timer = timers[f"solver.dp.kernel.{name}"]
+            assert timer["count"] == 1
+            assert 0.0 <= timer["total_s"] <= spent

@@ -272,6 +272,21 @@ class TestCommands:
         assert "Pareto" in out
         assert "best:" in out
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--k-classes", "3.9,2.8", "--m-classes", "2.0", "--max-layers", "8"],
+        ["rank"],
+    ])
+    def test_repeated_runs_print_identical_stdout(self, capsys, command):
+        """A result line carries no wall time, so the same command
+        prints the same bytes every run."""
+        argv = command + ["--gates", "50000", "--bunch-size", "2000", "--repeater-units", "64"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "rank " in outputs[0]
+        assert outputs[0] == outputs[1]
+
 
 class TestExitCodes:
     """The documented exit-code contract: 0 clean, 1 total failure or

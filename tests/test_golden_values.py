@@ -13,6 +13,7 @@ EXPERIMENTS.md together.
 import pytest
 
 from repro import compute_rank
+from repro.api import baseline_problem
 from repro.core.scenarios import paper_baseline_130nm
 from repro.wld.davis import DavisParameters, davis_wld
 
@@ -65,3 +66,15 @@ class TestGoldenRanks:
     def test_greedy_baseline(self, baseline):
         result = compute_rank(baseline, solver="greedy", bunch_size=10_000)
         assert result.rank == 1_193_992
+
+
+class TestGoldenTenMillionGates:
+    """Ten times the paper's scale, where a pair holds millions of
+    candidates and reduces them on the way: the rank is the length >= 4
+    share of the WLD at every K, the delay wall's plateau.  A rank check
+    only; how long it takes is the benchmark's business."""
+
+    @pytest.mark.parametrize("permittivity", [3.9, 3.0, 2.0])
+    def test_rank(self, permittivity):
+        problem = baseline_problem("130nm", 10_000_000, permittivity=permittivity)
+        assert compute_rank(problem, **PAPER_OPTIONS).rank == 7_176_965
