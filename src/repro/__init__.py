@@ -63,7 +63,6 @@ from .tech import (
     MetalRule,
     TechnologyNode,
     ViaRule,
-    available_nodes,
     get_node,
 )
 from .wld import (
@@ -150,7 +149,6 @@ __all__ = [
     "NODE_180NM",
     "NODE_130NM",
     "NODE_90NM",
-    "available_nodes",
     "get_node",
     # WLD
     "WireLengthDistribution",

@@ -10,7 +10,7 @@
   (Section 5.1).
 """
 
-from .coarsening import BinningPoint, CoarseningPoint, binning_study, coarsening_study
+from .coarsening import CoarseningPoint, coarsening_study
 from .corners import Corner, CornerReport, STANDARD_CORNERS, apply_corner, rank_across_corners
 from .roadmap import RoadmapPoint, materials_shortfall, roadmap_study
 from .slack import GroupSlack, SlackSummary, slack_profile, summarize_slack
@@ -53,8 +53,6 @@ __all__ = [
     "compare_nodes",
     "CoarseningPoint",
     "coarsening_study",
-    "BinningPoint",
-    "binning_study",
     "Corner",
     "CornerReport",
     "STANDARD_CORNERS",

@@ -78,64 +78,3 @@ def max_pairwise_deviation(points: Sequence[CoarseningPoint]) -> int:
     """Largest absolute rank difference between any two study points."""
     ranks = [p.result.rank for p in points]
     return max(ranks) - min(ranks) if ranks else 0
-
-
-@dataclass(frozen=True)
-class BinningPoint:
-    """Rank at one binning level (paper footnote 7).
-
-    Attributes
-    ----------
-    max_groups:
-        Cap on distinct coarse lengths (None = no binning).
-    groups:
-        Distinct lengths actually used after binning + bunching.
-    result:
-        Rank result at this coarsening.
-    runtime_seconds:
-        Solver runtime.
-    """
-
-    max_groups: Optional[int]
-    groups: int
-    result: RankResult
-    runtime_seconds: float
-
-
-def binning_study(
-    problem: RankProblem,
-    max_groups_values: Sequence[Optional[int]] = (None, 400, 200, 100, 50),
-    bunch_size: Optional[int] = 10_000,
-    solver: str = "dp",
-    repeater_units: int = 512,
-) -> List[BinningPoint]:
-    """Rank vs binning aggressiveness (the footnote-7 reduction).
-
-    Binning replaces nearby lengths by their count-weighted mean before
-    bunching.  The paper notes it is orthogonal to bunching and did not
-    need it; this study quantifies what it would have cost: the rank
-    drift as the distinct-length count shrinks.
-    """
-    if not max_groups_values:
-        raise RankComputationError("binning study needs at least one level")
-    points: List[BinningPoint] = []
-    for max_groups in max_groups_values:
-        result = compute_rank(
-            problem,
-            solver=solver,
-            bunch_size=bunch_size,
-            max_groups=max_groups,
-            repeater_units=repeater_units,
-        )
-        coarse, _ = problem.coarsened_wld(
-            bunch_size=bunch_size, max_groups=max_groups
-        )
-        points.append(
-            BinningPoint(
-                max_groups=max_groups,
-                groups=coarse.num_groups,
-                result=result,
-                runtime_seconds=result.stats.runtime_seconds,
-            )
-        )
-    return points

@@ -123,11 +123,6 @@ class CornerReport:
     journal: Optional["RunJournal"] = field(default=None, compare=False)
 
     @property
-    def is_complete(self) -> bool:
-        """True iff every requested corner produced a result."""
-        return not self.failures
-
-    @property
     def worst(self) -> Tuple[Corner, RankResult]:
         """The binding corner (lowest rank; ties keep first)."""
         if not self.results:

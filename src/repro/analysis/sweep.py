@@ -118,15 +118,6 @@ class SweepResult:
     failures: Tuple["PointFailure", ...] = ()
     journal: Optional["RunJournal"] = field(default=None, compare=False)
 
-    @property
-    def is_complete(self) -> bool:
-        """True iff every requested point produced a result."""
-        return not self.failures
-
-    def failed_values(self) -> List[float]:
-        """Knob values whose evaluation failed, in sweep order."""
-        return [f.value for f in self.failures]
-
     def values(self) -> List[float]:
         """Swept knob values (completed points only)."""
         return [p.value for p in self.points]
@@ -134,10 +125,6 @@ class SweepResult:
     def normalized_ranks(self) -> List[float]:
         """Reproduced normalized ranks, one per point."""
         return [p.normalized for p in self.points]
-
-    def paper_ranks(self) -> List[Optional[float]]:
-        """Paper-reported normalized ranks (None where unknown)."""
-        return [p.paper_normalized for p in self.points]
 
     def improvement(self) -> float:
         """Relative rank change from the first point to the last."""
@@ -193,8 +180,9 @@ class RankEvaluator:
 
         Raises ``TypeError`` for an option ``compute_rank`` does not take.
         """
-        # Imported here, not at module top: repro.reporting.persist
-        # imports this module, and the runner package imports persist.
+        # Imported here, not at module top: repro.reporting.tables
+        # imports this module, and the runner package imports
+        # repro.reporting (for persist).
         from ..core.precompute import PrecomputeCache
 
         _SOLVE_SIGNATURE.bind(warm, **options)

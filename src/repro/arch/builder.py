@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..rc.capacitance import CapacitanceModel
 from ..rc.models import extract_wire_rc
 from ..tech.node import TechnologyNode
 from .layer import LayerPair
@@ -43,9 +42,6 @@ class ArchitectureSpec:
     permittivity:
         ILD relative permittivity override; ``None`` keeps the node's
         dielectric (paper baseline: 3.9).
-    capacitance_model:
-        Capacitance extraction formula; ``None`` selects the default
-        model.
     tier_scaling:
         Optional per-tier uniform geometry scale factors, e.g.
         ``(("global", 1.5),)`` for 50% fatter/taller global wires — the
@@ -60,7 +56,6 @@ class ArchitectureSpec:
     global_pairs: int = 1
     miller_factor: float = 2.0
     permittivity: Optional[float] = None
-    capacitance_model: Optional[CapacitanceModel] = None
     tier_scaling: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -137,13 +132,7 @@ def build_architecture(spec: ArchitectureSpec) -> InterconnectArchitecture:
         if scale != 1.0:
             metal = metal.scaled(scale)
         via = node.via(tier)
-        rc = extract_wire_rc(
-            metal,
-            node.conductor,
-            dielectric,
-            spec.miller_factor,
-            spec.capacitance_model,
-        )
+        rc = extract_wire_rc(metal, node.conductor, dielectric, spec.miller_factor)
         for index in range(count):
             pairs.append(
                 LayerPair(

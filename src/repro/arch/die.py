@@ -79,11 +79,6 @@ class DieModel:
         """
         return math.sqrt(self.die_area / self.gate_count)
 
-    @property
-    def die_edge(self) -> float:
-        """Edge length of the (square) die in metres."""
-        return math.sqrt(self.die_area)
-
     def wire_length(self, length_in_pitches: float) -> float:
         """Convert a WLD length in gate pitches to metres."""
         if length_in_pitches < 0:

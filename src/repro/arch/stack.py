@@ -9,7 +9,7 @@ proceeds downward.  The bottom pair is ``pairs[-1]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..units import to_um
@@ -65,11 +65,6 @@ class InterconnectArchitecture:
         """The topmost (coarsest, global) layer-pair."""
         return self.pairs[0]
 
-    @property
-    def bottom(self) -> LayerPair:
-        """The bottommost (finest, local) layer-pair."""
-        return self.pairs[-1]
-
     def pair(self, index: int) -> LayerPair:
         """Layer-pair by 0-based index from the top, with range checking."""
         if not 0 <= index < len(self.pairs):
@@ -78,18 +73,6 @@ class InterconnectArchitecture:
                 f"{self.name!r} with {len(self.pairs)} pairs"
             )
         return self.pairs[index]
-
-    def pairs_below(self, index: int) -> Sequence[LayerPair]:
-        """All pairs strictly below the given 0-based index."""
-        self.pair(index)  # range check
-        return self.pairs[index + 1 :]
-
-    def tier_counts(self) -> dict:
-        """Number of pairs per tier, e.g. ``{"global": 1, "semi_global": 2}``."""
-        counts: dict = {}
-        for pair in self.pairs:
-            counts[pair.tier] = counts.get(pair.tier, 0) + 1
-        return counts
 
     def describe(self) -> str:
         """One-line human-readable stack summary, top to bottom."""

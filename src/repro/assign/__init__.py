@@ -1,13 +1,10 @@
 """Wire assignment engines.
 
-This package implements the paper's two feasibility oracles and the
-precomputed tables they (and the rank solvers) run on:
+This package implements the precomputed tables the rank solvers run on
+and the paper's M'' feasibility oracle:
 
 * :mod:`repro.assign.tables` — per-(layer-pair, wire-group) areas,
   repeater demands and via footprints, computed once per problem,
-* :mod:`repro.assign.wire_assign` — the M' oracle (paper Algorithm 4):
-  assign a block of wires to one layer-pair *with* delay requirements,
-  inserting uniform-size repeaters from a budget,
 * :mod:`repro.assign.greedy_assign` — the M'' oracle (paper Algorithm 5,
   optimal by its Lemma 1): pack the remaining wires bottom-up into the
   remaining layer-pairs *ignoring* delay, with via-blockage reservations
@@ -16,7 +13,6 @@ precomputed tables they (and the rank solvers) run on:
 
 from .greedy_assign import PairFill, pack_suffix, pack_suffix_detail
 from .tables import AssignmentTables, build_tables
-from .wire_assign import DelayAssignmentResult, assign_with_delay
 
 __all__ = [
     "AssignmentTables",
@@ -24,6 +20,4 @@ __all__ = [
     "PairFill",
     "pack_suffix",
     "pack_suffix_detail",
-    "DelayAssignmentResult",
-    "assign_with_delay",
 ]

@@ -89,6 +89,7 @@ from .analysis.sweep import (
 from .api import (
     SOLVERS,
     OptimizeRequest,
+    PrecomputeCache,
     RankProblem,
     RankRequest,
     compute_rank,
@@ -442,8 +443,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     request = _request(args, RankRequest)
     problem = _problem(args, request)
-    result = compute_rank(problem, collect_witness=True, **request.solve_kwargs())
-    tables, _ = problem.tables(bunch_size=request.bunch_size)
+    # One cache for the solve and the report: the report reads the very
+    # tables the solve ran on, built once.
+    cache = PrecomputeCache()
+    result = compute_rank(
+        problem, collect_witness=True, cache=cache, **request.solve_kwargs()
+    )
+    tables, _ = problem.tables(
+        bunch_size=request.bunch_size, max_groups=request.max_groups, cache=cache
+    )
     print(result.summary())
     print()
     print(format_assignment_report(tables, result))

@@ -28,7 +28,6 @@ from .greedy import solve_rank_greedy
 from .precompute import PrecomputeCache
 from .problem import RankProblem
 from .rank import RankResult
-from .scenarios import configure_davis_cache, davis_cache_info
 
 __all__ = [
     "PrecomputeCache",
@@ -39,6 +38,4 @@ __all__ = [
     "solve_budget_rank_curve",
     "solve_rank_greedy",
     "solve_rank_exhaustive",
-    "configure_davis_cache",
-    "davis_cache_info",
 ]

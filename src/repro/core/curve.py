@@ -18,7 +18,6 @@ the curve's near-constant slope.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -57,15 +56,6 @@ class BudgetRankCurve:
     @property
     def num_units(self) -> int:
         return len(self.ranks) - 1
-
-    def rank_at_area(self, area: float) -> int:
-        """Best rank with at most ``area`` of repeater silicon."""
-        if area < 0:
-            return 0
-        if math.isinf(self.cell_area):
-            return self.ranks[0]
-        cells = min(self.num_units, int(area / self.cell_area))
-        return self.ranks[cells]
 
     def marginal_wires_per_cell(self) -> List[float]:
         """Finite-difference slope of the curve (wires per cell)."""

@@ -12,7 +12,6 @@ pivots around (1M gates at 130 nm).
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -37,37 +36,10 @@ BASELINE_CLOCK_HZ = 500.0e6
 BASELINE_RENT_EXPONENT = 0.6
 
 
-#: Default Davis-WLD cache capacity; override at import time with the
-#: ``REPRO_DAVIS_CACHE_SIZE`` environment variable (0 disables caching)
-#: or at runtime with :func:`configure_davis_cache`.
-DEFAULT_DAVIS_CACHE_SIZE = 16
-
-
-def _make_davis_cache(maxsize: Optional[int]):
-    @lru_cache(maxsize=maxsize)
-    def cached(gate_count: int, rent_exponent: float) -> WireLengthDistribution:
-        """Davis WLDs are deterministic and expensive enough to cache."""
-        return davis_wld(
-            DavisParameters(gate_count=gate_count, rent_exponent=rent_exponent)
-        )
-
-    return cached
-
-
-_cached_davis = _make_davis_cache(
-    int(os.environ.get("REPRO_DAVIS_CACHE_SIZE", DEFAULT_DAVIS_CACHE_SIZE))
-)
-
-
-def configure_davis_cache(maxsize: Optional[int]) -> None:
-    """Resize the Davis-WLD cache (``0`` disables, ``None`` unbounds).
-
-    Rebuilding the cache drops every cached WLD and resets the hit/miss
-    counters reported by :func:`davis_cache_info` — sized-up sweeps over
-    many (gate count, Rent exponent) pairs call this once up front.
-    """
-    global _cached_davis
-    _cached_davis = _make_davis_cache(maxsize)
+@lru_cache(maxsize=16)
+def _cached_davis(gate_count: int, rent_exponent: float) -> WireLengthDistribution:
+    """Davis WLDs are deterministic and expensive enough to cache."""
+    return davis_wld(DavisParameters(gate_count=gate_count, rent_exponent=rent_exponent))
 
 
 def _davis_lookup(gate_count: int, rent_exponent: float) -> WireLengthDistribution:
@@ -85,16 +57,6 @@ def _davis_lookup(gate_count: int, rent_exponent: float) -> WireLengthDistributi
     _obs_inc("davis_cache.hits", after.hits - before.hits)
     _obs_inc("davis_cache.misses", after.misses - before.misses)
     return wld
-
-
-def davis_cache_info():
-    """Hit/miss/size counters of the Davis-WLD cache.
-
-    Returns :class:`functools._CacheInfo` (``hits`` / ``misses`` /
-    ``maxsize`` / ``currsize``), the observable that tells a sweep
-    whether its points actually shared the WLD precomputation.
-    """
-    return _cached_davis.cache_info()
 
 
 def baseline_problem(

@@ -6,41 +6,24 @@
   minimal repeater count meeting a target delay (closed-form solution of
   the Eq. (3) quadratic, equivalent to the paper's incremental
   insertion),
-* :mod:`repro.delay.elmore` — an independent Elmore-style model used to
-  cross-validate trends,
 * :mod:`repro.delay.target` — target-delay models: the paper's linear
   ``d_i = (l_i / l_max) / f_c`` plus the quadratic alternative its
   Section 6 flags as future work.
 """
 
-from .elmore import elmore_segment_delay, elmore_wire_delay
-from .ottenbrayton import (
-    min_delay_stage_count,
-    segment_delay,
-    unbuffered_delay,
-    wire_delay,
-)
+from .ottenbrayton import wire_delay
 from .repeater import (
-    RepeaterSolution,
     min_stages_for_target,
     min_stages_for_target_batch,
     optimal_repeater_size,
-    solve_repeaters,
 )
 from .target import LinearTargetModel, QuadraticTargetModel, TargetDelayModel
 
 __all__ = [
-    "segment_delay",
     "wire_delay",
-    "unbuffered_delay",
-    "min_delay_stage_count",
-    "RepeaterSolution",
     "optimal_repeater_size",
     "min_stages_for_target",
     "min_stages_for_target_batch",
-    "solve_repeaters",
-    "elmore_segment_delay",
-    "elmore_wire_delay",
     "TargetDelayModel",
     "LinearTargetModel",
     "QuadraticTargetModel",

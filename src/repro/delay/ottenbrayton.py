@@ -22,7 +22,6 @@ repeaters trade driver self-delay against quadratic wire delay.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from ..constants import SWITCHING_A, SWITCHING_B
@@ -41,26 +40,6 @@ def _validate(length: float, size: float, stages: int) -> None:
         raise DelayModelError(f"repeater size must be positive, got {size!r}")
     if stages < 1:
         raise DelayModelError(f"stage count must be at least 1, got {stages!r}")
-
-
-def segment_delay(
-    rc: WireRC,
-    device: DeviceParameters,
-    size: float,
-    segment_length: float,
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> float:
-    """Delay of one repeater-to-repeater segment (paper Eq. (2)), seconds."""
-    _validate(segment_length, size, 1)
-    r_tr = device.output_resistance / size
-    c_load = size * device.input_capacitance
-    c_par = size * device.parasitic_capacitance
-    return (
-        b * r_tr * (c_load + c_par)
-        + b * (rc.capacitance * r_tr + rc.resistance * c_load) * segment_length
-        + a * rc.rc_product * (segment_length * segment_length)
-    )
 
 
 def wire_delay(
@@ -129,34 +108,3 @@ def wire_delay_batch(
     )
     quadratic = a * rc.rc_product * lengths ** 2 / stages
     return intrinsic + linear + quadratic
-
-
-def unbuffered_delay(
-    rc: WireRC,
-    device: DeviceParameters,
-    size: float,
-    length: float,
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> float:
-    """Delay with the bare driver and no inserted repeaters (eta = 1)."""
-    return wire_delay(rc, device, size, 1, length, a, b)
-
-
-def min_delay_stage_count(
-    rc: WireRC,
-    device: DeviceParameters,
-    length: float,
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> float:
-    """Real-valued stage count minimizing Eq. (3) for a wire.
-
-    Setting dD/d(eta) = 0 gives
-    ``eta* = l * sqrt(a * r * c / (b * r_o * (c_o + c_p)))``.
-    The integer optimum is one of ``floor``/``ceil`` of this value
-    (delay is convex in ``eta``).
-    """
-    if length < 0:
-        raise DelayModelError(f"wire length must be non-negative, got {length!r}")
-    return length * math.sqrt(a * rc.rc_product / (b * device.intrinsic_delay))

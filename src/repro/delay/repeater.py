@@ -19,7 +19,6 @@ out).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..constants import SWITCHING_A, SWITCHING_B
@@ -215,62 +214,3 @@ def min_stages_for_target_batch(
                 )
                 result[index] = -1 if fixed is None else fixed
     return result
-
-
-@dataclass(frozen=True)
-class RepeaterSolution:
-    """Result of repeater insertion on one wire.
-
-    Attributes
-    ----------
-    stages:
-        Total stage count ``eta`` (driver included).
-    inserted:
-        Repeaters physically inserted: ``stages - 1``.  This is what the
-        repeater-area budget is charged for.
-    size:
-        Repeater size in minimum-inverter multiples.
-    area:
-        Silicon area charged to the repeater budget (``inserted * size *
-        min_inverter_area``), in square metres.
-    delay:
-        Achieved Eq. (3) delay, seconds.
-    """
-
-    stages: int
-    inserted: int
-    size: float
-    area: float
-    delay: float
-
-
-def solve_repeaters(
-    rc: WireRC,
-    device: DeviceParameters,
-    length: float,
-    target: float,
-    size: Optional[float] = None,
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> Optional[RepeaterSolution]:
-    """Insert the minimal number of repeaters meeting ``target``.
-
-    Returns ``None`` when the wire cannot meet the target on this
-    layer-pair at any stage count (budget is *not* considered here — the
-    assignment engines own the budget).
-    """
-    if size is None:
-        size = optimal_repeater_size(rc, device)
-    stages = min_stages_for_target(
-        rc, device, length, target, size=size, a=a, b=b
-    )
-    if stages is None:
-        return None
-    inserted = stages - 1
-    return RepeaterSolution(
-        stages=stages,
-        inserted=inserted,
-        size=size,
-        area=inserted * device.repeater_area(size),
-        delay=wire_delay(rc, device, size, stages, length, a, b),
-    )

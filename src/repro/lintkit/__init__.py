@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from .context import FileContext, Finding
 from .engine import collect_files, lint_paths
-from .registry import Rule, all_rules, get_rule, register
+from .registry import Rule, all_rules, register
 
 __all__ = [
     "FileContext",
@@ -70,7 +70,6 @@ __all__ = [
     "Rule",
     "all_rules",
     "collect_files",
-    "get_rule",
     "lint_paths",
     "register",
 ]

@@ -92,12 +92,6 @@ def all_rules() -> List[Type[Rule]]:
     return [_RULES[code] for code in sorted(_RULES)]
 
 
-def get_rule(code: str) -> Type[Rule]:
-    """Look one rule up by code (KeyError if unknown)."""
-    _load_builtin_rules()
-    return _RULES[code]
-
-
 def select_rules(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,

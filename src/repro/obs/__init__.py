@@ -62,7 +62,6 @@ __all__ = [
     "enable",
     "gauge",
     "inc",
-    "is_enabled",
     "merge",
     "metrics_enabled",
     "observe",
@@ -93,11 +92,6 @@ def disable() -> None:
     """Stop publishing metrics and recording spans (data is kept)."""
     metrics._set_enabled(False)
     trace._set_enabled(False)
-
-
-def is_enabled() -> bool:
-    """Whether any part of the subsystem (metrics or tracing) is on."""
-    return metrics.metrics_enabled() or trace.tracing_enabled()
 
 
 def reset() -> None:

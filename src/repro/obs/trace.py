@@ -109,11 +109,6 @@ def clear_events() -> None:
         _DROPPED = 0
 
 
-def dropped_events() -> int:
-    """Events discarded because the buffer hit :data:`MAX_EVENTS`."""
-    return _DROPPED
-
-
 class Span:
     """One live span; created by :func:`span`, closed by ``with``."""
 

@@ -16,7 +16,6 @@ from .search import (
     CandidateResult,
     shielding_capacity_factor,
     OptimizationResult,
-    evaluate_candidates,
     evaluate_candidates_batch,
     hill_climb,
     optimize_architecture,
@@ -28,7 +27,6 @@ __all__ = [
     "DesignSpace",
     "CandidateResult",
     "OptimizationResult",
-    "evaluate_candidates",
     "evaluate_candidates_batch",
     "pareto_front",
     "hill_climb",

@@ -197,29 +197,6 @@ def _spec_label(spec: ArchitectureSpec) -> str:
     )
 
 
-def evaluate_candidates(
-    problem: RankProblem,
-    specs: Sequence[ArchitectureSpec],
-    shielding_aware: bool = False,
-    **solve_options,
-) -> List[CandidateResult]:
-    """Rank every candidate architecture on the problem's design.
-
-    With ``shielding_aware=True``, a candidate's Miller factor is
-    assumed to be bought with shield wires, and its routing utilization
-    pays the corresponding track cost (1x / 2x / 3x tracks per signal
-    for M = 2.0 / 1.5 / 1.0) — the honest version of the M knob.
-
-    Accepts the harness keywords of :func:`evaluate_candidates_batch`
-    (``policy`` / ``keep_going`` / ``checkpoint`` / ``resume``) and
-    returns just the completed candidates.
-    """
-    results, _ = evaluate_candidates_batch(
-        problem, specs, shielding_aware=shielding_aware, **solve_options
-    )
-    return results
-
-
 def pareto_front(candidates: Sequence[CandidateResult]) -> List[CandidateResult]:
     """Non-dominated candidates: maximal rank, fewest metal layers.
 

@@ -8,35 +8,19 @@ them from geometry and materials:
 
 * :mod:`repro.rc.resistance` — ``rho / (W * T)``,
 * :mod:`repro.rc.capacitance` — ground + Miller-scaled coupling
-  capacitance, with both a parallel-plate+fringe model and a
-  Sakurai-style empirical model,
-* :mod:`repro.rc.via` — via blockage footprints,
+  capacitance (parallel plates plus a constant fringe allowance),
+* :mod:`repro.rc.via` — the paper's via counts per wire and repeater,
 * :mod:`repro.rc.models` — the :class:`~repro.rc.models.WireRC` bundle
   and extraction entry point.
 """
 
-from .capacitance import (
-    CapacitanceModel,
-    ParallelPlateFringeModel,
-    SakuraiModel,
-    coupling_capacitance,
-    ground_capacitance,
-    total_capacitance_per_length,
-)
+from .capacitance import total_capacitance_per_length
 from .models import WireRC, extract_wire_rc
 from .resistance import resistance_per_length
-from .via import via_blocked_area, wire_via_count
 
 __all__ = [
-    "CapacitanceModel",
-    "ParallelPlateFringeModel",
-    "SakuraiModel",
-    "ground_capacitance",
-    "coupling_capacitance",
     "total_capacitance_per_length",
     "WireRC",
     "extract_wire_rc",
     "resistance_per_length",
-    "via_blocked_area",
-    "wire_via_count",
 ]

@@ -4,183 +4,52 @@ The effective capacitance per unit length of a wire in a layer-pair is
 
     c = 2 * c_ground + M * 2 * c_coupling
 
-where ``c_ground`` is the capacitance to the routing planes above and
-below (area + fringe), ``c_coupling`` is the line-to-line capacitance to
-*one* same-layer neighbour, and ``M`` is the Miller coupling factor that
-models simultaneous switching of both neighbours (the paper's Table 4
-column ``M``; 2.0 worst case, 1.0 with double-sided shielding).
+where ``c_ground = eps * (W / H + 0.3)`` is the capacitance to one of the
+routing planes above and below (parallel-plate area term plus a constant
+fringe allowance), ``c_coupling = eps * T / S`` is the line-to-line
+capacitance to *one* same-layer neighbour, and ``M`` is the Miller coupling
+factor that models simultaneous switching of both neighbours (the paper's
+Table 4 column ``M``; 2.0 worst case, 1.0 with double-sided shielding).
 
-Two interchangeable models are provided:
-
-* :class:`ParallelPlateFringeModel` — first-order physics: parallel-plate
-  area terms plus a constant fringe allowance; transparent and exactly
-  linear in permittivity.
-* :class:`SakuraiModel` — the empirical closed-form of Sakurai & Tarui
-  for a line between two ground planes with two same-layer neighbours,
-  accurate to a few percent over 1990s--2000s aspect ratios.
-
-Both scale linearly with ILD permittivity, which is what makes the
-paper's K and M sweeps directly comparable (both knobs scale parts of the
-same capacitance sum).
+The low fringe allowance keeps line-to-line coupling at ~80% of the total
+for minimum-pitch wiring, the regime implied by the paper's observation
+that a 42% Miller-factor reduction buys the same rank improvement as a 38%
+permittivity reduction (both knobs must act on nearly the same
+capacitance share).  The sum is exactly linear in permittivity, which is
+what makes the paper's K and M sweeps directly comparable.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from ..tech.materials import Dielectric
 from ..tech.node import MetalRule
 
-
-class CapacitanceModel:
-    """Interface for per-unit-length capacitance models.
-
-    Subclasses implement :meth:`ground` and :meth:`coupling`, both in
-    farads per metre for a *single* plane / *single* neighbour; the
-    :meth:`total` combinator applies plane doubling and the Miller factor.
-    """
-
-    def ground(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        """Capacitance per unit length to one adjacent routing plane."""
-        raise NotImplementedError
-
-    def coupling(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        """Capacitance per unit length to one same-layer neighbour."""
-        raise NotImplementedError
-
-    def total(
-        self,
-        rule: MetalRule,
-        dielectric: Dielectric,
-        miller_factor: float,
-    ) -> float:
-        """Effective switching capacitance per unit length.
-
-        ``2 * ground + miller_factor * 2 * coupling``, in farads/metre.
-        """
-        if miller_factor < 0:
-            raise ConfigurationError(
-                f"Miller coupling factor must be non-negative, got {miller_factor!r}"
-            )
-        return 2.0 * self.ground(rule, dielectric) + miller_factor * 2.0 * self.coupling(
-            rule, dielectric
-        )
-
-
-def _validate_geometry(rule: MetalRule) -> None:
-    if rule.ild_height <= 0:
-        raise ConfigurationError(
-            f"ILD height must be positive for capacitance extraction, "
-            f"got {rule.ild_height!r}"
-        )
-
-
-@dataclass(frozen=True)
-class ParallelPlateFringeModel(CapacitanceModel):
-    """Area + constant-fringe capacitance model.
-
-    ``c_ground = eps * (W / H + fringe_factor)`` and
-    ``c_coupling = eps * T / S``.
-
-    Attributes
-    ----------
-    fringe_factor:
-        Dimensionless per-edge fringe allowance added to the plate term;
-        the conventional first-order value is ~1.1 per side.
-    """
-
-    fringe_factor: float = 1.1
-
-    def __post_init__(self) -> None:
-        if self.fringe_factor < 0:
-            raise ConfigurationError(
-                f"fringe_factor must be non-negative, got {self.fringe_factor!r}"
-            )
-
-    def ground(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        _validate_geometry(rule)
-        return dielectric.permittivity * (
-            rule.min_width / rule.ild_height + self.fringe_factor
-        )
-
-    def coupling(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        _validate_geometry(rule)
-        return dielectric.permittivity * rule.thickness / rule.min_spacing
-
-
-@dataclass(frozen=True)
-class SakuraiModel(CapacitanceModel):
-    """Sakurai--Tarui empirical capacitance formulas.
-
-    For a line of width ``W`` and thickness ``T`` at height ``H`` over a
-    plane, with same-layer neighbours at spacing ``S``:
-
-    ``c_ground / eps = 1.15 (W/H) + 2.80 (T/H)^0.222``
-
-    ``c_coupling / eps = [0.03 (W/H) + 0.83 (T/H) - 0.07 (T/H)^0.222]
-    * (S/H)^-1.34``
-
-    Valid for aspect ratios typical of the paper's technology window and
-    used as the default extraction model.
-    """
-
-    def ground(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        _validate_geometry(rule)
-        w_h = rule.min_width / rule.ild_height
-        t_h = rule.thickness / rule.ild_height
-        return dielectric.permittivity * (1.15 * w_h + 2.80 * t_h ** 0.222)
-
-    def coupling(self, rule: MetalRule, dielectric: Dielectric) -> float:
-        _validate_geometry(rule)
-        w_h = rule.min_width / rule.ild_height
-        t_h = rule.thickness / rule.ild_height
-        s_h = rule.min_spacing / rule.ild_height
-        bracket = 0.03 * w_h + 0.83 * t_h - 0.07 * t_h ** 0.222
-        # The bracket can go slightly negative for very flat wires far
-        # outside the fitted range; clamp at zero rather than return a
-        # negative capacitance.
-        bracket = max(bracket, 0.0)
-        return dielectric.permittivity * bracket * s_h ** -1.34
-
-
-#: Default model used by the extraction entry point: parallel plates with
-#: a small fringe allowance.  The low fringe term keeps line-to-line
-#: coupling at ~80% of total capacitance for minimum-pitch wiring, the
-#: regime implied by the paper's observation that a 42% Miller-factor
-#: reduction buys the same rank improvement as a 38% permittivity
-#: reduction (both knobs must act on nearly the same capacitance share).
-#: Use :class:`SakuraiModel` for standalone extraction accuracy studies.
-DEFAULT_MODEL = ParallelPlateFringeModel(fringe_factor=0.3)
-
-
-def ground_capacitance(
-    rule: MetalRule,
-    dielectric: Dielectric,
-    model: CapacitanceModel | None = None,
-) -> float:
-    """Per-unit-length capacitance to one routing plane (F/m)."""
-    return (model or DEFAULT_MODEL).ground(rule, dielectric)
-
-
-def coupling_capacitance(
-    rule: MetalRule,
-    dielectric: Dielectric,
-    model: CapacitanceModel | None = None,
-) -> float:
-    """Per-unit-length capacitance to one same-layer neighbour (F/m)."""
-    return (model or DEFAULT_MODEL).coupling(rule, dielectric)
+#: Dimensionless per-edge fringe allowance added to the plate term of
+#: ``c_ground``.
+FRINGE_FACTOR = 0.3
 
 
 def total_capacitance_per_length(
     rule: MetalRule,
     dielectric: Dielectric,
     miller_factor: float,
-    model: CapacitanceModel | None = None,
 ) -> float:
     """Effective switching capacitance per unit length (F/m).
 
     This is the paper's c-bar for a layer-pair: both planes plus both
     Miller-scaled neighbours.
     """
-    return (model or DEFAULT_MODEL).total(rule, dielectric, miller_factor)
+    if miller_factor < 0:
+        raise ConfigurationError(
+            f"Miller coupling factor must be non-negative, got {miller_factor!r}"
+        )
+    if rule.ild_height <= 0:
+        raise ConfigurationError(
+            f"ILD height must be positive for capacitance extraction, "
+            f"got {rule.ild_height!r}"
+        )
+    eps = dielectric.permittivity
+    ground = eps * (rule.min_width / rule.ild_height + FRINGE_FACTOR)
+    coupling = eps * rule.thickness / rule.min_spacing
+    return 2.0 * ground + miller_factor * 2.0 * coupling

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Iterable
 from ..errors import ConfigurationError
 from ..tech.materials import Conductor, Dielectric
 from ..tech.node import MetalRule
-from .capacitance import CapacitanceModel, total_capacitance_per_length
+from .capacitance import total_capacitance_per_length
 from .resistance import resistance_per_length
 
 if TYPE_CHECKING:  # numpy loads lazily in stack_rc_arrays below
@@ -106,7 +106,6 @@ def extract_wire_rc(
     conductor: Conductor,
     dielectric: Dielectric,
     miller_factor: float,
-    capacitance_model: CapacitanceModel | None = None,
 ) -> WireRC:
     """Extract the :class:`WireRC` of a tier from geometry and materials.
 
@@ -121,12 +120,8 @@ def extract_wire_rc(
         knob).
     miller_factor:
         Miller coupling factor (the Table 4 ``M`` knob).
-    capacitance_model:
-        Capacitance formula; defaults to the Sakurai model.
     """
     return WireRC(
         resistance=resistance_per_length(rule, conductor),
-        capacitance=total_capacitance_per_length(
-            rule, dielectric, miller_factor, capacitance_model
-        ),
+        capacitance=total_capacitance_per_length(rule, dielectric, miller_factor),
     )

@@ -17,9 +17,6 @@ blockage is a per-via constant footprint, not a detailed congestion map.
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
-from ..tech.node import ViaRule
-
 #: Default number of vias contributed by one L-shaped wire: two pin
 #: descents at the ends plus two at the bend between the H and V layers
 #: of the pair (the paper's ``v``; via area "for the L, and of the ends
@@ -29,54 +26,3 @@ DEFAULT_VIAS_PER_WIRE = 4
 #: Vias contributed per repeater in each layer-pair below it: the signal
 #: descends to the repeater and re-ascends, crossing each pair twice.
 VIAS_PER_REPEATER = 2
-
-
-def wire_via_count(vias_per_wire: int = DEFAULT_VIAS_PER_WIRE) -> int:
-    """Number of vias one L-shaped wire punches through lower pairs.
-
-    Kept as a function so callers and tests have one authoritative place
-    to read/override the paper's ``v``.
-    """
-    if vias_per_wire < 0:
-        raise ConfigurationError(
-            f"vias per wire must be non-negative, got {vias_per_wire!r}"
-        )
-    return vias_per_wire
-
-
-def via_blocked_area(
-    rule: ViaRule,
-    wire_count: float,
-    repeater_count: float,
-    vias_per_wire: int = DEFAULT_VIAS_PER_WIRE,
-) -> float:
-    """Total routing area blocked in one layer-pair by traffic from above.
-
-    Implements the paper's ``B_q = A_d - ((z_r1 + z_r2) + v * i) * v_a``
-    blockage charge (Algorithm 5, step 2) in square metres:
-
-    ``blocked = (repeater_count * VIAS_PER_REPEATER / 2 + vias_per_wire *
-    wire_count) * v_a`` — the paper charges each repeater one ``v_a`` per
-    pair, i.e. it counts a repeater's descent/ascent pair as a single via
-    footprint; we follow the paper exactly.
-
-    Parameters
-    ----------
-    rule:
-        Via rule of the tier the blockage lands on (supplies ``v_a``).
-    wire_count:
-        Number of wires assigned to layer-pairs above this one.  Allowed
-        to be fractional because coarsened (bunched) WLDs carry
-        fractional effective counts during normalization studies.
-    repeater_count:
-        Number of repeaters inserted in wires above this pair.
-    vias_per_wire:
-        The paper's ``v``.
-    """
-    if wire_count < 0 or repeater_count < 0:
-        raise ConfigurationError(
-            f"via blockage counts must be non-negative, got wires={wire_count!r} "
-            f"repeaters={repeater_count!r}"
-        )
-    vias = repeater_count + wire_via_count(vias_per_wire) * wire_count
-    return vias * rule.blocked_area

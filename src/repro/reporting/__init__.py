@@ -1,17 +1,6 @@
-"""Report formatting: Table-4-style text tables, persistence, witnesses."""
+"""Report formatting: Table-4-style text tables, witnesses, result JSON."""
 
-from .persist import (
-    load_rank_result,
-    load_request,
-    load_sweep,
-    rank_result_from_dict,
-    rank_result_to_dict,
-    read_versioned_json,
-    save_rank_result,
-    save_request,
-    save_sweep,
-    write_json_atomic,
-)
+from .persist import rank_result_from_dict, rank_result_to_dict
 from .tables import (
     format_equivalence_table,
     format_node_table,
@@ -28,16 +17,8 @@ __all__ = [
     "format_equivalence_table",
     "format_node_table",
     "sweep_to_csv",
-    "save_rank_result",
-    "load_rank_result",
-    "save_sweep",
-    "load_sweep",
-    "save_request",
-    "load_request",
     "rank_result_to_dict",
     "rank_result_from_dict",
-    "write_json_atomic",
-    "read_versioned_json",
     "PairUsage",
     "assignment_usage",
     "format_assignment_report",

@@ -176,11 +176,6 @@ class BatchOutcome:
         """True iff some — but not all — points have results."""
         return bool(self.failures) and bool(self.results)
 
-    @property
-    def total_failure(self) -> bool:
-        """True iff no point produced a result."""
-        return bool(self.failures) and not self.results
-
 
 def execute_point(
     point: PointSpec,

@@ -58,13 +58,14 @@ SCHEMA_VERSION = 1
 #: Knobs a sweep may vary, mirroring the paper's Table 4 columns.
 SWEEP_KNOBS = ("K", "M", "C", "R")
 
-#: Size caps.  A solve holds float64 DP state tables of (coarse wire
-#: groups + 1) x (repeater_units + 1) cells, and the group count grows
-#: with ``gates``: about 42k groups at 10**8 gates and the default
-#: bunch size, where a 512-unit solve peaks near 2.7 GB.  The caps sit
-#: far above every documented value (1M gates and 512 units by default,
-#: 2M gates in the benchmark) and keep one request's tables within a
-#: few GB, so an oversized request is a 400, never a MemoryError.
+#: Size caps.  A solve's work and memory grow with both knobs: the
+#: Davis WLD, its coarse groups and the assignment tables grow with
+#: ``gates``, and the DP expands each group's candidates over up to
+#: ``repeater_units + 1`` budget cells (the kernel keeps sparse records,
+#: not a dense groups x cells table; see ``core/dp_numpy.py``).  The caps
+#: sit far above every documented value (1M gates and 512 units by
+#: default, 2M gates in the benchmark) and bound what one request may
+#: ask for, so an oversized request is a 400, never a MemoryError.
 MAX_GATES = 10**8
 MAX_REPEATER_UNITS = 2**14
 #: Cap on ``gates * repeater_units``: the two caps may not combine.

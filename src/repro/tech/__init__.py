@@ -19,7 +19,6 @@ from .presets import (
     NODE_180NM,
     NODE_130NM,
     NODE_90NM,
-    available_nodes,
     get_node,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "NODE_180NM",
     "NODE_130NM",
     "NODE_90NM",
-    "available_nodes",
     "get_node",
     "load_node",
     "save_node",

@@ -83,18 +83,6 @@ class DeviceParameters:
             self.input_capacitance + self.parasitic_capacitance
         )
 
-    def repeater_resistance(self, size: float) -> float:
-        """Output resistance of a repeater of the given size multiple."""
-        if size <= 0:
-            raise ConfigurationError(f"repeater size must be positive, got {size!r}")
-        return self.output_resistance / size
-
-    def repeater_input_capacitance(self, size: float) -> float:
-        """Input capacitance of a repeater of the given size multiple."""
-        if size <= 0:
-            raise ConfigurationError(f"repeater size must be positive, got {size!r}")
-        return self.input_capacitance * size
-
     def repeater_area(self, size: float) -> float:
         """Silicon area consumed by one repeater of the given size multiple."""
         if size <= 0:

@@ -46,15 +46,6 @@ class Conductor:
                 f"got {self.resistivity!r}"
             )
 
-    def sheet_resistance(self, thickness: float) -> float:
-        """Sheet resistance (ohms/square) of a film of the given thickness."""
-        if thickness <= 0:
-            raise ConfigurationError(
-                f"conductor {self.name!r}: thickness must be positive, "
-                f"got {thickness!r}"
-            )
-        return self.resistivity / thickness
-
 
 @dataclass(frozen=True)
 class Dielectric:

@@ -67,11 +67,6 @@ class MetalRule:
         """Wire pitch: width plus spacing, in metres."""
         return self.min_width + self.min_spacing
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Thickness-to-width aspect ratio of a wire on this tier."""
-        return self.thickness / self.min_width
-
     def scaled(self, factor: float) -> "MetalRule":
         """Uniformly scale all four geometric dimensions by ``factor``."""
         if factor <= 0:
@@ -211,14 +206,6 @@ class TechnologyNode:
                 f"node {self.name!r} has no via tier {tier!r}; "
                 f"known tiers: {sorted(self.via_rules)}"
             ) from None
-
-    def with_dielectric(self, dielectric: Dielectric) -> "TechnologyNode":
-        """Copy of this node with a different ILD (the Table 4 ``K`` knob)."""
-        return replace(self, dielectric=dielectric)
-
-    def with_permittivity(self, k: float) -> "TechnologyNode":
-        """Copy of this node with ILD relative permittivity set to ``k``."""
-        return self.with_dielectric(self.dielectric.scaled(k))
 
     def with_device(self, device: DeviceParameters) -> "TechnologyNode":
         """Copy of this node with different minimum-inverter parameters."""

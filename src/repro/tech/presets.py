@@ -36,7 +36,7 @@ exact values (see ``tests/analysis/test_sensitivity.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from .. import units
 from ..errors import ConfigurationError
@@ -170,18 +170,13 @@ _NODES: Dict[str, TechnologyNode] = {
 METAL_LAYER_COUNTS: Dict[str, int] = {"180nm": 6, "130nm": 7, "90nm": 8}
 
 
-def available_nodes() -> Tuple[str, ...]:
-    """Names of the built-in technology nodes, coarsest first."""
-    return tuple(_NODES)
-
-
 def get_node(name: str) -> TechnologyNode:
     """Look up a built-in node by name (e.g. ``"130nm"``).
 
     Raises
     ------
     ConfigurationError
-        If the name is not one of :func:`available_nodes`.
+        If the name is not one of the built-in nodes.
     """
     try:
         return _NODES[name]

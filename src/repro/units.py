@@ -69,11 +69,6 @@ def nm(value: float) -> float:
     return _require_non_negative(value, "length in nm") * NM
 
 
-def to_nm(metres: float) -> float:
-    """Convert metres to nanometres."""
-    return metres / NM
-
-
 def mm(value: float) -> float:
     """Convert millimetres to metres (non-negative)."""
     return _require_non_negative(value, "length in mm") * MM
@@ -82,10 +77,6 @@ def mm(value: float) -> float:
 def to_um(metres: float) -> float:
     """Convert metres to micrometres."""
     return metres / UM
-
-def to_mm(metres: float) -> float:
-    """Convert metres to millimetres."""
-    return metres / MM
 
 
 def mm2(value: float) -> float:
@@ -123,11 +114,6 @@ def to_ps(seconds: float) -> float:
     return seconds / PS
 
 
-def to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds / NS
-
-
 def to_us(seconds: float) -> float:
     """Convert seconds to microseconds."""
     return seconds / US
@@ -143,16 +129,6 @@ def ghz(value: float) -> float:
     return _require_non_negative(value, "frequency in GHz") * GHZ
 
 
-def to_ghz(hertz: float) -> float:
-    """Convert hertz to gigahertz."""
-    return hertz / GHZ
-
-
 def ff(value: float) -> float:
     """Convert femtofarads to farads (non-negative)."""
     return _require_non_negative(value, "capacitance in fF") * FF
-
-
-def to_ff(farads: float) -> float:
-    """Convert farads to femtofarads."""
-    return farads / FF

@@ -13,20 +13,15 @@ a Rent exponent.  This package provides:
   *binning* instance-size reductions,
 * :mod:`repro.wld.synthetic` — hand-built WLDs for tests and the
   Figure 2 counterexample,
-* :mod:`repro.wld.io` — CSV/JSON persistence.
+* :mod:`repro.wld.io` — CSV persistence.
 """
 
 from .coarsen import bin_wld, bunch_wld, max_bunch_count
 from .davis import DavisParameters, davis_wld, davis_density
 from .distribution import WireLengthDistribution
-from .io import load_wld_csv, load_wld_json, save_wld_csv, save_wld_json
-from .rent import average_fanout, rent_terminals, total_connections
-from .synthetic import (
-    geometric_wld,
-    single_length_wld,
-    uniform_wld,
-    wld_from_pairs,
-)
+from .io import load_wld_csv, save_wld_csv
+from .rent import average_fanout, total_connections
+from .synthetic import wld_from_pairs
 
 __all__ = [
     "WireLengthDistribution",
@@ -36,15 +31,9 @@ __all__ = [
     "bunch_wld",
     "bin_wld",
     "max_bunch_count",
-    "rent_terminals",
     "average_fanout",
     "total_connections",
-    "uniform_wld",
-    "geometric_wld",
-    "single_length_wld",
     "wld_from_pairs",
     "save_wld_csv",
     "load_wld_csv",
-    "save_wld_json",
-    "load_wld_json",
 ]

@@ -14,7 +14,7 @@ positive integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class WireLengthDistribution:
         return cls(lengths=lengths, counts=counts)
 
     @classmethod
-    def from_lengths(cls, lengths: Iterable[float]) -> "WireLengthDistribution":
-        """Build from raw per-wire lengths (each wire counted once)."""
-        values = sorted((float(l) for l in lengths), reverse=True)
-        if not values:
-            raise WLDError("cannot build a WLD from an empty length list")
-        return cls.from_groups((l, 1) for l in values)
-
-    @classmethod
     def empty(cls) -> "WireLengthDistribution":
         """The empty distribution (zero groups, zero wires)."""
         return cls(
@@ -158,38 +150,8 @@ class WireLengthDistribution:
         return float(self.lengths[index]), int(self.counts[index])
 
     # ------------------------------------------------------------------
-    # Rank-order arithmetic
+    # Rank-order slices
     # ------------------------------------------------------------------
-
-    def cumulative_counts(self) -> np.ndarray:
-        """Cumulative wire counts in rank order.
-
-        ``cumulative_counts()[g]`` is the number of wires in groups
-        ``0..g`` inclusive — i.e. the rank of the last wire of group
-        ``g``.
-        """
-        return np.cumsum(self.counts)
-
-    def wires_in_first_groups(self, num_groups: int) -> int:
-        """Number of wires contained in the ``num_groups`` longest groups."""
-        if not 0 <= num_groups <= self.num_groups:
-            raise WLDError(
-                f"group prefix {num_groups} out of range for "
-                f"{self.num_groups} groups"
-            )
-        if num_groups == 0:
-            return 0
-        return int(self.counts[:num_groups].sum())
-
-    def length_at_rank(self, rank: int) -> float:
-        """Length of the wire at 1-based rank (1 = longest)."""
-        if not 1 <= rank <= self.total_wires:
-            raise WLDError(
-                f"rank {rank} out of range for {self.total_wires} wires"
-            )
-        cumulative = self.cumulative_counts()
-        group_index = int(np.searchsorted(cumulative, rank, side="left"))
-        return float(self.lengths[group_index])
 
     def prefix(self, num_groups: int) -> "WireLengthDistribution":
         """The sub-distribution of the ``num_groups`` longest groups."""
@@ -214,50 +176,6 @@ class WireLengthDistribution:
             lengths=self.lengths[num_groups_skipped:].copy(),
             counts=self.counts[num_groups_skipped:].copy(),
         )
-
-    def scaled_lengths(self, factor: float) -> "WireLengthDistribution":
-        """Copy with every length multiplied by ``factor`` (> 0)."""
-        if factor <= 0:
-            raise WLDError(f"length scale factor must be positive, got {factor!r}")
-        return WireLengthDistribution(
-            lengths=self.lengths * factor, counts=self.counts.copy()
-        )
-
-    def merged_equal_lengths(self) -> "WireLengthDistribution":
-        """Merge adjacent groups of identical length (undoes bunching)."""
-        return WireLengthDistribution.from_groups(iter(self))
-
-    # ------------------------------------------------------------------
-    # Statistics helpers used by reports and tests
-    # ------------------------------------------------------------------
-
-    def lengths_expanded(self, limit: int | None = None) -> np.ndarray:
-        """Per-wire lengths in rank order (optionally only the first
-        ``limit`` wires).  Memory-heavy for large WLDs; intended for
-        tests and small analyses."""
-        if limit is not None and limit < 0:
-            raise WLDError(f"limit must be non-negative, got {limit!r}")
-        out: List[np.ndarray] = []
-        remaining = self.total_wires if limit is None else min(limit, self.total_wires)
-        for length, count in self:
-            if remaining <= 0:
-                break
-            take = min(count, remaining)
-            out.append(np.full(take, length))
-            remaining -= take
-        if not out:
-            return np.array([], dtype=float)
-        return np.concatenate(out)
-
-    def percentile_length(self, fraction: float) -> float:
-        """Length at a given rank fraction (0 = longest, 1 = shortest)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise WLDError(f"fraction must be in [0, 1], got {fraction!r}")
-        total = self.total_wires
-        if total == 0:
-            raise WLDError("empty WLD has no percentiles")
-        rank = max(1, min(total, int(round(fraction * total)) or 1))
-        return self.length_at_rank(rank)
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""

@@ -1,14 +1,12 @@
-"""WLD persistence: CSV and JSON round-trips.
+"""WLD persistence: the CSV that ``ia-rank wld --out`` writes.
 
-CSV format: header ``length,count`` followed by one row per group.
-JSON format: ``{"lengths": [...], "counts": [...]}``.
-Both store gate-pitch lengths and integer counts in rank order.
+Header ``length,count`` followed by one row per group: gate-pitch lengths
+and integer counts in rank order.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Union
 
@@ -49,31 +47,3 @@ def load_wld_csv(path: PathLike) -> WireLengthDistribution:
     if not groups:
         raise WLDError(f"{path}: no WLD rows found")
     return WireLengthDistribution.from_groups(groups)
-
-
-def save_wld_json(wld: WireLengthDistribution, path: PathLike) -> None:
-    """Write a WLD to JSON (``lengths`` / ``counts`` arrays, rank order)."""
-    payload = {
-        "lengths": [float(l) for l in wld.lengths],
-        "counts": [int(c) for c in wld.counts],
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle)
-
-
-def load_wld_json(path: PathLike) -> WireLengthDistribution:
-    """Read a WLD from JSON written by :func:`save_wld_json`."""
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise WLDError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "lengths" not in payload or "counts" not in payload:
-        raise WLDError(f"{path}: expected an object with 'lengths' and 'counts'")
-    lengths = payload["lengths"]
-    counts = payload["counts"]
-    if len(lengths) != len(counts):
-        raise WLDError(
-            f"{path}: lengths ({len(lengths)}) and counts ({len(counts)}) differ"
-        )
-    return WireLengthDistribution.from_groups(zip(lengths, counts))

@@ -30,16 +30,6 @@ def _validate(gate_count: int, coefficient: float, exponent: float) -> None:
         raise WLDError(f"Rent exponent must be in (0, 1), got {exponent!r}")
 
 
-def rent_terminals(
-    gate_count: int,
-    coefficient: float = DEFAULT_RENT_COEFFICIENT,
-    exponent: float = DEFAULT_RENT_EXPONENT,
-) -> float:
-    """External terminal count ``T = k * N^p`` of an ``N``-gate block."""
-    _validate(gate_count, coefficient, exponent)
-    return coefficient * gate_count ** exponent
-
-
 def average_fanout(fanout: float = DEFAULT_FANOUT) -> float:
     """Validated average point-to-point fanout (must be positive)."""
     if fanout <= 0:

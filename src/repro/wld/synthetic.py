@@ -1,80 +1,17 @@
 """Hand-built wire length distributions.
 
-Used by tests, by the Figure 2 greedy-vs-optimal counterexample (four
-equal-length wires), and as small deterministic stand-ins for the Davis
-model when exercising solvers exhaustively.
+Used by the Figure 2 greedy-vs-optimal counterexample and as small
+deterministic stand-ins for the Davis model when exercising solvers
+exhaustively.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-import numpy as np
-
-from ..errors import WLDError
 from .distribution import WireLengthDistribution
 
 
 def wld_from_pairs(pairs: Iterable[Tuple[float, int]]) -> WireLengthDistribution:
     """Build a WLD from ``(length, count)`` pairs in any order."""
     return WireLengthDistribution.from_groups(pairs)
-
-
-def single_length_wld(length: float, count: int) -> WireLengthDistribution:
-    """All wires share one length — the Figure 2 counterexample shape."""
-    if count <= 0:
-        raise WLDError(f"count must be positive, got {count!r}")
-    return WireLengthDistribution.from_groups([(length, count)])
-
-
-def uniform_wld(
-    min_length: float, max_length: float, num_lengths: int, count_per_length: int
-) -> WireLengthDistribution:
-    """Evenly spaced lengths with a constant count per length."""
-    if num_lengths <= 0:
-        raise WLDError(f"num_lengths must be positive, got {num_lengths!r}")
-    if count_per_length <= 0:
-        raise WLDError(
-            f"count_per_length must be positive, got {count_per_length!r}"
-        )
-    if not 0 < min_length <= max_length:
-        raise WLDError(
-            f"need 0 < min_length <= max_length, got {min_length!r}, {max_length!r}"
-        )
-    lengths = np.linspace(min_length, max_length, num_lengths)
-    return WireLengthDistribution.from_groups(
-        (float(l), count_per_length) for l in lengths
-    )
-
-
-def geometric_wld(
-    max_length: float,
-    num_lengths: int,
-    length_ratio: float = 2.0,
-    count_ratio: float = 4.0,
-    longest_count: int = 1,
-) -> WireLengthDistribution:
-    """Geometric ladder: each step down is shorter and more numerous.
-
-    Mimics the qualitative shape of real WLDs (few long wires, many short
-    ones) with tiny instances: length divides by ``length_ratio`` per
-    step while count multiplies by ``count_ratio``.
-    """
-    if num_lengths <= 0:
-        raise WLDError(f"num_lengths must be positive, got {num_lengths!r}")
-    if max_length <= 0:
-        raise WLDError(f"max_length must be positive, got {max_length!r}")
-    if length_ratio <= 1.0:
-        raise WLDError(f"length_ratio must exceed 1, got {length_ratio!r}")
-    if count_ratio < 1.0:
-        raise WLDError(f"count_ratio must be >= 1, got {count_ratio!r}")
-    if longest_count <= 0:
-        raise WLDError(f"longest_count must be positive, got {longest_count!r}")
-    groups = []
-    length = float(max_length)
-    count = float(longest_count)
-    for _ in range(num_lengths):
-        groups.append((length, max(1, int(round(count)))))
-        length /= length_ratio
-        count *= count_ratio
-    return WireLengthDistribution.from_groups(groups)

@@ -21,8 +21,8 @@ class TestTierScalingSpec:
             2 * base.top.metal.thickness
         )
         # other tiers untouched
-        assert arch.bottom.metal.min_width == pytest.approx(
-            base.bottom.metal.min_width
+        assert arch[-1].metal.min_width == pytest.approx(
+            base[-1].metal.min_width
         )
 
     def test_scaling_cuts_resistance_quadratically(self, node130):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.arch.builder import ArchitectureSpec, build_architecture
 from repro.errors import ConfigurationError
-from repro.rc.capacitance import SakuraiModel
 
 
 class TestSpecValidation:
@@ -82,13 +81,6 @@ class TestBuild:
             assert ps.rc.capacitance < pw.rc.capacitance
             assert ps.rc.resistance == pytest.approx(pw.rc.resistance)
 
-    def test_custom_capacitance_model(self, node130):
-        arch = build_architecture(
-            ArchitectureSpec(node=node130, capacitance_model=SakuraiModel())
-        )
-        default = build_architecture(ArchitectureSpec(node=node130))
-        assert arch.top.rc.capacitance != pytest.approx(default.top.rc.capacitance)
-
     def test_name_encodes_configuration(self, node130):
         arch = build_architecture(
             ArchitectureSpec(node=node130, permittivity=2.5, miller_factor=1.5)
@@ -100,4 +92,4 @@ class TestBuild:
     def test_via_rules_assigned_per_tier(self, node130):
         arch = build_architecture(ArchitectureSpec(node=node130))
         assert arch.top.via == node130.via("global")
-        assert arch.bottom.via == node130.via("local")
+        assert arch[-1].via == node130.via("local")

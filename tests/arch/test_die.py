@@ -1,7 +1,5 @@
 """Tests for the die area model (paper Eq. (6))."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -46,9 +44,6 @@ class TestGatePitch:
 
     def test_adjusted_exceeds_nominal(self, die):
         assert die.adjusted_gate_pitch > NODE_130NM.gate_pitch
-
-    def test_die_edge(self, die):
-        assert die.die_edge == pytest.approx(math.sqrt(die.die_area))
 
     def test_wire_length_conversion(self, die):
         assert die.wire_length(10.0) == pytest.approx(10 * die.adjusted_gate_pitch)

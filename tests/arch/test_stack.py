@@ -1,5 +1,7 @@
 """Tests for InterconnectArchitecture."""
 
+from collections import Counter
+
 import pytest
 
 from repro.arch.stack import InterconnectArchitecture
@@ -12,7 +14,7 @@ class TestStack:
 
     def test_ordering_top_is_global(self, arch130):
         assert arch130.top.tier == "global"
-        assert arch130.bottom.tier == "local"
+        assert arch130[-1].tier == "local"
 
     def test_iteration_order(self, arch130):
         tiers = [p.tier for p in arch130]
@@ -20,7 +22,7 @@ class TestStack:
 
     def test_indexing(self, arch130):
         assert arch130[0] is arch130.top
-        assert arch130[-1] is arch130.bottom
+        assert arch130[-1] is arch130.pairs[-1]
 
     def test_pair_range_check(self, arch130):
         with pytest.raises(ConfigurationError):
@@ -28,14 +30,8 @@ class TestStack:
         with pytest.raises(ConfigurationError):
             arch130.pair(-1)
 
-    def test_pairs_below(self, arch130):
-        below = arch130.pairs_below(0)
-        assert len(below) == 3
-        assert below[0].tier == "semi_global"
-        assert arch130.pairs_below(3) == ()
-
     def test_tier_counts(self, arch130):
-        assert arch130.tier_counts() == {
+        assert Counter(pair.tier for pair in arch130) == {
             "global": 1,
             "semi_global": 2,
             "local": 1,
@@ -52,4 +48,4 @@ class TestStack:
 
     def test_global_pair_has_lowest_resistance(self, arch130):
         """Fat top-tier wires must beat the local tier on r-bar."""
-        assert arch130.top.rc.resistance < arch130.bottom.rc.resistance
+        assert arch130.top.rc.resistance < arch130[-1].rc.resistance

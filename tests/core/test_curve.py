@@ -1,7 +1,5 @@
 """Tests for the budget-rank curve."""
 
-import math
-
 import pytest
 
 from repro.api import baseline_problem, budget_curve
@@ -70,12 +68,6 @@ class TestCurveStructure:
             scaled_rank = compute_rank(scaled, repeater_units=cells).rank
             assert curve.ranks[cells] >= 0
             assert abs(curve.ranks[cells] - scaled_rank) <= problem.wld.total_wires
-
-    def test_rank_at_area(self, curve_and_problem):
-        curve, _ = curve_and_problem
-        assert curve.rank_at_area(-1.0) == 0
-        assert curve.rank_at_area(0.0) == curve.ranks[0]
-        assert curve.rank_at_area(math.inf if False else 1e9) == curve.ranks[-1]
 
     def test_marginal_slopes_non_negative(self, curve_and_problem):
         curve, _ = curve_and_problem

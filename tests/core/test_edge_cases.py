@@ -11,7 +11,7 @@ from repro import (
     build_architecture,
     compute_rank,
 )
-from repro.wld.synthetic import single_length_wld, wld_from_pairs
+from repro.wld.synthetic import wld_from_pairs
 
 from ..conftest import make_tiny_problem
 
@@ -54,7 +54,7 @@ class TestDegenerateWLDs:
         problem = RankProblem(
             arch=arch,
             die=DieModel(node=node130, gate_count=10_000, repeater_fraction=0.2),
-            wld=single_length_wld(50.0, 200),
+            wld=wld_from_pairs([(50.0, 200)]),
             clock_frequency=5e8,
         )
         result = compute_rank(problem, repeater_units=64)
@@ -66,7 +66,7 @@ class TestDegenerateWLDs:
         problem = RankProblem(
             arch=arch,
             die=DieModel(node=node130, gate_count=10_000, repeater_fraction=0.3),
-            wld=single_length_wld(190.0, 8),
+            wld=wld_from_pairs([(190.0, 8)]),
             clock_frequency=5e8,
         )
         dp = compute_rank(problem, repeater_units=64)

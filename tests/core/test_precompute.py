@@ -2,7 +2,7 @@
 
 The cache must be an invisible optimization — cached results equal
 fresh ones — and its observables (hit/miss counters, entry counts,
-Davis-cache configuration) must report what actually happened.
+Davis-cache hits and misses) must report what actually happened.
 """
 
 import pickle
@@ -10,13 +10,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.analysis.sweep import sweep_repeater_fraction
 from repro.core.precompute import PrecomputeCache, fingerprint
 from repro.core.rank import compute_rank
-from repro.core.scenarios import (
-    baseline_problem,
-    configure_davis_cache,
-    davis_cache_info,
-)
+from repro.core.scenarios import _cached_davis, baseline_problem
 
 GATES = 50_000
 OPTIONS = dict(bunch_size=2_000, repeater_units=64)
@@ -117,6 +115,20 @@ class TestLRU:
         assert stats["misses"]["coarsened"] == 0
 
 
+class TestSweepReuse:
+    def test_warm_cache_serves_every_point_coarse_wld(self, problem):
+        """A sweep warms the cache on its baseline (the one miss); every
+        point then reuses that coarse WLD, since only the die varies."""
+        cache = PrecomputeCache()
+        sweep = sweep_repeater_fraction(
+            problem, values=[0.2, 0.3, 0.4], jobs=1, cache=cache, **OPTIONS
+        )
+        stats = cache.stats()
+        assert len(sweep.points) == 3
+        assert stats["misses"]["coarsened"] == 1
+        assert stats["hits"]["coarsened"] == len(sweep.points)
+
+
 class TestPicklability:
     def test_warm_cache_round_trips(self, problem):
         cache = PrecomputeCache()
@@ -127,28 +139,20 @@ class TestPicklability:
         assert clone.stats()["hits"]["coarsened"] == 1
 
 
-class TestDavisCacheConfig:
-    def test_configure_resets_counters(self):
-        configure_davis_cache(8)
-        try:
-            info = davis_cache_info()
-            assert info.hits == 0 and info.misses == 0
-            assert info.maxsize == 8
-            baseline_problem("130nm", GATES)
-            baseline_problem("130nm", GATES)
-            info = davis_cache_info()
-            assert info.misses == 1
-            assert info.hits == 1
-        finally:
-            configure_davis_cache(16)
+class TestDavisCache:
+    def test_fixed_capacity(self):
+        assert _cached_davis.cache_info().maxsize == 16
 
-    def test_zero_disables_caching(self):
-        configure_davis_cache(0)
+    def test_lookups_publish_hits_and_misses(self):
+        gates = 43_210  # no other test builds this WLD
+        obs.reset()
+        obs.enable()
         try:
-            baseline_problem("130nm", GATES)
-            baseline_problem("130nm", GATES)
-            info = davis_cache_info()
-            assert info.hits == 0
-            assert info.misses == 2
+            baseline_problem("130nm", gates)
+            baseline_problem("130nm", gates)
+            counters = obs.snapshot()["counters"]
         finally:
-            configure_davis_cache(16)
+            obs.disable()
+            obs.reset()
+        assert counters["davis_cache.misses"] == 1
+        assert counters["davis_cache.hits"] == 1

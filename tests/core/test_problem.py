@@ -98,7 +98,8 @@ class TestSweepKnobs:
         assert changed.die is low_k_baseline.die
 
     def test_with_spec_moves_the_die_to_a_new_node(self, tiny_problem):
-        node = tiny_problem.spec.node.with_permittivity(2.5)
+        node = tiny_problem.spec.node
+        node = replace(node, dielectric=node.dielectric.scaled(2.5))
         changed = tiny_problem.with_spec(node=node)
         assert changed.die.node is changed.arch.spec.node is node
 

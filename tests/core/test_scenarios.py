@@ -1,5 +1,7 @@
 """Tests for the paper scenario builders."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.scenarios import (
@@ -21,7 +23,7 @@ class TestBaselineProblem:
         assert problem.die.repeater_fraction == pytest.approx(
             BASELINE_REPEATER_FRACTION
         )
-        counts = problem.arch.tier_counts()
+        counts = Counter(pair.tier for pair in problem.arch)
         assert counts == {"global": 1, "semi_global": 2, "local": 1}
 
     def test_baseline_constants_match_table2(self):

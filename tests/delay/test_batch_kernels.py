@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import get_node
-from repro.delay.elmore import elmore_wire_delay, elmore_wire_delay_batch
 from repro.delay.ottenbrayton import wire_delay, wire_delay_batch
 from repro.delay.repeater import (
     optimal_repeater_size,
@@ -53,15 +52,6 @@ class TestWireDelayBatch:
             wire_delay_batch(RC, device, 4.0, [0], [1e-3])
         with pytest.raises(DelayModelError):
             wire_delay_batch(RC, device, 4.0, [1], [-1e-3])
-
-
-class TestElmoreBatch:
-    def test_matches_scalar(self, device):
-        stages = [1, 2, 3, 7, 20]
-        lengths = [1e-4, 5e-4, 1e-3, 4e-3, 1e-2]
-        batch = elmore_wire_delay_batch(RC, device, 3.0, stages, lengths)
-        for i, (eta, l) in enumerate(zip(stages, lengths)):
-            assert batch[i] == elmore_wire_delay(RC, device, 3.0, eta, l)
 
 
 class TestRepeaterSizeBatch:

@@ -12,7 +12,6 @@ from repro.delay.repeater import (
     min_stages_for_target,
     min_stages_for_target_batch,
     optimal_repeater_size,
-    solve_repeaters,
 )
 from repro.errors import DelayModelError
 from repro.rc.models import WireRC
@@ -164,30 +163,3 @@ class TestMinStagesBatch:
         )
         scalar = min_stages_for_target(rc, device, length, target)
         assert batch[0] == (-1 if scalar is None else scalar)
-
-
-class TestSolveRepeaters:
-    def test_solution_fields(self, rc, device):
-        length = 3e-3
-        target = 2 * wire_delay(rc, device, optimal_repeater_size(rc, device), 3, length)
-        solution = solve_repeaters(rc, device, length, target)
-        assert solution is not None
-        assert solution.inserted == solution.stages - 1
-        assert solution.delay <= target
-        assert solution.area == pytest.approx(
-            solution.inserted * device.repeater_area(solution.size)
-        )
-
-    def test_defaults_to_optimal_size(self, rc, device):
-        length = 3e-3
-        target = 1e-9
-        solution = solve_repeaters(rc, device, length, target)
-        assert solution.size == pytest.approx(optimal_repeater_size(rc, device))
-
-    def test_infeasible_returns_none(self, rc, device):
-        assert solve_repeaters(rc, device, 5e-3, 1e-15) is None
-
-    def test_no_repeaters_no_area(self, rc, device):
-        solution = solve_repeaters(rc, device, 1e-5, 1.0)
-        assert solution.stages == 1
-        assert solution.area == 0.0

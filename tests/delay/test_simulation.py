@@ -7,7 +7,6 @@ an implementation-independent physics check.
 
 import pytest
 
-from repro.delay.elmore import elmore_wire_delay
 from repro.delay.ottenbrayton import wire_delay
 from repro.delay.repeater import min_stages_for_target, optimal_repeater_size
 from repro.errors import DelayModelError
@@ -39,12 +38,6 @@ class TestAgainstClosedForms:
         simulated = simulate_wire_delay(rc, device, 50.0, stages, length)
         closed = wire_delay(rc, device, 50.0, stages, length)
         assert closed == pytest.approx(simulated, rel=0.05)
-
-    @pytest.mark.parametrize("length", [1e-4, 1e-3])
-    def test_elmore_within_ten_percent(self, rc, device, length):
-        simulated = simulate_wire_delay(rc, device, 30.0, 2, length)
-        elmore = elmore_wire_delay(rc, device, 30.0, 2, length)
-        assert elmore == pytest.approx(simulated, rel=0.10)
 
     def test_simulated_repeater_benefit(self, rc, device):
         """Repeaters help long wires in the golden model too."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lintkit import all_rules, get_rule
+from repro.lintkit import all_rules
 from repro.lintkit.registry import Rule, _RULES, register, select_rules
 
 
@@ -18,11 +18,6 @@ class TestBuiltinRules:
             assert cls.code.startswith("RPL")
             assert cls.name
             assert len(cls.description) > 20
-
-    def test_get_rule(self):
-        assert get_rule("RPL001").name == "unit-literal"
-        with pytest.raises(KeyError):
-            get_rule("RPL999")
 
 
 class TestRegister:
@@ -50,7 +45,7 @@ class TestRegister:
 
         try:
             register(Custom)
-            assert get_rule("RPL901") is Custom
+            assert _RULES["RPL901"] is Custom
             instances = select_rules(select=["RPL901"])
             assert len(instances) == 1 and isinstance(instances[0], Custom)
         finally:

@@ -7,7 +7,6 @@ import pytest
 from repro import obs
 from repro.obs.trace import (
     _NULL_SPAN,
-    dropped_events,
     events,
     span,
     validate_trace,
@@ -54,7 +53,7 @@ class TestSpan:
         timers = obs.snapshot()["timers"]
         assert timers["span.timed_region_s"]["count"] == 1
 
-    def test_buffer_cap_counts_drops(self, monkeypatch):
+    def test_buffer_cap_counts_drops(self, monkeypatch, tmp_path):
         import repro.obs.trace as trace_mod
 
         monkeypatch.setattr(trace_mod, "MAX_EVENTS", 2)
@@ -64,7 +63,9 @@ class TestSpan:
                 pass
         obs.disable()
         assert len(events()) == 2
-        assert dropped_events() == 2
+        out = tmp_path / "trace.json"
+        write_trace(out)
+        assert json.loads(out.read_text())["otherData"]["events_dropped"] == 2
 
 
 class TestWriteAndValidate:

@@ -7,7 +7,7 @@ from repro.core.scenarios import baseline_problem
 from repro.errors import RankComputationError
 from repro.optimize.search import (
     CandidateResult,
-    evaluate_candidates,
+    evaluate_candidates_batch,
     hill_climb,
     optimize_architecture,
     pareto_front,
@@ -41,17 +41,17 @@ def outcome(problem, space):
 
 class TestEvaluate:
     def test_all_candidates_evaluated(self, problem, space):
-        results = evaluate_candidates(problem, list(space), **FAST)
+        results, _ = evaluate_candidates_batch(problem, list(space), **FAST)
         assert len(results) == space.size()
         assert all(isinstance(r, CandidateResult) for r in results)
 
     def test_labels(self, problem, space):
-        results = evaluate_candidates(problem, [space.default_spec()], **FAST)
+        results, _ = evaluate_candidates_batch(problem, [space.default_spec()], **FAST)
         label = results[0].label()
         assert "G1" in label and "k=3.9" in label
 
     def test_metal_layers(self, problem, space):
-        results = evaluate_candidates(problem, [space.default_spec()], **FAST)
+        results, _ = evaluate_candidates_batch(problem, [space.default_spec()], **FAST)
         assert results[0].metal_layers == 2 * 3
 
     @pytest.mark.parametrize(
@@ -76,7 +76,7 @@ class TestEvaluate:
             miller_factors=(spec.miller_factor,),
         )
         options = dict(bunch_size=2000, repeater_units=64)
-        (candidate,) = evaluate_candidates(base, list(space), **options)
+        (candidate,), _ = evaluate_candidates_batch(base, list(space), **options)
         assert candidate.result.rank == compute_rank(base, **options).rank
 
 

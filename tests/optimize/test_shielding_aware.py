@@ -5,7 +5,7 @@ import pytest
 from repro.core.scenarios import baseline_problem
 from repro.optimize import (
     DesignSpace,
-    evaluate_candidates,
+    evaluate_candidates_batch,
     optimize_architecture,
     shielding_capacity_factor,
 )
@@ -51,20 +51,20 @@ class TestShieldingAwareSearch:
         shielded_spec = next(
             s for s in space if s.miller_factor == 1.0 and s.permittivity == 3.9
         )
-        free = evaluate_candidates(problem, [shielded_spec], **FAST)[0]
-        honest = evaluate_candidates(
+        (free,), _ = evaluate_candidates_batch(problem, [shielded_spec], **FAST)
+        (honest,), _ = evaluate_candidates_batch(
             problem, [shielded_spec], shielding_aware=True, **FAST
-        )[0]
+        )
         assert honest.result.rank <= free.result.rank
 
     def test_unshielded_candidates_unaffected(self, problem, space):
         unshielded = next(
             s for s in space if s.miller_factor == 2.0 and s.permittivity == 3.9
         )
-        free = evaluate_candidates(problem, [unshielded], **FAST)[0]
-        honest = evaluate_candidates(
+        (free,), _ = evaluate_candidates_batch(problem, [unshielded], **FAST)
+        (honest,), _ = evaluate_candidates_batch(
             problem, [unshielded], shielding_aware=True, **FAST
-        )[0]
+        )
         assert honest.result.rank == free.result.rank
 
     def test_winner_can_change(self, problem, space):

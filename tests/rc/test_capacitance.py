@@ -1,4 +1,6 @@
-"""Tests for the capacitance models."""
+"""Tests for the per-unit-length capacitance formula."""
+
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -6,14 +8,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import ConfigurationError
-from repro.rc.capacitance import (
-    DEFAULT_MODEL,
-    ParallelPlateFringeModel,
-    SakuraiModel,
-    coupling_capacitance,
-    ground_capacitance,
-    total_capacitance_per_length,
-)
+from repro.rc.capacitance import FRINGE_FACTOR, total_capacitance_per_length
 from repro.tech.materials import SIO2, Dielectric
 from repro.tech.node import MetalRule
 
@@ -28,119 +23,70 @@ def rule():
     )
 
 
-MODELS = [ParallelPlateFringeModel(), SakuraiModel()]
+class TestParallelPlate:
+    def test_ground_formula(self, rule):
+        """At M = 0 only the two planes remain: plate area plus fringe."""
+        ground = SIO2.permittivity * (rule.min_width / rule.ild_height + 0.3)
+        assert FRINGE_FACTOR == 0.3
+        assert total_capacitance_per_length(rule, SIO2, 0.0) == 2.0 * ground
 
-
-@pytest.mark.parametrize("model", MODELS, ids=["plate", "sakurai"])
-class TestModelsShared:
-    def test_positive(self, model, rule):
-        assert model.ground(rule, SIO2) > 0
-        assert model.coupling(rule, SIO2) > 0
-
-    def test_linear_in_permittivity(self, model, rule):
-        low = Dielectric(name="low", relative_permittivity=1.95)
-        assert model.ground(rule, SIO2) == pytest.approx(
-            2 * model.ground(rule, low), rel=1e-9
-        )
-        assert model.coupling(rule, SIO2) == pytest.approx(
-            2 * model.coupling(rule, low), rel=1e-9
+    def test_coupling_formula(self, rule):
+        """Both planes plus both Miller-scaled neighbours, in this order."""
+        eps = SIO2.permittivity
+        ground = eps * (rule.min_width / rule.ild_height + 0.3)
+        coupling = eps * rule.thickness / rule.min_spacing
+        assert total_capacitance_per_length(rule, SIO2, 2.0) == (
+            2.0 * ground + 2.0 * 2.0 * coupling
         )
 
-    def test_coupling_decreases_with_spacing(self, model, rule):
+    def test_default_is_coupling_dominated(self, rule):
+        """The calibration regime: coupling ~80% of total at M=2, which
+        is what makes the paper's K-vs-M equivalence come out ~1:1."""
+        total = total_capacitance_per_length(rule, SIO2, 2.0)
+        ground_only = total_capacitance_per_length(rule, SIO2, 0.0)
+        assert 0.7 < (total - ground_only) / total < 0.9
+
+
+class TestTotalCapacitance:
+    def test_positive(self, rule):
+        assert total_capacitance_per_length(rule, SIO2, 0.0) > 0
+
+    def test_coupling_decreases_with_spacing(self, rule):
         wide = MetalRule(
             min_width=rule.min_width,
             min_spacing=rule.min_spacing * 2,
             thickness=rule.thickness,
             ild_height=rule.ild_height,
         )
-        assert model.coupling(wide, SIO2) < model.coupling(rule, SIO2)
+        assert total_capacitance_per_length(wide, SIO2, 2.0) < (
+            total_capacitance_per_length(rule, SIO2, 2.0)
+        )
 
-    def test_total_combines_miller(self, model, rule):
-        g = model.ground(rule, SIO2)
-        c = model.coupling(rule, SIO2)
-        total = model.total(rule, SIO2, miller_factor=2.0)
-        assert total == pytest.approx(2 * g + 4 * c)
-
-    def test_total_monotone_in_miller(self, model, rule):
-        t1 = model.total(rule, SIO2, miller_factor=1.0)
-        t2 = model.total(rule, SIO2, miller_factor=2.0)
+    def test_total_monotone_in_miller(self, rule):
+        t1 = total_capacitance_per_length(rule, SIO2, 1.0)
+        t2 = total_capacitance_per_length(rule, SIO2, 2.0)
         assert t2 > t1
 
-    def test_negative_miller_rejected(self, model, rule):
-        with pytest.raises(ConfigurationError):
-            model.total(rule, SIO2, miller_factor=-0.1)
+    def test_negative_miller_rejected(self, rule):
+        with pytest.raises(ConfigurationError, match="Miller"):
+            total_capacitance_per_length(rule, SIO2, -0.1)
 
-    def test_realistic_magnitude(self, model, rule):
+    def test_non_positive_ild_height_rejected(self, rule):
+        # MetalRule itself maps 0.0 to "same as thickness"; the formula
+        # still refuses a rule that reaches it with no height.
+        flat = SimpleNamespace(
+            min_width=rule.min_width,
+            min_spacing=rule.min_spacing,
+            thickness=rule.thickness,
+            ild_height=0.0,
+        )
+        with pytest.raises(ConfigurationError, match="ILD height"):
+            total_capacitance_per_length(flat, SIO2, 2.0)
+
+    def test_realistic_magnitude(self, rule):
         """Dense 130 nm wiring: effective c in the 100-400 pF/m decade."""
-        total = model.total(rule, SIO2, miller_factor=2.0)
+        total = total_capacitance_per_length(rule, SIO2, 2.0)
         assert 5e-11 < total < 5e-10
-
-
-class TestParallelPlate:
-    def test_ground_formula(self, rule):
-        model = ParallelPlateFringeModel(fringe_factor=0.3)
-        expected = SIO2.permittivity * (rule.min_width / rule.ild_height + 0.3)
-        assert model.ground(rule, SIO2) == pytest.approx(expected)
-
-    def test_coupling_formula(self, rule):
-        model = ParallelPlateFringeModel()
-        expected = SIO2.permittivity * rule.thickness / rule.min_spacing
-        assert model.coupling(rule, SIO2) == pytest.approx(expected)
-
-    def test_negative_fringe_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelPlateFringeModel(fringe_factor=-0.1)
-
-    def test_default_is_coupling_dominated(self, rule):
-        """The calibration regime: coupling ~80% of total at M=2, which
-        is what makes the paper's K-vs-M equivalence come out ~1:1."""
-        g = DEFAULT_MODEL.ground(rule, SIO2)
-        c = DEFAULT_MODEL.coupling(rule, SIO2)
-        fraction = (4 * c) / (2 * g + 4 * c)
-        assert 0.7 < fraction < 0.9
-
-
-class TestSakurai:
-    def test_fringe_exceeds_plate_for_narrow_wires(self, rule):
-        """Sakurai ground cap is fringe-dominated at W/H < 1."""
-        model = SakuraiModel()
-        plate_only = SIO2.permittivity * rule.min_width / rule.ild_height
-        assert model.ground(rule, SIO2) > plate_only
-
-    def test_bracket_clamped_non_negative(self):
-        """Extremely flat wires outside the fitted range must not
-        produce negative coupling."""
-        model = SakuraiModel()
-        flat = MetalRule(
-            min_width=units.um(0.01),
-            min_spacing=units.um(10.0),
-            thickness=units.um(0.001),
-            ild_height=units.um(1.0),
-        )
-        assert model.coupling(flat, SIO2) >= 0.0
-
-
-class TestModuleFunctions:
-    def test_ground_uses_default_model(self, rule):
-        assert ground_capacitance(rule, SIO2) == pytest.approx(
-            DEFAULT_MODEL.ground(rule, SIO2)
-        )
-
-    def test_coupling_uses_default_model(self, rule):
-        assert coupling_capacitance(rule, SIO2) == pytest.approx(
-            DEFAULT_MODEL.coupling(rule, SIO2)
-        )
-
-    def test_total_uses_default_model(self, rule):
-        assert total_capacitance_per_length(rule, SIO2, 2.0) == pytest.approx(
-            DEFAULT_MODEL.total(rule, SIO2, 2.0)
-        )
-
-    def test_explicit_model_override(self, rule):
-        sak = SakuraiModel()
-        assert total_capacitance_per_length(rule, SIO2, 2.0, sak) == pytest.approx(
-            sak.total(rule, SIO2, 2.0)
-        )
 
 
 @given(

@@ -91,7 +91,7 @@ class TestIsolation:
             make_evaluate(fail_keys={"p[0]", "p[1]"}),
             keep_going=True,
         )
-        assert outcome.total_failure
+        assert len(outcome.failures) == 2
         assert not outcome.results
 
     def test_duplicate_keys_rejected(self):

@@ -54,9 +54,9 @@ class TestSweepAcceptance:
             keep_going=True,
             **FAST,
         )
-        assert not sweep.is_complete
+        assert sweep.failures
         assert sweep.values() == [0.2, 0.4]
-        assert sweep.failed_values() == [0.3]
+        assert [f.value for f in sweep.failures] == [0.3]
         (failure,) = sweep.failures
         assert failure.error_type == "RankComputationError"
         assert "injected failure" in failure.error_message
@@ -79,7 +79,7 @@ class TestSweepAcceptance:
             checkpoint=path,
             **FAST,
         )
-        assert partial.failed_values() == [0.3]
+        assert [f.value for f in partial.failures] == [0.3]
         monkeypatch.setattr(sweep_mod, "compute_rank", real)  # healthy again
         resumed_state = failing_compute_rank(sweep_mod, monkeypatch)
         resumed = run_sweep(
@@ -94,7 +94,7 @@ class TestSweepAcceptance:
         assert resumed_state["evaluated"] == [0.3]
         # ...and the result is identical to the uninterrupted run.
         assert resumed == uninterrupted
-        assert resumed.is_complete
+        assert not resumed.failures
         assert resumed.journal.cached == 2
 
     def test_strict_mode_raises_with_checkpoint_hint(
@@ -123,7 +123,7 @@ class TestSweepAcceptance:
             policy=RetryPolicy(max_attempts=2),
             **FAST,
         )
-        assert sweep.is_complete
+        assert not sweep.failures
         assert sweep.journal.retries == 1
         # The retry walked the degradation ladder (coarser bunching).
         assert sweep.journal.degradations()
@@ -146,7 +146,6 @@ class TestCorners:
         report = rank_across_corners(
             small_baseline, keep_going=True, bunch_size=2000, repeater_units=128
         )
-        assert not report.is_complete
         assert len(report.failures) == 1
         assert report.failures[0].key == STANDARD_CORNERS[1].name
         # Sign-off still works over the surviving corners.
@@ -196,7 +195,7 @@ class TestCorners:
             bunch_size=2000,
             repeater_units=128,
         )
-        assert resumed.is_complete
+        assert not resumed.failures
         assert resumed.journal.cached == len(STANDARD_CORNERS) - 1
         uninterrupted = rank_across_corners(
             small_baseline, bunch_size=2000, repeater_units=128

@@ -6,8 +6,7 @@ import re
 
 import pytest
 
-from repro.errors import ReproError, SchemaError
-from repro.reporting import load_request, save_request
+from repro.errors import SchemaError
 from repro.schema import (
     MAX_GATES,
     MAX_PAIRS_PER_TIER,
@@ -328,44 +327,3 @@ class TestCanonicalJsonBytes:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_json_bytes({"x": float("nan")})
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        request = SweepRequest(knob="C", values=(4e8, 5e8), gates=25_000)
-        path = tmp_path / "request.json"
-        save_request(request, path)
-        loaded = load_request(path)
-        assert isinstance(loaded, SweepRequest)
-        assert loaded.fingerprint() == request.fingerprint()
-
-    def test_persisted_form_is_canonical(self, tmp_path):
-        request = RankRequest.from_wire({"clock_frequency": "500MHz"})
-        path = tmp_path / "request.json"
-        save_request(request, path)
-        payload = json.loads(path.read_text())
-        assert payload["format"] == "repro.request"
-        assert payload["kind"] == "rank"
-        assert payload["request"] == request.canonicalize()
-
-    def test_save_rejects_non_request(self, tmp_path):
-        with pytest.raises(ReproError, match="request type"):
-            save_request({"gates": 1}, tmp_path / "x.json")
-
-    def test_load_rejects_unknown_kind(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "format": "repro.request", "version": 1,
-            "kind": "frobnicate", "request": {},
-        }))
-        with pytest.raises(ReproError, match="frobnicate"):
-            load_request(path)
-
-    def test_load_revalidates_payload(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({
-            "format": "repro.request", "version": 1,
-            "kind": "rank", "request": {"gates": -1},
-        }))
-        with pytest.raises(ReproError, match="gates"):
-            load_request(path)

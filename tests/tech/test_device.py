@@ -1,8 +1,6 @@
 """Tests for minimum-inverter device parameters."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.tech.device import DeviceParameters
@@ -48,41 +46,18 @@ class TestIntrinsicDelay:
         """r_o/s * (s*c_o + s*c_p) is independent of s — the physical
         reason short wires hit a delay wall no sizing can fix."""
         for size in (1.0, 10.0, 100.0):
-            product = device.repeater_resistance(size) * (
-                device.repeater_input_capacitance(size)
+            product = (device.output_resistance / size) * (
+                size * device.input_capacitance
                 + size * device.parasitic_capacitance
             )
             assert product == pytest.approx(device.intrinsic_delay)
 
 
 class TestRepeaterScaling:
-    def test_resistance_scales_down(self, device):
-        assert device.repeater_resistance(10.0) == pytest.approx(300.0)
-
-    def test_capacitance_scales_up(self, device):
-        assert device.repeater_input_capacitance(10.0) == pytest.approx(1.0e-14)
-
     def test_area_scales_linearly(self, device):
         assert device.repeater_area(50.0) == pytest.approx(50 * 4.0e-14)
 
-    @pytest.mark.parametrize("method", [
-        "repeater_resistance",
-        "repeater_input_capacitance",
-        "repeater_area",
-    ])
+    @pytest.mark.parametrize("method", ["repeater_area"])
     def test_non_positive_size_rejected(self, device, method):
         with pytest.raises(ConfigurationError):
             getattr(device, method)(0.0)
-
-    @given(size=st.floats(min_value=0.01, max_value=1e4))
-    def test_rc_product_constant_property(self, size):
-        device = DeviceParameters(
-            output_resistance=2500.0,
-            input_capacitance=0.6e-15,
-            parasitic_capacitance=0.4e-15,
-            min_inverter_area=2.5e-14,
-        )
-        rc = device.repeater_resistance(size) * device.repeater_input_capacitance(size)
-        assert rc == pytest.approx(
-            device.output_resistance * device.input_capacitance, rel=1e-9
-        )

@@ -22,15 +22,6 @@ class TestConductor:
     def test_aluminium_is_worse_than_copper(self):
         assert ALUMINIUM.resistivity > COPPER.resistivity
 
-    def test_sheet_resistance(self):
-        conductor = Conductor(name="test", resistivity=2.0e-8)
-        assert conductor.sheet_resistance(1e-6) == pytest.approx(0.02)
-
-    def test_sheet_resistance_scales_inversely_with_thickness(self):
-        thin = COPPER.sheet_resistance(0.2e-6)
-        thick = COPPER.sheet_resistance(0.4e-6)
-        assert thin == pytest.approx(2 * thick)
-
     def test_zero_resistivity_rejected(self):
         with pytest.raises(ConfigurationError):
             Conductor(name="bad", resistivity=0.0)
@@ -38,10 +29,6 @@ class TestConductor:
     def test_negative_resistivity_rejected(self):
         with pytest.raises(ConfigurationError):
             Conductor(name="bad", resistivity=-1e-8)
-
-    def test_zero_thickness_rejected(self):
-        with pytest.raises(ConfigurationError):
-            COPPER.sheet_resistance(0.0)
 
 
 class TestDielectric:

@@ -22,9 +22,6 @@ class TestMetalRule:
     def test_pitch(self, rule):
         assert rule.pitch == pytest.approx(units.um(0.41))
 
-    def test_aspect_ratio(self, rule):
-        assert rule.aspect_ratio == pytest.approx(0.34 / 0.2)
-
     def test_ild_defaults_to_thickness(self, rule):
         assert rule.ild_height == pytest.approx(rule.thickness)
 
@@ -134,12 +131,6 @@ class TestTechnologyNode:
         node = self._make()
         with pytest.raises(ConfigurationError, match="no via tier"):
             node.via("m1")
-
-    def test_with_permittivity(self):
-        node = self._make()
-        changed = node.with_permittivity(2.5)
-        assert changed.dielectric.relative_permittivity == pytest.approx(2.5)
-        assert node.dielectric.relative_permittivity == pytest.approx(3.9)
 
     def test_with_device(self):
         node = self._make()

@@ -13,7 +13,6 @@ from repro.tech.presets import (
     NODE_90NM,
     NODE_130NM,
     NODE_180NM,
-    available_nodes,
     get_node,
 )
 
@@ -75,9 +74,6 @@ def test_table3_via_widths(node_name, tier, value_um):
 
 
 class TestNodeRegistry:
-    def test_available_nodes(self):
-        assert set(available_nodes()) == {"180nm", "130nm", "90nm"}
-
     def test_get_node_identity(self):
         assert get_node("130nm") is NODE_130NM
         assert get_node("180nm") is NODE_180NM

@@ -4,6 +4,21 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``ia-rank report --gates 20000 --bunch-size 2000 --repeater-units 64``.
+REPORT_20K_GATES = """\
+rank 25081 / 58858 wires (normalized 0.426127, +/-2000; fits; solver=dp)
+
+Assignment for rank 25,081
+layer-pair     delay-met wires  other wires  repeaters  area used
+-------------  ---------------  -----------  ---------  ---------
+global-1                     0            0          0       0.0%
+semi_global-1                0            0          0       0.0%
+semi_global-2                0            0          0       0.0%
+local-1                 25,081       33,777          0      92.7%
+
+timing: min slack 24.63 ps at length 2 pitches; boundary group relative slack 93.6% (budget-bound)
+"""
+
 
 class TestParser:
     def test_requires_command(self):
@@ -138,6 +153,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Assignment for rank" in out
         assert "timing:" in out
+
+    def test_report_builds_tables_once(self, monkeypatch, capsys):
+        """The report reads the tables the solve ran on, built once, and
+        prints what it printed when it built them twice."""
+        from repro.core.problem import RankProblem
+
+        builds = []
+        tables_on = RankProblem.tables_on
+
+        def counting(problem, coarse):
+            builds.append(coarse.num_groups)
+            return tables_on(problem, coarse)
+
+        monkeypatch.setattr(RankProblem, "tables_on", counting)
+        code = main(
+            ["report", "--gates", "20000", "--bunch-size", "2000",
+             "--repeater-units", "64"]
+        )
+        assert code == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out == REPORT_20K_GATES
 
     def test_node_file_option(self, tmp_path, capsys):
         """A saved preset solves as the preset: --node-file and --node

@@ -34,9 +34,6 @@ class TestLengthConversions:
     def test_to_um_roundtrip(self):
         assert units.to_um(units.um(0.23)) == pytest.approx(0.23)
 
-    def test_to_mm_roundtrip(self):
-        assert units.to_mm(units.mm(4.2)) == pytest.approx(4.2)
-
 
 class TestAreaConversions:
     def test_mm2(self):
@@ -66,9 +63,6 @@ class TestTimeConversions:
     def test_to_ps_roundtrip(self):
         assert units.to_ps(units.ps(16.8)) == pytest.approx(16.8)
 
-    def test_to_ns_roundtrip(self):
-        assert units.to_ns(units.ns(2.0)) == pytest.approx(2.0)
-
     def test_negative_time_rejected(self):
         with pytest.raises(UnitsError):
             units.ps(-5.0)
@@ -81,9 +75,6 @@ class TestFrequencyConversions:
     def test_ghz(self):
         assert units.ghz(1.7) == pytest.approx(1.7e9)
 
-    def test_to_ghz_roundtrip(self):
-        assert units.to_ghz(units.ghz(1.1)) == pytest.approx(1.1)
-
     def test_negative_frequency_rejected(self):
         with pytest.raises(UnitsError):
             units.ghz(-1.0)
@@ -92,9 +83,6 @@ class TestFrequencyConversions:
 class TestCapacitanceConversions:
     def test_ff(self):
         assert units.ff(1.5) == pytest.approx(1.5e-15)
-
-    def test_to_ff_roundtrip(self):
-        assert units.to_ff(units.ff(0.6)) == pytest.approx(0.6)
 
     def test_negative_capacitance_rejected(self):
         with pytest.raises(UnitsError):
@@ -108,7 +96,7 @@ def test_length_roundtrip_property(value):
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
 def test_time_roundtrip_property(value):
-    assert units.to_ns(units.ns(value)) == pytest.approx(value, rel=1e-12)
+    assert units.to_ps(units.ns(value)) == pytest.approx(value * 1e3, rel=1e-12)
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))

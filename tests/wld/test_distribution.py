@@ -44,15 +44,6 @@ class TestConstruction:
         with pytest.raises(WLDError):
             WireLengthDistribution.from_groups([(2.0, -1)])
 
-    def test_from_lengths(self):
-        wld = WireLengthDistribution.from_lengths([3.0, 1.0, 3.0, 2.0])
-        assert list(wld.lengths) == [3.0, 2.0, 1.0]
-        assert list(wld.counts) == [2, 1, 1]
-
-    def test_from_lengths_empty_rejected(self):
-        with pytest.raises(WLDError):
-            WireLengthDistribution.from_lengths([])
-
     def test_direct_rejects_increasing(self):
         with pytest.raises(WLDError):
             WireLengthDistribution(
@@ -123,64 +114,12 @@ class TestQueries:
 
 
 class TestRankOrderArithmetic:
-    def test_cumulative_counts(self, wld):
-        assert list(wld.cumulative_counts()) == [2, 7, 27, 127]
-
-    def test_wires_in_first_groups(self, wld):
-        assert wld.wires_in_first_groups(0) == 0
-        assert wld.wires_in_first_groups(2) == 7
-        assert wld.wires_in_first_groups(4) == 127
-
-    def test_length_at_rank(self, wld):
-        assert wld.length_at_rank(1) == 100.0
-        assert wld.length_at_rank(2) == 100.0
-        assert wld.length_at_rank(3) == 50.0
-        assert wld.length_at_rank(27) == 10.0
-        assert wld.length_at_rank(28) == 1.0
-        assert wld.length_at_rank(127) == 1.0
-
-    def test_length_at_rank_out_of_range(self, wld):
-        with pytest.raises(WLDError):
-            wld.length_at_rank(0)
-        with pytest.raises(WLDError):
-            wld.length_at_rank(128)
-
     def test_prefix_suffix_partition(self, wld):
         prefix = wld.prefix(2)
         suffix = wld.suffix(2)
         assert prefix.total_wires + suffix.total_wires == wld.total_wires
         assert prefix.max_length == 100.0
         assert suffix.max_length == 10.0
-
-    def test_scaled_lengths(self, wld):
-        doubled = wld.scaled_lengths(2.0)
-        assert doubled.max_length == 200.0
-        assert doubled.total_wires == wld.total_wires
-
-    def test_scaled_rejects_non_positive(self, wld):
-        with pytest.raises(WLDError):
-            wld.scaled_lengths(0.0)
-
-    def test_lengths_expanded(self, wld):
-        expanded = wld.lengths_expanded()
-        assert expanded.size == 127
-        assert expanded[0] == 100.0
-        assert (np.diff(expanded) <= 0).all()
-
-    def test_lengths_expanded_limit(self, wld):
-        assert wld.lengths_expanded(limit=3).tolist() == [100.0, 100.0, 50.0]
-
-    def test_percentile_length(self, wld):
-        assert wld.percentile_length(0.0) == 100.0
-        assert wld.percentile_length(1.0) == 1.0
-
-    def test_merged_equal_lengths(self):
-        wld = WireLengthDistribution(
-            lengths=np.array([2.0, 2.0, 1.0]), counts=np.array([4, 4, 2])
-        )
-        merged = wld.merged_equal_lengths()
-        assert merged.num_groups == 2
-        assert merged.total_wires == 10
 
     def test_describe_contains_stats(self, wld):
         text = wld.describe()

@@ -1,11 +1,10 @@
 """Tests for WLD persistence."""
 
-import numpy as np
 import pytest
 
 from repro.errors import WLDError
 from repro.wld.distribution import WireLengthDistribution
-from repro.wld.io import load_wld_csv, load_wld_json, save_wld_csv, save_wld_json
+from repro.wld.io import load_wld_csv, save_wld_csv
 
 
 @pytest.fixture
@@ -58,30 +57,3 @@ class TestCSV:
         save_wld_csv(wld, path)
         loaded = load_wld_csv(path)
         assert loaded.num_groups == 2
-
-
-class TestJSON:
-    def test_round_trip(self, wld, tmp_path):
-        path = tmp_path / "wld.json"
-        save_wld_json(wld, path)
-        loaded = load_wld_json(path)
-        assert (loaded.lengths == wld.lengths).all()
-        assert (loaded.counts == wld.counts).all()
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(WLDError):
-            load_wld_json(path)
-
-    def test_missing_keys_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"lengths": [1.0]}')
-        with pytest.raises(WLDError):
-            load_wld_json(path)
-
-    def test_length_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"lengths": [1.0, 2.0], "counts": [1]}')
-        with pytest.raises(WLDError):
-            load_wld_json(path)

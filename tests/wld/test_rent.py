@@ -6,41 +6,8 @@ from repro.errors import WLDError
 from repro.wld.rent import (
     average_fanout,
     fanout_fraction,
-    rent_terminals,
     total_connections,
 )
-
-
-class TestRentTerminals:
-    def test_formula(self):
-        assert rent_terminals(1000, coefficient=4.0, exponent=0.5) == pytest.approx(
-            4.0 * 1000 ** 0.5
-        )
-
-    def test_single_gate(self):
-        assert rent_terminals(1, coefficient=4.0, exponent=0.6) == pytest.approx(4.0)
-
-    def test_monotone_in_gates(self):
-        assert rent_terminals(10_000) > rent_terminals(1_000)
-
-    def test_sublinear(self):
-        """p < 1 means terminals grow slower than gates."""
-        t1, t2 = rent_terminals(1_000), rent_terminals(10_000)
-        assert t2 / t1 < 10.0
-
-    def test_invalid_gate_count(self):
-        with pytest.raises(WLDError):
-            rent_terminals(0)
-
-    def test_invalid_exponent(self):
-        with pytest.raises(WLDError):
-            rent_terminals(100, exponent=1.0)
-        with pytest.raises(WLDError):
-            rent_terminals(100, exponent=0.0)
-
-    def test_invalid_coefficient(self):
-        with pytest.raises(WLDError):
-            rent_terminals(100, coefficient=0.0)
 
 
 class TestFanout:

@@ -1,93 +1,9 @@
 """Tests for synthetic WLD generators."""
 
-import numpy as np
-import pytest
-
-from repro.errors import WLDError
-from repro.wld.synthetic import (
-    geometric_wld,
-    single_length_wld,
-    uniform_wld,
-    wld_from_pairs,
-)
+from repro.wld.synthetic import wld_from_pairs
 
 
 class TestFromPairs:
     def test_round_trip(self):
         wld = wld_from_pairs([(3.0, 2), (9.0, 1)])
         assert list(wld) == [(9.0, 1), (3.0, 2)]
-
-
-class TestSingleLength:
-    def test_figure2_shape(self):
-        """Four equal-length wires — the paper's Figure 2 instance."""
-        wld = single_length_wld(500.0, 4)
-        assert wld.num_groups == 1
-        assert wld.total_wires == 4
-        assert wld.max_length == wld.min_length == 500.0
-
-    def test_invalid_count(self):
-        with pytest.raises(WLDError):
-            single_length_wld(10.0, 0)
-
-
-class TestUniform:
-    def test_shape(self):
-        wld = uniform_wld(10.0, 100.0, num_lengths=10, count_per_length=3)
-        assert wld.num_groups == 10
-        assert wld.total_wires == 30
-        assert wld.max_length == 100.0
-        assert wld.min_length == 10.0
-
-    def test_single_point_range(self):
-        wld = uniform_wld(5.0, 5.0, num_lengths=3, count_per_length=1)
-        assert wld.num_groups == 1  # identical lengths merge
-        assert wld.total_wires == 3
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(min_length=0.0, max_length=1.0, num_lengths=2, count_per_length=1),
-            dict(min_length=2.0, max_length=1.0, num_lengths=2, count_per_length=1),
-            dict(min_length=1.0, max_length=2.0, num_lengths=0, count_per_length=1),
-            dict(min_length=1.0, max_length=2.0, num_lengths=2, count_per_length=0),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(WLDError):
-            uniform_wld(**kwargs)
-
-
-class TestGeometric:
-    def test_shape(self):
-        wld = geometric_wld(1000.0, num_lengths=5)
-        assert wld.num_groups == 5
-        assert wld.max_length == 1000.0
-
-    def test_counts_grow_downward(self):
-        wld = geometric_wld(1000.0, num_lengths=6, count_ratio=3.0)
-        counts = list(wld.counts)
-        assert counts == sorted(counts)  # rank order: long & rare first
-
-    def test_lengths_divide(self):
-        wld = geometric_wld(1024.0, num_lengths=4, length_ratio=2.0)
-        assert list(wld.lengths) == [1024.0, 512.0, 256.0, 128.0]
-
-    def test_mimics_real_wld_shape(self):
-        """Most wires short, most length in the tail's head."""
-        wld = geometric_wld(10_000.0, num_lengths=8, count_ratio=4.0)
-        assert wld.counts[-1] > wld.counts[0] * 100
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(max_length=0.0, num_lengths=3),
-            dict(max_length=10.0, num_lengths=0),
-            dict(max_length=10.0, num_lengths=3, length_ratio=1.0),
-            dict(max_length=10.0, num_lengths=3, count_ratio=0.5),
-            dict(max_length=10.0, num_lengths=3, longest_count=0),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(WLDError):
-            geometric_wld(**kwargs)
