@@ -6,7 +6,9 @@ the same whole-pair transitions as :func:`repro.core.dp.solve_rank_dp`
 (:func:`repro.core.dp_numpy.solve_pairs_curve_numpy`) but, instead of
 tracking one global best rank, reduces the rank candidates to the best
 rank *per budget cell* — producing the entire rank(budget) curve of a
-fixed die in a single solve.
+fixed die in a single solve.  Of each pair's levels (end groups) only
+the packable candidate of fewest cells raises the curve, and the M''
+packer finds those for all levels in batched calls, one row per level.
 
 This is the clean "budget elasticity" view of the paper's Table 4 R
 column: the R sweep couples the budget to die inflation through

@@ -32,9 +32,12 @@ call instead of one ``(b, r)`` state at a time:
   across *all* states — and :func:`_candidates` rebuilds a level's
   candidates over each state's unclipped ``[b, v_hi]`` only when the
   scan reaches it (bit-identical to the transition's), with a
-  vectorized :func:`~repro.assign.greedy_assign.pack_required_leftover`
-  threshold test pruning provably-failing candidates before any scalar
-  :func:`~repro.assign.greedy_assign.pack_suffix` call.
+  :func:`~repro.assign.greedy_assign.pack_required_leftover` threshold
+  test pruning provably-failing candidates before any
+  :func:`~repro.assign.greedy_assign.pack_suffix` call, one query each,
+* the budget curve asks the packer once per pair instead: every level's
+  first packing candidate comes out of batched calls
+  (:func:`_first_packings`), one row per level.
 
 Dominance clip.  Write ``C``, ``I`` for the pair's ``cum_rep_area`` and
 ``cum_inserted``, ``u`` for the cell area and ``ε`` for ``CEIL_EPS``; a
@@ -121,7 +124,10 @@ threshold computed at the *smallest* ``z`` of a level lower-bounds
 every candidate, and candidates below it (with the same conservative
 ``1 - 1e-9`` margin the scalar memo uses) cannot pack.  A success at
 the highest surviving level ends the pair: lower levels can only
-produce smaller ranks; in the curve's scan it ends only its level.
+produce smaller ranks.  The curve needs, of each level, only the
+packing candidate of fewest cells, so it finds every level's first
+packing candidate in ``nr`` order at once (see
+:func:`_scan_budget_levels`).
 """
 
 from __future__ import annotations
@@ -725,35 +731,24 @@ def _scan_budget_levels(tables, stats, pair, ranks, es_v, nz_v, leftover_v, nr_v
     """Raise the curve ``ranks`` (best rank within ``c`` cells, non-decreasing)
     with the pair's candidates (end group ``es_v``, cells ``nr_v``) that pack.
 
-    Levels run from the highest end group down, candidates within one in
-    ascending ``nr``; the first that packs raises ``ranks[nr:]`` and ends
-    its level, since it dominates the level's larger cells.  The order
-    cannot change the curve: ``ranks[c]`` is the max of ``cum_wires[e]``
-    over packable candidates with ``nr <= c``, and a candidate is skipped
-    only when dominated or provably unable to pack.
+    ``ranks[c]`` becomes the max of ``cum_wires[e]`` over packable
+    candidates with ``nr <= c``, so each level (end group) contributes
+    only its packable candidate of fewest cells: its first packing
+    candidate in ``nr`` order.  :func:`_first_packings` finds every
+    level's in batched packer calls, and each raises ``ranks[nr:]``.
+    The order of the raises cannot matter, and a level that a higher
+    level already dominates at that cell raises nothing.  Candidates are
+    skipped only when provably unable to pack (``docs/algorithms.md``
+    §6 has the argument).
     """
-    cum_wires = tables.cum_wires
     order = _level_order(es_v, nr_v, len(ranks))
-    sorted_es = es_v[order]
-    levels, starts = np.unique(sorted_es, return_index=True)
-    bounds = np.append(starts, len(sorted_es))
-
-    for li in range(len(levels) - 1, -1, -1):
-        e = int(levels[li])
-        wires_e = int(cum_wires[e])
-        if wires_e <= ranks[0]:
-            break  # descending levels: dominated at every cell
-        idxs = order[bounds[li]:bounds[li + 1]]
-        # ranks is non-decreasing and nr ascends within the level, so
-        # the candidates that still raise the curve are a prefix.
-        live = int(np.searchsorted(ranks[nr_v[idxs]], wires_e, side="left"))
-        if not live:
-            continue
-        idxs = idxs[:live]
-        i = _first_packing(tables, stats, pair, e, nz_v[idxs], leftover_v[idxs])
-        if i is not None:
-            nr = int(nr_v[idxs[i]])
-            np.maximum(ranks[nr:], wires_e, out=ranks[nr:])
+    es, nr = es_v[order], nr_v[order]
+    levels, starts = np.unique(es, return_index=True)
+    first = _first_packings(tables, stats, pair, levels, starts, nz_v[order], leftover_v[order])
+    hit = first[first >= 0]
+    raised = np.zeros_like(ranks)
+    np.maximum.at(raised, nr[hit], tables.cum_wires[es[hit]])
+    np.maximum(ranks, np.maximum.accumulate(raised), out=ranks)
 
 
 def _level_order(es_v, nr_v, width: int) -> np.ndarray:
@@ -789,5 +784,56 @@ def _first_packing(tables, stats, pair: int, e: int, cz, cleft) -> Optional[int]
         # leftover), with the same conservative margin.
         req = pack_required_leftover(tables, e, pair, wires_e, z)
         pruned = alive & (cz >= cz[i]) & (cleft < req * _PRUNE_MARGIN)
+        stats.pack_pruned += int(pruned.sum())
+        alive &= ~pruned
+
+
+def _first_packings(tables, stats, pair: int, levels, starts, cz, cleft) -> np.ndarray:
+    """Each level's first candidate whose suffix packs, as an index into
+    ``cz`` and ``cleft`` (``-1`` if none does).
+
+    The candidates of level ``levels[l]`` are ``starts[l]`` up to the
+    next level's start, in the order they are tried; ``cz`` and
+    ``cleft`` are their repeaters above and top-pair leftovers.  This is
+    :func:`_first_packing` for all levels at once, each packer call
+    asking about every level still open, one row per level: the
+    threshold at each level's smallest ``z``, then rounds that pack each
+    open level's first surviving candidate, a failed one tightening its
+    level's threshold for the next round.
+    """
+    first = np.full(len(levels), -1)
+    if not len(levels):
+        return first
+    level = np.repeat(np.arange(len(levels)), np.diff(np.append(starts, len(cz))))
+    wires = tables.cum_wires[levels]
+    req = pack_required_leftover(tables, levels, pair, wires, np.minimum.reduceat(cz, starts))
+    alive = cleft >= req[level] * _PRUNE_MARGIN
+    stats.pack_pruned += int(len(cz) - alive.sum())
+    while True:
+        cand = np.flatnonzero(alive)
+        if not len(cand):
+            return first
+        # The first surviving candidate of each level still open.
+        head = np.ones(len(cand), dtype=bool)
+        head[1:] = level[cand[1:]] != level[cand[:-1]]
+        pick = cand[head]
+        at = level[pick]
+        stats.pack_checks += len(pick)
+        packs = pack_suffix(
+            tables, levels[at], pair, wires[at], cz[pick], top_pair_leftover=cleft[pick]
+        )
+        stats.pack_successes += int(packs.sum())
+        first[at[packs]] = pick[packs]
+        alive &= first[level] < 0  # a level ends at its first success
+        failed, at = pick[~packs], at[~packs]
+        if not len(failed):
+            return first
+        alive[failed] = False
+        # Tighten as _first_packing does, per failed level.
+        req = np.full(len(levels), -np.inf)
+        floor = np.full(len(levels), np.inf)
+        req[at] = pack_required_leftover(tables, levels[at], pair, wires[at], cz[failed])
+        floor[at] = cz[failed]
+        pruned = alive & (cz >= floor[level]) & (cleft < req[level] * _PRUNE_MARGIN)
         stats.pack_pruned += int(pruned.sum())
         alive &= ~pruned

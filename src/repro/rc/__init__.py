@@ -9,7 +9,8 @@ them from geometry and materials:
 * :mod:`repro.rc.resistance` — ``rho / (W * T)``,
 * :mod:`repro.rc.capacitance` — ground + Miller-scaled coupling
   capacitance (parallel plates plus a constant fringe allowance),
-* :mod:`repro.rc.via` — the paper's via counts per wire and repeater,
+* :mod:`repro.rc.via` — the paper's via count per wire (a repeater
+  blocks one via footprint per pair below it),
 * :mod:`repro.rc.models` — the :class:`~repro.rc.models.WireRC` bundle
   and extraction entry point.
 """

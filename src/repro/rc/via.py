@@ -6,9 +6,10 @@ of a layer-pair (its Algorithm 5, step 2):
 * every wire assigned to a layer-pair *above* contributes ``v`` vias,
   each blocking ``v_a`` of area in every layer-pair it passes through
   (the wire must descend to its pins on the device layer), and
-* every repeater inserted in a wire above contributes via area in every
-  layer-pair below it (repeaters live on the substrate, so the signal
-  must descend and re-ascend at each repeater).
+* every repeater inserted in a wire above blocks one via footprint
+  ``v_a`` in every layer-pair below it (repeaters live on the substrate,
+  so the signal must descend to each repeater);
+  :meth:`~repro.assign.tables.AssignmentTables.capacity` charges it.
 
 This is a compact model in the spirit of Chen--Davis--Meindl--Zarkesh-Ha
 ("A Compact Physical Via Blockage Model", the paper's reference [3]):
@@ -22,7 +23,3 @@ from __future__ import annotations
 #: of the pair (the paper's ``v``; via area "for the L, and of the ends
 #: of the L segments, is computed as a part of the wire").
 DEFAULT_VIAS_PER_WIRE = 4
-
-#: Vias contributed per repeater in each layer-pair below it: the signal
-#: descends to the repeater and re-ascends, crossing each pair twice.
-VIAS_PER_REPEATER = 2

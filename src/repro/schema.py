@@ -704,8 +704,9 @@ def _standard_corners() -> Tuple[Any, ...]:
     return tuple(STANDARD_CORNERS)
 
 
-#: Endpoint name -> request type, used by the service router and the
-#: golden-file round-trip tests.
+#: Endpoint name -> request type.  The service routes requests in
+#: ``service/app.py`` (``RankApp._routes``); this table is read by the
+#: schema and golden-file round-trip tests.
 REQUEST_TYPES: Dict[str, Type[_Request]] = {
     "rank": RankRequest,
     "sweep": SweepRequest,

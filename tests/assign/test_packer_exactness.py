@@ -1,11 +1,13 @@
 """The sliced M'' packer against the per-group reference loop, bit for bit.
 
-``repro.assign.greedy_assign`` walks whole wire groups per NumPy call
-and memoizes its last lower-pair walk; ``packer_reference`` is the
-plain loop it replaced.  Every cursor, wire count and float (compared
-by ``float.hex``) must agree, on tables whose areas are dyadic (so
-exact ties between the budget and a group's need really occur) and on
-tables of physical magnitudes (so rounding does).
+``repro.assign.greedy_assign`` walks whole wire groups per NumPy call,
+one query in 1-D slices or many in rows x groups windows, and memoizes
+its last lower-pair walk; ``packer_reference`` is the plain loop it
+replaced.  Every cursor, wire
+count and float (compared by ``float.hex``) must agree, on tables whose
+areas are dyadic (so exact ties between the budget and a group's need
+really occur) and on tables of physical magnitudes (so rounding does),
+for each query of a batch alike.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from repro.assign import greedy_assign
 from repro.assign.greedy_assign import (
     _FIRST_SLICE,
     _fill_pair,
+    _fill_rows,
     pack_required_leftover,
     pack_suffix,
     pack_suffix_detail,
@@ -83,10 +86,25 @@ def tables_inputs(draw, max_groups=70):
     return lengths, counts, pitch, via_area, vias, capacity
 
 
-def assert_same_fill(got, want):
-    (cursor, area), (want_cursor, want_area) = got, want
-    assert tuple(cursor) == tuple(want_cursor)
-    assert float(area).hex() == float(want_area).hex()
+def fill_row(tables, pair, capacity, start, cursor):
+    """``_fill_rows`` on one row, as scalars."""
+    (group, carry, total), area = _fill_rows(
+        tables,
+        pair,
+        np.array([capacity]),
+        np.array([start]),
+        tuple(np.array([value]) for value in cursor),
+    )
+    return (int(group[0]), int(carry[0]), int(total[0])), float(area[0])
+
+
+def assert_same_fill(tables, pair, capacity, start, cursor, want):
+    """The one-query walk and a one-row window walk both fill the pair as
+    the reference loop does."""
+    for fill in (_fill_pair, fill_row):
+        got_cursor, area = fill(tables, pair, capacity, start, cursor)
+        assert tuple(got_cursor) == tuple(want[0])
+        assert float(area).hex() == float(want[1]).hex()
 
 
 def assert_same_fills(got, want):
@@ -112,10 +130,8 @@ class TestFillPair:
         if tables.routing_capacity == round(tables.routing_capacity):
             capacity = float(round(capacity))
         cursor = (group, carry, total)
-        assert_same_fill(
-            _fill_pair(tables, pair, capacity, start, cursor),
-            ref.fill_pair(tables, pair, capacity, start, cursor),
-        )
+        want = ref.fill_pair(tables, pair, capacity, start, cursor)
+        assert_same_fill(tables, pair, capacity, start, cursor, want)
 
     @pytest.mark.parametrize("walk", [15, 16, 17, 2 * _FIRST_SLICE, 48])
     @pytest.mark.parametrize("start", [0, 5])
@@ -143,7 +159,7 @@ class TestFillPair:
         cursor = (group, carry, carry + 3 * (group - start))
         want = ref.fill_pair(tables, 2, capacity, start, cursor)
         assert want[0][0] == group - walk - (slack == 3.0)
-        assert_same_fill(_fill_pair(tables, 2, capacity, start, cursor), want)
+        assert_same_fill(tables, 2, capacity, start, cursor, want)
 
     def test_falling_slope_groups(self, base):
         """Per-wire area at or below the via footprint (slope <= 0): the
@@ -154,7 +170,7 @@ class TestFillPair:
         for capacity in np.arange(0.0, 400.0, 0.5):
             cursor = (7, 5, 40)
             want = ref.fill_pair(tables, 1, float(capacity), 0, cursor)
-            assert_same_fill(_fill_pair(tables, 1, float(capacity), 0, cursor), want)
+            assert_same_fill(tables, 1, float(capacity), 0, cursor, want)
             checked.add(want[0])
         # Some budgets stop in the falling-slope groups 2-7, others pass them.
         assert (7, 5, 40) in checked
@@ -184,6 +200,105 @@ class TestPackFronts:
         # The threshold again, now from the memoized lower walk.
         again = pack_required_leftover(tables, start, top, wires, z)
         assert float(again).hex() == float(want_req).hex()
+
+
+#: Row splits of a batch: one row per window, a few, and none.
+BLOCKS = (1, 7, 10**9)
+
+
+def batch_answers(tables, top, start, wires, z, leftover):
+    """Each query's threshold (as ``float.hex``) and pack verdict, from
+    one batched call of each front."""
+    required = pack_required_leftover(tables, start, top, wires, z)
+    packs = pack_suffix(tables, start, top, wires, z, leftover)
+    assert required.shape == packs.shape == (len(start),)
+    return [(float(r).hex(), bool(p)) for r, p in zip(required, packs)]
+
+
+def reference_answers(tables, top, start, wires, z, leftover):
+    if leftover is None:
+        leftover = [None] * len(start)
+    return [
+        (
+            float(ref.required_leftover(tables, s, top, w, q)).hex(),
+            ref.pack(tables, s, top, w, q, left) is not None,
+        )
+        for s, w, q, left in zip(start, wires, z, leftover)
+    ]
+
+
+def check_batch(tables, top, start, wires, z, leftover):
+    """Every row of the batch equals the reference loop, and its answer
+    alone (the one-query walk), in the reversed batch and at every row
+    split is the same."""
+    want = reference_answers(tables, top, start, wires, z, leftover)
+    arrays = [np.array(start), np.array(wires), np.array(z, dtype=float)]
+    left = None if leftover is None else np.array(leftover, dtype=float)
+    for block in BLOCKS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(greedy_assign, "_BLOCK", block)
+            assert batch_answers(tables, top, *arrays, left) == want
+            back = None if left is None else left[::-1]
+            assert batch_answers(tables, top, *(a[::-1] for a in arrays), back) == want[::-1]
+    for i, answer in enumerate(want):
+        alone = None if leftover is None else leftover[i]
+        required = pack_required_leftover(tables, start[i], top, wires[i], z[i])
+        packs = pack_suffix(tables, start[i], top, wires[i], z[i], alone)
+        assert (float(required).hex(), packs) == answer
+
+
+class TestBatchedQueries:
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=tables_inputs(), data=st.data())
+    def test_rows_match_reference(self, base, inputs, data):
+        tables = synthetic(base, *inputs)
+        groups = tables.num_groups
+        rows = data.draw(st.integers(1, 10))
+        top = data.draw(st.integers(0, 3))
+        start = data.draw(st.lists(st.integers(0, groups), min_size=rows, max_size=rows))
+        wires = data.draw(
+            st.lists(st.sampled_from([0, 1, 7, 1000]), min_size=rows, max_size=rows)
+        )
+        z = data.draw(
+            st.lists(
+                st.sampled_from([0.0, 3.0, 250.0]) | st.floats(0.0, 1e3),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        leftover = data.draw(
+            st.none()
+            | st.lists(
+                st.floats(0.0, 1.0).map(lambda f: f * tables.routing_capacity),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        # Every batch also holds an empty suffix and a query whose
+        # repeaters leave the pairs with via area no room at all.
+        start += [groups, data.draw(st.integers(0, groups - 1))]
+        wires += [7, 1]
+        z += [3.0, 1e30]
+        if leftover is not None:
+            leftover += [0.0, tables.routing_capacity]
+        check_batch(tables, top, start, wires, z, leftover)
+
+    @pytest.mark.parametrize("top", [0, 1, 3])
+    def test_edge_rows(self, base, top):
+        """Empty suffixes, lower pairs without room and groups of falling
+        slope in one batch, at exact ties."""
+        lengths = [40.0, 40.0, 8.0, 8.0, 4.0, 2.0, 1.0, 1.0]
+        tables = synthetic(base, lengths, [5] * 8, [1.0] * 4, [4.0] * 4, 2, 200.0)
+        # Per-wire areas 1-40 against a via footprint of 8: groups 2-7
+        # have slope <= 0.
+        assert (tables.lengths_m * 1.0 <= 2 * 4.0).sum() == 6
+        start = [0, 2, 5, 8, 0, 3, 8, 1]
+        wires = [0, 0, 1, 0, 0, 7, 3, 100]
+        z = [0.0, 16.0, 0.0, 0.0, 1e30, 2.0, 1e30, 0.0]
+        assert tables.capacity(3, 0, 1e30) == 0.0
+        for capacity in (0.0, 64.0, 200.0):
+            check_batch(tables, top, start, wires, z, [capacity] * len(start))
+        check_batch(tables, top, start, wires, z, None)
 
 
 def memo_calls(base):

@@ -1,7 +1,9 @@
 """Tests for the budget-rank curve."""
 
+import numpy as np
 import pytest
 
+import repro.core.dp_numpy as dp_numpy
 from repro.api import baseline_problem, budget_curve
 from repro.core.curve import solve_budget_rank_curve
 from repro.core.discretize import RepeaterDiscretization, discretize_repeaters
@@ -138,6 +140,19 @@ _ORACLE_CASES = {
         dict(gate_count=1000, repeater_fraction=0.05),
         16,
     ),
+    # A tight die: levels whose first candidates cannot pack, levels
+    # where none can, and levels a higher one leaves without a live
+    # candidate (see TestBatchedScan).
+    "batched-scan-edges": (
+        [2581, 2516, 2407, 2294, 2098, 2082, 1950, 1909, 1852, 779, 758],
+        dict(
+            repeater_fraction=0.01,
+            gate_count=1000,
+            local_pairs=2,
+            semi_global_pairs=0,
+        ),
+        8,
+    ),
 }
 
 
@@ -174,6 +189,108 @@ class TestPerCellOracle:
         assert len(set(curves["budget-bound"].ranks)) >= 3
         assert curves["zero-budget"].ranks == (5,)
         assert not curves["unfittable"].fits
+
+
+def _scan_outcomes(tables, ranks, es_v, nr_v, levels, starts, first):
+    """What the descending pass makes of each level's batched answer,
+    from the curve ``ranks`` before the pair: the level's candidates are
+    ``starts[l]`` on in ``(es, nr)`` order, ``first[l]`` its first
+    packing one (``-1``: none)."""
+    nr = nr_v[np.argsort(es_v * len(ranks) + nr_v, kind="stable")]
+    ranks = ranks.copy()
+    outcomes = set()
+    for level, start, i in reversed(list(zip(levels, starts, first))):
+        wires = int(tables.cum_wires[level])
+        if wires <= ranks[0]:
+            break
+        if i < 0:
+            outcomes.add("no candidate packs")
+        elif ranks[nr[start]] >= wires:
+            outcomes.add("no live candidate: answer discarded")
+        elif ranks[nr[i]] < wires:
+            if i > start:
+                outcomes.add("first candidates fail, a later one packs")
+            np.maximum(ranks[nr[i]:], wires, out=ranks[nr[i]:])
+    return outcomes
+
+
+class TestBatchedScan:
+    def test_edge_levels_occur(self, node130, monkeypatch):
+        """The ``batched-scan-edges`` oracle case reaches every way a
+        level's batched first packing candidate can end, and keeps the
+        rank DP's deterministic counters."""
+        lengths, kwargs, units = _ORACLE_CASES["batched-scan-edges"]
+        tables, _ = make_tiny_problem(node130, lengths, **kwargs).tables()
+        seen = set()
+        scan, first_packings = dp_numpy._scan_budget_levels, dp_numpy._first_packings
+        answers = []
+
+        def record_first(*args):
+            first = first_packings(*args)
+            answers.append((args[3], args[4], first))
+            return first
+
+        def record_scan(tables, stats, pair, ranks, es_v, nz_v, left_v, nr_v):
+            before = ranks.copy()
+            scan(tables, stats, pair, ranks, es_v, nz_v, left_v, nr_v)
+            seen.update(_scan_outcomes(tables, before, es_v, nr_v, *answers[-1]))
+
+        monkeypatch.setattr(dp_numpy, "_first_packings", record_first)
+        monkeypatch.setattr(dp_numpy, "_scan_budget_levels", record_scan)
+        curve = solve_budget_rank_curve(tables, repeater_units=units)
+        assert seen == {
+            "no candidate packs",
+            "no live candidate: answer discarded",
+            "first candidates fail, a later one packs",
+        }
+        single = solve_rank_dp(tables, repeater_units=units).stats
+        assert (curve.stats.rows, curve.stats.states_explored, curve.stats.transitions) == (
+            single.rows,
+            single.states_explored,
+            single.transitions,
+        )
+
+
+    def test_failed_pick_tightens_its_level(self, node130):
+        """A level's first surviving candidate that fails to pack prunes
+        the candidates its threshold dominates, and the next round packs
+        the level's next survivor, as the one-level scan does."""
+        from repro.assign.greedy_assign import pack_required_leftover, pack_suffix
+        from repro.core.dp import SolverStats
+
+        lengths, kwargs, _ = _ORACLE_CASES["batched-scan-edges"]
+        tables, _ = make_tiny_problem(node130, lengths, **kwargs).tables()
+        pair, heavy = 1, 1e9  # enough repeaters to close every lower pair
+        levels = []
+        for e in range(tables.num_groups):
+            wires = int(tables.cum_wires[e])
+            low = pack_required_leftover(tables, e, pair, wires, 0.0)
+            high = pack_required_leftover(tables, e, pair, wires, heavy)
+            if 0.0 < low < high:
+                levels.append((e, wires, low, high))
+        assert len(levels) >= 2
+        cz, cleft, starts = [], [], []
+        for e, wires, low, high in levels[:2]:
+            starts.append(len(cz))
+            between = (low + high) / 2
+            # Pruned at the level's smallest z; packs not (below the
+            # threshold at its z); pruned by that failure; packs.
+            cz += [0.0, heavy, 2 * heavy, 0.0]
+            cleft += [low / 2, between, between, 2 * low]
+            assert not pack_suffix(tables, e, pair, wires, heavy, between)
+            assert pack_suffix(tables, e, pair, wires, 0.0, 2 * low)
+        stats = SolverStats(solver="test")
+        first = dp_numpy._first_packings(
+            tables,
+            stats,
+            pair,
+            np.array([e for e, *_ in levels[:2]]),
+            np.array(starts),
+            np.array(cz),
+            np.array(cleft),
+        )
+        assert first.tolist() == [3, 7]
+        assert (stats.pack_checks, stats.pack_successes, stats.pack_pruned) == (4, 2, 4)
 
 
 #: Curves of two 40k-gate 130 nm baselines (bunch 10000, 128 cells),
