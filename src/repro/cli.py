@@ -158,39 +158,33 @@ def _number_list(text: str) -> Tuple[float, ...]:
         ) from None
 
 
+#: The requests whose fields give every design and optimize flag its
+#: default, so the paper's baseline is written once (in repro.schema).
+_DESIGN = RankRequest()
+_SEARCH = OptimizeRequest()
+
+#: Design flags as (flag, type, help); each flag's destination is the
+#: request field of the same name.
+_DESIGN_FLAGS = (
+    ("--node", str, "technology node name"),
+    ("--gates", int, "design size in gates"),
+    ("--clock-frequency", float, "target clock in Hz"),
+    ("--repeater-fraction", float, "max repeater area as a fraction of die area"),
+    ("--permittivity", float, "ILD relative permittivity"),
+    ("--miller-factor", float, "Miller coupling factor"),
+    ("--bunch-size", int, "bunch size (0 disables bunching)"),
+    ("--repeater-units", int, "repeater budget cells"),
+)
+
+
 def _add_design_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--node", default="130nm", help="technology node name")
+    for flag, kind, text in _DESIGN_FLAGS:
+        default = getattr(_DESIGN, flag[2:].replace("-", "_"))
+        parser.add_argument(flag, type=kind, default=default, help=text)
     parser.add_argument(
         "--node-file",
         default="",
         help="JSON technology-node description (overrides --node)",
-    )
-    parser.add_argument(
-        "--gates", type=int, default=1_000_000, help="design size in gates"
-    )
-    parser.add_argument(
-        "--clock-frequency", type=float, default=500e6, help="target clock in Hz"
-    )
-    parser.add_argument(
-        "--repeater-fraction",
-        type=float,
-        default=0.4,
-        help="max repeater area as a fraction of die area",
-    )
-    parser.add_argument(
-        "--permittivity", type=float, default=3.9, help="ILD relative permittivity"
-    )
-    parser.add_argument(
-        "--miller-factor", type=float, default=2.0, help="Miller coupling factor"
-    )
-    parser.add_argument(
-        "--bunch-size",
-        type=int,
-        default=10_000,
-        help="bunch size (0 disables bunching)",
-    )
-    parser.add_argument(
-        "--repeater-units", type=int, default=512, help="repeater budget cells"
     )
 
 
@@ -198,7 +192,7 @@ def _add_solver_arg(parser: argparse.ArgumentParser) -> None:
     """``--solver``, for the commands that can solve greedily."""
     parser.add_argument(
         "--solver",
-        default="dp",
+        default=_DESIGN.solver,
         choices=SOLVERS,
         help="rank solver",
     )
@@ -320,13 +314,13 @@ def _request(args: argparse.Namespace, kind: Type[_RequestT]) -> _RequestT:
     a command line meets the caps and messages of the HTTP service and
     solves as the equivalent request body does.
     """
-    values = {
-        spec.name: getattr(args, spec.name)
-        for spec in fields(kind)
-        if hasattr(args, spec.name)
-    }
-    values["bunch_size"] = args.bunch_size or None
-    return kind(**values)
+    return kind(
+        **{
+            spec.name: getattr(args, spec.name)
+            for spec in fields(kind)
+            if hasattr(args, spec.name)
+        }
+    )
 
 
 def _problem(args: argparse.Namespace, request: _RequestT) -> RankProblem:
@@ -573,14 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_wld = sub.add_parser("wld", help="generate a Davis WLD")
-    p_wld.add_argument("--gates", type=int, default=1_000_000)
-    p_wld.add_argument("--rent", type=float, default=0.6, help="Rent exponent")
+    p_wld.add_argument("--gates", type=int, default=_DESIGN.gates)
+    p_wld.add_argument(
+        "--rent", type=float, default=_DESIGN.rent_exponent, help="Rent exponent"
+    )
     p_wld.add_argument("--out", default="", help="CSV output path")
     p_wld.set_defaults(func=_cmd_wld)
 
     p_nodes = sub.add_parser("nodes", help="baseline comparison across nodes")
-    p_nodes.add_argument("--bunch-size", type=int, default=10_000)
-    p_nodes.add_argument("--repeater-units", type=int, default=512)
+    p_nodes.add_argument("--bunch-size", type=int, default=_DESIGN.bunch_size)
+    p_nodes.add_argument(
+        "--repeater-units", type=int, default=_DESIGN.repeater_units
+    )
     p_nodes.set_defaults(func=_cmd_nodes)
 
     p_opt = sub.add_parser(
@@ -592,18 +590,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--k-classes",
         dest="permittivities",
         type=_number_list,
-        default="3.9,3.6,2.8",
+        default=_SEARCH.permittivities,
         help="comma-separated candidate ILD permittivities",
     )
     p_opt.add_argument(
         "--m-classes",
         dest="miller_factors",
         type=_number_list,
-        default="2.0,1.0",
+        default=_SEARCH.miller_factors,
         help="comma-separated candidate Miller factors (shielding levels)",
     )
-    p_opt.add_argument("--max-layers", dest="max_metal_layers", type=int, default=12)
-    p_opt.add_argument("--exhaustive-limit", type=int, default=128)
+    p_opt.add_argument(
+        "--max-layers",
+        dest="max_metal_layers",
+        type=int,
+        default=_SEARCH.max_metal_layers,
+    )
+    p_opt.add_argument(
+        "--exhaustive-limit", type=int, default=_SEARCH.exhaustive_limit
+    )
     _add_runner_args(p_opt)
     _add_obs_args(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)

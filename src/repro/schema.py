@@ -5,27 +5,32 @@ the HTTP service (:mod:`repro.service`), the CLI, persistence, and the
 memoization layer — constructs the typed requests defined here instead
 of ad-hoc keyword dicts.  The schema gives three guarantees:
 
-* **validated** — :meth:`RankRequest.from_wire` rejects unknown keys,
-  wrong types, non-finite numbers, and unsupported
-  ``schema_version`` values with a :class:`~repro.errors.SchemaError`
-  naming the offending field;
+* **validated** — every field is declared once, with :func:`_field`:
+  its default, its JSON kind and bounds, and its canonical form.
+  ``__post_init__`` runs each declared check, so a request built from
+  the wire (:meth:`RankRequest.from_wire`), from CLI flags or directly
+  in Python raises the same :class:`~repro.errors.SchemaError`, naming
+  the offending field, for the same bad value.  ``from_wire`` adds only
+  what a JSON payload needs: it rejects unknown keys and unsupported
+  ``schema_version`` values, and converts unit-suffixed frequencies;
 * **canonical** — :meth:`~RankRequest.canonicalize` produces one
   normalized plain-JSON form per *meaning*: defaults are materialized,
-  keys are sorted, numbers are coerced to their field's type, and
-  unit-suffixed spellings (``"500MHz"``, ``"0.5GHz"``) collapse to the
-  same hertz value.  :meth:`~RankRequest.canonical_json` is therefore
-  byte-stable: two requests that mean the same thing serialize to the
-  same bytes;
+  keys are sorted, numbers are coerced to their field's type, ``0``
+  counts mean ``null``, and unit-suffixed spellings (``"500MHz"``,
+  ``"0.5GHz"``) collapse to the same hertz value.
+  :meth:`~RankRequest.canonical_json` is therefore byte-stable: two
+  requests that mean the same thing serialize to the same bytes;
 * **fingerprinted** — :meth:`~RankRequest.fingerprint` is the SHA-256
   of the canonical bytes (the same digest discipline as
   :func:`repro.core.precompute.fingerprint`), which is the memoization
   key the service's result cache and in-flight request dedup use.
 
-The non-semantic transport field ``deadline_s`` (per-request SLO) is
-accepted on the wire but *excluded* from the canonical form, so it
-never fragments the cache.  The retired v1 field ``backend`` (it once
-chose between two DP kernels; there is one now) is still accepted as
-``"numpy"``, ``"python"`` or ``null`` and ignored.
+The non-semantic transport fields ``deadline_s`` (per-request SLO) and
+``allow_partial`` (sweeps) are accepted on the wire but *excluded* from
+the canonical form, so they never fragment the cache.  The retired v1
+field ``backend`` (it once chose between two DP kernels; there is one
+now) is still accepted as ``"numpy"``, ``"python"`` or ``null`` and
+ignored.
 
 The wire format is versioned: every request and response carries
 ``schema_version`` (currently :data:`SCHEMA_VERSION`).  Requests
@@ -37,15 +42,41 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Tuple, Type, TypeVar
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from .core.precompute import fingerprint_bytes
 from .core.problem import RankProblem
 from .core.rank import SOLVERS
-from .core.scenarios import baseline_problem
+from .core.scenarios import (
+    BASELINE_CLOCK_HZ,
+    BASELINE_GLOBAL_PAIRS,
+    BASELINE_LOCAL_PAIRS,
+    BASELINE_MILLER,
+    BASELINE_PERMITTIVITY,
+    BASELINE_RENT_EXPONENT,
+    BASELINE_REPEATER_FRACTION,
+    BASELINE_SEMI_GLOBAL_PAIRS,
+    baseline_problem,
+)
 from .errors import SchemaError
 from .tech.node import TechnologyNode
+from .tech.presets import NODE_NAMES
 from .units import GHZ, KILO, MHZ, TERA
 
 if TYPE_CHECKING:
@@ -88,10 +119,201 @@ _FREQUENCY_SUFFIXES: Tuple[Tuple[str, float], ...] = (
 )
 
 T = TypeVar("T", bound="_Request")
+W = TypeVar("W", bound="_Wire")
+
+#: A field check: ``(value, field name) -> value to store``; raises
+#: :class:`~repro.errors.SchemaError` naming the field.
+Check = Callable[[Any, str], Any]
 
 
 # ---------------------------------------------------------------------------
-# Field parsing helpers
+# Field checks: one per JSON kind, with the field's bounds bound in
+# ---------------------------------------------------------------------------
+
+
+def _integer(low: int, high: Optional[int] = None) -> Check:
+    """A JSON integer (never a bool) in ``[low, high]``; no upper bound
+    when ``high`` is None."""
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+    top = math.inf if high is None else high
+
+    def check(value: Any, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{name}: expected an integer, got {value!r}")
+        if not low <= value <= top:
+            raise SchemaError(f"{name}: must be {bound}, got {value!r}")
+        return value
+
+    return check
+
+
+def _number(bound: str, holds: Callable[[float], bool]) -> Check:
+    """A finite JSON number (never a bool) that ``holds``, stored as a
+    float; ``bound`` words the condition for the error message."""
+
+    def check(value: Any, name: str) -> float:
+        if type(value) is float:
+            number = value
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaError(f"{name}: expected a number, got {value!r}")
+        else:
+            try:
+                number = float(value)
+            except OverflowError:  # an exact integer beyond float range
+                number = math.inf
+        if not (math.isfinite(number) and holds(number)):
+            raise SchemaError(f"{name}: must be {bound}, got {value!r}")
+        return number
+
+    return check
+
+
+_POSITIVE = _number("finite and > 0", lambda v: v > 0)
+_PERMITTIVITY = _number("finite and >= 1.0 (vacuum)", lambda v: v >= 1.0)
+_FINITE = _number("finite", lambda v: True)
+
+
+def _choice(options: Sequence[str]) -> Check:
+    """A JSON string among ``options``."""
+    options = tuple(options)
+
+    def check(value: Any, name: str) -> str:
+        _text(value, name)
+        if value not in options:
+            raise SchemaError(f"{name}: {value!r} is not one of {options!r}")
+        return value
+
+    return check
+
+
+def _text(value: Any, name: str) -> str:
+    """Any JSON string."""
+    if not isinstance(value, str):
+        raise SchemaError(f"{name}: expected a string, got {value!r}")
+    return value
+
+
+def _flag(value: Any, name: str) -> bool:
+    """A JSON ``true``/``false``."""
+    if not isinstance(value, bool):
+        raise SchemaError(f"{name}: expected true/false, got {value!r}")
+    return value
+
+
+_NON_NEGATIVE = _integer(0)
+
+
+def _count(value: Any, name: str) -> Optional[int]:
+    """``null`` or ``0`` (both mean "disabled", stored as ``None``), or
+    a positive integer."""
+    if value is None:
+        return None
+    return _NON_NEGATIVE(value, name) or None
+
+
+def _optional(check: Check) -> Check:
+    """``null``, or a value ``check`` accepts."""
+    return lambda value, name: None if value is None else check(value, name)
+
+
+def _list_of(item: Check, noun: str, allow_empty: bool = False) -> Check:
+    """A JSON list whose elements ``item`` accepts, each named
+    ``field[i]``; stored as a tuple."""
+
+    def check(value: Any, name: str) -> Tuple[Any, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise SchemaError(f"{name}: expected a list of {noun}, got {value!r}")
+        if not (value or allow_empty):
+            raise SchemaError(f"{name}: must not be empty")
+        return tuple(item(element, f"{name}[{i}]") for i, element in enumerate(value))
+
+    return check
+
+
+_CORNER_LIST = _list_of(_text, "corner names", allow_empty=True)
+
+
+def _corner_selection(value: Any, name: str) -> Tuple[str, ...]:
+    """Names from the standard corner set, each at most once."""
+    names: Tuple[str, ...] = _CORNER_LIST(value, name)
+    known = _standard_corner_names()
+    for corner in names:
+        if corner not in known:
+            raise SchemaError(
+                f"{name}: unknown corner {corner!r}; choose from {known!r}"
+            )
+    if len(set(names)) != len(names):
+        raise SchemaError(f"{name}: duplicate names in {names!r}")
+    return names
+
+
+def _standard_corner_names() -> Tuple[str, ...]:
+    # Deferred: repro.analysis pulls the runner stack, which this
+    # module must not load at import time.
+    from .analysis.corners import STANDARD_CORNERS
+
+    return tuple(corner.name for corner in STANDARD_CORNERS)
+
+
+# -- canonical forms that differ from the stored value ------------------
+
+
+def _standard_order(names: Tuple[str, ...]) -> List[str]:
+    """A corner selection is a set: standard-set order, empty = all."""
+    standard = _standard_corner_names()
+    if not names:
+        return list(standard)
+    return [name for name in standard if name in names]
+
+
+def _ascending_set(values: Tuple[int, ...]) -> List[int]:
+    return sorted(set(values))
+
+
+def _descending_set(values: Tuple[float, ...]) -> List[float]:
+    return sorted(set(values), reverse=True)
+
+
+class _Spec(NamedTuple):
+    check: Check
+    #: Stored value -> canonical JSON value; None keeps the stored value.
+    canonical: Optional[Callable[[Any], object]]
+    #: Changes how a request is served, never what it means: kept out of
+    #: the canonical form, so it cannot fragment the memo.
+    transport: bool
+
+
+def _field(
+    default: Any,
+    check: Check,
+    canonical: Optional[Callable[[Any], object]] = None,
+    transport: bool = False,
+) -> Any:
+    """Declare one wire field: its default (``MISSING`` = required), its
+    JSON kind and bounds (``check``) and its canonical form."""
+    return field(
+        default=default, metadata={"wire": _Spec(check, canonical, transport)}
+    )
+
+
+def _wire_type(cls: Type[W]) -> Type[W]:
+    """Build a wire dataclass's field tables once, at import."""
+    specs = [(spec.name, spec.metadata["wire"]) for spec in fields(cls)]
+    cls._CHECKS = tuple((name, spec.check) for name, spec in specs)
+    canonical = {name: spec.canonical for name, spec in specs if not spec.transport}
+    canonical["schema_version"] = None
+    cls._CANONICAL = tuple(sorted(canonical.items()))
+    cls._KNOWN = frozenset(name for name, _ in specs) | cls._RETIRED | {
+        "schema_version"
+    }
+    cls._REQUIRED = tuple(
+        spec.name for spec in fields(cls) if spec.default is MISSING
+    )
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# Wire helpers
 # ---------------------------------------------------------------------------
 
 
@@ -103,134 +325,114 @@ def parse_frequency(value: object, field_name: str = "frequency") -> float:
     :class:`~repro.errors.SchemaError` on anything else — this is the
     unit normalization step of request canonicalization.
     """
-    if isinstance(value, bool):
-        raise SchemaError(f"{field_name}: expected a frequency, got {value!r}")
-    if isinstance(value, (int, float)):
-        return _finite_positive(_as_float(value, field_name), field_name)
-    if isinstance(value, str):
-        text = value.strip()
-        for suffix, scale in _FREQUENCY_SUFFIXES:
-            if text.lower().endswith(suffix.lower()):
-                number = text[: -len(suffix)].strip()
-                try:
-                    return _finite_positive(float(number) * scale, field_name)
-                except ValueError:
-                    break
-        try:
-            return _finite_positive(float(text), field_name)
-        except ValueError:
-            pass
-        raise SchemaError(
-            f"{field_name}: cannot parse frequency {value!r} "
-            f"(use hertz, or a suffix like '500MHz' / '0.5GHz')"
-        )
-    raise SchemaError(f"{field_name}: expected a frequency, got {value!r}")
-
-
-def _finite_positive(value: float, field_name: str) -> float:
-    if not math.isfinite(value) or value <= 0:
-        raise SchemaError(f"{field_name}: must be finite and > 0, got {value!r}")
-    return value
-
-
-def _check_permittivity(value: float, field_name: str) -> float:
-    if not (math.isfinite(value) and value >= 1.0):
-        raise SchemaError(
-            f"{field_name}: must be finite and >= 1.0 (vacuum), got {value!r}"
-        )
-    return value
-
-
-def _as_float(value: object, field_name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{field_name}: expected a number, got {value!r}")
-    try:
-        result = float(value)
-    except OverflowError:  # an exact JSON integer beyond float range
-        result = math.inf
-    if not math.isfinite(result):
-        raise SchemaError(f"{field_name}: must be finite, got {value!r}")
-    return result
-
-
-def _as_positive_float(value: object, field_name: str) -> float:
-    return _finite_positive(_as_float(value, field_name), field_name)
-
-
-def _as_int(value: object, field_name: str, minimum: int = 0) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{field_name}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise SchemaError(f"{field_name}: must be >= {minimum}, got {value!r}")
-    return value
-
-
-def _as_bool(value: object, field_name: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaError(f"{field_name}: expected true/false, got {value!r}")
-    return value
-
-
-def _as_str(value: object, field_name: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{field_name}: expected a string, got {value!r}")
-    return value
+        return _POSITIVE(value, field_name)
+    text = value.strip()
+    for suffix, scale in _FREQUENCY_SUFFIXES:
+        if text.lower().endswith(suffix.lower()):
+            try:
+                return _POSITIVE(float(text[: -len(suffix)]) * scale, field_name)
+            except ValueError:
+                break
+    try:
+        return _POSITIVE(float(text), field_name)
+    except ValueError:
+        pass
+    raise SchemaError(
+        f"{field_name}: cannot parse frequency {value!r} "
+        f"(use hertz, or a suffix like '500MHz' / '0.5GHz')"
+    )
 
 
-def _as_choice(
-    value: object, field_name: str, choices: Sequence[str]
-) -> str:
-    text = _as_str(value, field_name)
-    if text not in choices:
-        raise SchemaError(
-            f"{field_name}: {text!r} is not one of {tuple(choices)!r}"
-        )
-    return text
-
-
-def _as_optional_count(value: object, field_name: str) -> Optional[int]:
-    """``None``/``0`` both mean "disabled" and canonicalize to ``None``."""
-    if value is None:
-        return None
-    count = _as_int(value, field_name, minimum=0)
-    return count or None
-
-
-def _require(payload: Mapping[str, object], name: str, what: str) -> object:
-    if name not in payload:
-        raise SchemaError(f"{what}: missing required field {name!r}")
-    return payload[name]
-
-
-def _check_schema_version(payload: Mapping[str, object]) -> None:
-    version = payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise SchemaError(
-            f"schema_version: unsupported value {version!r} "
-            f"(this build speaks version {SCHEMA_VERSION})"
-        )
-
-
-def _reject_unknown(
-    payload: Mapping[str, object], known: Sequence[str], what: str
-) -> None:
-    unknown = sorted(set(payload) - set(known) - {"schema_version"})
-    if unknown:
-        raise SchemaError(
-            f"{what}: unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"known fields: {', '.join(sorted(known))}"
-        )
+#: Built once: ``json.dumps`` with these options builds an encoder per call.
+_CANONICAL_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False, ensure_ascii=True
+)
 
 
 def canonical_json_bytes(payload: Mapping[str, object]) -> bytes:
     """The canonical serialization: sorted keys, no whitespace, ASCII."""
-    return json.dumps(
-        payload,
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-        ensure_ascii=True,
-    ).encode("ascii")
+    return _CANONICAL_ENCODER.encode(payload).encode("ascii")
+
+
+def canonical_fingerprint(canonical: Mapping[str, object]) -> str:
+    """The fingerprint of a request's canonical dict.
+
+    Equal to :meth:`_Request.fingerprint` of the request whose
+    :meth:`~_Request.canonicalize` gave ``canonical``, for a caller
+    that needs the dict too.
+    """
+    return fingerprint_bytes(canonical_json_bytes(canonical))
+
+
+# ---------------------------------------------------------------------------
+# The shared machinery of every wire type
+# ---------------------------------------------------------------------------
+
+
+class _Wire:
+    """A v1 wire dataclass whose fields are declared with :func:`_field`
+    and whose tables :func:`_wire_type` builds."""
+
+    schema_version: ClassVar[int] = SCHEMA_VERSION
+    _CHECKS: ClassVar[Tuple[Tuple[str, Check], ...]]
+    _CANONICAL: ClassVar[Tuple[Tuple[str, Optional[Callable[[Any], object]]], ...]]
+    _KNOWN: ClassVar[FrozenSet[str]]
+    _REQUIRED: ClassVar[Tuple[str, ...]]
+    #: Fields a payload may still carry that no longer mean anything.
+    _RETIRED: ClassVar[FrozenSet[str]] = frozenset()
+
+    def __post_init__(self) -> None:
+        """Run every field's check; store what it returns (a float for a
+        JSON integer, a tuple for a list, ``None`` for a ``0`` count)."""
+        for name, check in self._CHECKS:
+            value = getattr(self, name)
+            stored = check(value, name)
+            if stored is not value:
+                object.__setattr__(self, name, stored)
+
+    @classmethod
+    def _wire_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
+        """A payload's fields as constructor keywords, after the checks
+        only a payload needs: a JSON object, a supported
+        ``schema_version``, no unknown and no missing field."""
+        if not isinstance(payload, Mapping):
+            raise SchemaError(
+                f"{cls.__name__}: expected a JSON object, got {payload!r}"
+            )
+        version = payload.get("schema_version", SCHEMA_VERSION)
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise SchemaError(
+                f"schema_version: unsupported value {version!r} "
+                f"(this build speaks version {SCHEMA_VERSION})"
+            )
+        if not cls._KNOWN.issuperset(payload):
+            unknown = sorted(set(payload) - cls._KNOWN)
+            known = sorted(cls._KNOWN - {"schema_version"})
+            raise SchemaError(
+                f"{cls.__name__}: unknown field(s) "
+                f"{', '.join(map(repr, unknown))}; known fields: {', '.join(known)}"
+            )
+        for name in cls._REQUIRED:
+            if name not in payload:
+                raise SchemaError(
+                    f"{cls.__name__}: missing required field {name!r}"
+                )
+        kwargs = dict(payload)
+        kwargs.pop("schema_version", None)
+        return kwargs
+
+    def canonicalize(self) -> Dict[str, object]:
+        """The canonical plain-JSON form: sorted keys, defaults filled,
+        values unit-normalized; byte-stable once serialized."""
+        return {
+            name: getattr(self, name) if form is None else form(getattr(self, name))
+            for name, form in self._CANONICAL
+        }
+
+    def canonical_json(self) -> bytes:
+        """Canonical bytes: two equal-meaning payloads serialize equal."""
+        return canonical_json_bytes(self.canonicalize())
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +440,11 @@ def canonical_json_bytes(payload: Mapping[str, object]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+_BACKEND = _choice(("numpy", "python"))
+
+
 @dataclass(frozen=True)
-class _Request:
+class _Request(_Wire):
     """Shared problem/solve fields of every v1 request.
 
     The defaults are the paper's Table 2 baseline, mirroring
@@ -249,178 +454,71 @@ class _Request:
     a solve, shared by the CLI and every service job.
     """
 
-    node: str = "130nm"
-    gates: int = 1_000_000
-    clock_frequency: float = 500.0 * MHZ
-    repeater_fraction: float = 0.4
-    permittivity: float = 3.9
-    miller_factor: float = 2.0
-    rent_exponent: float = 0.6
-    local_pairs: int = 1
-    semi_global_pairs: int = 2
-    global_pairs: int = 1
-    target_kind: str = "linear"
-    solver: str = "dp"
-    bunch_size: Optional[int] = 10_000
-    max_groups: Optional[int] = None
-    repeater_units: int = 512
-    #: Transport-only: per-request wall-clock budget in seconds.
-    deadline_s: Optional[float] = None
+    node: str = _field("130nm", _choice(NODE_NAMES))
+    gates: int = _field(1_000_000, _integer(1, MAX_GATES))
+    clock_frequency: float = _field(BASELINE_CLOCK_HZ, _POSITIVE)
+    repeater_fraction: float = _field(
+        BASELINE_REPEATER_FRACTION, _number("in (0, 1]", lambda v: 0.0 < v <= 1.0)
+    )
+    permittivity: float = _field(BASELINE_PERMITTIVITY, _PERMITTIVITY)
+    miller_factor: float = _field(BASELINE_MILLER, _POSITIVE)
+    rent_exponent: float = _field(
+        BASELINE_RENT_EXPONENT, _number("in (0, 1)", lambda v: 0.0 < v < 1.0)
+    )
+    local_pairs: int = _field(
+        BASELINE_LOCAL_PAIRS, _integer(1, MAX_PAIRS_PER_TIER)
+    )
+    semi_global_pairs: int = _field(
+        BASELINE_SEMI_GLOBAL_PAIRS, _integer(0, MAX_PAIRS_PER_TIER)
+    )
+    global_pairs: int = _field(
+        BASELINE_GLOBAL_PAIRS, _integer(0, MAX_PAIRS_PER_TIER)
+    )
+    target_kind: str = _field("linear", _choice(("linear", "quadratic")))
+    solver: str = _field("dp", _choice(SOLVERS))
+    bunch_size: Optional[int] = _field(10_000, _count)
+    max_groups: Optional[int] = _field(None, _count)
+    repeater_units: int = _field(512, _integer(1, MAX_REPEATER_UNITS))
+    #: Per-request wall-clock budget in seconds (``null`` = the
+    #: service's default).
+    deadline_s: Optional[float] = _field(None, _optional(_POSITIVE), transport=True)
+
+    #: ``backend`` once chose between two DP kernels: validated, then
+    #: ignored.
+    _RETIRED: ClassVar[FrozenSet[str]] = frozenset({"backend"})
 
     def __post_init__(self) -> None:
-        _finite_positive(self.clock_frequency, "clock_frequency")
-        if not 1 <= self.gates <= MAX_GATES:
-            raise SchemaError(
-                f"gates: must be in [1, {MAX_GATES}], got {self.gates!r}"
-            )
-        if not 0.0 < self.repeater_fraction <= 1.0:
-            raise SchemaError(
-                f"repeater_fraction: must be in (0, 1], "
-                f"got {self.repeater_fraction!r}"
-            )
-        _check_permittivity(self.permittivity, "permittivity")
-        _finite_positive(self.miller_factor, "miller_factor")
-        if not 0.0 < self.rent_exponent < 1.0:
-            raise SchemaError(
-                f"rent_exponent: must be in (0, 1), got {self.rent_exponent!r}"
-            )
-        if self.solver not in SOLVERS:
-            raise SchemaError(
-                f"solver: {self.solver!r} is not one of {SOLVERS!r}"
-            )
-        for name, minimum in (("local_pairs", 1), ("semi_global_pairs", 0),
-                              ("global_pairs", 0)):
-            count = getattr(self, name)
-            if not minimum <= count <= MAX_PAIRS_PER_TIER:
-                raise SchemaError(
-                    f"{name}: must be in [{minimum}, {MAX_PAIRS_PER_TIER}], "
-                    f"got {count!r}"
-                )
-        if not 1 <= self.repeater_units <= MAX_REPEATER_UNITS:
-            raise SchemaError(
-                f"repeater_units: must be in [1, {MAX_REPEATER_UNITS}], "
-                f"got {self.repeater_units!r}"
-            )
+        super().__post_init__()
         if self.gates * self.repeater_units > MAX_GATE_UNITS:
             raise SchemaError(
                 f"repeater_units: must be <= {MAX_GATE_UNITS // self.gates} "
                 f"at {self.gates} gates, got {self.repeater_units!r}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise SchemaError(
-                f"deadline_s: must be > 0, got {self.deadline_s!r}"
-            )
-
-    # -- parsing -------------------------------------------------------
-
-    @classmethod
-    def _base_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
-        """Parse the shared fields out of a wire payload."""
-        kwargs: Dict[str, Any] = {}
-        if "node" in payload:
-            kwargs["node"] = _as_str(payload["node"], "node")
-        if "gates" in payload:
-            kwargs["gates"] = _as_int(payload["gates"], "gates", minimum=1)
-        if "clock_frequency" in payload:
-            kwargs["clock_frequency"] = parse_frequency(
-                payload["clock_frequency"], "clock_frequency"
-            )
-        for name in ("repeater_fraction", "permittivity", "miller_factor",
-                     "rent_exponent"):
-            if name in payload:
-                kwargs[name] = _as_positive_float(payload[name], name)
-        if "local_pairs" in payload:
-            kwargs["local_pairs"] = _as_int(
-                payload["local_pairs"], "local_pairs", minimum=1
-            )
-        for name in ("semi_global_pairs", "global_pairs"):
-            if name in payload:
-                kwargs[name] = _as_int(payload[name], name, minimum=0)
-        if "target_kind" in payload:
-            kwargs["target_kind"] = _as_choice(
-                payload["target_kind"], "target_kind", ("linear", "quadratic")
-            )
-        if "solver" in payload:
-            kwargs["solver"] = _as_choice(
-                payload["solver"], "solver", SOLVERS
-            )
-        if "bunch_size" in payload:
-            kwargs["bunch_size"] = _as_optional_count(
-                payload["bunch_size"], "bunch_size"
-            )
-        if "max_groups" in payload:
-            kwargs["max_groups"] = _as_optional_count(
-                payload["max_groups"], "max_groups"
-            )
-        if "repeater_units" in payload:
-            kwargs["repeater_units"] = _as_int(
-                payload["repeater_units"], "repeater_units", minimum=1
-            )
-        if payload.get("deadline_s") is not None:
-            kwargs["deadline_s"] = _as_positive_float(
-                payload["deadline_s"], "deadline_s"
-            )
-        if payload.get("backend") is not None:
-            # Retired v1 field: validated as before, then ignored.
-            _as_choice(payload["backend"], "backend", ("numpy", "python"))
-        return kwargs
-
-    @classmethod
-    def _known_fields(cls) -> Tuple[str, ...]:
-        # ``backend`` is a retired v1 field, accepted and ignored.
-        return tuple(spec.name for spec in fields(cls)) + ("backend",)
 
     @classmethod
     def from_wire(cls: Type[T], payload: Mapping[str, object]) -> T:
-        """Parse and validate a wire payload into a typed request."""
-        if not isinstance(payload, Mapping):
-            raise SchemaError(
-                f"{cls.__name__}: expected a JSON object, got {payload!r}"
-            )
-        _check_schema_version(payload)
-        _reject_unknown(payload, cls._known_fields(), cls.__name__)
-        return cls(**cls._parse_kwargs(payload))
+        """Parse and validate a wire payload into a typed request.
 
-    @classmethod
-    def _parse_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
-        return cls._base_kwargs(payload)
-
-    # -- canonical form ------------------------------------------------
-
-    def _canonical_base(self) -> Dict[str, object]:
-        """Shared semantic fields with normalized value types.
-
-        The transport-only ``deadline_s`` is deliberately absent: it
-        changes how a request is *served*, never what it *means*, and
-        must not fragment the memo cache.
+        Beyond the payload checks, only spellings convert here: a
+        frequency string becomes hertz, and so does each string of a
+        clock sweep's ``values``.  Every value check is the
+        constructor's.
         """
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "node": self.node,
-            "gates": int(self.gates),
-            "clock_frequency": float(self.clock_frequency),
-            "repeater_fraction": float(self.repeater_fraction),
-            "permittivity": float(self.permittivity),
-            "miller_factor": float(self.miller_factor),
-            "rent_exponent": float(self.rent_exponent),
-            "local_pairs": int(self.local_pairs),
-            "semi_global_pairs": int(self.semi_global_pairs),
-            "global_pairs": int(self.global_pairs),
-            "target_kind": self.target_kind,
-            "solver": self.solver,
-            "bunch_size": self.bunch_size,
-            "max_groups": self.max_groups,
-            "repeater_units": int(self.repeater_units),
-        }
-
-    def canonicalize(self) -> Dict[str, object]:
-        """The canonical plain-JSON form: sorted keys, defaults filled,
-        values unit-normalized; byte-stable once serialized."""
-        return dict(sorted(self._canonical_base().items()))
-
-    def canonical_json(self) -> bytes:
-        """Canonical bytes: two equal-meaning requests serialize equal."""
-        return canonical_json_bytes(self.canonicalize())
+        kwargs = cls._wire_kwargs(payload)
+        backend = kwargs.pop("backend", None)
+        if backend is not None:
+            _BACKEND(backend, "backend")
+        if isinstance(kwargs.get("clock_frequency"), str):
+            kwargs["clock_frequency"] = parse_frequency(
+                kwargs["clock_frequency"], "clock_frequency"
+            )
+        values = kwargs.get("values")
+        if kwargs.get("knob", "C") == "C" and isinstance(values, (list, tuple)):
+            kwargs["values"] = [
+                parse_frequency(v, f"values[{i}]") if isinstance(v, str) else v
+                for i, v in enumerate(values)
+            ]
+        return cls(**kwargs)
 
     def fingerprint(self) -> str:
         """SHA-256 of :meth:`canonical_json` — the memoization key."""
@@ -456,11 +554,22 @@ class _Request:
         }
 
 
+@_wire_type
 @dataclass(frozen=True)
 class RankRequest(_Request):
     """``POST /v1/rank``: one rank computation."""
 
 
+#: The :class:`RankRequest` field each sweep knob varies.
+_KNOB_FIELDS = {
+    "K": "permittivity",
+    "M": "miller_factor",
+    "C": "clock_frequency",
+    "R": "repeater_fraction",
+}
+
+
+@_wire_type
 @dataclass(frozen=True)
 class SweepRequest(_Request):
     """``POST /v1/sweep``: one Table 4 knob swept over given values.
@@ -470,47 +579,9 @@ class SweepRequest(_Request):
     ``partial`` (and skips memoization), ``False`` answers 504.
     """
 
-    knob: str = "C"
-    values: Tuple[float, ...] = ()
-    allow_partial: bool = True
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.knob not in SWEEP_KNOBS:
-            raise SchemaError(
-                f"knob: {self.knob!r} is not one of {SWEEP_KNOBS!r}"
-            )
-        if not self.values:
-            raise SchemaError("values: a sweep needs at least one value")
-
-    @classmethod
-    def _parse_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
-        kwargs = cls._base_kwargs(payload)
-        if "knob" in payload:
-            kwargs["knob"] = _as_choice(payload["knob"], "knob", SWEEP_KNOBS)
-        if "values" in payload:
-            raw = payload["values"]
-            if not isinstance(raw, (list, tuple)):
-                raise SchemaError(
-                    f"values: expected a list of numbers, got {raw!r}"
-                )
-            # Clock sweeps ("C") take unit-suffixed spellings per value.
-            knob = kwargs.get("knob", "C")
-            parser = parse_frequency if knob == "C" else _as_positive_float
-            kwargs["values"] = tuple(
-                parser(item, f"values[{i}]") for i, item in enumerate(raw)
-            )
-        if "allow_partial" in payload:
-            kwargs["allow_partial"] = _as_bool(
-                payload["allow_partial"], "allow_partial"
-            )
-        return kwargs
-
-    def _canonical_base(self) -> Dict[str, object]:
-        base = super()._canonical_base()
-        base["knob"] = self.knob
-        base["values"] = [float(v) for v in self.values]
-        return base
+    knob: str = _field("C", _choice(SWEEP_KNOBS))
+    values: Tuple[float, ...] = _field((), _list_of(_POSITIVE, "numbers"), list)
+    allow_partial: bool = _field(True, _flag, transport=True)
 
     def point_request(self, value: float) -> RankRequest:
         """The :class:`RankRequest` of one sweep point.
@@ -519,20 +590,12 @@ class SweepRequest(_Request):
         plain ``/v1/rank`` traffic because both canonicalize to the
         same request.
         """
-        override = {
-            "K": "permittivity",
-            "M": "miller_factor",
-            "C": "clock_frequency",
-            "R": "repeater_fraction",
-        }[self.knob]
-        kwargs: Dict[str, Any] = {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(RankRequest)
-        }
-        kwargs[override] = float(value)
+        kwargs = {name: getattr(self, name) for name, _ in RankRequest._CHECKS}
+        kwargs[_KNOB_FIELDS[self.knob]] = float(value)
         return RankRequest(**kwargs)
 
 
+@_wire_type
 @dataclass(frozen=True)
 class CornersRequest(_Request):
     """``POST /v1/corners``: sign-off rank across process corners.
@@ -541,151 +604,53 @@ class CornersRequest(_Request):
     (:data:`repro.analysis.corners.STANDARD_CORNERS`); empty means all.
     """
 
-    corners: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        known = tuple(c.name for c in _standard_corners())
-        for name in self.corners:
-            if name not in known:
-                raise SchemaError(
-                    f"corners: unknown corner {name!r}; choose from {known!r}"
-                )
-        if len(set(self.corners)) != len(self.corners):
-            raise SchemaError(f"corners: duplicate names in {self.corners!r}")
-
-    @classmethod
-    def _parse_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
-        kwargs = cls._base_kwargs(payload)
-        if "corners" in payload:
-            raw = payload["corners"]
-            if not isinstance(raw, (list, tuple)):
-                raise SchemaError(
-                    f"corners: expected a list of corner names, got {raw!r}"
-                )
-            kwargs["corners"] = tuple(
-                _as_str(item, f"corners[{i}]") for i, item in enumerate(raw)
-            )
-        return kwargs
-
-    def _canonical_base(self) -> Dict[str, object]:
-        base = super()._canonical_base()
-        # Selection is a set; canonical order is the standard-set order.
-        selected = self.selected_corner_names()
-        base["corners"] = list(selected)
-        return base
+    corners: Tuple[str, ...] = _field((), _corner_selection, _standard_order)
 
     def selected_corner_names(self) -> Tuple[str, ...]:
         """Requested corners in standard-set order (empty = all)."""
-        standard = tuple(c.name for c in _standard_corners())
-        if not self.corners:
-            return standard
-        wanted = set(self.corners)
-        return tuple(name for name in standard if name in wanted)
+        return tuple(_standard_order(self.corners))
 
 
+@_wire_type
 @dataclass(frozen=True)
 class OptimizeRequest(_Request):
-    """``POST /v1/optimize``: architecture search over a design space."""
+    """``POST /v1/optimize``: architecture search over a design space.
 
-    local_pairs_choices: Tuple[int, ...] = (1, 2)
-    semi_global_pairs_choices: Tuple[int, ...] = (1, 2, 3)
-    global_pairs_choices: Tuple[int, ...] = (1, 2)
-    permittivities: Tuple[float, ...] = (3.9, 3.6, 2.8)
-    miller_factors: Tuple[float, ...] = (2.0, 1.0)
-    max_metal_layers: int = 12
-    exhaustive_limit: int = 128
+    The candidate lists are sets: their canonical form is sorted and
+    free of duplicates (counts ascending, materials descending).
+    """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for name in ("local_pairs_choices", "semi_global_pairs_choices",
-                     "global_pairs_choices", "permittivities",
-                     "miller_factors"):
-            if not getattr(self, name):
-                raise SchemaError(f"{name}: must not be empty")
-        for name, minimum in (("local_pairs_choices", 1),
-                              ("semi_global_pairs_choices", 0),
-                              ("global_pairs_choices", 0)):
-            for i, count in enumerate(getattr(self, name)):
-                if not minimum <= count <= MAX_PAIRS_PER_TIER:
-                    raise SchemaError(
-                        f"{name}[{i}]: must be in "
-                        f"[{minimum}, {MAX_PAIRS_PER_TIER}], got {count!r}"
-                    )
-        for i, k in enumerate(self.permittivities):
-            _check_permittivity(k, f"permittivities[{i}]")
-        for i, m in enumerate(self.miller_factors):
-            _finite_positive(m, f"miller_factors[{i}]")
-        if self.max_metal_layers < 2:
-            raise SchemaError(
-                f"max_metal_layers: must be >= 2, got {self.max_metal_layers!r}"
-            )
-        if self.exhaustive_limit < 1:
-            raise SchemaError(
-                f"exhaustive_limit: must be >= 1, got {self.exhaustive_limit!r}"
-            )
-
-    @classmethod
-    def _parse_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, Any]:
-        kwargs = cls._base_kwargs(payload)
-        for name in ("local_pairs_choices", "semi_global_pairs_choices",
-                     "global_pairs_choices"):
-            if name in payload:
-                raw = payload[name]
-                if not isinstance(raw, (list, tuple)):
-                    raise SchemaError(
-                        f"{name}: expected a list of integers, got {raw!r}"
-                    )
-                kwargs[name] = tuple(
-                    _as_int(item, f"{name}[{i}]", minimum=0)
-                    for i, item in enumerate(raw)
-                )
-        for name in ("permittivities", "miller_factors"):
-            if name in payload:
-                raw = payload[name]
-                if not isinstance(raw, (list, tuple)):
-                    raise SchemaError(
-                        f"{name}: expected a list of numbers, got {raw!r}"
-                    )
-                kwargs[name] = tuple(
-                    _as_positive_float(item, f"{name}[{i}]")
-                    for i, item in enumerate(raw)
-                )
-        for name in ("max_metal_layers", "exhaustive_limit"):
-            if name in payload:
-                kwargs[name] = _as_int(payload[name], name, minimum=1)
-        return kwargs
-
-    def _canonical_base(self) -> Dict[str, object]:
-        base = super()._canonical_base()
-        base["local_pairs_choices"] = sorted(set(self.local_pairs_choices))
-        base["semi_global_pairs_choices"] = sorted(
-            set(self.semi_global_pairs_choices)
-        )
-        base["global_pairs_choices"] = sorted(set(self.global_pairs_choices))
-        base["permittivities"] = sorted(
-            {float(k) for k in self.permittivities}, reverse=True
-        )
-        base["miller_factors"] = sorted(
-            {float(m) for m in self.miller_factors}, reverse=True
-        )
-        base["max_metal_layers"] = int(self.max_metal_layers)
-        base["exhaustive_limit"] = int(self.exhaustive_limit)
-        return base
+    local_pairs_choices: Tuple[int, ...] = _field(
+        (1, 2), _list_of(_integer(1, MAX_PAIRS_PER_TIER), "integers"), _ascending_set
+    )
+    semi_global_pairs_choices: Tuple[int, ...] = _field(
+        (1, 2, 3), _list_of(_integer(0, MAX_PAIRS_PER_TIER), "integers"), _ascending_set
+    )
+    global_pairs_choices: Tuple[int, ...] = _field(
+        (1, 2), _list_of(_integer(0, MAX_PAIRS_PER_TIER), "integers"), _ascending_set
+    )
+    permittivities: Tuple[float, ...] = _field(
+        (3.9, 3.6, 2.8), _list_of(_PERMITTIVITY, "numbers"), _descending_set
+    )
+    miller_factors: Tuple[float, ...] = _field(
+        (2.0, 1.0), _list_of(_POSITIVE, "numbers"), _descending_set
+    )
+    max_metal_layers: int = _field(12, _integer(2))
+    exhaustive_limit: int = _field(128, _integer(1))
 
     def design_space(self, node: TechnologyNode) -> DesignSpace:
         """The candidate architectures to search, built on ``node``."""
         # Deferred: repro.optimize loads repro.analysis (see
-        # _standard_corners).
+        # _standard_corner_names).
         from .optimize.space import DesignSpace
 
         return DesignSpace(
             node=node,
-            local_pairs=tuple(self.local_pairs_choices),
-            semi_global_pairs=tuple(self.semi_global_pairs_choices),
-            global_pairs=tuple(self.global_pairs_choices),
-            permittivities=tuple(self.permittivities),
-            miller_factors=tuple(self.miller_factors),
+            local_pairs=self.local_pairs_choices,
+            semi_global_pairs=self.semi_global_pairs_choices,
+            global_pairs=self.global_pairs_choices,
+            permittivities=self.permittivities,
+            miller_factors=self.miller_factors,
             max_metal_layers=self.max_metal_layers,
         )
 
@@ -694,14 +659,6 @@ class OptimizeRequest(_Request):
         bound plus every candidate's :func:`repro.api.compute_rank`
         keywords."""
         return dict(super().solve_kwargs(), exhaustive_limit=self.exhaustive_limit)
-
-
-def _standard_corners() -> Tuple[Any, ...]:
-    # Deferred: repro.analysis pulls the runner stack, which this
-    # module must not load at import time.
-    from .analysis.corners import STANDARD_CORNERS
-
-    return tuple(STANDARD_CORNERS)
 
 
 #: Endpoint name -> request type.  The service routes requests in
@@ -720,8 +677,9 @@ REQUEST_TYPES: Dict[str, Type[_Request]] = {
 # ---------------------------------------------------------------------------
 
 
+@_wire_type
 @dataclass(frozen=True)
-class RankResponse:
+class RankResponse(_Wire):
     """Wire form of one rank result.
 
     Deliberately deterministic: no timing or cache metadata lives in
@@ -729,13 +687,13 @@ class RankResponse:
     byte-identical to the original response.
     """
 
-    fingerprint: str
-    rank: int
-    normalized: float
-    total_wires: int
-    fits: bool
-    error_bound: int
-    solver: str
+    fingerprint: str = _field(MISSING, _text)
+    rank: int = _field(MISSING, _NON_NEGATIVE)
+    normalized: float = _field(MISSING, _FINITE)
+    total_wires: int = _field(MISSING, _NON_NEGATIVE)
+    fits: bool = _field(MISSING, _flag)
+    error_bound: int = _field(MISSING, _NON_NEGATIVE)
+    solver: str = _field(MISSING, _text)
 
     @classmethod
     def from_result(cls, fingerprint: str, result: Any) -> "RankResponse":
@@ -753,48 +711,11 @@ class RankResponse:
     @classmethod
     def from_wire(cls, payload: Mapping[str, object]) -> "RankResponse":
         """Parse a wire payload (round-trip / client use)."""
-        _check_schema_version(payload)
-        _reject_unknown(
-            payload,
-            ("fingerprint", "rank", "normalized", "total_wires", "fits",
-             "error_bound", "solver"),
-            cls.__name__,
-        )
-        name = cls.__name__
-        return cls(
-            fingerprint=_as_str(_require(payload, "fingerprint", name),
-                                "fingerprint"),
-            rank=_as_int(_require(payload, "rank", name), "rank"),
-            normalized=_as_float(_require(payload, "normalized", name),
-                                 "normalized"),
-            total_wires=_as_int(_require(payload, "total_wires", name),
-                                "total_wires"),
-            fits=_as_bool(_require(payload, "fits", name), "fits"),
-            error_bound=_as_int(_require(payload, "error_bound", name),
-                                "error_bound"),
-            solver=_as_str(_require(payload, "solver", name), "solver"),
-        )
+        return cls(**cls._wire_kwargs(payload))
 
     def to_wire(self) -> Dict[str, object]:
         """Plain-JSON payload, canonical key order."""
-        return dict(
-            sorted(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "fingerprint": self.fingerprint,
-                    "rank": self.rank,
-                    "normalized": float(self.normalized),
-                    "total_wires": self.total_wires,
-                    "fits": self.fits,
-                    "error_bound": self.error_bound,
-                    "solver": self.solver,
-                }.items()
-            )
-        )
-
-    def canonical_json(self) -> bytes:
-        """Byte-stable serialization of :meth:`to_wire`."""
-        return canonical_json_bytes(self.to_wire())
+        return self.canonicalize()
 
 
 __all__ = [
@@ -806,6 +727,7 @@ __all__ = [
     "CornersRequest",
     "OptimizeRequest",
     "RankResponse",
+    "canonical_fingerprint",
     "canonical_json_bytes",
     "fingerprint_bytes",
     "parse_frequency",

@@ -53,8 +53,8 @@ from ..schema import (
     OptimizeRequest,
     RankRequest,
     SweepRequest,
+    canonical_fingerprint,
     canonical_json_bytes,
-    fingerprint_bytes,
 )
 from .executor import ServiceOverloaded, SolveExecutor
 from .http import HttpError, HttpRequest, json_error_body
@@ -298,10 +298,11 @@ class RankApp:
     async def _handle_rank(self, request: HttpRequest) -> Response:
         rank_request = RankRequest.from_wire(_parse_json(request.body))
         deadline = self._deadline_from(rank_request.deadline_s)
+        canonical = rank_request.canonicalize()
         body, source = await self._solve_point(
-            rank_request.fingerprint(),
+            canonical_fingerprint(canonical),
             solve.solve_rank_job,
-            (rank_request.canonicalize(),),
+            (canonical,),
             deadline,
         )
         return Response(200, body, headers=(("X-Repro-Cache", source),))
@@ -321,12 +322,12 @@ class RankApp:
             if deadline is not None and time.monotonic() >= deadline:
                 partial = True
                 break
-            point = sweep_request.point_request(value)
+            point = sweep_request.point_request(value).canonicalize()
             try:
                 body, _ = await self._solve_point(
-                    point.fingerprint(),
+                    canonical_fingerprint(point),
                     solve.solve_rank_job,
-                    (point.canonicalize(),),
+                    (point,),
                     deadline,
                 )
             except DeadlineExceeded:
@@ -374,7 +375,8 @@ class RankApp:
 
     async def _handle_corners(self, request: HttpRequest) -> Response:
         corners_request = CornersRequest.from_wire(_parse_json(request.body))
-        fingerprint = corners_request.fingerprint()
+        canonical = corners_request.canonicalize()
+        fingerprint = canonical_fingerprint(canonical)
         memoized = self.memo.get(fingerprint)
         if memoized is not None:
             return Response(200, memoized, headers=(("X-Repro-Cache", "hit"),))
@@ -382,10 +384,9 @@ class RankApp:
 
         # Per-corner results memoize against the *base* problem (the
         # corner selection stripped), so different selections share.
-        base = corners_request.canonicalize()
+        base = dict(canonical)
         base.pop("corners")
-        base_fp = fingerprint_bytes(canonical_json_bytes(base))
-        canonical = corners_request.canonicalize()
+        base_fp = canonical_fingerprint(base)
         results: List[Dict[str, object]] = []
         for name in corners_request.selected_corner_names():
             body, _ = await self._solve_point(
@@ -414,10 +415,11 @@ class RankApp:
     async def _handle_optimize(self, request: HttpRequest) -> Response:
         optimize_request = OptimizeRequest.from_wire(_parse_json(request.body))
         deadline = self._deadline_from(optimize_request.deadline_s)
+        canonical = optimize_request.canonicalize()
         body, source = await self._solve_point(
-            optimize_request.fingerprint(),
+            canonical_fingerprint(canonical),
             solve.solve_optimize_job,
-            (optimize_request.canonicalize(),),
+            (canonical,),
             deadline,
         )
         return Response(200, body, headers=(("X-Repro-Cache", source),))

@@ -36,7 +36,7 @@ exact values (see ``tests/analysis/test_sensitivity.py``).
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from .. import units
 from ..errors import ConfigurationError
@@ -165,6 +165,9 @@ _NODES: Dict[str, TechnologyNode] = {
     "130nm": NODE_130NM,
     "90nm": NODE_90NM,
 }
+
+#: Names :func:`get_node` accepts, in Table 3 order.
+NODE_NAMES: Tuple[str, ...] = tuple(_NODES)
 
 #: Total metal-layer counts implied by Table 3's x/t index ranges.
 METAL_LAYER_COUNTS: Dict[str, int] = {"180nm": 6, "130nm": 7, "90nm": 8}

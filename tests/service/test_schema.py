@@ -18,6 +18,7 @@ from repro.schema import (
     RankRequest,
     RankResponse,
     SweepRequest,
+    canonical_fingerprint,
     canonical_json_bytes,
     parse_frequency,
 )
@@ -85,6 +86,11 @@ class TestRankRequest:
     def test_wrong_schema_version_rejected(self):
         with pytest.raises(SchemaError, match="schema_version"):
             RankRequest.from_wire({"schema_version": 99})
+
+    def test_bool_schema_version_rejected(self):
+        """``true == 1`` in Python, but ``true`` is no version."""
+        with pytest.raises(SchemaError, match="schema_version"):
+            RankRequest.from_wire({"schema_version": True})
 
     def test_missing_schema_version_means_current(self):
         request = RankRequest.from_wire({})
@@ -276,6 +282,112 @@ class TestOptimizeRequest:
     def test_empty_choices_rejected(self):
         with pytest.raises(SchemaError, match="permittivities"):
             OptimizeRequest.from_wire({"permittivities": []})
+
+
+#: Bad values per field, as JSON: a wrong type, a bool where a number or
+#: an integer belongs, and an out-of-range value.  Every field of every
+#: wire type must have an entry (``test_table_covers_every_field``).
+BAD_VALUES = {
+    "node": ["65nm", 130, None],
+    "gates": [0, MAX_GATES + 1, True, 1.5, "1000"],
+    "clock_frequency": [0, -5e8, float("inf"), True, [5e8], None],
+    "repeater_fraction": [0, 1.5, float("nan"), True, "0.4"],
+    "permittivity": [0.5, -1, False, "3.9"],
+    "miller_factor": [0, -2.0, True, None],
+    "rent_exponent": [0, 1.0, True, "0.6"],
+    "local_pairs": [0, MAX_PAIRS_PER_TIER + 1, True, 1.0],
+    "semi_global_pairs": [-1, MAX_PAIRS_PER_TIER + 1, True, "2"],
+    "global_pairs": [-1, 10**30, False, 1.5],
+    "target_kind": ["cubic", 1, None],
+    "solver": ["exhaustive", 1, None],
+    "bunch_size": [-5, True, 1.5, "10000"],
+    "max_groups": [-1, False, 2.5],
+    "repeater_units": [0, MAX_REPEATER_UNITS + 1, True, "512"],
+    "deadline_s": [0, -1, True, "5"],
+    "knob": ["Z", 1, None],
+    "values": [[], [0.0], [True], [float("nan")], 5],
+    "allow_partial": [1, "yes", None],
+    "corners": [["sideways"], ["nominal", "nominal"], [5], "nominal"],
+    "local_pairs_choices": [[], [0], [1, True], 1],
+    "semi_global_pairs_choices": [[-1], [MAX_PAIRS_PER_TIER + 1], [1.0]],
+    "global_pairs_choices": [[], [2, -1], ["1"]],
+    "permittivities": [[], [0.5], [True], 3.9],
+    "miller_factors": [[], [-1.0], ["2"], [float("inf")]],
+    "max_metal_layers": [1, True, 12.0],
+    "exhaustive_limit": [0, True, "128"],
+    "fingerprint": [5, None],
+    "rank": [-1, True, 1.5],
+    "normalized": [float("inf"), True, "0.5"],
+    "total_wires": [-1, None, 2.0],
+    "fits": [1, "true", None],
+    "error_bound": [-2, False, "0"],
+}
+#: A response names the solver that ran: any string.
+RESPONSE_BAD_VALUES = {"solver": [1, None]}
+
+#: A valid payload each bad value is set into: a sweep needs values, a
+#: response needs every field.
+VALID = {
+    RankRequest: {},
+    SweepRequest: {"values": [0.3]},
+    CornersRequest: {},
+    OptimizeRequest: {},
+    RankResponse: {"fingerprint": "ab" * 32, "rank": 3, "normalized": 0.5,
+                   "total_wires": 6, "fits": True, "error_bound": 0,
+                   "solver": "dp"},
+}
+
+PARITY_CASES = [
+    (cls, name, value)
+    for cls in VALID
+    for name in (f.name for f in dataclasses.fields(cls))
+    for value in (RESPONSE_BAD_VALUES if cls is RankResponse else {}).get(
+        name, BAD_VALUES[name]
+    )
+] + [(RankRequest, "repeater_units", (MAX_GATES, 1024))]
+
+
+class TestWireDirectParity:
+    """One check per field: a bad value raises the same SchemaError
+    text through ``from_wire`` and through direct construction (the
+    CLI's path and a sweep point's)."""
+
+    def test_table_covers_every_field(self):
+        for cls in VALID:
+            missing = {f.name for f in dataclasses.fields(cls)} - set(BAD_VALUES)
+            assert not missing, f"{cls.__name__}: no bad values for {missing}"
+
+    @pytest.mark.parametrize(
+        "cls,name,value", PARITY_CASES,
+        ids=[f"{c.__name__}.{n}={v!r}" for c, n, v in PARITY_CASES],
+    )
+    def test_same_error_on_both_paths(self, cls, name, value):
+        payload = dict(VALID[cls])
+        if isinstance(value, tuple):  # gates x repeater_units
+            payload.update(gates=value[0], repeater_units=value[1])
+        else:
+            payload[name] = value
+        with pytest.raises(SchemaError, match=f"^{re.escape(name)}") as wire:
+            cls.from_wire(json.loads(json.dumps(payload)))
+        with pytest.raises(SchemaError) as direct:
+            cls(**payload)
+        assert str(direct.value) == str(wire.value)
+
+    @pytest.mark.parametrize("name", ["bunch_size", "max_groups"])
+    def test_zero_count_fingerprints_as_on_the_wire(self, name):
+        direct = RankRequest(**{name: 0})
+        wire = RankRequest.from_wire({name: 0})
+        assert direct == wire
+        assert direct.fingerprint() == wire.fingerprint()
+        assert canonical_fingerprint(direct.canonicalize()) == wire.fingerprint()
+
+    def test_one_message_per_bound(self):
+        """Where the wire and a direct build once worded one bound two
+        ways, the range form is kept."""
+        for build in (RankRequest.from_wire, lambda p: RankRequest(**p)):
+            with pytest.raises(SchemaError) as err:
+                build({"local_pairs": 0})
+            assert str(err.value) == "local_pairs: must be in [1, 64], got 0"
 
 
 class TestRankResponse:

@@ -5,7 +5,8 @@ field names, must either parse into a typed request or raise
 :class:`~repro.errors.SchemaError` (the service's 400).  Any other
 exception would surface as a 500.  An accepted request must also
 survive its own canonical form: ``canonicalize()`` fed back through
-``from_wire`` keeps the fingerprint.
+``from_wire`` keeps the fingerprint; and a choice field it accepts
+(``node``, ``solver``, ...) is one the solve accepts.
 """
 
 import dataclasses
@@ -13,8 +14,10 @@ import dataclasses
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.rank import SOLVERS
 from repro.errors import SchemaError
 from repro.schema import CornersRequest, OptimizeRequest, RankRequest, SweepRequest
+from repro.tech.presets import get_node
 
 REQUEST_TYPES = (RankRequest, SweepRequest, CornersRequest, OptimizeRequest)
 
@@ -63,10 +66,17 @@ field_objects = st.dictionaries(
     max_size=4,
 )
 
+#: An arbitrary string for one field that names one of a fixed set.
+choice_objects = st.one_of(
+    *(st.fixed_dictionaries({name: st.text(max_size=12)})
+      for name in ("node", "target_kind", "solver", "knob")),
+    st.fixed_dictionaries({"corners": st.lists(st.text(max_size=12), max_size=3)}),
+)
+
 
 @given(
     request_type=st.sampled_from(REQUEST_TYPES),
-    payload=st.one_of(json_values, field_objects),
+    payload=st.one_of(json_values, field_objects, choice_objects),
 )
 def test_from_wire_returns_a_request_or_raises_schema_error(request_type, payload):
     try:
@@ -75,3 +85,7 @@ def test_from_wire_returns_a_request_or_raises_schema_error(request_type, payloa
         return
     again = request_type.from_wire(request.canonicalize())
     assert again.fingerprint() == request.fingerprint()
+    # An accepted choice is one the solve accepts: never a 500 later.
+    get_node(request.node)
+    assert request.target_kind in ("linear", "quadratic")
+    assert request.solver in SOLVERS

@@ -136,6 +136,30 @@ class TestErrors:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "path,extra",
+        [
+            ("/v1/rank", {}),
+            ("/v1/sweep", {"knob": "R", "values": [0.4]}),
+            ("/v1/corners", {}),
+            ("/v1/optimize", {}),
+        ],
+    )
+    def test_unknown_node_is_400(self, path, extra):
+        """The schema checks ``node`` against the built-in presets, so
+        no endpoint reaches the solve with a node it cannot build."""
+        body = json.dumps({"node": "65nm", "gates": 20000, **extra}).encode()
+
+        async def scenario():
+            async with running_service() as (service, client):
+                status, _, raw = await client.request("POST", path, body)
+                assert status == 400
+                payload = json.loads(raw)
+                assert payload["error"] == "SchemaError"
+                assert payload["message"].startswith("node: '65nm' is not one of")
+
+        asyncio.run(scenario())
+
     def test_retired_backend_field(self):
         """``backend`` is an ignored v1 field: a known value hits the
         memo entry of the same request without it, an unknown value is

@@ -31,6 +31,29 @@ class TestParser:
         assert args.gates == 1_000_000
         assert args.solver == "dp"
 
+    def test_flag_defaults_are_the_request_defaults(self):
+        """Every design and optimize flag defaults to its request
+        field's default, so the CLI and a bare wire request solve the
+        same baseline."""
+        from repro.schema import OptimizeRequest, RankRequest
+
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        checked = set()
+        for command, subparser in commands.items():
+            request = OptimizeRequest() if command == "optimize" else RankRequest()
+            for action in subparser._actions:
+                if hasattr(request, action.dest):
+                    assert action.default == getattr(request, action.dest), (
+                        command, action.dest)
+                    checked.add(action.dest)
+        assert checked >= {
+            "node", "gates", "clock_frequency", "repeater_fraction",
+            "permittivity", "miller_factor", "bunch_size", "repeater_units",
+            "solver", "permittivities", "miller_factors", "max_metal_layers",
+            "exhaustive_limit",
+        }
+
     def test_sweep_knob_choices(self):
         args = build_parser().parse_args(["sweep", "K"])
         assert args.knob == "K"
@@ -396,6 +419,7 @@ class TestExitCodes:
              "repeater_units: must be in"),
             (["report", "--repeater-units", "20000"], 1,
              "repeater_units: must be in"),
+            (["rank", "--bunch-size", "-5"], 1, "bunch_size: must be >= 0"),
         ],
     )
     def test_bad_values_name_the_argument(self, capsys, argv, code, named):
