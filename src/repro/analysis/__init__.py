@@ -13,7 +13,13 @@
 from .coarsening import CoarseningPoint, coarsening_study
 from .corners import Corner, CornerReport, STANDARD_CORNERS, apply_corner, rank_across_corners
 from .roadmap import RoadmapPoint, materials_shortfall, roadmap_study
-from .slack import GroupSlack, SlackSummary, slack_profile, summarize_slack
+from .slack import (
+    GroupSlack,
+    SlackSummary,
+    binding_constraint,
+    slack_profile,
+    summarize_slack,
+)
 from .compare import NodeBaseline, compare_nodes
 from .sensitivity import (
     EquivalencePoint,
@@ -64,5 +70,6 @@ __all__ = [
     "GroupSlack",
     "SlackSummary",
     "slack_profile",
+    "binding_constraint",
     "summarize_slack",
 ]

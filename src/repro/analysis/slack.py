@@ -5,11 +5,10 @@ This module recomputes, for every wire group of the certified prefix,
 the achieved Eq. (3) delay on its assigned pair and the slack against
 its target — exposing the two structural features of the metric:
 
-* slack shrinks toward the short-wire end (the intrinsic-delay wall the
-  C-column plateaus come from), and
-* the boundary group's slack shows whether the rank stopped on the wall
-  (slack ~ 0 at the boundary) or on the budget (positive slack left,
-  area exhausted).
+slack shrinks toward the short-wire end (the intrinsic-delay wall the
+C-column plateaus come from).  What stopped the rank is not read off
+the slack: :func:`binding_constraint` asks the tables whether the first
+uncertified group can meet its target on any pair at all.
 """
 
 from __future__ import annotations
@@ -78,29 +77,32 @@ def slack_profile(
     device = tables.die.node.device
     profile: List[GroupSlack] = []
     for segment in result.witness:
-        rc = tables.arch.pair(segment.pair).rc
-        size = float(tables.repeater_size[segment.pair])
-        for group in range(segment.start_group, segment.end_group):
-            stages = int(tables.stages[segment.pair][group])
-            length = float(tables.lengths_m[group])
-            if stages < 0:
-                raise RankComputationError(
-                    f"witness covers group {group} which is infeasible on "
-                    f"pair {segment.pair}"
-                )
-            if stages == 0:
-                achieved = wire_delay(rc, device, 1.0, 1, length)
-            else:
-                achieved = wire_delay(rc, device, size, stages, length)
+        groups = np.arange(segment.start_group, segment.end_group)
+        stages = tables.stages[segment.pair][groups]
+        if (stages < 0).any():
+            raise RankComputationError(
+                f"witness covers group {int(groups[stages < 0][0])} which is "
+                f"infeasible on pair {segment.pair}"
+            )
+        # A free pass (0 charged stages) is the bare minimum-size driver.
+        free = stages == 0
+        achieved = wire_delay(
+            tables.arch.pair(segment.pair).rc,
+            device,
+            np.where(free, 1.0, tables.repeater_size[segment.pair]),
+            np.where(free, 1, stages),
+            tables.lengths_m[groups],
+        )
+        for i, group in enumerate(groups.tolist()):
             profile.append(
                 GroupSlack(
                     group=group,
                     pair=segment.pair,
                     length_pitches=float(tables.wld.lengths[group]),
                     wires=int(tables.counts[group]),
-                    stages=stages,
+                    stages=int(stages[i]),
                     target=float(tables.targets[group]),
-                    achieved=achieved,
+                    achieved=float(achieved[i]),
                 )
             )
     return profile
@@ -116,17 +118,12 @@ class SlackSummary:
         Smallest absolute margin over the prefix, seconds.
     critical_length:
         Length (pitches) of the group holding the minimum slack.
-    boundary_relative_slack:
-        Relative slack of the last (shortest) certified group — near 0
-        means the rank stopped on the delay wall, clearly positive
-        means the budget ran out first.
     median_relative_slack:
         Median relative slack across groups.
     """
 
     min_slack: float
     critical_length: float
-    boundary_relative_slack: float
     median_relative_slack: float
 
 
@@ -139,6 +136,30 @@ def summarize_slack(profile: Sequence[GroupSlack]) -> SlackSummary:
     return SlackSummary(
         min_slack=critical.slack,
         critical_length=critical.length_pitches,
-        boundary_relative_slack=profile[-1].relative_slack,
         median_relative_slack=float(np.median(relatives)),
     )
+
+
+#: :func:`binding_constraint` verdicts.
+DELAY_WALL = "delay wall"
+BUDGET_OR_ROUTING = "repeater budget or routing capacity"
+NOTHING = "nothing (every wire certified)"
+
+
+def binding_constraint(tables: AssignmentTables, rank: int) -> str:
+    """What stopped the rank: the delay wall, or budget and routing.
+
+    The first group past the certified prefix either meets its target
+    on no pair (``tables.stages[:, g] < 0`` on every pair) — then no
+    budget or routing area could certify it: the :data:`DELAY_WALL` —
+    or it could meet on some pair, and the repeater budget or the
+    routing capacity (with its via blockage) kept it out:
+    :data:`BUDGET_OR_ROUTING`.  :data:`NOTHING` when every group is
+    certified.
+    """
+    group = int(np.searchsorted(tables.cum_wires, rank, side="right")) - 1
+    if group >= tables.num_groups:
+        return NOTHING
+    if (tables.stages[:, group] < 0).all():
+        return DELAY_WALL
+    return BUDGET_OR_ROUTING

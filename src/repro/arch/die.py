@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from ..errors import ConfigurationError
 from ..tech.node import TechnologyNode
 
@@ -79,13 +82,12 @@ class DieModel:
         """
         return math.sqrt(self.die_area / self.gate_count)
 
-    def wire_length(self, length_in_pitches: float) -> float:
-        """Convert a WLD length in gate pitches to metres."""
-        if length_in_pitches < 0:
-            raise ConfigurationError(
-                f"length in pitches must be non-negative, got {length_in_pitches!r}"
-            )
-        return length_in_pitches * self.adjusted_gate_pitch
+    def wire_length(self, length_in_pitches: ArrayLike) -> np.ndarray:
+        """Convert WLD lengths in gate pitches (scalar or array) to metres."""
+        pitches = np.asarray(length_in_pitches, dtype=float)
+        if (pitches < 0).any():
+            raise ConfigurationError("lengths in pitches must be non-negative")
+        return pitches * self.adjusted_gate_pitch
 
     def with_repeater_fraction(self, fraction: float) -> "DieModel":
         """Copy with a different repeater fraction (the ``R`` sweep knob).

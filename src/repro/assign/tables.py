@@ -22,14 +22,10 @@ import numpy as np
 
 from ..arch.die import DieModel
 from ..arch.stack import InterconnectArchitecture
-from ..delay.ottenbrayton import wire_delay_batch
-from ..delay.repeater import (
-    min_stages_for_target_batch,
-    optimal_repeater_size_batch,
-)
+from ..delay.ottenbrayton import wire_delay
+from ..delay.repeater import min_stages_for_target, optimal_repeater_size
 from ..delay.target import TargetDelayModel
 from ..errors import RankComputationError
-from ..rc.models import stack_rc_arrays
 from ..rc.via import DEFAULT_VIAS_PER_WIRE
 from ..wld.distribution import WireLengthDistribution
 
@@ -211,15 +207,16 @@ def build_tables(
     num_groups = wld.num_groups
     device = die.node.device
 
-    lengths_m = wld.lengths * die.adjusted_gate_pitch
+    lengths_m = die.wire_length(wld.lengths)
     counts = wld.counts.astype(np.int64)
     cum_wires = np.concatenate(([0], np.cumsum(counts)))
     targets = target_model.targets(lengths_m)
 
     via_area = np.array([pair.via.blocked_area for pair in arch], dtype=float)
     pair_pitch = np.array([pair.wire_pitch for pair in arch], dtype=float)
-    rc_arrays = stack_rc_arrays(pair.rc for pair in arch)
-    repeater_size = optimal_repeater_size_batch(rc_arrays, device)
+    repeater_size = np.array(
+        [optimal_repeater_size(pair.rc, device) for pair in arch], dtype=float
+    )
     repeater_unit_area = np.array(
         [device.repeater_area(size) for size in repeater_size], dtype=float
     )
@@ -238,13 +235,10 @@ def build_tables(
         if driver_policy == "free-bare":
             # Free pass: the bare minimum-size driver (size 1, one
             # stage) meets the target without touching the budget.
-            bare_delay = wire_delay_batch(
-                pair.rc, device, 1.0, 1, lengths_m
-            )
-            bare_pass = bare_delay <= targets
+            bare_pass = wire_delay(pair.rc, device, 1.0, 1, lengths_m) <= targets
         else:
             bare_pass = np.zeros(num_groups, dtype=bool)
-        group_stages = min_stages_for_target_batch(
+        group_stages = min_stages_for_target(
             pair.rc,
             device,
             lengths_m,

@@ -14,9 +14,10 @@ Installed as ``ia-rank`` (see pyproject) and runnable as
 * ``stats`` — render the metrics section of a trace file.
 
 Any design-taking command accepts ``--node-file my_node.json`` to run
-on a custom JSON-described process.  Design-taking commands turn their
-flags into a :mod:`repro.schema` request and solve it as the service
-does, so the wire schema's caps and error messages apply to them.
+on a custom JSON-described process.  Design-taking commands, ``nodes``
+and ``wld`` turn their flags into a :mod:`repro.schema` request (and
+the design commands solve it as the service does), so the wire
+schema's caps and error messages apply to them.
 ``--solver`` is offered by ``rank``, ``sweep``, ``optimize`` and
 ``corners``; ``curve`` and ``report`` always run the DP.
 
@@ -347,8 +348,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_wld(args: argparse.Namespace) -> int:
+    request = _request(args, RankRequest)
     wld = davis_wld(
-        DavisParameters(gate_count=args.gates, rent_exponent=args.rent)
+        DavisParameters(
+            gate_count=request.gates, rent_exponent=request.rent_exponent
+        )
     )
     if args.out:
         save_wld_csv(wld, args.out)
@@ -359,8 +363,9 @@ def _cmd_wld(args: argparse.Namespace) -> int:
 
 
 def _cmd_nodes(args: argparse.Namespace) -> int:
+    request = _request(args, RankRequest)
     baselines = compare_nodes(
-        bunch_size=args.bunch_size or None, repeater_units=args.repeater_units
+        bunch_size=request.bunch_size, repeater_units=request.repeater_units
     )
     print(format_node_table(baselines))
     return 0
@@ -432,7 +437,7 @@ def _cmd_corners(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.slack import slack_profile, summarize_slack
+    from .analysis.slack import binding_constraint, slack_profile, summarize_slack
     from .reporting.witness import format_assignment_report
 
     request = _request(args, RankRequest)
@@ -454,9 +459,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print()
         print(
             f"timing: min slack {to_ps(summary.min_slack):.2f} ps at "
-            f"length {summary.critical_length:g} pitches; boundary group "
-            f"relative slack {summary.boundary_relative_slack * 100:.1f}% "
-            f"({'delay-wall' if summary.boundary_relative_slack < 0.05 else 'budget'}-bound)"
+            f"length {summary.critical_length:g} pitches; rank stopped by: "
+            f"{binding_constraint(tables, result.rank)}"
         )
     return 0
 
@@ -569,7 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_wld = sub.add_parser("wld", help="generate a Davis WLD")
     p_wld.add_argument("--gates", type=int, default=_DESIGN.gates)
     p_wld.add_argument(
-        "--rent", type=float, default=_DESIGN.rent_exponent, help="Rent exponent"
+        "--rent",
+        dest="rent_exponent",
+        type=float,
+        default=_DESIGN.rent_exponent,
+        help="Rent exponent",
     )
     p_wld.add_argument("--out", default="", help="CSV output path")
     p_wld.set_defaults(func=_cmd_wld)

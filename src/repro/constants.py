@@ -31,11 +31,3 @@ RESISTIVITY_ALUMINIUM = 3.3e-8
 
 #: Relative permittivity of thermal SiO2 -- the paper's baseline ILD k.
 K_SILICON_DIOXIDE = 3.9
-
-#: Miller coupling factor for simultaneous opposite switching of both
-#: neighbours -- the paper's baseline M.
-MILLER_WORST_CASE = 2.0
-
-#: Miller coupling factor achievable with double-sided shielding
-#: (paper footnote 8: minimum value of the Miller factor is 1.0).
-MILLER_SHIELDED = 1.0

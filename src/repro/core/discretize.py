@@ -54,41 +54,19 @@ class RepeaterDiscretization:
     unit_area: float
     cum_rep_area: np.ndarray
 
-    def area_to_units(self, area: float) -> float:
-        """Cells needed to pay for an exact area (``inf`` if unpayable)."""
-        if area <= 0.0:
-            return 0.0
-        if not math.isfinite(area) or math.isinf(self.unit_area):
-            return math.inf
-        return math.ceil(area / self.unit_area - CEIL_EPS)
+    def cells(self, areas: "np.ndarray | float") -> np.ndarray:
+        """Cells needed to pay for exact repeater areas (scalar or array).
 
-    def slice_units(self, pair: int, start: int, end: int) -> float:
-        """Cell cost of groups ``[start, end)`` assigned to ``pair``.
-
-        ``inf`` if any group in the slice cannot meet delay there (the
-        poisoned cumulative sum) or the budget is zero while the slice
-        needs repeaters.
-        """
-        area = float(self.cum_rep_area[pair][end] - self.cum_rep_area[pair][start])
-        if math.isnan(area):  # inf - inf when both ends are poisoned
-            return math.inf
-        return self.area_to_units(area)
-
-    def slice_units_spans(self, pair: int, starts, ends) -> np.ndarray:
-        """Vectorized :meth:`slice_units` over arbitrary (start, end) spans.
-
-        ``starts`` and ``ends`` broadcast against each other (one start
-        per DP state, many ends per start, all flattened into one call).
-        The DP kernel's rank-scan candidates and witness-parent recovery
-        (:mod:`repro.core.dp_numpy`) and the scalar test oracle charge
-        their cell costs through it; the whole-pair transition repeats
-        the same IEEE sequence in place.  A slice poisoned at both ends
-        (``inf - inf``) costs ``inf``.
+        ``inf`` where an area is unpayable: positive while the budget is
+        zero, or ``nan`` under a positive budget — a slice
+        ``cum_rep_area[e] - cum_rep_area[b]`` poisoned at both ends
+        (``inf - inf``).  With no budget such a slice costs 0.
+        The DP kernel's rank-scan candidates and witness recovery
+        (:mod:`repro.core.dp_numpy`), the witness walk, the exhaustive
+        solver and the test oracles charge their cells through it; the
+        whole-pair transition repeats the same IEEE sequence in place.
         """
         with np.errstate(invalid="ignore"):
-            # inf - inf -> nan when both cumulative ends are poisoned;
-            # treated as infeasible below.
-            areas = self.cum_rep_area[pair][ends] - self.cum_rep_area[pair][starts]
             if math.isinf(self.unit_area):
                 units = np.where(areas > 0.0, np.inf, 0.0)
             else:

@@ -242,7 +242,8 @@ def _reconstruct_witness(
 ) -> Tuple[WitnessSegment, ...]:
     """Walk parent pointers back from the winning transition."""
     pair, b, e, r = best_trace
-    du = disc.slice_units(pair, b, e)
+    cum_rep = tables.cum_rep_area
+    du = disc.cells(cum_rep[pair][e] - cum_rep[pair][b])
     if not math.isfinite(du):
         raise RankComputationError("winning transition lost its unit accounting")
     segments = [
@@ -266,7 +267,7 @@ def _reconstruct_witness(
                 f"witness reconstruction failed: no parent for state "
                 f"(pair={p}, groups={cur_b}, cells={cur_r})"
             )
-        du = disc.slice_units(p, pb, cur_b)
+        du = disc.cells(cum_rep[p][cur_b] - cum_rep[p][pb])
         segments.append(
             WitnessSegment(
                 pair=p,

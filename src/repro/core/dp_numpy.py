@@ -284,7 +284,7 @@ def _pair_transition(
         es += ramp[:n]
 
         # Cell cost of the slice [b, e): same IEEE ops as
-        # RepeaterDiscretization.slice_units_spans — subtract the
+        # RepeaterDiscretization.cells on a slice — subtract the
         # *state's* cumulative, divide, epsilon-ceil — but done in place
         # on the run's buffers, which keeps its temporaries in cache.
         # With no budget (unit_area inf) every kept slice is free.
@@ -337,7 +337,9 @@ def _last_valid(disc, pair: int, bs, rs, e_hi) -> np.ndarray:
     num_units, unit_area = disc.num_units, disc.unit_area
 
     def valid(some, ends):
-        return rs[some] + disc.slice_units_spans(pair, bs[some], ends) <= num_units
+        with np.errstate(invalid="ignore"):  # inf - inf: see disc.cells
+            areas = cum_rep[ends] - cum_rep[bs[some]]
+        return rs[some] + disc.cells(areas) <= num_units
 
     reach = cum_rep[bs]
     if not math.isinf(unit_area):
@@ -444,7 +446,8 @@ def _candidates(
 
     cum_area = tables.cum_wire_area[pair]
     cum_ins = tables.cum_inserted[pair]
-    nr = disc.slice_units_spans(pair, b, es)
+    cum_rep = tables.cum_rep_area[pair]
+    nr = disc.cells(cum_rep[es] - cum_rep[b])
     nr += step.rs[sid]
     nz = (cum_ins[es] - cum_ins[b]) + step.zs[sid]
     leftover = step.capacity[sid] - (cum_area[es] - cum_area[b])
@@ -674,12 +677,12 @@ def _recover_parents(
         snap = snapshots[p]
         if snap is not None:
             bs, rs, zs, e_hi = snap
-            cum_ins = tables.cum_inserted[p]
+            cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
             cand = np.flatnonzero((bs <= cur_b) & (e_hi >= cur_b))
             if len(cand):
                 sb = bs[cand]
-                nr = rs[cand] + disc.slice_units_spans(p, sb, cur_b)
                 with np.errstate(invalid="ignore"):
+                    nr = rs[cand] + disc.cells(cum_rep[cur_b] - cum_rep[sb])
                     nz = zs[cand] + (cum_ins[cur_b] - cum_ins[sb])
                     hits = np.flatnonzero((nr == cur_r) & (nz == value))
                 if len(hits):

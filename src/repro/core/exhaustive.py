@@ -64,7 +64,7 @@ def _prefix_feasible(
             if stages > 0:  # charged stages; 0 = free bare-driver pass
                 pair_rep_area += stages * float(tables.repeater_unit_area[pair])
                 reps_by_pair[pair] += stages - 1
-        cells_total += disc.area_to_units(pair_rep_area)
+        cells_total += disc.cells(pair_rep_area)
     if cells_total > num_cells:
         return False
 

@@ -96,7 +96,7 @@ class RankProblem:
     @property
     def max_wire_length_m(self) -> float:
         """Physical length of the longest wire (``l_max``), metres."""
-        return self.die.wire_length(self.wld.max_length)
+        return float(self.die.wire_length(self.wld.max_length))
 
     def target_model(self) -> TargetDelayModel:
         """Instantiate the configured target-delay model."""

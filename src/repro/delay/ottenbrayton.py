@@ -22,89 +22,47 @@ repeaters trade driver self-delay against quadratic wire delay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import numpy as np
+from numpy.typing import ArrayLike
 
 from ..constants import SWITCHING_A, SWITCHING_B
 from ..errors import DelayModelError
 from ..rc.models import WireRC
 from ..tech.device import DeviceParameters
 
-if TYPE_CHECKING:  # numpy loads lazily in the batch kernel below
-    import numpy as np
-
-
-def _validate(length: float, size: float, stages: int) -> None:
-    if length < 0:
-        raise DelayModelError(f"wire length must be non-negative, got {length!r}")
-    if size <= 0:
-        raise DelayModelError(f"repeater size must be positive, got {size!r}")
-    if stages < 1:
-        raise DelayModelError(f"stage count must be at least 1, got {stages!r}")
-
 
 def wire_delay(
     rc: WireRC,
     device: DeviceParameters,
-    size: float,
-    stages: int,
-    length: float,
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> float:
-    """Total delay of a wire driven through ``stages`` stages (Eq. (3)).
+    size: ArrayLike,
+    stages: ArrayLike,
+    lengths: ArrayLike,
+) -> np.ndarray:
+    """Total delay of wires driven through ``stages`` stages (Eq. (3)).
 
     ``stages`` counts the driver itself; ``stages - 1`` repeaters are
-    physically inserted along the wire.
+    physically inserted along the wire.  ``size``, ``stages`` and
+    ``lengths`` are scalars or arrays that broadcast together, so one call
+    evaluates a whole layer-pair worth of wire groups; the result has
+    the broadcast shape (a NumPy scalar for scalar inputs).
     """
-    _validate(length, size, stages)
-    intrinsic = b * device.intrinsic_delay * stages
+    s = np.asarray(size, dtype=float)
+    eta = np.asarray(stages, dtype=float)
+    length = np.asarray(lengths, dtype=float)
+    if (s <= 0).any():
+        raise DelayModelError("repeater sizes must be positive")
+    if (length < 0).any():
+        raise DelayModelError("wire lengths must be non-negative")
+    if (eta < 1).any():
+        raise DelayModelError("stage counts must be at least 1")
+    intrinsic = SWITCHING_B * device.intrinsic_delay * eta
     linear = (
-        b
+        SWITCHING_B
         * (
-            rc.capacitance * device.output_resistance / size
-            + rc.resistance * device.input_capacitance * size
+            rc.capacitance * device.output_resistance / s
+            + rc.resistance * device.input_capacitance * s
         )
         * length
     )
-    quadratic = a * rc.rc_product * (length * length) / stages
-    return intrinsic + linear + quadratic
-
-
-def wire_delay_batch(
-    rc: WireRC,
-    device: DeviceParameters,
-    size: float,
-    stages: "np.ndarray",
-    lengths: "np.ndarray",
-    a: float = SWITCHING_A,
-    b: float = SWITCHING_B,
-) -> "np.ndarray":
-    """Vectorized :func:`wire_delay` over arrays of stages and lengths.
-
-    One call evaluates Eq. (3) for a whole layer-pair worth of wire
-    groups at once (``stages`` and ``lengths`` broadcast against each
-    other), which is what lets the assignment-table build and the
-    batched feasibility kernels stay free of per-wire Python loops.
-    Returns a float array of the broadcast shape.
-    """
-    import numpy as np
-
-    stages = np.asarray(stages, dtype=float)
-    lengths = np.asarray(lengths, dtype=float)
-    if size <= 0:
-        raise DelayModelError(f"repeater size must be positive, got {size!r}")
-    if lengths.size and np.any(lengths < 0):
-        raise DelayModelError("wire lengths must be non-negative")
-    if stages.size and np.any(stages < 1):
-        raise DelayModelError("stage counts must be at least 1")
-    intrinsic = b * device.intrinsic_delay * stages
-    linear = (
-        b
-        * (
-            rc.capacitance * device.output_resistance / size
-            + rc.resistance * device.input_capacitance * size
-        )
-        * lengths
-    )
-    quadratic = a * rc.rc_product * lengths ** 2 / stages
+    quadratic = SWITCHING_A * rc.rc_product * (length * length) / eta
     return intrinsic + linear + quadratic

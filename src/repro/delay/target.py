@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from ..errors import DelayModelError
 
@@ -33,13 +34,9 @@ class TargetDelayModel:
     #: target clock frequency, hertz
     clock_frequency: float
 
-    def target(self, length: float) -> float:
-        """Target delay for one wire of the given physical length."""
+    def targets(self, lengths: ArrayLike) -> np.ndarray:
+        """Target delays for wires of the given physical lengths."""
         raise NotImplementedError
-
-    def targets(self, lengths: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`target` (default: elementwise loop)."""
-        return np.array([self.target(float(l)) for l in np.asarray(lengths)])
 
 
 def _validate(max_length: float, clock_frequency: float) -> None:
@@ -72,14 +69,9 @@ class LinearTargetModel(TargetDelayModel):
     def __post_init__(self) -> None:
         _validate(self.max_length, self.clock_frequency)
 
-    def target(self, length: float) -> float:
-        if length < 0:
-            raise DelayModelError(f"length must be non-negative, got {length!r}")
-        return (length / self.max_length) / self.clock_frequency
-
-    def targets(self, lengths: np.ndarray) -> np.ndarray:
+    def targets(self, lengths: ArrayLike) -> np.ndarray:
         arr = np.asarray(lengths, dtype=float)
-        if arr.size and np.any(arr < 0):
+        if np.any(arr < 0):
             raise DelayModelError("lengths must be non-negative")
         return (arr / self.max_length) / self.clock_frequency
 
@@ -98,15 +90,9 @@ class QuadraticTargetModel(TargetDelayModel):
     def __post_init__(self) -> None:
         _validate(self.max_length, self.clock_frequency)
 
-    def target(self, length: float) -> float:
-        if length < 0:
-            raise DelayModelError(f"length must be non-negative, got {length!r}")
-        ratio = length / self.max_length
-        return ratio * ratio / self.clock_frequency
-
-    def targets(self, lengths: np.ndarray) -> np.ndarray:
+    def targets(self, lengths: ArrayLike) -> np.ndarray:
         arr = np.asarray(lengths, dtype=float)
-        if arr.size and np.any(arr < 0):
+        if np.any(arr < 0):
             raise DelayModelError("lengths must be non-negative")
         ratio = arr / self.max_length
         return ratio * ratio / self.clock_frequency

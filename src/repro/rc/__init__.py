@@ -13,6 +13,10 @@ them from geometry and materials:
   blocks one via footprint per pair below it),
 * :mod:`repro.rc.models` — the :class:`~repro.rc.models.WireRC` bundle
   and extraction entry point.
+
+A :class:`~repro.rc.models.WireRC` holds one pair's two scalars; the
+delay formulas of :mod:`repro.delay` broadcast over arrays of lengths,
+stages and sizes, so there is no array mirror of it.
 """
 
 from .capacitance import total_capacitance_per_length

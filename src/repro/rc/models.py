@@ -8,16 +8,12 @@ delay, rank) reads interconnect electricals exclusively through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
 
 from ..errors import ConfigurationError
 from ..tech.materials import Conductor, Dielectric
 from ..tech.node import MetalRule
 from .capacitance import total_capacitance_per_length
 from .resistance import resistance_per_length
-
-if TYPE_CHECKING:  # numpy loads lazily in stack_rc_arrays below
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,40 +61,6 @@ class WireRC:
             resistance=self.resistance * r_factor,
             capacitance=self.capacitance * c_factor,
         )
-
-
-@dataclass(frozen=True)
-class RCArrays:
-    """Dense per-layer-pair RC arrays for the batched delay kernels.
-
-    The structure-of-arrays mirror of a sequence of :class:`WireRC`
-    bundles: the assignment-table build and the NumPy feasibility
-    kernels evaluate one whole architecture per call instead of looping
-    pair by pair over scalars.  ``rc_product[j]`` is computed by the
-    same multiplication as :attr:`WireRC.rc_product`, so batched and
-    scalar delay evaluations agree bit-for-bit.
-    """
-
-    resistance: "np.ndarray"
-    capacitance: "np.ndarray"
-    rc_product: "np.ndarray"
-
-    def __len__(self) -> int:
-        return int(self.resistance.size)
-
-
-def stack_rc_arrays(rcs: Iterable[WireRC]) -> RCArrays:
-    """Stack an iterable of :class:`WireRC` into one :class:`RCArrays`."""
-    import numpy as np
-
-    rcs = list(rcs)
-    resistance = np.array([rc.resistance for rc in rcs], dtype=float)
-    capacitance = np.array([rc.capacitance for rc in rcs], dtype=float)
-    return RCArrays(
-        resistance=resistance,
-        capacitance=capacitance,
-        rc_product=resistance * capacitance,
-    )
 
 
 def extract_wire_rc(

@@ -36,20 +36,14 @@ GHZ = 1.0e9
 
 #: farads per femtofarad
 FF = 1.0e-15
-#: farads per picofarad
-PF = 1.0e-12
 
 # Plain SI scale prefixes, for report formatting of quantities the
 # library does not model as first-class dimensions (gate counts in
-# millions, power in nanowatts, ...).  Using these instead of bare
+# millions, ...).  Using these instead of bare
 # ``1e6`` literals keeps every power-of-ten scaling grep-able, which is
 # what the RPL001 lint rule (repro.lintkit) enforces.
-NANO = 1.0e-9
-MICRO = 1.0e-6
-MILLI = 1.0e-3
 KILO = 1.0e3
 MEGA = 1.0e6
-GIGA = 1.0e9
 TERA = 1.0e12
 
 

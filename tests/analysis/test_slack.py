@@ -1,8 +1,18 @@
 """Tests for timing-slack profiles."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
-from repro.analysis.slack import slack_profile, summarize_slack
+from repro.analysis.slack import (
+    BUDGET_OR_ROUTING,
+    DELAY_WALL,
+    NOTHING,
+    binding_constraint,
+    slack_profile,
+    summarize_slack,
+)
 from repro.core.rank import compute_rank
 from repro.errors import RankComputationError
 
@@ -66,24 +76,53 @@ class TestSummary:
         assert 0.0 <= summary.median_relative_slack <= 1.0
 
     def test_boundary_diagnoses_binding_constraint(self, profiled):
-        """The baseline is budget-bound: the boundary group still has
-        real slack (the wall is further down)."""
-        _, _, profile = profiled
-        summary = summarize_slack(profile)
-        assert summary.boundary_relative_slack > 0.01
+        """The baseline is budget-bound: the first uncertified group
+        could still meet its target on some pair."""
+        tables, result, _ = profiled
+        assert binding_constraint(tables, result.rank) == BUDGET_OR_ROUTING
 
     def test_wall_bound_case(self, small_baseline):
-        """On the wall, the boundary group's slack pins toward zero.
-        The wall frequency scales with l_max: at 100k gates (l_max ~347
-        pitches) the l=2 class dies near 5 GHz, not the 1M-gate design's
-        1.1 GHz — frequencies here are chosen for this design size."""
+        """On the wall, the first uncertified group meets its target on
+        no pair.  The wall frequency scales with l_max: at 100k gates
+        (l_max ~347 pitches) the l=2 class dies near 5 GHz, not the
+        1M-gate design's 1.1 GHz — frequencies here are chosen for this
+        design size."""
         fast_clock = small_baseline.with_clock_frequency(4.5e9)
-        result = compute_rank(fast_clock, collect_witness=True, **FAST)
+        result = compute_rank(fast_clock, **FAST)
         tables, _ = fast_clock.tables(bunch_size=2000)
-        profile = slack_profile(tables, result)
-        summary = summarize_slack(profile)
-        assert summary.boundary_relative_slack < 0.35
+        assert binding_constraint(tables, result.rank) == DELAY_WALL
 
     def test_empty_profile_rejected(self):
         with pytest.raises(RankComputationError):
             summarize_slack([])
+
+
+class TestBindingConstraint:
+    """The verdict on hand-built tables: three groups of 10 wires on two
+    pairs, ``stages[p, g]`` the charged stage count (``-1``: the group
+    cannot meet its target on pair ``p``)."""
+
+    @staticmethod
+    def tables(stages):
+        stages = np.array(stages)
+        counts = np.full(stages.shape[1], 10)
+        return SimpleNamespace(
+            stages=stages,
+            num_groups=stages.shape[1],
+            cum_wires=np.concatenate(([0], np.cumsum(counts))),
+        )
+
+    def test_group_meeting_on_no_pair_is_the_delay_wall(self):
+        tables = self.tables([[1, 2, -1], [3, -1, -1]])
+        assert binding_constraint(tables, 20) == DELAY_WALL
+
+    def test_group_meeting_on_some_pair_is_budget_or_routing(self):
+        # Group 1 meets on the top pair, so the wall is not what stopped
+        # a rank of 10: the budget or the routing area did.
+        tables = self.tables([[1, 2, -1], [3, -1, -1]])
+        assert binding_constraint(tables, 10) == BUDGET_OR_ROUTING
+        assert binding_constraint(tables, 0) == BUDGET_OR_ROUTING
+
+    def test_every_group_certified(self):
+        tables = self.tables([[1, 2, 2], [3, -1, 1]])
+        assert binding_constraint(tables, 30) == NOTHING

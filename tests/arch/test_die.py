@@ -1,5 +1,6 @@
 """Tests for the die area model (paper Eq. (6))."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,10 +48,18 @@ class TestGatePitch:
 
     def test_wire_length_conversion(self, die):
         assert die.wire_length(10.0) == pytest.approx(10 * die.adjusted_gate_pitch)
+        # Arrays convert elementwise, as the table build asks for them.
+        lengths = die.wire_length(np.array([1.0, 10.0]))
+        assert lengths.tolist() == [
+            1.0 * die.adjusted_gate_pitch,
+            10.0 * die.adjusted_gate_pitch,
+        ]
 
     def test_wire_length_rejects_negative(self, die):
         with pytest.raises(ConfigurationError):
             die.wire_length(-1.0)
+        with pytest.raises(ConfigurationError):
+            die.wire_length(np.array([1.0, -1.0]))
 
 
 class TestValidation:

@@ -180,12 +180,13 @@ def _dense_candidates(tables, disc, step, pair):
     leftover, valid)``."""
     cum_area = tables.cum_wire_area[pair]
     cum_ins = tables.cum_inserted[pair]
+    cum_rep = tables.cum_rep_area[pair]
     parts = []
     for s, (b, r, z, e_hi) in enumerate(zip(step.bs, step.rs, step.zs, step.e_hi)):
         es = np.arange(b, e_hi + 1)
-        du = disc.slice_units_spans(pair, b, es)
         capacity = tables.capacity(pair, float(tables.cum_wires[b]), float(z))
         with np.errstate(invalid="ignore"):
+            du = disc.cells(cum_rep[es] - cum_rep[b])
             parts.append((
                 np.full(len(es), s),
                 es,
@@ -499,12 +500,13 @@ def _clip_and_dense(tables, units, unit_area, sources):
     first = dp_numpy._first_kept(tables, disc, 0, *sources, step.v_hi)
     records = dp_numpy._close_pair(*cells, disc.num_units + 1)
 
-    cum_ins = tables.cum_inserted[0]
+    cum_ins, cum_rep = tables.cum_inserted[0], tables.cum_rep_area[0]
     table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
     v_hi = []
     for b, r, z, e_hi in zip(*sources, step.e_hi):
         es = np.arange(b, e_hi + 1)
-        nr = r + disc.slice_units_spans(0, b, es)
+        with np.errstate(invalid="ignore"):
+            nr = r + disc.cells(cum_rep[es] - cum_rep[b])
         valid = nr <= disc.num_units
         # The valid ends are a prefix of the range.
         v_hi.append(b - 1 + int(np.argmin(np.append(valid, False))))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.discretize import discretize_repeaters
+from repro.core.discretize import CEIL_EPS, discretize_repeaters
 from repro.errors import RankComputationError
 
 from ..conftest import make_tiny_problem
@@ -33,26 +33,34 @@ class TestBasics:
         disc = discretize_repeaters(tables, 64)
         assert disc.num_units == 0
         assert math.isinf(disc.unit_area)
-        assert disc.area_to_units(1e-15) == math.inf
-        assert disc.area_to_units(0.0) == 0.0
+        assert disc.cells(1e-15) == math.inf
+        assert disc.cells(0.0) == 0.0
 
 
 class TestAreaToUnits:
     def test_exact_multiple_no_roundup(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert disc.area_to_units(disc.unit_area * 3) == 3
+        assert disc.cells(disc.unit_area * 3) == 3
 
     def test_ceil(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert disc.area_to_units(disc.unit_area * 3.01) == 4
+        assert disc.cells(disc.unit_area * 3.01) == 4
 
     def test_zero_area_free(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert disc.area_to_units(0.0) == 0.0
+        assert disc.cells(0.0) == 0.0
+
+
+def slice_cells(disc, pair, start, end):
+    """Cell cost of groups ``[start, end)`` on ``pair``."""
+    cum = disc.cum_rep_area[pair]
+    with np.errstate(invalid="ignore"):  # inf - inf past a poisoned group
+        return disc.cells(cum[end] - cum[start])
 
 
 class TestSliceUnits:
     def test_slice_matches_area(self, tables):
+        """Every slice's cost against the rule written out per slice."""
         disc = discretize_repeaters(tables, 64)
         for pair in range(tables.num_pairs):
             for b in range(tables.num_groups):
@@ -60,33 +68,36 @@ class TestSliceUnits:
                     area = float(
                         tables.cum_rep_area[pair][e] - tables.cum_rep_area[pair][b]
                     )
-                    units = disc.slice_units(pair, b, e)
+                    units = slice_cells(disc, pair, b, e)
                     if math.isinf(area) or math.isnan(area):
                         assert math.isinf(units)
+                    elif area <= 0.0:
+                        assert units == 0.0
                     else:
-                        assert units == disc.area_to_units(area)
+                        assert units == math.ceil(area / disc.unit_area - CEIL_EPS)
 
     def test_batch_matches_scalar(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert not hasattr(disc, "slice_units_batch")  # spans is the one batch form
+        for name in ("area_to_units", "slice_units", "slice_units_spans"):
+            assert not hasattr(disc, name)  # cells is the one cost method
         ends = np.arange(0, tables.num_groups + 1)
         for pair in range(tables.num_pairs):
-            batch = disc.slice_units_spans(pair, 0, ends)
+            batch = slice_cells(disc, pair, 0, ends)
             for i, e in enumerate(ends):
-                assert batch[i] == disc.slice_units(pair, 0, int(e))
+                assert batch[i] == slice_cells(disc, pair, 0, int(e))
 
     def test_empty_slice_free(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert disc.slice_units(0, 2, 2) == 0.0
+        assert slice_cells(disc, 0, 2, 2) == 0.0
 
     def test_per_slice_rounding_cheaper_than_per_group(self, tables):
         """The whole point of slice-level rounding: one ceil per block,
         not one per group."""
         disc = discretize_repeaters(tables, 1000)
         pair = tables.num_pairs - 1
-        whole = disc.slice_units(pair, 0, tables.num_groups)
+        whole = slice_cells(disc, pair, 0, tables.num_groups)
         per_group = sum(
-            disc.slice_units(pair, g, g + 1) for g in range(tables.num_groups)
+            slice_cells(disc, pair, g, g + 1) for g in range(tables.num_groups)
         )
         assert whole <= per_group
 
@@ -96,4 +107,4 @@ class TestSliceUnits:
         disc = discretize_repeaters(tables, 64)
         # shortest group infeasible at 3 GHz on every pair
         assert (tables.stages[:, -1] == -1).all()
-        assert math.isinf(disc.slice_units(0, 0, tables.num_groups))
+        assert math.isinf(slice_cells(disc, 0, 0, tables.num_groups))

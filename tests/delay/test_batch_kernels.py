@@ -1,24 +1,22 @@
-"""Batch delay kernels agree element-for-element with the scalar models.
+"""Array calls of the delay formulas agree element-for-element with
+scalar calls.
 
-The vectorized table build (and through it the NumPy DP kernel) is
-only trustworthy if every batched formula reproduces its scalar
-counterpart exactly — same IEEE operations in the same order, so the
-comparison is ``==``, not ``approx``.
+The table build evaluates a whole layer-pair worth of wire groups per
+call, while the slack report and the test oracles ask about one wire at
+a time.  Both go through the same broadcasting function, so one array
+call must reproduce the calls on its elements exactly — same IEEE
+operations in the same order, so the comparison is ``==``, not
+``approx``.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import get_node
-from repro.delay.ottenbrayton import wire_delay, wire_delay_batch
-from repro.delay.repeater import (
-    optimal_repeater_size,
-    optimal_repeater_size_batch,
-)
+from repro.delay.ottenbrayton import wire_delay
 from repro.errors import DelayModelError
-from repro.rc.models import WireRC, stack_rc_arrays
+from repro.rc.models import WireRC
 
 
 @pytest.fixture(scope="module")
@@ -41,41 +39,23 @@ class TestWireDelayBatch:
     @example(stages=[1, 1, 1, 1, 1], length=0.012414878978979606)
     def test_matches_scalar(self, device, stages, length):
         lengths = [length * (i + 1) for i in range(len(stages))]
-        batch = wire_delay_batch(RC, device, 4.0, stages, lengths)
+        batch = wire_delay(RC, device, 4.0, stages, lengths)
         for i, (eta, l) in enumerate(zip(stages, lengths)):
             assert batch[i] == wire_delay(RC, device, 4.0, eta, l)
 
     def test_rejects_bad_inputs(self, device):
         with pytest.raises(DelayModelError):
-            wire_delay_batch(RC, device, 0.0, [1], [1e-3])
+            wire_delay(RC, device, 0.0, [1], [1e-3])
         with pytest.raises(DelayModelError):
-            wire_delay_batch(RC, device, 4.0, [0], [1e-3])
+            wire_delay(RC, device, [4.0, -1.0], [1, 1], [1e-3, 1e-3])
         with pytest.raises(DelayModelError):
-            wire_delay_batch(RC, device, 4.0, [1], [-1e-3])
+            wire_delay(RC, device, 4.0, [0], [1e-3])
+        with pytest.raises(DelayModelError):
+            wire_delay(RC, device, 4.0, [1], [-1e-3])
 
-
-class TestRepeaterSizeBatch:
-    def test_matches_scalar_across_architecture(self, device):
-        rcs = [
-            WireRC(resistance=r, capacitance=c)
-            for r, c in [(2e4, 1e-10), (8e4, 3e-10), (4e5, 2e-10)]
-        ]
-        batch = optimal_repeater_size_batch(stack_rc_arrays(rcs), device)
-        for i, rc in enumerate(rcs):
-            assert batch[i] == optimal_repeater_size(rc, device)
-
-    def test_clamps_to_minimum_inverter(self, device):
-        # Absurdly resistive wire: optimum below 1 must clamp to 1.
-        rc = WireRC(resistance=1e12, capacitance=1e-18)
-        assert optimal_repeater_size(rc, device) == 1.0
-        arrays = stack_rc_arrays([rc])
-        assert optimal_repeater_size_batch(arrays, device)[0] == 1.0
-
-
-class TestStackRCArrays:
-    def test_rc_product_matches_scalar_multiplication(self):
-        rcs = [WireRC(resistance=3.0e4, capacitance=7.0e-10)]
-        arrays = stack_rc_arrays(rcs)
-        assert len(arrays) == 1
-        assert arrays.rc_product[0] == rcs[0].rc_product
-        assert arrays.rc_product.dtype == np.float64
+    def test_sizes_broadcast(self, device):
+        """Per-wire sizes: the slack report times bare drivers (size 1)
+        and repeated wires (size s_opt) of one segment in one call."""
+        batch = wire_delay(RC, device, [1.0, 4.0], [1, 3], [2e-3, 2e-3])
+        assert batch[0] == wire_delay(RC, device, 1.0, 1, 2e-3)
+        assert batch[1] == wire_delay(RC, device, 4.0, 3, 2e-3)

@@ -69,6 +69,7 @@ def solve_pairs_python(
             pr = np.full(shape, -1, dtype=np.int32)
         cum_area = tables.cum_wire_area[pair]
         cum_ins = tables.cum_inserted[pair]
+        cum_rep = tables.cum_rep_area[pair]
         delay_limit = tables.next_infeasible[pair]
 
         # Failed-pack memo for this pair: end group -> list of
@@ -118,7 +119,8 @@ def solve_pairs_python(
                     continue
 
                 es = np.arange(b, e_hi + 1)
-                du = disc.slice_units_spans(pair, b, es)
+                with np.errstate(invalid="ignore"):
+                    du = disc.cells(cum_rep[es] - cum_rep[b])
                 valid = np.isfinite(du) & (r + du <= num_units)
                 if not valid.any():
                     continue

@@ -100,10 +100,10 @@ def _wire_assign(
             rep_area_used += charged * float(tables.repeater_unit_area[pair])
             # Budget cells are charged once per (pair, block), matching
             # the shared discretization semantics.
-            if disc.area_to_units(rep_area_used) > cells_available:
+            if disc.cells(rep_area_used) > cells_available:
                 return None
             repeaters += inline
-    cells_used = disc.area_to_units(rep_area_used)
+    cells_used = disc.cells(rep_area_used)
     if math.isinf(cells_used):
         return None
     return int(cells_used), repeaters, capacity - area_used

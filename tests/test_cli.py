@@ -16,7 +16,7 @@ semi_global-1                0            0          0       0.0%
 semi_global-2                0            0          0       0.0%
 local-1                 25,081       33,777          0      92.7%
 
-timing: min slack 24.63 ps at length 2 pitches; boundary group relative slack 93.6% (budget-bound)
+timing: min slack 24.63 ps at length 2 pitches; rank stopped by: repeater budget or routing capacity
 """
 
 
@@ -430,6 +430,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["nodes", "--bunch-size", "-5"], "bunch_size: must be >= 0, got -5"),
+            (["wld", "--gates", "0"], "gates: must be in [1, 100000000], got 0"),
+            (["nodes", "--repeater-units", "20000"],
+             "repeater_units: must be in [1, 16384], got 20000"),
+        ],
+    )
+    def test_nodes_and_wld_flags_meet_the_wire_schema(self, capsys, argv, message):
+        """``nodes`` and ``wld`` build their inputs from request fields
+        too, so a bad value exits 1 with the wire's message before any
+        work starts."""
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_total_failure_exits_one(self, monkeypatch, capsys):
         self._fail_points(monkeypatch, None)  # every point fails

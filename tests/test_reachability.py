@@ -1,4 +1,5 @@
-"""Every function in ``src/repro`` must be reachable from a product path.
+"""Every function and module-level constant in ``src/repro`` must be
+reachable from a product path.
 
 A product path is the ``ia-rank`` CLI (and the ``python -m`` entry points
 that wrap it or the linter), the :mod:`repro.api` facade, the ``bench/``
@@ -6,14 +7,16 @@ workloads, the paper experiments in ``benchmarks/``, the ``examples/``
 scripts, and the README's Python quickstart.  Everything reachable from
 them is found by name: a reached function reaches every def or method
 whose name it mentions (as a name, an attribute, or an identifier-shaped
-string, for ``getattr`` dispatch).  Module-level code runs on import, so
-the names it mentions are roots too.  Matching by bare name can merge two
-defs that share a name, so the pass can miss dead code but never flags
-live code.
+string, for ``getattr`` dispatch).  A module-level constant (an
+upper-case name bound at the top of a module) is reached the same way,
+and once reached, the names its value mentions are.  Other module-level
+code runs on import, so the names it mentions are roots too.  Matching
+by bare name can merge two defs that share a name, so the pass can miss
+dead code but never flags live code.
 
-A def that only ``tests/`` reaches belongs in ``tests/`` (as an oracle or a
-harness) or nowhere; the few kept in ``src`` are listed in ``ALLOWED`` with
-the test that needs them.
+A def or constant that only ``tests/`` reaches belongs in ``tests/`` (as
+an oracle or a harness) or nowhere; the few kept in ``src`` are listed
+in ``ALLOWED`` with the test that needs them.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
@@ -29,7 +32,8 @@ SRC = ROOT / "src" / "repro"
 ENTRY_POINTS = ("main",)  # repro.cli:main and repro.lintkit.cli:main
 ROOT_DIRS = ("bench", "benchmarks", "examples")
 
-#: Defs a test needs although no product path runs them: name -> the test.
+#: Defs and constants a test needs although no product path reads them:
+#: name -> the test.
 ALLOWED: Dict[str, str] = {
     "FaultSchedule.seeded": "tests/runner/test_chaos.py (harness: seeded chaos runs)",
     "FaultSchedule.to_json": "tests/faultkit/test_schedule.py (harness: from_json round trip)",
@@ -39,8 +43,18 @@ ALLOWED: Dict[str, str] = {
     "node_to_dict": "tests/test_cli.py (harness: writes --node-file inputs)",
     "save_node": "tests/test_cli.py (harness: writes --node-file inputs)",
     "load_wld_csv": "tests/test_cli.py (harness: reads ia-rank wld --out)",
+    "SITES": "tests/faultkit/test_fault_sites.py (the fault-site registry it checks)",
+    "WORKER_SITES": "tests/faultkit/test_fault_sites.py (the fault-site registry it checks)",
+    "FILE_SITES": "tests/faultkit/test_fault_sites.py (the fault-site registry it checks)",
+    "NONDETERMINISTIC_PREFIXES": "tests/obs/test_parity.py (read by deterministic_counters)",
+    "REQUEST_TYPES": "tests/service/test_schema_golden.py (harness: every request type)",
+    "LOW_K_36": "tests/tech/test_materials.py (public material preset it pins)",
+    "LOW_K_28": "tests/tech/test_materials.py (public material preset it pins)",
+    "METAL_LAYER_COUNTS": "tests/tech/test_presets.py (pins Table 3's layer counts)",
 }
 
+#: A module-level constant: an upper-case name bound once at the top.
+_CONSTANT = re.compile(r"^_?[A-Z][A-Z0-9_]*$")
 #: Called by the standard library, never by name in this repo.
 _IMPLICIT = re.compile(r"^(__\w+__|visit_\w+|generic_visit|do_[A-Z]+|log_message)$")
 _IDENT = re.compile(r"^[A-Za-z_]\w*$")
@@ -62,13 +76,30 @@ def _refs(node: ast.AST) -> Set[str]:
     return names
 
 
+def _constant(stmt: ast.stmt) -> Optional[Tuple[str, ast.AST]]:
+    """``(name, value)`` of a module-level ``NAME = value`` constant."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target, value = stmt.targets[0], stmt.value
+    elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+        target, value = stmt.target, stmt.value
+    else:
+        return None
+    if isinstance(target, ast.Name) and _CONSTANT.match(target.id):
+        return target.id, value
+    return None
+
+
 def _module_level_refs(tree: ast.Module) -> Set[str]:
-    """Names mentioned by code that runs when the module is imported."""
+    """Names mentioned by code that runs when the module is imported,
+    apart from constants' values: those count once the constant is
+    read."""
     names: Set[str] = set()
 
-    def statements(body: Iterable[ast.stmt]) -> None:
+    def statements(body: Iterable[ast.stmt], top: bool) -> None:
         for stmt in body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if top and _constant(stmt):
                 continue
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for expr in stmt.decorator_list + stmt.args.defaults:
@@ -76,7 +107,7 @@ def _module_level_refs(tree: ast.Module) -> Set[str]:
             elif isinstance(stmt, ast.ClassDef):
                 for expr in stmt.decorator_list + stmt.bases:
                     names.update(_refs(expr))
-                statements(stmt.body)
+                statements(stmt.body, False)
             elif isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
             ):
@@ -84,15 +115,19 @@ def _module_level_refs(tree: ast.Module) -> Set[str]:
             else:
                 names.update(_refs(stmt))
 
-    statements(tree.body)
+    statements(tree.body, True)
     return names
 
 
 def _defs(tree: ast.Module) -> Dict[str, ast.AST]:
-    """Top-level functions and class methods, keyed ``name``/``Class.name``."""
+    """Top-level functions, class methods and constants, keyed
+    ``name``/``Class.name``; a constant's node is its value."""
     found: Dict[str, ast.AST] = {}
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        constant = _constant(stmt)
+        if constant:
+            found[constant[0]] = constant[1]
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             found[stmt.name] = stmt
         elif isinstance(stmt, ast.ClassDef):
             for item in stmt.body:
@@ -106,7 +141,7 @@ def _parse(path: Path) -> ast.Module:
 
 
 def unreached_defs() -> List[str]:
-    """``module:qualname`` of every src def no product path reaches."""
+    """``module:qualname`` of every src def or constant no product path reaches."""
     defs: Dict[str, List[ast.AST]] = {}
     where: Dict[int, str] = {}
     aliases: Dict[str, Set[str]] = {}  # ``import x as y``: y -> {x}
