@@ -87,13 +87,15 @@ class AssignmentTables:
         (``count * stages * repeater_unit_area``); 0 where infeasible or
         free.
     cum_rep_area, cum_inserted:
-        ``(m, G+1)`` cumulative repeater areas / inserted counts, with
-        infeasible groups contributing ``+inf`` / large sentinels so a
-        feasible slice is recognizable by a finite sum.
+        ``(m, G+1)`` cumulative repeater areas / inserted counts (of
+        ``rep_area`` and ``counts * inserted``): finite and
+        non-decreasing, an infeasible group adding 0.
     next_infeasible:
         ``(m, G+1)``: ``next_infeasible[p][g]`` is the index of the
         first group ``>= g`` that cannot meet its target on pair ``p``
-        (``G`` if none) — the hard ceiling on delay-prefix extension.
+        (``G`` if none) — the delay wall, and its only encoding: a slice
+        ``[b, e)`` of pair ``p`` meets delay iff ``e <=
+        next_infeasible[p][b]``, the empty slice always.
     """
 
     arch: InterconnectArchitecture
@@ -251,12 +253,10 @@ def build_tables(
         inserted[p] = np.maximum(charged - 1, 0)
         rep_area[p] = counts * charged * repeater_unit_area[p]
         cum_wire_area[p] = np.concatenate(([0.0], np.cumsum(wire_area[p])))
-        # Infeasible groups poison cumulative repeater sums with +inf so
-        # that any slice crossing one is recognized as infeasible.
-        rep_terms = np.where(feasible, rep_area[p], np.inf)
-        ins_terms = np.where(feasible, counts * inserted[p], np.inf)
-        cum_rep_area[p] = np.concatenate(([0.0], np.cumsum(rep_terms)))
-        cum_inserted[p] = np.concatenate(([0.0], np.cumsum(ins_terms)))
+        cum_rep_area[p] = np.concatenate(([0.0], np.cumsum(rep_area[p])))
+        cum_inserted[p] = np.concatenate(
+            ([0.0], np.cumsum(counts * inserted[p], dtype=float))
+        )
         # next_infeasible: suffix-minimum of infeasible indices — the
         # reversed cummin replaces the old backward Python scan.
         blocked_at = np.where(feasible, num_groups, np.arange(num_groups))
@@ -270,8 +270,8 @@ def build_tables(
     # must be held exactly.  The counts are integers by construction
     # (int64 wires times int64 repeaters); a float holds them exactly
     # below 2^53.  A prefix takes one slice of each pair, so the pairs'
-    # largest finite counts bound them all.
-    reach = np.where(np.isfinite(cum_inserted), cum_inserted, 0.0).max(axis=1).sum()
+    # totals bound them all.
+    reach = cum_inserted[:, -1].sum()
     if not reach < 2.0**53:
         raise RankComputationError(
             f"inserted repeater counts reach {reach:.4g}: not below 2^53, "

@@ -37,6 +37,11 @@ CEIL_EPS = 1e-9
 class RepeaterDiscretization:
     """Budget cells and block-cost evaluation.
 
+    A slice's repeater area is read off the tables
+    (``tables.cum_rep_area[p][e] - tables.cum_rep_area[p][b]``); whether
+    the slice meets delay is ``tables.next_infeasible``'s question, not
+    this one's.
+
     Attributes
     ----------
     num_units:
@@ -44,35 +49,24 @@ class RepeaterDiscretization:
     unit_area:
         Area of one cell in square metres (``inf`` when the budget is
         zero, so any positive demand is unaffordable).
-    cum_rep_area:
-        ``(m, G+1)`` exact cumulative repeater areas per pair, with
-        ``+inf`` poisoning at delay-infeasible groups (shared with the
-        assignment tables).
     """
 
     num_units: int
     unit_area: float
-    cum_rep_area: np.ndarray
 
     def cells(self, areas: "np.ndarray | float") -> np.ndarray:
         """Cells needed to pay for exact repeater areas (scalar or array).
 
-        ``inf`` where an area is unpayable: positive while the budget is
-        zero, or ``nan`` under a positive budget — a slice
-        ``cum_rep_area[e] - cum_rep_area[b]`` poisoned at both ends
-        (``inf - inf``).  With no budget such a slice costs 0.
-        The DP kernel's rank-scan candidates and witness recovery
-        (:mod:`repro.core.dp_numpy`), the witness walk, the exhaustive
-        solver and the test oracles charge their cells through it; the
-        whole-pair transition repeats the same IEEE sequence in place.
+        ``inf`` where a positive area meets a zero budget.  The DP
+        kernel's rank-scan candidates and witness walk
+        (:mod:`repro.core.dp_numpy`), the exhaustive solver and the test
+        oracles charge their cells through it; the whole-pair transition
+        repeats the same IEEE sequence in place.
         """
-        with np.errstate(invalid="ignore"):
-            if math.isinf(self.unit_area):
-                units = np.where(areas > 0.0, np.inf, 0.0)
-            else:
-                units = np.ceil(areas / self.unit_area - CEIL_EPS)
-                units = np.where(areas <= 0.0, 0.0, units)
-        return np.where(np.isnan(units), np.inf, units)
+        if math.isinf(self.unit_area):
+            return np.where(areas > 0.0, np.inf, 0.0)
+        units = np.ceil(areas / self.unit_area - CEIL_EPS)
+        return np.where(areas <= 0.0, 0.0, units)
 
 
 def discretize_repeaters(
@@ -90,8 +84,4 @@ def discretize_repeaters(
     else:
         num_units = repeater_units
         unit_area = budget / repeater_units
-    return RepeaterDiscretization(
-        num_units=num_units,
-        unit_area=unit_area,
-        cum_rep_area=tables.cum_rep_area,
-    )
+    return RepeaterDiscretization(num_units=num_units, unit_area=unit_area)

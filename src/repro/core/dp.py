@@ -28,16 +28,13 @@ exhaustive search).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional, Tuple
 
 from ..assign.greedy_assign import pack_suffix
 from ..assign.tables import AssignmentTables
-from ..errors import DeadlineExceeded, RankComputationError
+from ..errors import DeadlineExceeded
 from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import observe as _obs_observe
@@ -173,7 +170,7 @@ def solve_rank_dp(
     Discretizes the budget, checks Definition 3's fit, runs the pair
     loop of :func:`repro.core.dp_numpy.solve_pairs_numpy` (looked up
     on that module at each call, which is where tests put the scalar
-    oracle) and rebuilds the witness.
+    oracle), which also walks the witness.
 
     Parameters
     ----------
@@ -218,71 +215,11 @@ def solve_rank_dp(
             _publish_dp_stats(stats)
             return RawSolution(rank=0, fits=False, stats=stats)
 
-        best_rank, best_trace, parent_b, parent_r = dp_numpy.solve_pairs_numpy(
+        best_rank, witness = dp_numpy.solve_pairs_numpy(
             tables, disc, stats, collect_witness, deadline
         )
-
-        witness = None
-        if collect_witness and best_trace is not None:
-            witness = _reconstruct_witness(
-                tables, disc, parent_b, parent_r, best_trace
-            )
 
         stats.runtime_seconds = time.perf_counter() - start_time
         _publish_dp_stats(stats)
         return RawSolution(rank=best_rank, fits=True, stats=stats, witness=witness)
 
-
-def _reconstruct_witness(
-    tables: AssignmentTables,
-    disc,
-    parent_b: List[np.ndarray],
-    parent_r: List[np.ndarray],
-    best_trace: Tuple[int, int, int, int],
-) -> Tuple[WitnessSegment, ...]:
-    """Walk parent pointers back from the winning transition."""
-    pair, b, e, r = best_trace
-    cum_rep = tables.cum_rep_area
-    du = disc.cells(cum_rep[pair][e] - cum_rep[pair][b])
-    if not math.isfinite(du):
-        raise RankComputationError("winning transition lost its unit accounting")
-    segments = [
-        WitnessSegment(
-            pair=pair,
-            start_group=b,
-            end_group=e,
-            repeater_cells=int(du),
-            repeaters=int(
-                tables.cum_inserted[pair][e] - tables.cum_inserted[pair][b]
-            ),
-        )
-    ]
-    # The winning transition read state (b, r) after pairs 0..pair-1.
-    cur_b, cur_r = b, r
-    for p in range(pair - 1, -1, -1):
-        pb = int(parent_b[p][cur_b, cur_r])
-        pr = int(parent_r[p][cur_b, cur_r])
-        if pb < 0:
-            raise RankComputationError(
-                f"witness reconstruction failed: no parent for state "
-                f"(pair={p}, groups={cur_b}, cells={cur_r})"
-            )
-        du = disc.cells(cum_rep[p][cur_b] - cum_rep[p][pb])
-        segments.append(
-            WitnessSegment(
-                pair=p,
-                start_group=pb,
-                end_group=cur_b,
-                repeater_cells=int(du),
-                repeaters=int(
-                    tables.cum_inserted[p][cur_b] - tables.cum_inserted[p][pb]
-                ),
-            )
-        )
-        cur_b, cur_r = pb, pr
-    if cur_b != 0:
-        raise RankComputationError(
-            f"witness reconstruction ended at group {cur_b}, expected 0"
-        )
-    segments.reverse()
-    return tuple(segments)

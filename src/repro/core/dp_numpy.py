@@ -25,9 +25,9 @@ call instead of one ``(b, r)`` state at a time:
   restored; blocks of whole rows keep a key within int64, and a pair
   holding more than ``_COMPACT`` candidates closes them on the way,
 * witness parents are *not* tracked during the forward pass — the
-  kernel retains each pair's source states, and
-  :func:`_recover_parents` re-derives the parent of the one cell per
-  pair the backward walk visits,
+  kernel retains each pair's source states, and :func:`_witness` walks
+  back from the winning transition once, re-deriving the one parent per
+  pair it visits and turning each step into a ``WitnessSegment``,
 * the rank-candidate scan runs level-major — highest end group first
   across *all* states — and :func:`_candidates` rebuilds a level's
   candidates over each state's unclipped ``[b, v_hi]`` only when the
@@ -50,8 +50,8 @@ state ``j`` (``b_i < b_j``) when
 2. ``z_i - I[b_i] <= z_j - I[b_j]``: ``i`` extended to ``b_j`` carries
    no more repeaters than ``j``;
 3. ``r_i - C[b_i] / u <= r_j - C[b_j] / u - δ``, with ``δ = 2^-46 ·
-   (max finite C / u + R + 1)``: ``i``'s unrounded extra cost ``(C[b_j]
-   - C[b_i]) / u`` is at most ``r_j - r_i`` less the margin; or else
+   (max C / u + R + 1)``: ``i``'s unrounded extra cost ``(C[b_j] -
+   C[b_i]) / u`` is at most ``r_j - r_i`` less the margin; or else
    ``C[b_j] == C[b_i]`` and ``r_i <= r_j``.
 
 Then at every end ``e`` in ``[b_j, v_hi[i]]`` the candidate of ``i``
@@ -62,13 +62,12 @@ record.  ``i``'s own candidate may be dropped only for an earlier
 state's that is no worse again, so by induction on ``b`` the records
 are the unclipped table's, bit for bit.
 
-* Values are exact.  On a valid range ``I`` is finite and
-  integer-valued (a running sum of wire count × inserted repeaters),
-  and so is every ``z`` (a sum of such differences, one per pair).
-  :func:`~repro.assign.tables.build_tables` checks that the pairs'
-  largest finite ``I`` sum to below ``2^53``, which bounds every ``z``,
-  so the IEEE subtractions and additions are exact and test 2 is the
-  value comparison at every ``e``.
+* Values are exact.  ``I`` is integer-valued (a running sum of wire
+  count × inserted repeaters), and so is every ``z`` (a sum of such
+  differences, one per pair).  :func:`~repro.assign.tables.build_tables`
+  checks that the pairs' totals ``I[G]`` sum to below ``2^53``, which
+  bounds every ``z``, so the IEEE subtractions and additions are exact
+  and test 2 is the value comparison at every ``e``.
 * Cells need the unrounded cost and a margin.  In exact arithmetic
   ``(C[e] - C[b_i]) / u = (C[e] - C[b_j]) / u + (C[b_j] - C[b_i]) / u``,
   so if the last term is at most ``r_j - r_i`` then ``ceil``, being
@@ -94,7 +93,7 @@ Each state tests O(log n) earlier rows' states, the cheapest by ``r -
 C[b] / u`` (the best for test 3) within the last 1, 2, 4, ... states
 before its row, and keeps ``[max over its dominators of v_hi + 1,
 v_hi]``.  ``transitions``, :func:`_levels`, :func:`_candidates`, the
-rank scan and :func:`_recover_parents` all read the unclipped ranges,
+rank scan and :func:`_witness` all read the unclipped ranges,
 so counters, ranks and witnesses do not depend on the clip.
 
 The transition (:func:`_pair_transition`) is shared by two rank
@@ -147,7 +146,7 @@ from ..obs.metrics import inc as _obs_inc
 from ..obs.metrics import metrics_enabled as _metrics_enabled
 from ..obs.metrics import observe as _obs_observe
 from .discretize import CEIL_EPS
-from .dp import check_deadline
+from .dp import WitnessSegment, check_deadline
 
 #: Conservative relative margin for threshold pruning — identical to the
 #: scalar oracle's memo margin, so near-tie leftovers fall through to a
@@ -201,9 +200,10 @@ def _pair_transition(
     ``F[pair]``.
 
     Returns ``(step, cells)``.  ``step.bs, rs, zs, capacity, e_hi`` are
-    the source states that extend at all; state ``s`` has one candidate
+    the source states, all of which extend; state ``s`` has one candidate
     per end group in ``[bs[s], e_hi[s]]``, and those within budget are
-    the ends up to ``v_hi[s]`` (``bs[s] - 1`` when there are none).
+    the ends up to ``v_hi[s]`` (at least ``bs[s]``: the empty slice is
+    free).
     :func:`_candidates` rebuilds any of them on demand.  ``cells`` are
     the candidates the pair scattered, ``(lin, vals)`` with ``lin = e *
     (R+1) + cells``: the valid candidates the dominance clip keeps, in
@@ -239,16 +239,14 @@ def _pair_transition(
     e_hi = np.searchsorted(
         cum_area, cum_area[bs] + capacity * (1 + 1e-12), side="right"
     ) - 1
-    # The cap only prunes: an end past the wall crosses the first
-    # infeasible group, whose +inf repeater term poisons cum_rep, so
-    # that candidate would fail the budget test anyway.
+    # The wall: an end past next_infeasible[b] puts a group the pair
+    # cannot time into the slice.  The empty slice is under both bounds,
+    # so every state extends.
     e_hi = np.minimum(e_hi, delay_limit[bs])
-    keep = e_hi >= bs
-    bs, rs, zs, capacity, e_hi = (a[keep] for a in (bs, rs, zs, capacity, e_hi))
 
-    v_hi = _last_valid(disc, pair, bs, rs, e_hi)
+    v_hi = _last_valid(cum_rep, disc, bs, rs, e_hi)
     stats.transitions += int((v_hi - bs + 1).sum())
-    first = _first_kept(tables, disc, pair, bs, rs, zs, v_hi)
+    first = _first_kept(cum_rep, cum_ins, disc, bs, rs, zs, v_hi)
 
     # Candidate c of the k-th kept state ends at group shift[k] + c, in
     # [first, v_hi]: all within budget, so none needs masking.  They are
@@ -320,49 +318,48 @@ def _pair_transition(
     return step, (np.concatenate(lins), np.concatenate(vals))
 
 
-def _last_valid(disc, pair: int, bs, rs, e_hi) -> np.ndarray:
-    """Each state's last end group within budget in ``[bs, e_hi]``
-    (``bs - 1`` when there is none), by the transition's own cell test.
+def _last_valid(cum_rep, disc, bs, rs, e_hi) -> np.ndarray:
+    """Each state's last end group within budget in ``[bs, e_hi]``, by
+    the transition's own cell test on the pair's ``cum_rep``.
 
-    Up to ``e_hi``, ``cum_rep`` is finite and non-decreasing (or ``inf``
-    from ``b`` on, when no end is valid), and IEEE subtract, divide and
-    ceil are monotone, so the cell count never falls as the end group
-    grows and the valid ends form a prefix of the range.  The guess
-    inverts the budget to an area; rounding can put it a few ends off,
-    and the fix-up steps it, one run of equal ``cum_rep`` (which share
-    one verdict) at a time, until the test holds at it and fails past
-    it.
+    ``cum_rep`` is non-decreasing, and IEEE subtract, divide and ceil
+    are monotone, so the cell count never falls as the end group grows
+    and the valid ends form a prefix of the range; it holds ``bs``, the
+    free empty slice, and so does every end of ``bs``'s run of equal
+    ``cum_rep``.  The guess inverts the budget to an area; rounding can
+    put it a few ends off, and the fix-up steps it, one run of equal
+    ``cum_rep`` (which share one verdict) at a time, until the test
+    holds at it and fails past it.
     """
-    cum_rep = disc.cum_rep_area[pair]
     num_units, unit_area = disc.num_units, disc.unit_area
 
     def valid(some, ends):
-        with np.errstate(invalid="ignore"):  # inf - inf: see disc.cells
-            areas = cum_rep[ends] - cum_rep[bs[some]]
+        areas = cum_rep[ends] - cum_rep[bs[some]]
         return rs[some] + disc.cells(areas) <= num_units
 
     reach = cum_rep[bs]
     if not math.isinf(unit_area):
         reach = reach + (num_units - rs + CEIL_EPS) * unit_area
     v = np.searchsorted(cum_rep, reach, side="right") - 1
-    v = np.clip(v, bs - 1, e_hi)
+    v = np.clip(v, bs, e_hi)
     while True:
         up = v < e_hi
         up[up] = valid(up, v[up] + 1)
-        down = v >= bs
+        down = v > bs
         down[down] = ~valid(down, v[down])
         if not (up.any() or down.any()):
             return v
         nxt = v[up] + 1
         v[up] = np.minimum(np.searchsorted(cum_rep, cum_rep[nxt], side="right") - 1, e_hi[up])
-        v[down] = np.maximum(
-            np.searchsorted(cum_rep, cum_rep[v[down]], side="left") - 1, bs[down] - 1
-        )
+        # Before the run of v's cum_rep, which is past bs's (bs is valid).
+        v[down] = np.searchsorted(cum_rep, cum_rep[v[down]], side="left") - 1
 
 
-def _first_kept(tables: AssignmentTables, disc, pair: int, bs, rs, zs, v_hi) -> np.ndarray:
+def _first_kept(cum_rep, cum_ins, disc, bs, rs, zs, v_hi) -> np.ndarray:
     """First end group each state scatters: one past the last end of
     the earlier states found to dominate it, else its own ``b``.
+    ``cum_rep`` and ``cum_ins`` are the pair's cumulative repeater area
+    and inserted count.
 
     The dominance tests and their proof are in the module docstring.
     Each state tests, for every ``k``, the state with the least ``r -
@@ -381,19 +378,16 @@ def _first_kept(tables: AssignmentTables, disc, pair: int, bs, rs, zs, v_hi) -> 
     if not len(j):
         return first
 
-    cum_rep = disc.cum_rep_area[pair]
     unit_area = disc.unit_area
     cb = cum_rep[bs]
     # Tests 2 and 3 compare one key per state: the repeaters less the
     # prefix's cumulative count (exact: integers), and the cells less
     # the prefix's unrounded cumulative cost, whose margin covers the
     # rounding of both it and the cell test over the pair's largest
-    # finite cum_rep.
-    top = cum_rep[np.isfinite(cum_rep)].max(initial=0.0)
-    margin = _MARGIN_ULPS * (top / unit_area + disc.num_units + 1)
-    with np.errstate(invalid="ignore"):
-        spare = zs - tables.cum_inserted[pair][bs]
-        cost = np.where(v_hi >= bs, rs - cb / unit_area, np.inf)
+    # cum_rep, its total.
+    margin = _MARGIN_ULPS * (cum_rep[-1] / unit_area + disc.num_units + 1)
+    spare = zs - cum_ins[bs]
+    cost = rs - cb / unit_area
 
     # The cheapest state of the last 1, 2, 4, ... states before each
     # row: each doubling keeps the cheaper of a window's and the one
@@ -407,15 +401,11 @@ def _first_kept(tables: AssignmentTables, disc, pair: int, bs, rs, zs, v_hi) -> 
         rows.append(cheapest[pj])
 
     i = np.array(rows)
-    with np.errstate(invalid="ignore"):
-        dominates = (
-            (v_hi[i] >= bs[j])
-            & (spare[i] <= spare[j])
-            & (
-                (cost[i] <= cost[j] - margin)
-                | ((cb[i] == cb[j]) & (rs[i] <= rs[j]))
-            )
-        )
+    dominates = (
+        (v_hi[i] >= bs[j])
+        & (spare[i] <= spare[j])
+        & ((cost[i] <= cost[j] - margin) | ((cb[i] == cb[j]) & (rs[i] <= rs[j])))
+    )
     last = np.where(dominates, v_hi[i], -1).max(axis=0)
     first[j] = np.where(last >= 0, last + 1, bs[j])
     return first
@@ -542,19 +532,18 @@ def solve_pairs_numpy(
 ):
     """Run the DP pair loop with whole-pair vectorized kernels.
 
-    Returns ``(best_rank, best_trace, parent_b, parent_r)``:
-    ``best_trace = (pair, b, e, r_pred)`` of the winning transition, or
-    ``None`` when no prefix meets delay, and the parents the witness
-    walk reads (see :func:`_recover_parents`).
+    Returns ``(best_rank, witness)``: the winning prefix's
+    ``WitnessSegment`` per pair (see :func:`_witness`), or ``None``
+    unless ``collect_witness`` is set and some prefix meets delay.
     """
     width = disc.num_units + 1
     sources = _start()
 
     best_rank = 0
     best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
-    # Per-pair (bs, rs, zs, e_hi) snapshots for the lazy backward
-    # parent recovery; only kept when a witness is requested.
-    snapshots: List[Optional[Tuple]] = []
+    # Per-pair (bs, rs, zs, e_hi) snapshots for the witness walk; only
+    # kept when a witness is requested.
+    snapshots: List[Tuple[np.ndarray, ...]] = []
     transition_s = 0.0
     rank_scan_s = 0.0
     close_s = 0.0
@@ -579,18 +568,16 @@ def solve_pairs_numpy(
         sources = _close_pair(*cells, width)
         close_s += time.perf_counter() - t2
         if collect_witness:
-            snap = (step.bs, step.rs, step.zs, step.e_hi)
-            snapshots.append(snap if len(step.bs) else None)
+            snapshots.append((step.bs, step.rs, step.zs, step.e_hi))
 
     _publish_kernel_timers(transition_s, rank_scan_s, close_s)
     if _metrics_enabled():
         _obs_inc("solver.dp.kernel.scattered", scattered)
 
-    parent_b: List = []
-    parent_r: List = []
+    witness = None
     if collect_witness and best_trace is not None:
-        parent_b, parent_r = _recover_parents(tables, disc, snapshots, best_trace)
-    return best_rank, best_trace, parent_b, parent_r
+        witness = _witness(tables, disc, snapshots, best_trace)
+    return best_rank, witness
 
 
 def _publish_kernel_timers(transition_s: float, rank_scan_s: float, close_s: float) -> None:
@@ -637,63 +624,59 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
     return ranks
 
 
-def _recover_parents(
+def _witness(
     tables: AssignmentTables,
     disc,
-    snapshots: List[Optional[Tuple[np.ndarray, ...]]],
+    snapshots: List[Tuple[np.ndarray, ...]],
     best_trace: Tuple[int, int, int, int],
-):
-    """Re-derive parent pointers along the winning path only.
+) -> Tuple[WitnessSegment, ...]:
+    """The winning prefix, one ``WitnessSegment`` per pair, in one walk
+    back from the winning transition ``best_trace = (pair, b, e, r)``.
 
-    The witness walk in :func:`repro.core.dp._reconstruct_witness`
-    reads exactly one ``parent[p][b, r]`` cell per pair, so instead of
-    attributing parents to every DP cell during the forward pass the
-    kernel retains each pair's source states (``snapshots``) and this
-    function answers the few queries after the fact.  Every cell the
-    walk visits is a source state of the pair above, so a record of
-    ``F[p]``: its cummin'd value sits in its own column, as the scalar
-    loop's cummin keeps a column's own parent unless an earlier column
-    is strictly lower.  Its parent is then, as in the scalar loop, the
-    *first* transition candidate in processing order (states row-major
-    in ``(b, r)``) that lands on that cell with that value, the record's
-    ``z``.  Candidates are enumerated over each state's whole range, so
-    the dominance clip of :func:`_first_kept` cannot move a parent.
-
-    Returns ``(parent_b, parent_r)`` lists of dicts keyed ``(b, r)``,
-    drop-in compatible with the dense arrays' ``[b, r]`` indexing for
-    the cells the walk visits.
+    Parents are not tracked during the forward pass: the kernel retains
+    each pair's source states (``snapshots``), and the walk re-derives
+    the one parent per pair it visits.  Every cell it visits is a
+    source state of the next pair down, so a record of ``F[p]``: its
+    cummin'd value sits in its own column, as the scalar loop's cummin
+    keeps a column's own parent unless an earlier column is strictly
+    lower.  Its parent is then, as in the scalar loop, the *first* transition candidate in
+    processing order (states row-major in ``(b, r)``) that lands on that
+    cell with that value, the record's ``z``.  Candidates are enumerated
+    over each state's whole range, so the dominance clip of
+    :func:`_first_kept` cannot move a parent.
     """
-    pair_t, b_t, _e_t, r_t = best_trace
-    parent_b: List[dict] = [dict() for _ in range(pair_t)]
-    parent_r: List[dict] = [dict() for _ in range(pair_t)]
-    if not pair_t:
-        return parent_b, parent_r
+    pair, b, e, r = best_trace
 
-    bs, rs, zs, _ = snapshots[pair_t]
-    value = zs[np.flatnonzero((bs == b_t) & (rs == r_t))[0]]
-    cur_b, cur_r = b_t, r_t
-    for p in range(pair_t - 1, -1, -1):
-        pb_val = pr_val = -1
-        snap = snapshots[p]
-        if snap is not None:
-            bs, rs, zs, e_hi = snap
-            cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
-            cand = np.flatnonzero((bs <= cur_b) & (e_hi >= cur_b))
-            if len(cand):
-                sb = bs[cand]
-                with np.errstate(invalid="ignore"):
-                    nr = rs[cand] + disc.cells(cum_rep[cur_b] - cum_rep[sb])
-                    nz = zs[cand] + (cum_ins[cur_b] - cum_ins[sb])
-                    hits = np.flatnonzero((nr == cur_r) & (nz == value))
-                if len(hits):
-                    i = int(cand[hits[0]])
-                    pb_val, pr_val, value = int(bs[i]), int(rs[i]), zs[i]
-        parent_b[p][cur_b, cur_r] = pb_val
-        parent_r[p][cur_b, cur_r] = pr_val
-        if pb_val < 0:
-            break  # the walk raises on the -1 it is about to read
-        cur_b, cur_r = pb_val, pr_val
-    return parent_b, parent_r
+    def segment(p, start, end):
+        cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
+        return WitnessSegment(
+            pair=p,
+            start_group=start,
+            end_group=end,
+            repeater_cells=int(disc.cells(cum_rep[end] - cum_rep[start])),
+            repeaters=int(cum_ins[end] - cum_ins[start]),
+        )
+
+    segments = [segment(pair, b, e)]
+    bs, rs, zs, _ = snapshots[pair]
+    value = zs[np.flatnonzero((bs == b) & (rs == r))[0]]
+    for p in range(pair - 1, -1, -1):
+        bs, rs, zs, e_hi = snapshots[p]
+        cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
+        cand = np.flatnonzero((bs <= b) & (e_hi >= b))
+        nr = rs[cand] + disc.cells(cum_rep[b] - cum_rep[bs[cand]])
+        nz = zs[cand] + (cum_ins[b] - cum_ins[bs[cand]])
+        hits = cand[(nr == r) & (nz == value)]
+        if not len(hits):
+            raise RankComputationError(
+                f"witness walk found no parent for state "
+                f"(pair={p}, groups={b}, cells={r})"
+            )
+        i = hits[0]
+        segments.append(segment(p, int(bs[i]), b))
+        b, r, value = int(bs[i]), int(rs[i]), zs[i]
+    segments.reverse()
+    return tuple(segments)
 
 
 def _scan_rank_levels(

@@ -149,17 +149,25 @@ class TestPolicies:
             make_tables(arch130, die130, [(10.0, 5)], pair_capacity_factor=0.0)
 
 
-class TestPoisoning:
-    def test_infeasible_groups_poison_cumulative_sums(self, arch130, die130):
-        """A 3 GHz clock makes the shortest wires infeasible; slices
-        crossing them must read as +inf."""
+class TestDelayWall:
+    def test_infeasible_groups_add_nothing_and_wall_the_prefix(
+        self, arch130, die130
+    ):
+        """A 3 GHz clock makes the shortest wires infeasible.  They add
+        no repeater area or count, so the cumulative sums stay finite
+        and flat across them; ``next_infeasible`` alone walls them."""
         tables = make_tables(
             arch130, die130, [(1000.0, 2), (1.0, 50)], clock=3e9
         )
         assert (tables.stages[:, -1] == -1).all()
-        for p in range(tables.num_pairs):
-            assert np.isinf(tables.cum_rep_area[p][-1])
-            assert np.isfinite(tables.cum_rep_area[p][1])
+        assert (tables.rep_area[:, -1] == 0).all()
+        assert (tables.inserted[:, -1] == 0).all()
+        for cum in (tables.cum_rep_area, tables.cum_inserted):
+            assert np.isfinite(cum).all()
+            assert (cum[:, -1] == cum[:, -2]).all()
+            assert (np.diff(cum, axis=1) >= 0).all()
+        assert tables.cum_rep_area[:, 1].tolist() == tables.rep_area[:, 0].tolist()
+        assert tables.next_infeasible.tolist() == [[1, 1, 2]] * tables.num_pairs
 
 
 class TestInsertedCounts:

@@ -111,9 +111,10 @@ def solve_rank_oracle(
     """The rank DP run on the scalar pair loop instead of the NumPy
     kernel: :func:`~repro.core.dp.solve_rank_dp` with
     :func:`tests.dp_oracle.solve_pairs_python` patched in where it looks
-    the kernel up, so the discretization, fits check and witness rebuild
-    are the same and its :class:`~repro.core.dp.RawSolution` compares
-    field for field with the kernel's."""
+    the kernel up, so the discretization and fits check are the same
+    (the oracle walks its witness from its own dense parents) and its
+    :class:`~repro.core.dp.RawSolution` compares field for field with
+    the kernel's."""
     import repro.core.dp_numpy as dp_numpy
     from repro.core.dp import solve_rank_dp
 

@@ -4,7 +4,7 @@
 :mod:`repro.core.dp_numpy`.  The scalar per-state loop is a test oracle
 (``tests/dp_oracle.py``); ``solve_rank_oracle`` in the test conftest
 patches it in for the kernel, so it runs through the same discretize,
-fits check and witness rebuild.  The kernel promises *bit-identical* results to it — not merely
+fits check and witness.  The kernel promises *bit-identical* results to it — not merely
 the same rank, but the same witness, the same feasibility verdict, and
 the same deterministic solver counters.  These tests pin that contract
 on randomized instances (Hypothesis) and on the degradation paths
@@ -185,16 +185,15 @@ def _dense_candidates(tables, disc, step, pair):
     for s, (b, r, z, e_hi) in enumerate(zip(step.bs, step.rs, step.zs, step.e_hi)):
         es = np.arange(b, e_hi + 1)
         capacity = tables.capacity(pair, float(tables.cum_wires[b]), float(z))
-        with np.errstate(invalid="ignore"):
-            du = disc.cells(cum_rep[es] - cum_rep[b])
-            parts.append((
-                np.full(len(es), s),
-                es,
-                r + du,
-                z + (cum_ins[es] - cum_ins[b]),
-                capacity - (cum_area[es] - cum_area[b]),
-                np.isfinite(du) & (r + du <= disc.num_units),
-            ))
+        du = disc.cells(cum_rep[es] - cum_rep[b])
+        parts.append((
+            np.full(len(es), s),
+            es,
+            r + du,
+            z + (cum_ins[es] - cum_ins[b]),
+            capacity - (cum_area[es] - cum_area[b]),
+            r + du <= disc.num_units,
+        ))
     return [np.concatenate(a) for a in zip(*parts)]
 
 
@@ -467,19 +466,21 @@ class TestLevelOrder:
         assert np.array_equal(dp_numpy._level_order(es, nr, 9), want)
 
 
-def _hand_tables(cum_rep, cum_ins=None, wire_area=None, routing=1.0):
+def _hand_tables(cum_rep, cum_ins=None, wire_area=None, routing=1.0, infeasible=()):
     """One hand-built pair: what the transition reads of a table, with
-    every group feasible and free wire area unless given."""
+    free wire area unless given and every group feasible but those in
+    ``infeasible``, whose wall ``next_infeasible`` states."""
     cum_rep = np.asarray(cum_rep, dtype=float)
     groups = len(cum_rep) - 1
     row = lambda a: np.asarray(a, dtype=float)[None, :]
+    blocked = [min([g for g in infeasible if g >= b], default=groups) for b in range(groups + 1)]
     return types.SimpleNamespace(
         num_groups=groups,
         cum_wires=np.arange(groups + 1),
         cum_wire_area=row(np.zeros(groups + 1) if wire_area is None else wire_area),
         cum_rep_area=row(cum_rep),
         cum_inserted=row(np.zeros(groups + 1) if cum_ins is None else cum_ins),
-        next_infeasible=np.full((1, groups + 1), groups),
+        next_infeasible=np.array([blocked]),
         via_area=np.zeros(1),
         vias_per_wire=0,
         routing_capacity=routing,
@@ -490,29 +491,27 @@ def _clip_and_dense(tables, units, unit_area, sources):
     """The transition of hand-built ``tables`` from ``sources`` and the
     same pair by dense enumeration with the oracle's arithmetic.
     Returns ``(step, first, records, dense_v_hi, dense_records)``."""
-    disc = RepeaterDiscretization(units, unit_area, tables.cum_rep_area)
+    disc = RepeaterDiscretization(units, unit_area)
     bs, rs, zs = (np.asarray(a) for a in sources)
     sources = (bs.astype(np.int64), rs.astype(np.int64), zs.astype(float))
     step, cells = dp_numpy._pair_transition(
         tables, disc, dp.SolverStats(), sources, 0, None
     )
     assert np.array_equal(step.bs, sources[0])  # every state extends
-    first = dp_numpy._first_kept(tables, disc, 0, *sources, step.v_hi)
+    cum_ins, cum_rep = tables.cum_inserted[0], tables.cum_rep_area[0]
+    first = dp_numpy._first_kept(cum_rep, cum_ins, disc, *sources, step.v_hi)
     records = dp_numpy._close_pair(*cells, disc.num_units + 1)
 
-    cum_ins, cum_rep = tables.cum_inserted[0], tables.cum_rep_area[0]
     table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
     v_hi = []
     for b, r, z, e_hi in zip(*sources, step.e_hi):
         es = np.arange(b, e_hi + 1)
-        with np.errstate(invalid="ignore"):
-            nr = r + disc.cells(cum_rep[es] - cum_rep[b])
+        nr = r + disc.cells(cum_rep[es] - cum_rep[b])
         valid = nr <= disc.num_units
         # The valid ends are a prefix of the range.
         v_hi.append(b - 1 + int(np.argmin(np.append(valid, False))))
         assert not valid[v_hi[-1] - b + 1:].any()
-        with np.errstate(invalid="ignore"):
-            nz = z + (cum_ins[es] - cum_ins[b])
+        nz = z + (cum_ins[es] - cum_ins[b])
         np.minimum.at(table, (es[valid], nr[valid].astype(np.int64)), nz[valid])
     return step, first, records, np.array(v_hi), _dense_close(table)
 
@@ -625,14 +624,22 @@ class TestClip:
         )
         _assert_exact(step, records, v_hi, dense)
         assert first[1] > step.v_hi[1] >= 1
-        disc = RepeaterDiscretization(4, 1.0, tables.cum_rep_area)
+        disc = RepeaterDiscretization(4, 1.0)
         snapshots = [(step.bs, step.rs, step.zs, step.e_hi), records + (None,)]
+        # A second pair below, where the walk starts with an empty slice.
+        for name in ("cum_rep_area", "cum_inserted"):
+            setattr(tables, name, np.repeat(getattr(tables, name), 2, axis=0))
+        walked = 0
         for b, r, _ in zip(*records):
             if b >= 1:
-                parent_b, parent_r = dp_numpy._recover_parents(
-                    tables, disc, snapshots, (1, int(b), int(b), int(r))
+                b, r = int(b), int(r)
+                witness = dp_numpy._witness(tables, disc, snapshots, (1, b, b, r))
+                assert witness == (
+                    dp.WitnessSegment(0, 0, b, r, 0),
+                    dp.WitnessSegment(1, b, b, 0, 0),
                 )
-                assert (parent_b[0][b, r], parent_r[0][b, r]) == (0, 0)
+                walked += 1
+        assert walked == 4  # rows 1-4: state 1's whole range
 
     def test_inserted_repeaters_decide(self):
         """State 0 is cheaper in cells and reaches as far, but group 0
@@ -673,17 +680,22 @@ class TestClip:
         assert step.v_hi.tolist() == [2, 2, 4]
         assert first.tolist() == [0, 3, 3]
 
-    def test_poisoned_cum_rep(self):
-        """A delay-infeasible group poisons ``cum_rep`` with ``+inf``
-        past the wall, here inside every state's area reach: no end
-        past it is valid, and a state starting beyond it has none."""
-        inf = np.inf
-        tables = _hand_tables([0.0, 1.0, 2.0, inf, inf, inf])
+    def test_wall_from_next_infeasible(self):
+        """Group 2 cannot meet delay: it adds no repeater area, so
+        ``cum_rep`` stays finite, and only ``next_infeasible`` walls it,
+        here inside every state's area and budget reach.  States before
+        it end at it; a state at it takes the empty slice, and one past
+        it extends over the groups after it."""
+        tables = _hand_tables([0.0, 1.0, 2.0, 2.0, 3.0, 4.0], infeasible=[2])
+        assert tables.next_infeasible[0].tolist() == [2, 2, 2, 5, 5, 5]
         step, first, records, v_hi, dense = _clip_and_dense(
-            tables, 8, 1.0, ([0, 1, 4], [0, 3, 0], [0.0, 0.0, 0.0])
+            tables, 8, 1.0, ([0, 1, 2, 3], [0, 3, 1, 0], [0.0, 0.0, 0.0, 0.0])
         )
         _assert_exact(step, records, v_hi, dense)
-        assert step.v_hi.tolist() == [2, 2, 3]
+        assert step.e_hi.tolist() == [2, 2, 2, 5]
+        assert step.v_hi.tolist() == [2, 2, 2, 5]
+        assert (2, 1, 0.0) in zip(*records)  # state 2's empty slice
+        assert (5, 2, 0.0) in zip(*records)  # state 3 past the wall
 
     def test_margin_covers_rounding(self):
         """Unrounded, state 0's extra cost to reach state 1's start is
@@ -836,7 +848,8 @@ class TestDeadline:
         )
         step, _ = dp_numpy._pair_transition(tables, disc, stats, sources, 1, None)
         first = dp_numpy._first_kept(
-            tables, disc, 1, step.bs, step.rs, step.zs, step.v_hi
+            tables.cum_rep_area[1], tables.cum_inserted[1], disc,
+            step.bs, step.rs, step.zs, step.v_hi,
         )
         runs = int(np.count_nonzero(step.v_hi >= first))
         assert 1 < runs < np.count_nonzero(step.v_hi >= step.bs)

@@ -8,14 +8,19 @@ is the core correctness evidence for the rank computation.
 
 import random
 
+import numpy as np
 import pytest
+import repro.assign.tables as tables_module
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import compute_rank, solve_rank_exhaustive
+from repro.core.dp import solve_rank_dp
 
+from .. import reference_dp
 from ..conftest import make_tiny_problem, solve_rank_oracle
 from ..reference_dp import solve_rank_reference
+from ..witness_check import verify_witness
 
 
 def solve_all(problem, units):
@@ -108,6 +113,102 @@ class TestRandomized:
         dp, ref, exh = solve_all(problem, units)
         assert dp.rank == ref.rank == exh.rank
         assert dp.fits == ref.fits == exh.fits
+
+
+def walled_tables(problem, allowed):
+    """``problem``'s tables with group ``g`` made delay-infeasible on
+    pair ``p`` wherever ``allowed[p, g]`` is False: ``build_tables``
+    itself derives every table from stage counts that read ``-1``
+    there (it times one pair per ``min_stages_for_target`` call, top
+    pair first)."""
+    timed = tables_module.min_stages_for_target
+    rows = iter(allowed)
+
+    def walled(*args, **kwargs):
+        return np.where(next(rows), timed(*args, **kwargs), -1)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables_module, "min_stages_for_target", walled)
+        tables, _ = problem.tables()
+    assert next(rows, None) is None  # one call per pair
+    return tables
+
+
+def solve_four(tables, allowed, units):
+    """Rank of walled ``tables`` by the NumPy kernel, the scalar oracle,
+    the reference DP and exhaustive search, with the kernel's witness
+    checked from first principles.  The reference times each wire
+    itself, so it refuses the walled (pair, wire) pairs directly."""
+    kernel = solve_rank_dp(tables, units, collect_witness=True)
+    oracle = solve_rank_oracle(tables, units, collect_witness=True)
+    assert kernel.witness == oracle.witness
+    assert kernel.stats == oracle.stats
+    if kernel.witness is not None:
+        verify_witness(tables, kernel)
+    timed = reference_dp._incremental_insertion
+
+    def walled(tables, pair, wire):
+        return timed(tables, pair, wire) if allowed[pair, wire] else None
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_dp, "_incremental_insertion", walled)
+        ref = solve_rank_reference(tables, repeater_units=units)
+    exh = solve_rank_exhaustive(tables, repeater_units=units)
+    return kernel.rank, oracle.rank, ref.rank, exh.rank
+
+
+class TestDelayWall:
+    """The delay wall is ``next_infeasible`` alone: a pair may take any
+    slice it can time, the empty one included, also past a group it
+    cannot time."""
+
+    @pytest.mark.parametrize("units", [64, 256])
+    def test_slices_after_an_untimed_group(self, node130, units):
+        """Wire 0 meets its target only on pair 0, wires 1-3 only on
+        pairs 1-2: the lower pairs must take the empty slice past wire
+        0, and pair 1 the three wires after it.  All four solvers rank
+        4; with the wall also written into the repeater sums, the DP
+        ranked 1."""
+        problem = make_tiny_problem(
+            node130, [1200, 700, 300, 90], semi_global_pairs=1, repeater_fraction=0.3
+        )
+        assert (problem.tables()[0].stages >= 0).all()
+        allowed = np.array([[1, 0, 0, 0], [0, 1, 1, 1], [0, 1, 1, 1]], dtype=bool)
+        tables = walled_tables(problem, allowed)
+        assert tables.next_infeasible.tolist() == [
+            [1, 1, 2, 3, 4], [0, 4, 4, 4, 4], [0, 4, 4, 4, 4]
+        ]
+        assert solve_four(tables, allowed, units) == (4, 4, 4, 4)
+        witness = solve_rank_dp(tables, units, collect_witness=True).witness
+        assert [(s.pair, s.start_group, s.end_group) for s in witness] == [
+            (0, 0, 1), (1, 1, 4)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.sets(st.integers(min_value=2, max_value=1800), min_size=1, max_size=5),
+        fraction=st.sampled_from([0.0, 0.05, 0.3]),
+        clock=st.sampled_from([3e8, 7e8, 1.5e9]),
+        semi=st.sampled_from([0, 1]),
+        units=st.sampled_from([8, 32, 64]),
+        data=st.data(),
+    )
+    def test_random_walls_agree(self, node130, lengths, fraction, clock, semi, units, data):
+        """Random per-(pair, wire) walls, non-monotone ones included,
+        on top of the physical ones: the four solvers agree."""
+        problem = make_tiny_problem(
+            node130,
+            sorted(lengths, reverse=True),
+            repeater_fraction=fraction,
+            clock_frequency=clock,
+            semi_global_pairs=semi,
+        )
+        size = problem.arch.num_pairs * len(lengths)
+        allowed = np.array(
+            data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool
+        ).reshape(problem.arch.num_pairs, len(lengths))
+        ranks = solve_four(walled_tables(problem, allowed), allowed, units)
+        assert len(set(ranks)) == 1, ranks
 
 
 class TestGroupGranularityConsistency:

@@ -169,9 +169,7 @@ class TestPerCellOracle:
 
         expected = []
         for cells in range(full.num_units + 1):
-            disc = RepeaterDiscretization(
-                cells, full.unit_area, tables.cum_rep_area
-            )
+            disc = RepeaterDiscretization(cells, full.unit_area)
             monkeypatch.setattr(
                 reference_dp, "discretize_repeaters", lambda *_a, d=disc: d
             )

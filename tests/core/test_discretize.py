@@ -51,11 +51,10 @@ class TestAreaToUnits:
         assert disc.cells(0.0) == 0.0
 
 
-def slice_cells(disc, pair, start, end):
+def slice_cells(tables, disc, pair, start, end):
     """Cell cost of groups ``[start, end)`` on ``pair``."""
-    cum = disc.cum_rep_area[pair]
-    with np.errstate(invalid="ignore"):  # inf - inf past a poisoned group
-        return disc.cells(cum[end] - cum[start])
+    cum = tables.cum_rep_area[pair]
+    return disc.cells(cum[end] - cum[start])
 
 
 class TestSliceUnits:
@@ -68,10 +67,8 @@ class TestSliceUnits:
                     area = float(
                         tables.cum_rep_area[pair][e] - tables.cum_rep_area[pair][b]
                     )
-                    units = slice_cells(disc, pair, b, e)
-                    if math.isinf(area) or math.isnan(area):
-                        assert math.isinf(units)
-                    elif area <= 0.0:
+                    units = slice_cells(tables, disc, pair, b, e)
+                    if area <= 0.0:
                         assert units == 0.0
                     else:
                         assert units == math.ceil(area / disc.unit_area - CEIL_EPS)
@@ -82,29 +79,37 @@ class TestSliceUnits:
             assert not hasattr(disc, name)  # cells is the one cost method
         ends = np.arange(0, tables.num_groups + 1)
         for pair in range(tables.num_pairs):
-            batch = slice_cells(disc, pair, 0, ends)
+            batch = slice_cells(tables, disc, pair, 0, ends)
             for i, e in enumerate(ends):
-                assert batch[i] == slice_cells(disc, pair, 0, int(e))
+                assert batch[i] == slice_cells(tables, disc, pair, 0, int(e))
 
     def test_empty_slice_free(self, tables):
         disc = discretize_repeaters(tables, 64)
-        assert slice_cells(disc, 0, 2, 2) == 0.0
+        assert slice_cells(tables, disc, 0, 2, 2) == 0.0
 
     def test_per_slice_rounding_cheaper_than_per_group(self, tables):
         """The whole point of slice-level rounding: one ceil per block,
         not one per group."""
         disc = discretize_repeaters(tables, 1000)
         pair = tables.num_pairs - 1
-        whole = slice_cells(disc, pair, 0, tables.num_groups)
+        whole = slice_cells(tables, disc, pair, 0, tables.num_groups)
         per_group = sum(
-            slice_cells(disc, pair, g, g + 1) for g in range(tables.num_groups)
+            slice_cells(tables, disc, pair, g, g + 1) for g in range(tables.num_groups)
         )
         assert whole <= per_group
 
-    def test_infeasible_slice_is_inf(self, node130):
+    def test_infeasible_group_is_free_and_walled(self, node130):
+        """The cost says nothing about delay: a slice across a group
+        that cannot meet its target costs what the slice before it
+        does, and only ``next_infeasible`` refuses it."""
         problem = make_tiny_problem(node130, [1500, 1], clock_frequency=3e9)
         tables = problem.tables()[0]
         disc = discretize_repeaters(tables, 64)
         # shortest group infeasible at 3 GHz on every pair
         assert (tables.stages[:, -1] == -1).all()
-        assert math.isinf(slice_cells(disc, 0, 0, tables.num_groups))
+        last = tables.num_groups
+        for pair in range(tables.num_pairs):
+            whole = slice_cells(tables, disc, pair, 0, last)
+            assert math.isfinite(whole)
+            assert whole == slice_cells(tables, disc, pair, 0, last - 1)
+            assert tables.next_infeasible[pair][0] == last - 1

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.assign.greedy_assign import pack_required_leftover, pack_suffix
 from repro.assign.tables import AssignmentTables
-from repro.core.dp import SolverStats, check_deadline
+from repro.core.dp import SolverStats, WitnessSegment, check_deadline
 
 
 def solve_pairs_python(
@@ -40,9 +40,10 @@ def solve_pairs_python(
     check ranks, witnesses and deterministic counters bit for bit on
     bunched, multi-wire-group problems.
 
-    Returns ``(best_rank, best_trace, parent_b, parent_r)`` with
-    ``best_trace = (pair, b, e, r_pred)`` of the winning transition, or
-    ``None`` when no prefix meets delay.
+    Returns ``(best_rank, witness)``; the witness is walked back from
+    the winning transition through the dense parent tables
+    (:func:`_walk_parents`), ``None`` unless ``collect_witness`` is set
+    and some prefix meets delay.
     """
     num_units = disc.num_units
     num_groups = tables.num_groups
@@ -119,9 +120,8 @@ def solve_pairs_python(
                     continue
 
                 es = np.arange(b, e_hi + 1)
-                with np.errstate(invalid="ignore"):
-                    du = disc.cells(cum_rep[es] - cum_rep[b])
-                valid = np.isfinite(du) & (r + du <= num_units)
+                du = disc.cells(cum_rep[es] - cum_rep[b])
+                valid = r + du <= num_units
                 if not valid.any():
                     continue
                 es = es[valid]
@@ -197,7 +197,42 @@ def solve_pairs_python(
         else:
             f_prev = np.minimum.accumulate(f_new, axis=1)
 
-    return best_rank, best_trace, parent_b, parent_r
+    witness = None
+    if keep_parents and best_trace is not None:
+        witness = _walk_parents(tables, disc, parent_b, parent_r, best_trace)
+    return best_rank, witness
+
+
+def _walk_parents(
+    tables: AssignmentTables,
+    disc,
+    parent_b: List[np.ndarray],
+    parent_r: List[np.ndarray],
+    best_trace: Tuple[int, int, int, int],
+) -> Tuple[WitnessSegment, ...]:
+    """The winning prefix's segments, walked back from ``best_trace =
+    (pair, b, e, r_pred)`` through the dense parent tables."""
+    pair, b, e, r = best_trace
+
+    def segment(p, start, end):
+        cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
+        return WitnessSegment(
+            pair=p,
+            start_group=start,
+            end_group=end,
+            repeater_cells=int(disc.cells(cum_rep[end] - cum_rep[start])),
+            repeaters=int(cum_ins[end] - cum_ins[start]),
+        )
+
+    segments = [segment(pair, b, e)]
+    for p in range(pair - 1, -1, -1):
+        pb, pr = int(parent_b[p][b, r]), int(parent_r[p][b, r])
+        assert pb >= 0, f"no parent for state (pair={p}, groups={b}, cells={r})"
+        segments.append(segment(p, pb, b))
+        b, r = pb, pr
+    assert b == 0, f"witness walk ended at group {b}, expected 0"
+    segments.reverse()
+    return tuple(segments)
 
 
 def close_pair_lexsort(lin: np.ndarray, vals: np.ndarray, width: int):
