@@ -2,20 +2,25 @@
 
 Same recurrence and state space as the scalar test oracle
 (``tests/dp_oracle.py``), but one *whole layer-pair* of work per kernel
-call instead of one ``(b, r)`` state at a time:
+call instead of one ``(b, r)`` state at a time.  A pair's transition is
+two steps: the reach (:func:`_pair_reach`), all that the rank scan and
+the witness read, and the expand-and-close (:func:`_expand_and_close`),
+which builds the next pair's source states.  The last pair's records
+would be ``F[m-1]``, which no pair reads, so no solve closes that pair:
 
-* the transition reads its source states as arrays ``(bs, rs, zs)``:
+* the reach reads its source states as arrays ``(bs, rs, zs)``:
   the strict-improvement records of ``F[pair-1]``, exactly the states a
   cummin over budgets would expose, row-major in ``(b, r)``,
-* of each state it first finds ``v_hi``, its last end group within
+* of each state it finds ``v_hi``, its last end group within
   budget (the valid ends are a prefix of its range), from a
   ``searchsorted`` guess and an uncapped fix-up with the cell test
   itself, without expanding the range,
-* it then clips from each state's range the ends where an earlier state
-  dominates it (below) and expands only the rest, a run of whole states
-  at a time, about ``_BLOCK`` candidates per run, with in-place ufuncs
-  over cache-sized temporaries; the pair's candidates are never all
-  materialized, and no dense ``(G+1) x (R+1)`` table is allocated,
+* the expand-and-close clips from each state's range the ends where an
+  earlier state dominates it (below) and expands only the rest, a run
+  of whole states at a time, about ``_BLOCK`` candidates per run, with
+  in-place ufuncs over cache-sized temporaries; the pair's candidates
+  are never all materialized, and no dense ``(G+1) x (R+1)`` table is
+  allocated,
 * :func:`_close_pair` reads the next pair's records out of the kept
   candidates with one ``np.sort`` of int64 keys ``cell * span + (z -
   z_min)``, exact because every ``z`` is an integer below ``2^53``
@@ -25,13 +30,14 @@ call instead of one ``(b, r)`` state at a time:
   restored; blocks of whole rows keep a key within int64, and a pair
   holding more than ``_COMPACT`` candidates closes them on the way,
 * witness parents are *not* tracked during the forward pass — the
-  kernel retains each pair's source states, and :func:`_witness` walks
+  kernel keeps each pair's reach, and :func:`_witness` walks
   back from the winning transition once, re-deriving the one parent per
   pair it visits and turning each step into a ``WitnessSegment``,
-* the rank-candidate scan runs level-major — highest end group first
+* the rank-candidate scan runs after the pair loop, from the bottom
+  pair up, and within a pair level-major — highest end group first
   across *all* states — and :func:`_candidates` rebuilds a level's
   candidates over each state's unclipped ``[b, v_hi]`` only when the
-  scan reaches it (bit-identical to the transition's), with a
+  scan reaches it (bit-identical to the expanded ones), with a
   :func:`~repro.assign.greedy_assign.pack_required_leftover` threshold
   test pruning provably-failing candidates before any
   :func:`~repro.assign.greedy_assign.pack_suffix` call, one query each,
@@ -96,9 +102,9 @@ v_hi]``.  ``transitions``, :func:`_levels`, :func:`_candidates`, the
 rank scan and :func:`_witness` all read the unclipped ranges,
 so counters, ranks and witnesses do not depend on the clip.
 
-The transition (:func:`_pair_transition`) is shared by two rank
-reductions: one global best (:func:`solve_pairs_numpy`) and the best
-per budget cell (:func:`solve_pairs_curve_numpy`, the budget curve).
+The two steps are shared by two rank reductions: one global best
+(:func:`solve_pairs_numpy`) and the best per budget cell
+(:func:`solve_pairs_curve_numpy`, the budget curve).
 
 Exactness contract (enforced by ``tests/core/test_backends.py``,
 ``tests/core/test_cross_validation.py`` and
@@ -123,10 +129,19 @@ threshold computed at the *smallest* ``z`` of a level lower-bounds
 every candidate, and candidates below it (with the same conservative
 ``1 - 1e-9`` margin the scalar memo uses) cannot pack.  A success at
 the highest surviving level ends the pair: lower levels can only
-produce smaller ranks.  The curve needs, of each level, only the
-packing candidate of fewest cells, so it finds every level's first
-packing candidate in ``nr`` order at once (see
-:func:`_scan_budget_levels`).
+produce smaller ranks.  So a pair's scan returns its best packing
+level, if that beats the floor, and that level's first packing
+candidate; neither depends on the floor.  The scalar loop's forward
+scan keeps the first pair that reaches the maximal rank.  The bottom-up
+scan gives the last pair floor 0 and each earlier pair the best rank
+less one, so an earlier pair that ties the best takes over, and a
+level the best beats is never built: the winner is the forward scan's.
+A pair below can extend any prefix of the pairs above it, so its best
+is seldom lower: bottom up, the pairs above scan only the few levels
+at or above it.  The floor is never below 0, so the empty prefix
+(level 0) never wins.  The curve needs, of each level, only the packing
+candidate of fewest cells, so it finds every level's first packing
+candidate in ``nr`` order at once (see :func:`_scan_budget_levels`).
 """
 
 from __future__ import annotations
@@ -154,12 +169,12 @@ from .dp import WitnessSegment, check_deadline
 _PRUNE_MARGIN = 1.0 - 1e-9
 
 
-#: Candidates per run of source states in :func:`_pair_transition`: each
+#: Candidates per run of source states in :func:`_expand_and_close`: each
 #: float64 temporary of a run is 128 KB, so the dozen a run keeps live
 #: stay in a 2 MB L2 cache.
 _BLOCK = 1 << 14
 
-#: Kept candidates a pair may hold before :func:`_pair_transition`
+#: Kept candidates a pair may hold before :func:`_expand_and_close`
 #: reduces them to their records (16 bytes each, 1 MB).  Records of
 #: records are the records of the whole, so the reduction is exact; it
 #: bounds the pair's memory by this plus its records however much work
@@ -171,10 +186,9 @@ _COMPACT = 1 << 16
 #: round by, so the margin covers both (see the module docstring).
 _MARGIN_ULPS = 2.0**-46
 
-#: One pair's transition, as :func:`_pair_transition` returns it.
-_PairTransition = namedtuple(
-    "_PairTransition", "bs rs zs capacity e_hi v_hi scattered close_s"
-)
+#: What the rank scan and the witness read of one pair, as
+#: :func:`_pair_reach` returns it.
+_PairStep = namedtuple("_PairStep", "bs rs zs capacity e_hi v_hi")
 
 #: Largest key :func:`_close_pair` packs into one int64.
 _KEY_MAX = int(np.iinfo(np.int64).max)
@@ -188,38 +202,28 @@ def _start():
     return zero, zero.copy(), np.zeros(1)
 
 
-def _pair_transition(
+def _pair_reach(
     tables: AssignmentTables,
     disc,
     stats,
     sources: Tuple[np.ndarray, np.ndarray, np.ndarray],
     pair: int,
-    deadline: Optional[float],
-):
-    """Expand the source states ``(bs, rs, zs)`` of ``F[pair-1]`` into
-    ``F[pair]``.
+) -> _PairStep:
+    """How far the source states ``(bs, rs, zs)`` of ``F[pair-1]`` reach
+    into pair ``pair``, and the pair's ``rows``, ``states_explored`` and
+    ``transitions`` counts.
 
-    Returns ``(step, cells)``.  ``step.bs, rs, zs, capacity, e_hi`` are
-    the source states, all of which extend; state ``s`` has one candidate
-    per end group in ``[bs[s], e_hi[s]]``, and those within budget are
-    the ends up to ``v_hi[s]`` (at least ``bs[s]``: the empty slice is
-    free).
-    :func:`_candidates` rebuilds any of them on demand.  ``cells`` are
-    the candidates the pair scattered, ``(lin, vals)`` with ``lin = e *
-    (R+1) + cells``: the valid candidates the dominance clip keeps, in
-    no particular order; :func:`_close_pair` reads ``F[pair]``'s records
-    out of them.  ``step.scattered`` counts them before any reduction,
-    and ``step.close_s`` is the time the pair spent reducing them on the
-    way (a :func:`_close_pair` of its own).
+    ``step.bs, rs, zs, capacity, e_hi`` are the source states, all of
+    which extend; state ``s`` has one candidate per end group in
+    ``[bs[s], e_hi[s]]``, and those within budget are the ends up to
+    ``v_hi[s]`` (at least ``bs[s]``: the empty slice is free).
+    :func:`_candidates` rebuilds any of them on demand, and
+    :func:`_expand_and_close` reads ``F[pair]``'s records out of them.
     """
-    num_units = disc.num_units
-    unit_area = disc.unit_area
     num_groups = tables.num_groups
     stats.rows += num_groups + 1
 
     cum_area = tables.cum_wire_area[pair]
-    cum_rep = tables.cum_rep_area[pair]
-    cum_ins = tables.cum_inserted[pair]
     delay_limit = tables.next_infeasible[pair]
     via_area = float(tables.via_area[pair])
 
@@ -244,8 +248,33 @@ def _pair_transition(
     # so every state extends.
     e_hi = np.minimum(e_hi, delay_limit[bs])
 
-    v_hi = _last_valid(cum_rep, disc, bs, rs, e_hi)
+    v_hi = _last_valid(tables.cum_rep_area[pair], disc, bs, rs, e_hi)
     stats.transitions += int((v_hi - bs + 1).sum())
+    return _PairStep(bs, rs, zs, capacity, e_hi, v_hi)
+
+
+def _expand_and_close(
+    tables: AssignmentTables,
+    disc,
+    step: _PairStep,
+    pair: int,
+    deadline: Optional[float],
+):
+    """The records of ``F[pair]``, the next pair's source states, out of
+    ``step``'s valid candidates.
+
+    Scatters the candidates the dominance clip keeps, ``(lin, vals)``
+    with ``lin = e * (R+1) + cells``, and reads the records out of them
+    with :func:`_close_pair`.  Returns ``(records, scattered,
+    close_s)``: ``scattered`` counts the candidates before any
+    reduction, and ``close_s`` is the time spent in :func:`_close_pair`,
+    on the way and at the end.
+    """
+    num_units = disc.num_units
+    unit_area = disc.unit_area
+    cum_rep = tables.cum_rep_area[pair]
+    cum_ins = tables.cum_inserted[pair]
+    bs, rs, zs, v_hi = step.bs, step.rs, step.zs, step.v_hi
     first = _first_kept(cum_rep, cum_ins, disc, bs, rs, zs, v_hi)
 
     # Candidate c of the k-th kept state ends at group shift[k] + c, in
@@ -314,8 +343,10 @@ def _pair_transition(
             limit = max(_COMPACT, 2 * held)
         s0 = s1
 
-    step = _PairTransition(bs, rs, zs, capacity, e_hi, v_hi, bounds[-1], close_s)
-    return step, (np.concatenate(lins), np.concatenate(vals))
+    t0 = time.perf_counter()
+    records = _close_pair(np.concatenate(lins), np.concatenate(vals), width)
+    close_s += time.perf_counter() - t0
+    return records, bounds[-1], close_s
 
 
 def _last_valid(cum_rep, disc, bs, rs, e_hi) -> np.ndarray:
@@ -412,16 +443,17 @@ def _first_kept(cum_rep, cum_ins, disc, bs, rs, zs, v_hi) -> np.ndarray:
 
 
 def _candidates(
-    tables: AssignmentTables, disc, step: _PairTransition, pair: int, lo: int, hi: int
+    tables: AssignmentTables, disc, step: _PairStep, pair: int, lo: int, hi: int
 ):
-    """The valid candidates of ``step`` (see :func:`_pair_transition`)
+    """The valid candidates of ``step`` (see :func:`_pair_reach`)
     that end in ``[lo, hi]``, in processing order (states row-major in
     ``(b, r)``, ends ascending), as ``(sid, es, nr, nz, leftover)``:
     source state, end group, cells, repeaters above and the top pair's
     leftover capacity.
 
-    Every quantity is the same IEEE sequence as the transition's, so it
-    is bit-identical to the candidate the transition scattered.
+    Every quantity is the same IEEE sequence as
+    :func:`_expand_and_close`'s, so it is bit-identical to the candidate
+    that scattered.
     """
     bs, v_hi = step.bs, step.v_hi
     first = np.maximum(bs, lo)
@@ -444,7 +476,7 @@ def _candidates(
     return sid, es, nr.astype(np.int64), nz, leftover
 
 
-def _levels(step: _PairTransition, num_groups: int) -> np.ndarray:
+def _levels(step: _PairStep, num_groups: int) -> np.ndarray:
     """End groups with at least one valid candidate, ascending: those
     that some state's ``[bs, v_hi]`` covers."""
     cover = np.bincount(step.bs, minlength=num_groups + 2)
@@ -532,43 +564,43 @@ def solve_pairs_numpy(
 ):
     """Run the DP pair loop with whole-pair vectorized kernels.
 
-    Returns ``(best_rank, witness)``: the winning prefix's
-    ``WitnessSegment`` per pair (see :func:`_witness`), or ``None``
-    unless ``collect_witness`` is set and some prefix meets delay.
+    The pair loop keeps each pair's :func:`_pair_reach` step and closes
+    every pair but the last, whose records no pair reads.  One rank scan
+    then visits the steps from the bottom pair up.  Returns
+    ``(best_rank, witness)``: the winning prefix's ``WitnessSegment``
+    per pair (see :func:`_witness`), or ``None`` unless
+    ``collect_witness`` is set and some prefix meets delay.
     """
-    width = disc.num_units + 1
+    last = tables.num_pairs - 1
     sources = _start()
-
-    best_rank = 0
-    best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
-    # Per-pair (bs, rs, zs, e_hi) snapshots for the witness walk; only
-    # kept when a witness is requested.
-    snapshots: List[Tuple[np.ndarray, ...]] = []
-    transition_s = 0.0
-    rank_scan_s = 0.0
-    close_s = 0.0
+    steps: List[_PairStep] = []
+    transition_s = close_s = 0.0
     scattered = 0
 
     for pair in range(tables.num_pairs):
         check_deadline(deadline, where=f"dp pair {pair} (numpy kernel)")
         t0 = time.perf_counter()
-        step, cells = _pair_transition(tables, disc, stats, sources, pair, deadline)
-        transition_s += time.perf_counter() - t0 - step.close_s
-        close_s += step.close_s
-        scattered += step.scattered
+        steps.append(_pair_reach(tables, disc, stats, sources, pair))
+        if pair < last:
+            sources, n, pair_close_s = _expand_and_close(tables, disc, steps[-1], pair, deadline)
+            scattered += n
+            close_s += pair_close_s
+            transition_s -= pair_close_s
+        transition_s += time.perf_counter() - t0
 
-        # --- Rank candidates, level-major: highest end group first.
-        t1 = time.perf_counter()
-        hit = _scan_rank_levels(tables, disc, stats, deadline, step, pair, best_rank)
+    # --- Rank candidates, bottom pair up, each pair level-major.  An
+    # earlier pair scans down to the best rank itself, so it takes over
+    # a tie: the winner is the first pair that reaches the maximum, as
+    # in a forward scan.
+    t1 = time.perf_counter()
+    best_rank = 0
+    best_trace: Optional[Tuple[int, int, int, int]] = None  # (pair, b, e, r_pred)
+    for pair in range(last, -1, -1):
+        floor = max(best_rank - 1, 0)
+        hit = _scan_rank_levels(tables, disc, stats, deadline, steps[pair], pair, floor)
         if hit is not None:
             best_rank, best_trace = hit
-        rank_scan_s += time.perf_counter() - t1
-
-        t2 = time.perf_counter()
-        sources = _close_pair(*cells, width)
-        close_s += time.perf_counter() - t2
-        if collect_witness:
-            snapshots.append((step.bs, step.rs, step.zs, step.e_hi))
+    rank_scan_s = time.perf_counter() - t1
 
     _publish_kernel_timers(transition_s, rank_scan_s, close_s)
     if _metrics_enabled():
@@ -576,7 +608,7 @@ def solve_pairs_numpy(
 
     witness = None
     if collect_witness and best_trace is not None:
-        witness = _witness(tables, disc, snapshots, best_trace)
+        witness = _witness(tables, disc, steps, best_trace)
     return best_rank, witness
 
 
@@ -591,19 +623,20 @@ def _publish_kernel_timers(transition_s: float, rank_scan_s: float, close_s: flo
 def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray:
     """Run the DP pair loop, reducing rank candidates per budget cell.
 
-    Same transitions as :func:`solve_pairs_numpy`.  Returns ``ranks``
-    (length ``num_units + 1``, non-decreasing): ``ranks[c]`` is the best
-    rank using at most ``c`` cells.
+    Same steps as :func:`solve_pairs_numpy`, the last pair unclosed.
+    Returns ``ranks`` (length ``num_units + 1``, non-decreasing):
+    ``ranks[c]`` is the best rank using at most ``c`` cells.
     """
     cum_wires = tables.cum_wires
     width = disc.num_units + 1
+    last = tables.num_pairs - 1
     ranks = np.zeros(width, dtype=np.int64)
     sources = _start()
     transition_s = rank_scan_s = close_s = 0.0
 
     for pair in range(tables.num_pairs):
         t0 = time.perf_counter()
-        step, cells = _pair_transition(tables, disc, stats, sources, pair, None)
+        step = _pair_reach(tables, disc, stats, sources, pair)
         t1 = time.perf_counter()
         # Only candidates that would raise the curve at their own
         # budget cell matter.  ranks[0] is the curve's minimum, so the
@@ -615,10 +648,12 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
             tables, stats, pair, ranks, es[raises], nz[raises], left[raises], nr[raises]
         )
         t2 = time.perf_counter()
-        sources = _close_pair(*cells, width)
-        transition_s += t1 - t0 - step.close_s
+        if pair < last:
+            sources, _, pair_close_s = _expand_and_close(tables, disc, step, pair, None)
+            close_s += pair_close_s
+            transition_s -= pair_close_s
+        transition_s += t1 - t0 + time.perf_counter() - t2
         rank_scan_s += t2 - t1
-        close_s += time.perf_counter() - t2 + step.close_s
 
     _publish_kernel_timers(transition_s, rank_scan_s, close_s)
     return ranks
@@ -627,14 +662,14 @@ def solve_pairs_curve_numpy(tables: AssignmentTables, disc, stats) -> np.ndarray
 def _witness(
     tables: AssignmentTables,
     disc,
-    snapshots: List[Tuple[np.ndarray, ...]],
+    steps: List[_PairStep],
     best_trace: Tuple[int, int, int, int],
 ) -> Tuple[WitnessSegment, ...]:
     """The winning prefix, one ``WitnessSegment`` per pair, in one walk
     back from the winning transition ``best_trace = (pair, b, e, r)``.
 
-    Parents are not tracked during the forward pass: the kernel retains
-    each pair's source states (``snapshots``), and the walk re-derives
+    Parents are not tracked during the forward pass: the walk reads each
+    pair's source states off its step (``steps``) and re-derives
     the one parent per pair it visits.  Every cell it visits is a
     source state of the next pair down, so a record of ``F[p]``: its
     cummin'd value sits in its own column, as the scalar loop's cummin
@@ -658,10 +693,10 @@ def _witness(
         )
 
     segments = [segment(pair, b, e)]
-    bs, rs, zs, _ = snapshots[pair]
+    bs, rs, zs = steps[pair][:3]
     value = zs[np.flatnonzero((bs == b) & (rs == r))[0]]
     for p in range(pair - 1, -1, -1):
-        bs, rs, zs, e_hi = snapshots[p]
+        bs, rs, zs, _, e_hi, _ = steps[p]
         cum_rep, cum_ins = tables.cum_rep_area[p], tables.cum_inserted[p]
         cand = np.flatnonzero((bs <= b) & (e_hi >= b))
         nr = rs[cand] + disc.cells(cum_rep[b] - cum_rep[bs[cand]])
@@ -684,25 +719,25 @@ def _scan_rank_levels(
     disc,
     stats,
     deadline: Optional[float],
-    step: _PairTransition,
+    step: _PairStep,
     pair: int,
-    best_rank: int,
+    floor: int,
 ):
     """Find the pair's best rank candidate that actually packs.
 
     Scans the end-group levels that hold candidates in descending order,
     building each level's candidates only when it is reached, down to
-    the first level that cannot beat ``best_rank``.  Within a level,
+    the first level whose rank is not above ``floor``.  Within a level,
     candidates keep the transition kernel's processing order (states
     row-major in ``(b, r)``), so the first packing candidate is the
     same one the scalar loop's running-best scan would have committed.
     Returns ``(rank, (pair, b, e, r))`` for the first success, or
-    ``None`` when no candidate on this pair beats ``best_rank``.
+    ``None`` when no candidate on this pair beats ``floor``.
     """
     cum_wires = tables.cum_wires
     for e in reversed(_levels(step, tables.num_groups).tolist()):
         wires_e = int(cum_wires[e])
-        if wires_e <= best_rank:
+        if wires_e <= floor:
             break  # descending levels: every remaining one is smaller
         check_deadline(deadline, where=f"dp pair {pair}, rank level {e}")
         sid, _, _, nz, left = _candidates(tables, disc, step, pair, e, e)

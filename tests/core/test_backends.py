@@ -32,6 +32,8 @@ from repro.core.dp import solve_rank_dp
 from repro.errors import DeadlineExceeded, RankComputationError
 
 from .. import dp_oracle
+from ..assign.test_packer_exactness import synthetic, tables_inputs
+from ..assign.test_tables import make_tables
 from ..conftest import make_tiny_problem, solve_rank_oracle
 
 
@@ -148,30 +150,34 @@ class TestTransitionBounds:
         sources = dp_numpy._start()
         walled = 0
         for pair in range(tables.num_pairs):
-            step, cells = dp_numpy._pair_transition(
-                tables, disc, stats, sources, pair, None
-            )
+            step = dp_numpy._pair_reach(tables, disc, stats, sources, pair)
             wall = tables.next_infeasible[pair][step.bs]
             assert np.all(step.e_hi <= wall)
             cum_area = tables.cum_wire_area[pair]
             beyond = np.minimum(wall + 1, tables.num_groups)
             reach = cum_area[beyond] - cum_area[step.bs]
             walled += int(np.count_nonzero((wall < beyond) & (reach <= step.capacity)))
-            sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+            sources, _, _ = dp_numpy._expand_and_close(tables, disc, step, pair, None)
         assert walled > 0
 
 
-def _transitions(tables, units):
-    """Every pair's transition of a solve, with its discretization."""
-    disc = discretize_repeaters(tables, units)
+def _walk(tables, disc):
+    """Every pair's step of a solve and what it expands and closes into,
+    the last pair included (a solve leaves that one unclosed): one
+    ``(step, records, scattered, close_s)`` per pair."""
     stats = dp.SolverStats(solver="dp")
-    sources = dp_numpy._start()
-    steps = []
+    sources, out = dp_numpy._start(), []
     for pair in range(tables.num_pairs):
-        step, cells = dp_numpy._pair_transition(tables, disc, stats, sources, pair, None)
-        steps.append(step)
-        sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
-    return disc, steps
+        step = dp_numpy._pair_reach(tables, disc, stats, sources, pair)
+        sources, scattered, close_s = dp_numpy._expand_and_close(tables, disc, step, pair, None)
+        out.append((step, sources, scattered, close_s))
+    return out
+
+
+def _transitions(tables, units):
+    """Every pair's step of a solve, with its discretization."""
+    disc = discretize_repeaters(tables, units)
+    return disc, [step for step, _, _, _ in _walk(tables, disc)]
 
 
 def _dense_candidates(tables, disc, step, pair):
@@ -262,7 +268,7 @@ class TestCandidates:
         does not rely on that."""
         bs = np.array([0, 0, 4, 9])
         v_hi = np.array([1, -1, 5, 9])
-        step = dp_numpy._PairTransition(bs, bs, bs, bs, v_hi, v_hi, 0, 0.0)
+        step = dp_numpy._PairStep(bs, bs, bs, bs, v_hi, v_hi)
         assert dp_numpy._levels(step, 12).tolist() == [0, 1, 4, 5, 9]
 
     @staticmethod
@@ -494,13 +500,11 @@ def _clip_and_dense(tables, units, unit_area, sources):
     disc = RepeaterDiscretization(units, unit_area)
     bs, rs, zs = (np.asarray(a) for a in sources)
     sources = (bs.astype(np.int64), rs.astype(np.int64), zs.astype(float))
-    step, cells = dp_numpy._pair_transition(
-        tables, disc, dp.SolverStats(), sources, 0, None
-    )
+    step = dp_numpy._pair_reach(tables, disc, dp.SolverStats(), sources, 0)
     assert np.array_equal(step.bs, sources[0])  # every state extends
     cum_ins, cum_rep = tables.cum_inserted[0], tables.cum_rep_area[0]
     first = dp_numpy._first_kept(cum_rep, cum_ins, disc, *sources, step.v_hi)
-    records = dp_numpy._close_pair(*cells, disc.num_units + 1)
+    records, _, _ = dp_numpy._expand_and_close(tables, disc, step, 0, None)
 
     table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
     v_hi = []
@@ -523,43 +527,34 @@ def _assert_exact(step, records, v_hi, dense):
 
 
 class TestClip:
-    """The dominance clip of ``_pair_transition`` scatters fewer
+    """The dominance clip of ``_expand_and_close`` scatters fewer
     candidates but gives the records and ``v_hi`` of a dense per-state
     enumeration, floats equal as bytes.  Hand-built tables pin the
-    edges of each dominance test; the real stacks check it at scale."""
+    edges of each dominance test; the real stacks check it at scale,
+    on every pair, the last included, though a solve never closes that
+    one."""
 
     def test_real_tables_match_dense(self, stacks):
         clipped = 0
         for tables, units in stacks:
             disc = discretize_repeaters(tables, units)
-            sources = dp_numpy._start()
-            for pair in range(tables.num_pairs):
-                step, cells = dp_numpy._pair_transition(
-                    tables, disc, dp.SolverStats(), sources, pair, None
-                )
-                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+            for pair, (step, records, scattered, _) in enumerate(_walk(tables, disc)):
                 _, es, nr, nz, _, valid = _dense_candidates(tables, disc, step, pair)
                 table = np.full((tables.num_groups + 1, disc.num_units + 1), np.inf)
                 np.minimum.at(table, (es[valid], nr[valid].astype(np.int64)), nz[valid])
-                for got, want in zip(sources, _dense_close(table)):
+                for got, want in zip(records, _dense_close(table)):
                     assert _same_bits(got, want)
-                assert step.scattered <= int(valid.sum())
-                clipped += int(valid.sum()) - step.scattered
+                assert scattered <= int(valid.sum())
+                clipped += int(valid.sum()) - scattered
         assert clipped > 0
 
     def test_compaction_is_exact(self, stacks, monkeypatch):
         """A pair holding more than ``_COMPACT`` candidates reduces them
-        to their records as it goes; the records do not change."""
+        to their records as it goes; the records of every pair, the last
+        included, do not change."""
         def records(tables, units):
             disc = discretize_repeaters(tables, units)
-            sources, out = dp_numpy._start(), []
-            for pair in range(tables.num_pairs):
-                _, cells = dp_numpy._pair_transition(
-                    tables, disc, dp.SolverStats(), sources, pair, None
-                )
-                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
-                out.append(sources)
-            return out
+            return [records for _, records, _, _ in _walk(tables, disc)]
 
         want = [records(*stack) for stack in stacks]
         closes = []
@@ -572,30 +567,39 @@ class TestClip:
         got = [records(*stack) for stack in stacks]
         assert len(closes) > sum(tables.num_pairs for tables, _ in stacks)
         for g, w in zip(got, want):
+            assert len(g) == len(w)
             for g_pair, w_pair in zip(g, w):
                 for a, b in zip(g_pair, w_pair):
                     assert _same_bits(a, b)
 
     def test_compaction_time_is_close_time(self, stacks, monkeypatch):
-        """A pair that reduces its candidates on the way reports the time
-        as ``close_s``, which the solve counts as close, not transition;
-        a pair that holds them all reports none."""
+        """``close_s`` is at least the time a pair spent in
+        ``_close_pair``: one call at the end when it holds few
+        candidates, more when it reduces them on the way."""
         tables, units = stacks[-1]
         disc = discretize_repeaters(tables, units)
+        spent = []
+        real = dp_numpy._close_pair
 
-        def close_times():
-            sources, out = dp_numpy._start(), []
-            for pair in range(tables.num_pairs):
-                step, cells = dp_numpy._pair_transition(
-                    tables, disc, dp.SolverStats(), sources, pair, None
-                )
-                sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
-                out.append(step.close_s)
+        def timed(*args):
+            t0 = time.perf_counter()
+            out = real(*args)
+            spent.append(time.perf_counter() - t0)
             return out
 
-        assert close_times() == [0.0] * tables.num_pairs
-        monkeypatch.setattr(dp_numpy, "_COMPACT", 16)
-        assert max(close_times()) > 0.0
+        monkeypatch.setattr(dp_numpy, "_close_pair", timed)
+        calls = []
+        for compact in (dp_numpy._COMPACT, 16):
+            monkeypatch.setattr(dp_numpy, "_COMPACT", compact)
+            sources = dp_numpy._start()
+            for pair in range(tables.num_pairs):
+                step = dp_numpy._pair_reach(tables, disc, dp.SolverStats(), sources, pair)
+                spent.clear()
+                sources, _, close_s = dp_numpy._expand_and_close(tables, disc, step, pair, None)
+                assert close_s >= sum(spent)
+                calls.append(len(spent))
+        assert calls[: tables.num_pairs] == [1] * tables.num_pairs
+        assert max(calls[tables.num_pairs :]) > 1
 
     def test_ceil_eps_edge_does_not_clip(self):
         """State 0 pays ``1 + 5e-10`` cells more than state 1 to reach
@@ -625,7 +629,7 @@ class TestClip:
         _assert_exact(step, records, v_hi, dense)
         assert first[1] > step.v_hi[1] >= 1
         disc = RepeaterDiscretization(4, 1.0)
-        snapshots = [(step.bs, step.rs, step.zs, step.e_hi), records + (None,)]
+        steps = [step, dp_numpy._PairStep(*records, None, None, None)]
         # A second pair below, where the walk starts with an empty slice.
         for name in ("cum_rep_area", "cum_inserted"):
             setattr(tables, name, np.repeat(getattr(tables, name), 2, axis=0))
@@ -633,7 +637,7 @@ class TestClip:
         for b, r, _ in zip(*records):
             if b >= 1:
                 b, r = int(b), int(r)
-                witness = dp_numpy._witness(tables, disc, snapshots, (1, b, b, r))
+                witness = dp_numpy._witness(tables, disc, steps, (1, b, b, r))
                 assert witness == (
                     dp.WitnessSegment(0, 0, b, r, 0),
                     dp.WitnessSegment(1, b, b, 0, 0),
@@ -741,6 +745,127 @@ def _counters(stats):
     )
 
 
+def _dp_tables(base, inputs, stages, unit, budget_fraction):
+    """The packer inputs of ``tables_inputs`` completed into DP tables
+    as ``build_tables`` derives them: each group's wires take
+    ``stages[p][g]`` stages on pair ``p`` (``-1``: it cannot meet
+    delay there) of ``unit`` area each, and the budget is
+    ``budget_fraction`` of the largest pair's repeater area."""
+    tables = synthetic(base, *inputs)
+    stages = np.asarray(stages, dtype=np.int64)
+    groups = stages.shape[1]
+    charged = np.maximum(stages, 0)
+    inserted = np.maximum(charged - 1, 0)
+    wire_area = tables.pair_pitch[:, None] * tables.lengths_m * tables.counts
+    rep_area = tables.counts * charged * unit
+
+    def cum(a):
+        return np.concatenate((np.zeros((len(a), 1)), np.cumsum(a, axis=1, dtype=float)), axis=1)
+
+    blocked = np.where(stages >= 0, groups, np.arange(groups))
+    wall = np.minimum.accumulate(blocked[:, ::-1], axis=1)[:, ::-1]
+    return dataclasses.replace(
+        tables,
+        wire_area=wire_area,
+        cum_wire_area=cum(wire_area),
+        stages=stages,
+        inserted=inserted,
+        rep_area=rep_area,
+        cum_rep_area=cum(rep_area),
+        cum_inserted=cum(tables.counts * inserted),
+        next_infeasible=np.concatenate((wall, np.full((len(stages), 1), groups)), axis=1),
+        repeater_budget_area=budget_fraction * float(rep_area.sum(axis=1).max()),
+    )
+
+
+@pytest.fixture(scope="module")
+def packer_base(arch130, die130):
+    """Real 4-pair tables whose arrays ``_dp_tables`` replaces."""
+    return make_tables(arch130, die130, [(10.0, 1)])
+
+
+class TestBottomUpScan:
+    """The kernel scans rank candidates from the bottom pair up and
+    never closes the last pair; the scalar oracle scans forward and
+    closes every pair.  An earlier pair takes over a tie at the best
+    rank, so both name the first pair that reaches the maximum."""
+
+    def test_tie_goes_to_the_earlier_pair(self, tiny_problem):
+        """Both pairs of the tiny problem reach its rank, every wire:
+        the witness ends on pair 0, as the forward scan's does."""
+        tables, _ = tiny_problem.tables()
+        disc = discretize_repeaters(tables, 32)
+        stats = dp.SolverStats(solver="dp")
+        reach = [
+            dp_numpy._scan_rank_levels(tables, disc, stats, None, step, pair, 0)[0]
+            for pair, (step, _, _, _) in enumerate(_walk(tables, disc))
+        ]
+        assert reach == [tables.total_wires] * 2
+        kernel, oracle = _pair(tiny_problem, units=32)
+        _assert_identical(kernel, oracle)
+        assert kernel.witness[-1].pair == 0
+
+    def test_one_pair_stack_expands_nothing(self, node130, monkeypatch):
+        """With one pair, the first pair is also the last: the solve
+        expands and closes nothing and still matches the oracle."""
+        problem = make_tiny_problem(node130, [1200, 700, 300, 90, 25], local_pairs=0)
+        tables, _ = problem.tables()
+        assert tables.num_pairs == 1
+        expanded = []
+        real = dp_numpy._expand_and_close
+        monkeypatch.setattr(
+            dp_numpy, "_expand_and_close", lambda *a: expanded.append(1) or real(*a)
+        )
+        kernel = solve_rank_dp(tables, repeater_units=32, collect_witness=True)
+        assert expanded == []
+        assert kernel.rank > 0
+        _assert_identical(kernel, solve_rank_oracle(tables, 32, collect_witness=True))
+
+    @pytest.mark.parametrize(
+        "lengths, gates, fraction, fits",
+        [
+            ([2000] * 8, 1000, 0.05, False),  # does not fit at all
+            ([1500, 1400, 1300], 10_000, 0.0, True),  # fits, no wire meets delay
+        ],
+    )
+    def test_rank_zero_has_no_witness(self, node130, lengths, gates, fraction, fits):
+        """At rank 0 no scan floor is below 0, so the empty prefix (level
+        0) is never a winner and there is no witness.  The pair loops
+        themselves agree too, also where the fits check would skip
+        them."""
+        problem = make_tiny_problem(
+            node130, lengths, gate_count=gates, repeater_fraction=fraction,
+            clock_frequency=3e9,
+        )
+        tables, _ = problem.tables()
+        kernel = solve_rank_dp(tables, repeater_units=16, collect_witness=True)
+        assert (kernel.rank, kernel.fits, kernel.witness) == (0, fits, None)
+        _assert_identical(kernel, solve_rank_oracle(tables, 16, collect_witness=True))
+        disc = discretize_repeaters(tables, 16)
+        got, want = dp.SolverStats(solver="dp"), dp.SolverStats(solver="dp")
+        assert dp_numpy.solve_pairs_numpy(tables, disc, got, True, None) == (0, None)
+        assert dp_oracle.solve_pairs_python(tables, disc, want, True, None) == (0, None)
+        assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs=tables_inputs(max_groups=12), data=st.data())
+    def test_random_tables_match_oracle(self, packer_base, inputs, data):
+        """Random 4-pair tables, walls included: rank, witness and
+        counters equal the forward-scanning oracle's."""
+        groups = len(inputs[1])
+        row = st.lists(st.integers(-1, 3), min_size=groups, max_size=groups)
+        tables = _dp_tables(
+            packer_base,
+            inputs,
+            data.draw(st.lists(row, min_size=4, max_size=4)),
+            data.draw(st.sampled_from([0.5, 1.0, 2.0])),
+            data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+        )
+        units = data.draw(st.sampled_from([4, 16]))
+        kernel = solve_rank_dp(tables, repeater_units=units, collect_witness=True)
+        _assert_identical(kernel, solve_rank_oracle(tables, units, collect_witness=True))
+
+
 class TestBlockedTransition:
     """The numpy transition walks source states in runs of about
     ``_BLOCK`` candidates; the run boundaries must not show in any
@@ -796,10 +921,10 @@ class TestBlockedTransition:
 class TestMemory:
     """The transition never holds a whole layer-pair's candidates, nor a
     dense ``(G+1) x (R+1)`` table: at this size the solve peaks at
-    ~1.3 MB with or without a witness, whose snapshots keep only each
-    pair's source states (tracemalloc counts numpy's buffers; holding
-    a whole pair's candidates peaked at ~54 MB, the dense scatter
-    buffer at ~7.3 MB)."""
+    ~1.3 MB with or without a witness: it keeps only each pair's
+    source states and their reach (tracemalloc counts numpy's buffers;
+    holding a whole pair's candidates peaked at ~54 MB, the dense
+    scatter buffer at ~7.3 MB)."""
 
     @staticmethod
     def _peak(collect_witness):
@@ -836,17 +961,16 @@ class TestDeadline:
         disc = discretize_repeaters(tables, 128)
         monkeypatch.setattr(dp_numpy, "_BLOCK", 1)
         stats = dp.SolverStats(solver="dp")
-        _, cells = dp_numpy._pair_transition(
-            tables, disc, stats, dp_numpy._start(), 0, None
-        )
-        sources = dp_numpy._close_pair(*cells, disc.num_units + 1)
+        step = dp_numpy._pair_reach(tables, disc, stats, dp_numpy._start(), 0)
+        sources, _, _ = dp_numpy._expand_and_close(tables, disc, step, 0, None)
 
         checks = []
         real = dp_numpy.check_deadline
         monkeypatch.setattr(
             dp_numpy, "check_deadline", lambda d, where: checks.append(where) or real(d, where)
         )
-        step, _ = dp_numpy._pair_transition(tables, disc, stats, sources, 1, None)
+        step = dp_numpy._pair_reach(tables, disc, stats, sources, 1)
+        dp_numpy._expand_and_close(tables, disc, step, 1, None)
         first = dp_numpy._first_kept(
             tables.cum_rep_area[1], tables.cum_inserted[1], disc,
             step.bs, step.rs, step.zs, step.v_hi,
@@ -857,7 +981,7 @@ class TestDeadline:
 
         expired = time.monotonic() - 1.0
         with pytest.raises(DeadlineExceeded, match="dp pair 1 run"):
-            dp_numpy._pair_transition(tables, disc, stats, sources, 1, expired)
+            dp_numpy._expand_and_close(tables, disc, step, 1, expired)
 
     def test_expired_deadline_raises_on_both(self, node130):
         problem = make_tiny_problem(node130, [1200, 700, 300])

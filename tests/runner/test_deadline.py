@@ -1,6 +1,7 @@
 """Tests for cooperative deadline cancellation inside the solvers."""
 
 import time
+import types
 
 import pytest
 
@@ -41,6 +42,31 @@ class TestComputeRankDeadline:
         tables, _ = tiny_problem.tables()
         with pytest.raises(DeadlineExceeded, match="dp fits check"):
             dp.solve_rank_dp(tables, 16, deadline=time.monotonic() - 1.0)
+
+    def test_deadline_during_deferred_rank_scan(self, tiny_problem, monkeypatch):
+        """The kernel scans rank candidates after its pair loop, bottom
+        pair first: a deadline that passes only then still stops the
+        solve, naming the rank level it reached."""
+        from repro.core import dp, dp_numpy
+
+        tables, _ = tiny_problem.tables()
+        clock = [0.0]
+        clock_only = types.SimpleNamespace(
+            monotonic=lambda: clock[0], perf_counter=time.perf_counter
+        )
+        monkeypatch.setattr(dp, "time", clock_only)
+        scanned = []
+        real = dp_numpy._scan_rank_levels
+
+        def scan(tables, disc, stats, deadline, step, pair, floor):
+            clock[0] = 2.0  # the pair loop is over; the deadline has passed
+            scanned.append(pair)
+            return real(tables, disc, stats, deadline, step, pair, floor)
+
+        monkeypatch.setattr(dp_numpy, "_scan_rank_levels", scan)
+        with pytest.raises(DeadlineExceeded, match=r"dp pair 1, rank level \d+"):
+            dp.solve_rank_dp(tables, 16, deadline=1.0)
+        assert scanned == [tables.num_pairs - 1]
 
     def test_generous_deadline_is_harmless(self, tiny_problem):
         unlimited = compute_rank(tiny_problem)

@@ -17,6 +17,8 @@ from repro.api import baseline_problem
 from repro.core.scenarios import paper_baseline_130nm
 from repro.wld.davis import DavisParameters, davis_wld
 
+from .witness_check import verify_witness
+
 PAPER_OPTIONS = dict(bunch_size=10_000, repeater_units=512)
 
 
@@ -78,3 +80,12 @@ class TestGoldenTenMillionGates:
     def test_rank(self, permittivity):
         problem = baseline_problem("130nm", 10_000_000, permittivity=permittivity)
         assert compute_rank(problem, **PAPER_OPTIONS).rank == 7_176_965
+
+    def test_witness(self):
+        """The baseline's witness at this scale proves its rank from
+        first principles."""
+        problem = baseline_problem("130nm", 10_000_000)
+        result = compute_rank(problem, collect_witness=True, **PAPER_OPTIONS)
+        assert result.rank == 7_176_965
+        tables, _ = problem.tables(bunch_size=PAPER_OPTIONS["bunch_size"])
+        verify_witness(tables, result)
